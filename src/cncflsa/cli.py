@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnc import (
+    MARGIN_TOL,
     CncConfig,
     ConvexityError,
     convexity_margin,
@@ -28,7 +29,7 @@ from .cnc import (
     solve,
 )
 from .penalties import KINDS, PenaltySpec
-from .prox import fused_lasso_l1
+from .prox import TVD_BACKEND, fused_lasso_l1
 from .signalgen import (
     NoiseSpec,
     PulseSpec,
@@ -160,6 +161,7 @@ def cmd_denoise(args):
         "convexity_margin": convexity_margin(cfg),
         "iterations": result.iterations,
         "converged": result.converged,
+        "tvd_backend": TVD_BACKEND,
         "objective_history": list(result.objective_history),
     }
     if args.reference is not None:
@@ -199,7 +201,7 @@ def cmd_check_convexity(args):
         if not np.isfinite(v) or v < 0.0:
             raise ValueError(f"--{name} must be finite and >= 0, got {v!r}")
     margin = convexity_margin_params(args.lambda0, args.lambda1, args.a0, args.a1)
-    convex = margin >= -1e-12
+    convex = margin >= -MARGIN_TOL
     print(f"margin {margin:.12g}")
     print("CONVEX" if convex else "NONCONVEX")
     return EXIT_OK if convex else EXIT_NONCONVEX

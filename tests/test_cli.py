@@ -11,6 +11,7 @@ from cncflsa import (
     tvd,
 )
 from cncflsa.cli import read_signal, write_signal
+from cncflsa.prox import TVD_BACKEND
 
 from clirun import run_cli
 
@@ -111,6 +112,13 @@ class TestDenoise:
             assert key in meta
         assert len(meta["objective_history"]) == meta["iterations"] + 1
         assert meta["rmse"] > 0
+
+    def test_metadata_reports_tvd_backend(self, tmp_path, noisy):
+        out = tmp_path / "out.txt"
+        proc = run_cli("denoise", str(noisy), str(out), "--lambda0", "0.4", "--lambda1", "2.0")
+        assert proc.returncode == 0, proc.stderr
+        meta = json.loads((tmp_path / "out.txt.json").read_text())
+        assert meta["tvd_backend"] == TVD_BACKEND
 
     def test_l1_denoise_of_own_output_converges_immediately(self, tmp_path, noisy):
         first = tmp_path / "first.txt"
