@@ -21,11 +21,12 @@ import numpy as np
 
 from .cnc import (
     MARGIN_TOL,
+    METHODS,
     CncConfig,
     ConvexityError,
     convexity_margin,
     convexity_margin_params,
-    select_a1,
+    method_params,
     solve,
 )
 from .penalties import KINDS, PenaltySpec
@@ -47,8 +48,6 @@ EXIT_PARSE = 2
 EXIT_CONVEXITY = 3
 EXIT_BADPARAM = 4
 
-METHODS = ("l1", "mdfl", "cnc")
-
 
 class SignalParseError(ValueError):
     """Input file could not be parsed as a signal."""
@@ -69,6 +68,7 @@ class RunRecord:
     seed: int
     rmse: float
     iterations: int
+    converged: bool
     runtime_ms: float
 
 
@@ -108,27 +108,6 @@ def _method_name(a0, a1):
     return "cnc"
 
 
-def _resolve_a_params(args):
-    """Default a0/a1 from the method flag and the convexity-boundary rule."""
-    lam0, lam1 = args.lambda0, args.lambda1
-    a0, a1 = args.a0, args.a1
-    if args.method == "l1":
-        a0 = 0.0 if a0 is None else a0
-        a1 = 0.0 if a1 is None else a1
-    elif args.method == "mdfl":
-        if a0 is None:
-            a0 = 1.0 / lam0 if lam0 > 0 else 0.0
-        a1 = 0.0 if a1 is None else a1
-    else:
-        if a0 is None:
-            a0 = 0.5 / lam0 if lam0 > 0 else 0.0
-        if a1 is None:
-            # The boundary rule presumes both penalties are active; with one
-            # of them disabled the remaining non-convexity defaults to off.
-            a1 = select_a1(lam0, lam1, a0) if (lam0 > 0 and lam1 > 0) else 0.0
-    return float(a0), float(a1)
-
-
 def _build_config(lam0, lam1, kind, a0, a1, tol, max_iter, allow_nonconvex):
     return CncConfig(
         lambda0=lam0,
@@ -144,7 +123,7 @@ def _build_config(lam0, lam1, kind, a0, a1, tol, max_iter, allow_nonconvex):
 
 def cmd_denoise(args):
     y = read_signal(args.input)
-    a0, a1 = _resolve_a_params(args)
+    a0, a1 = method_params(args.method, args.lambda0, args.lambda1, args.a0, args.a1)
     cfg = _build_config(
         args.lambda0, args.lambda1, args.penalty, a0, a1,
         args.tol, args.max_iter, args.allow_nonconvex,
@@ -207,34 +186,24 @@ def cmd_check_convexity(args):
     return EXIT_OK if convex else EXIT_NONCONVEX
 
 
-def _method_params(method, lam0, lam1):
-    """Non-convexity degrees used by each benchmark method."""
-    if method == "l1":
-        return 0.0, 0.0
-    if method == "mdfl":
-        return 1.0 / lam0, 0.0
-    a0 = 0.5 / lam0
-    return a0, select_a1(lam0, lam1, a0)
-
-
 def collect_run_records(method, noisy, clean, lam0, lam1, kind, sigma,
                         base_seed, tol=1e-9, max_iter=50, a0=None, a1=None):
     """Run one method over the noisy realizations, one RunRecord per trial."""
-    if a0 is None or a1 is None:
-        a0, a1 = _method_params(method, lam0, lam1)
+    a0, a1 = method_params(method, lam0, lam1, a0, a1)
     records = []
     for t, y in enumerate(noisy):
         t0 = time.perf_counter()
         if method == "l1":
-            x, iterations = fused_lasso_l1(y, lam0, lam1), 1
+            x, iterations, converged = fused_lasso_l1(y, lam0, lam1), 1, True
         else:
             result = solve(y, _build_config(lam0, lam1, kind, a0, a1, tol, max_iter, False))
-            x, iterations = result.x, result.iterations
+            x, iterations, converged = result.x, result.iterations, result.converged
         runtime_ms = (time.perf_counter() - t0) * 1e3
         records.append(RunRecord(
             method=method, lambda0=float(lam0), lambda1=float(lam1),
             a0=a0, a1=a1, penalty=kind, sigma=sigma, seed=base_seed + t,
-            rmse=rmse(x, clean), iterations=iterations, runtime_ms=runtime_ms,
+            rmse=rmse(x, clean), iterations=iterations, converged=converged,
+            runtime_ms=runtime_ms,
         ))
     return records
 
@@ -292,10 +261,9 @@ def sweep_a0(values, trials, base_seed, beta, kind, sigma, spec=None,
         for lam0 in lambda0_grid(n, sigma, beta):
             if a0 * lam0 > 1.0:
                 continue
-            a1 = select_a1(lam0, lam1, a0)
             records = collect_run_records(
                 "cnc", noisy, clean, lam0, lam1, kind, sigma, base_seed,
-                tol, max_iter, a0=a0, a1=a1,
+                tol, max_iter, a0=a0,
             )
             mean = float(np.mean([r.rmse for r in records]))
             if best is None or mean < best[0]:

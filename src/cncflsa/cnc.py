@@ -22,10 +22,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .penalties import PenaltySpec
-from .prox import as_signal, diff_adjoint, fused_lasso_l1, _check_nonneg
+from .prox import (
+    _check_nonneg,
+    _diff_adjoint,
+    _shrink,
+    _tvd,
+    as_signal,
+    diff_adjoint,
+    fused_lasso_l1,
+)
 
 # Roundoff tolerance when enforcing margin >= 0 on the convexity boundary.
 MARGIN_TOL = 1e-12
+
+# Named parameterizations of :func:`method_params`.
+METHODS = ("l1", "mdfl", "cnc")
 
 
 class ConvexityError(ValueError):
@@ -117,6 +128,28 @@ def select_a1(lambda0, lambda1, a0):
     return max(0.0, 1.0 - budget) / (4.0 * lambda1)
 
 
+def method_params(method, lambda0, lambda1, a0=None, a1=None):
+    """Non-convexity degrees (a0, a1) of a named method; given values win.
+
+    "l1" is the plain fused lasso (a0 = a1 = 0).  "mdfl" spends the whole
+    convexity budget on amplitudes (a0 = 1/lambda0, a1 = 0).  "cnc" spends
+    half of it on amplitudes (a0 = 0.5/lambda0) and the rest on differences
+    (a1 from :func:`select_a1`, margin 0).  The boundary rule presumes both
+    penalties are active, so with lambda0 = 0 the default a0 is 0, and with
+    either weight 0 the default a1 is 0.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if a0 is None:
+        share = {"l1": 0.0, "mdfl": 1.0, "cnc": 0.5}[method]
+        a0 = share / lambda0 if share and lambda0 > 0 else 0.0
+    if a1 is None:
+        a1 = 0.0
+        if method == "cnc" and lambda0 > 0 and lambda1 > 0:
+            a1 = select_a1(lambda0, lambda1, a0)
+    return a0, a1
+
+
 def objective(x, y, cfg: CncConfig) -> float:
     """Penalized objective F(x) for observation y under cfg."""
     x = as_signal(x, "x")
@@ -191,23 +224,45 @@ def solve(y, cfg: CncConfig, init="flsa") -> SolveResult:
         x = np.zeros_like(y)
     else:
         raise ValueError(f"init must be 'flsa' or 'zero', got {init!r}")
-
+    # The starting point goes through the public functions, which validate
+    # it; every update after that runs on arrays already known to be valid.
     history = [objective(x, y, cfg)]
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iter):
-        shifted = majorized_input(x, y, cfg)
-        x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
-        f = objective(x, y, cfg)
-        prev = history[-1]
-        history.append(f)
-        iterations += 1
-        if abs(prev - f) <= cfg.tol * max(1.0, abs(prev)):
-            converged = True
-            break
+    x, converged = _mm_updates(y, x, majorized_input(x, y, cfg), history, cfg)
     return SolveResult(
         x=x,
         objective_history=np.asarray(history),
-        iterations=iterations,
+        iterations=len(history) - 1,
         converged=converged,
     )
+
+
+def _mm_updates(y, x, shifted, history, cfg):
+    """The MM updates of :func:`solve` from iterate x and its shifted input.
+
+    Appends F of every new iterate to history and returns the last iterate
+    and whether the stopping rule fired.  Each iterate's penalty terms are
+    evaluated once and serve both F and the next shifted input, with the
+    same expressions in the same order as :func:`objective` and
+    :func:`majorized_input`, so the result is bit-identical to chaining the
+    public functions.  The TV kernel writes into buffers allocated once.
+    """
+    lam0, lam1 = cfg.lambda0, cfg.lambda1
+    n = y.size
+    tv_out, work = np.empty(n), np.empty(8 * n)
+    for _ in range(cfg.max_iter):
+        x = _shrink(_tvd(shifted, lam1, tv_out, work), lam0)
+        phi0, ds0 = cfg.penalty0._terms(x)
+        r = y - x
+        f = 0.5 * float(np.dot(r, r))
+        f += lam0 * float(phi0.sum())
+        if n > 1:
+            phi1, ds1 = cfg.penalty1._terms(x[1:] - x[:-1])
+            f += lam1 * float(phi1.sum())
+        prev = history[-1]
+        history.append(f)
+        if abs(prev - f) <= cfg.tol * max(1.0, abs(prev)):
+            return x, True
+        shifted = y - lam0 * ds0
+        if n > 1:
+            shifted = shifted - lam1 * _diff_adjoint(ds1)
+    return x, False

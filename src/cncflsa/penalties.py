@@ -50,20 +50,7 @@ class PenaltySpec:
 
     def value(self, x):
         """Penalty value phi(x; a), elementwise; phi(0) = 0 and phi(-x) = phi(x)."""
-        ax = np.abs(np.asarray(x, dtype=float))
-        a = self.a
-        if a == 0.0:
-            return _match(ax, x)
-        if self.kind == "log":
-            out = np.log1p(a * ax) / a
-        elif self.kind == "atan":
-            # Difference of two arctangents folded into one; avoids
-            # cancellation for small a*|x|.
-            u = a * ax
-            out = (2.0 / (a * _SQRT3)) * np.arctan(_SQRT3 * u / (2.0 + u))
-        else:  # rational
-            out = ax / (1.0 + 0.5 * a * ax)
-        return _match(out, x)
+        return _match(self._terms(np.asarray(x, dtype=float))[0], x)
 
     def residual(self, x):
         """Smooth concave part s(x; a) = phi(x; a) - |x|.
@@ -89,19 +76,29 @@ class PenaltySpec:
 
     def residual_deriv(self, x):
         """Derivative s'(x; a); odd, continuous, s'(0) = 0, |s'| < 1."""
-        xa = np.asarray(x, dtype=float)
+        return _match(self._terms(np.asarray(x, dtype=float))[1], x)
+
+    def _terms(self, x):
+        """phi(x; a) and s'(x; a) of a float array x, sharing |x| and a*|x|.
+
+        The one home of both formulas: the public methods delegate here, and
+        the MM loop calls it once per iterate for the objective and the next
+        shifted input together.
+        """
+        ax = np.abs(x)
         a = self.a
         if a == 0.0:
-            return _match(np.zeros_like(xa), x)
-        ax = np.abs(xa)
+            return ax, np.zeros_like(x)
         u = a * ax
         if self.kind == "log":
-            out = -a * xa / (1.0 + u)
-        elif self.kind == "atan":
-            out = -4.0 * a * xa * (1.0 + u) / (3.0 + (1.0 + 2.0 * u) ** 2)
-        else:  # rational
-            out = -a * xa * (1.0 + 0.25 * u) / (1.0 + 0.5 * u) ** 2
-        return _match(out, x)
+            return np.log1p(u) / a, -a * x / (1.0 + u)
+        if self.kind == "atan":
+            # Difference of two arctangents folded into one; avoids
+            # cancellation for small a*|x|.
+            return ((2.0 / (a * _SQRT3)) * np.arctan(_SQRT3 * u / (2.0 + u)),
+                    -4.0 * a * x * (1.0 + u) / (3.0 + (1.0 + 2.0 * u) ** 2))
+        # rational
+        return ax / (1.0 + 0.5 * a * ax), -a * x * (1.0 + 0.25 * u) / (1.0 + 0.5 * u) ** 2
 
     def majorizer(self, x, v):
         """Tangent-line majorizer |x| + s'(v)(x - v) + s(v).

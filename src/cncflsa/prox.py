@@ -51,10 +51,15 @@ def soft_threshold(x, lam):
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)):
         raise ValueError("x contains non-finite samples")
-    out = np.sign(xa) * np.maximum(np.abs(xa) - lam, 0.0)
+    out = _shrink(xa, lam)
     if np.isscalar(x) or xa.ndim == 0:
         return float(out)
     return out
+
+
+def _shrink(x, lam):
+    """Soft threshold of a validated float array x by a validated lam."""
+    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
 def diff(x):
@@ -71,7 +76,11 @@ def diff_adjoint(z):
     Satisfies <diff(x), z> == <x, diff_adjoint(z)> exactly in exact
     arithmetic.
     """
-    z = as_signal(z, "z")
+    return _diff_adjoint(as_signal(z, "z"))
+
+
+def _diff_adjoint(z):
+    """:func:`diff_adjoint` of a validated float array z."""
     n = z.size
     out = np.empty(n + 1)
     out[0] = -z[0]
@@ -102,17 +111,25 @@ def tvd(y, lam):
     numpy.ndarray
         The unique minimizer, same length as y.
     """
-    y = as_signal(y, "y")
+    y = np.ascontiguousarray(as_signal(y, "y"))
     lam = _check_nonneg(lam, "lam")
+    return _tvd(y, lam, np.empty(y.size), np.empty(8 * y.size))
+
+
+def _tvd(y, lam, x, work):
+    """:func:`tvd` of a validated, C-contiguous y into the buffer x.
+
+    ``work`` holds 8*N doubles of scratch for the compiled kernel, so a
+    caller that denoises many inputs of one length allocates both buffers
+    once.  Dispatches to the backend named by ``TVD_BACKEND``; returns x.
+    """
     n = y.size
     if n == 1 or lam == 0.0:
-        return y.copy()
-    if _tvd_c is None:
-        return _tvd_python(y, lam)
-    y = np.ascontiguousarray(y)
-    x = np.empty(n)
-    work = np.empty(8 * n)
-    _tvd_c(y.ctypes.data, n, lam, x.ctypes.data, work.ctypes.data)
+        x[:] = y
+    elif _tvd_c is None:
+        x[:] = _tvd_python(y, lam)
+    else:
+        _tvd_c(y.ctypes.data, n, lam, x.ctypes.data, work.ctypes.data)
     return x
 
 

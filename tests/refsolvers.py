@@ -1,9 +1,15 @@
 """Slow convergent reference solvers, used only to cross-check the exact
 kernels.  Deliberately independent of the package's solve paths: the TV
 reference runs accelerated projected gradient on the dual, the fused-lasso
-reference runs a primal-dual splitting on the joint objective."""
+reference runs a primal-dual splitting on the joint objective.
+
+`mm_reference` is the exception: it is the MM loop of `cnc.solve` written
+as a plain chain of the public per-step functions, the reference that the
+solver's fused loop must match bit for bit."""
 
 import numpy as np
+
+from cncflsa import SolveResult, fused_lasso_l1, majorized_input, objective
 
 
 def d_apply(x):
@@ -85,3 +91,25 @@ def fused_lasso_reference(y, lam0, lam1, tol=1e-14, max_iter=400000):
                 stable = 0
             prev_obj = obj
     return x
+
+
+def mm_reference(y, cfg, init="flsa"):
+    """MM solve of `cnc.solve` from the public, self-validating steps: one
+    `majorized_input`, one `fused_lasso_l1` and one `objective` per update."""
+    y = np.asarray(y, dtype=float)
+    x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1) if init == "flsa" else np.zeros_like(y)
+    history = [objective(x, y, cfg)]
+    converged = False
+    iterations = 0
+    for _ in range(cfg.max_iter):
+        shifted = majorized_input(x, y, cfg)
+        x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
+        f = objective(x, y, cfg)
+        prev = history[-1]
+        history.append(f)
+        iterations += 1
+        if abs(prev - f) <= cfg.tol * max(1.0, abs(prev)):
+            converged = True
+            break
+    return SolveResult(x=x, objective_history=np.asarray(history),
+                       iterations=iterations, converged=converged)

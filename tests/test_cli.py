@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,10 +12,25 @@ from cncflsa import (
     generate_pulses,
     tvd,
 )
-from cncflsa.cli import read_signal, write_signal
+from cncflsa.cli import collect_run_records, read_signal, write_signal
 from cncflsa.prox import TVD_BACKEND
 
-from clirun import run_cli
+from clirun import child_env, run_cli
+
+
+def test_cached_kernel_import_loads_neither_subprocess_nor_hashlib():
+    """Each CLI run pays for every module its import loads; with the kernel
+    cache warm (this process built it), the import needs neither module."""
+    code = ("import sys, cncflsa.cli, cncflsa.prox as p; "
+            "print(p.TVD_BACKEND, *sorted({'subprocess', 'hashlib'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    backend, *loaded = proc.stdout.split()
+    assert backend == TVD_BACKEND
+    # Without a compiler there is no cache, and the failed build imports
+    # subprocess to look for one.
+    assert loaded == ([] if backend == "c" else ["subprocess"])
 
 
 class TestSignalIO:
@@ -229,6 +246,16 @@ class TestSweep:
             # a1 recomputed from the boundary rule at the tuned lambda0
             lam0, lam1 = float(row[i_l0]), 0.25 * np.sqrt(300) * 0.5
             assert float(row[i_a1]) == pytest.approx((1 - a0 * lam0) / (4 * lam1), rel=1e-10)
+
+    @pytest.mark.parametrize("method, max_iter, converged", [
+        ("l1", 1, True), ("cnc", 50, True), ("cnc", 1, False)])
+    def test_run_records_keep_converged(self, method, max_iter, converged):
+        clean = generate_pulses(default_pulse_spec())
+        noisy = [add_awgn(clean, NoiseSpec(0.5, seed)) for seed in (0, 1)]
+        lam1 = 0.25 * np.sqrt(300) * 0.5
+        records = collect_run_records(method, noisy, clean, 0.3 * lam1, lam1, "atan", 0.5, 0,
+                                      max_iter=max_iter)
+        assert [r.converged for r in records] == [converged, converged]
 
     def test_empty_axis_exit_code(self, tmp_path):
         proc = run_cli("sweep", "--axis", "sigma", "--values", ",",

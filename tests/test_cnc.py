@@ -14,6 +14,7 @@ from cncflsa import (
     select_a1,
     solve,
 )
+from cncflsa.cnc import method_params
 
 KINDS = ("l1", "log", "atan", "rational")
 
@@ -88,6 +89,27 @@ class TestSelectA1:
     def test_nonpositive_lambdas_rejected(self):
         with pytest.raises(ValueError):
             select_a1(0.0, 1.0, 0.5)
+
+
+class TestMethodParams:
+    def test_named_methods(self):
+        assert method_params("l1", 0.4, 2.0) == (0.0, 0.0)
+        assert method_params("mdfl", 0.4, 2.0) == (1.0 / 0.4, 0.0)
+        assert method_params("cnc", 0.4, 2.0) == (0.5 / 0.4, select_a1(0.4, 2.0, 0.5 / 0.4))
+
+    def test_given_values_win(self):
+        assert method_params("mdfl", 0.4, 2.0, a1=0.01) == (1.0 / 0.4, 0.01)
+        assert method_params("cnc", 0.4, 2.0, a0=0.3) == (0.3, select_a1(0.4, 2.0, 0.3))
+        assert method_params("l1", 0.4, 2.0, 0.2, 0.1) == (0.2, 0.1)
+
+    def test_disabled_weight_leaves_nonconvexity_off(self):
+        assert method_params("cnc", 0.0, 2.0) == (0.0, 0.0)
+        assert method_params("mdfl", 0.0, 2.0) == (0.0, 0.0)
+        assert method_params("cnc", 0.4, 0.0) == (0.5 / 0.4, 0.0)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError):
+            method_params("tv", 0.4, 2.0)
 
 
 class TestObjectives:

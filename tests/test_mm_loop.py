@@ -1,0 +1,91 @@
+"""The fused MM loop of `cnc.solve` against `mm_reference`, the same loop
+chained from the public per-step functions: byte-identical iterates,
+objective histories, update counts and stopping flags, with either tvd
+backend, and over every solve of the criterion-7 sweep."""
+
+import contextlib
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cncflsa import KINDS, CncConfig, PenaltySpec, cli, prox, solve
+
+from refsolvers import mm_reference
+
+
+def backend(name):
+    """Context in which tvd runs the named backend ("c" is the default, and
+    runs the Python kernel only when no compiler is available)."""
+    return mock.patch.object(prox, "_tvd_c", None) if name == "python" else contextlib.nullcontext()
+
+
+def same_bytes(result, reference):
+    return (result.x.tobytes() == reference.x.tobytes()
+            and result.objective_history.tobytes() == reference.objective_history.tobytes()
+            and (result.iterations, result.converged) == (reference.iterations, reference.converged))
+
+
+def step_signal(args):
+    """Noisy piecewise-constant signal; with zeros=True every third sample
+    is replaced by -0.0."""
+    seed, n, zeros = args
+    rng = np.random.default_rng(seed)
+    y = np.cumsum(3.0 * rng.standard_normal(n) * (rng.random(n) < 0.05)) + rng.normal(0.0, 0.5, n)
+    if zeros:
+        y[::3] = -0.0
+    return y.tolist()
+
+
+signals = st.one_of(
+    st.lists(st.sampled_from([-0.0, 0.0, 0.5, -1.0, 3.0]), min_size=1, max_size=3),
+    st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=40),
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 2000), st.booleans()).map(step_signal),
+)
+# Zero weights (drawn as the lower end) run the degenerate solves, zero
+# degrees a plain l1 penalty.
+weights = st.floats(0.0, 5.0)
+degrees = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+# A cap of 1 or 3 updates with a tight tol stops most solves at max_iter.
+caps = st.sampled_from([(1, 1e-9), (3, 1e-15), (50, 1e-9)])
+
+
+@pytest.mark.parametrize("tvd_backend", ["c", "python"])
+@settings(max_examples=150, deadline=None)
+@given(signals, st.sampled_from(KINDS), weights, weights, degrees, degrees,
+       st.sampled_from(["flsa", "zero"]), caps)
+@example([-0.0], "atan", 0.5, 1.0, 0.5, 0.5, "flsa", (50, 1e-9))
+@example([-0.0, 2.0, -0.0], "log", 0.0, 1.0, 0.0, 0.2, "zero", (50, 1e-9))
+@example([1.0, -0.0, 3.0, 3.0], "rational", 0.4, 0.0, 1.0, 0.0, "flsa", (2, 1e-15))
+def test_solve_matches_mm_reference_bytes(tvd_backend, values, kind, lam0, lam1, a0, a1,
+                                          init, cap):
+    max_iter, tol = cap
+    cfg = CncConfig(lam0, lam1, PenaltySpec(kind, a0), PenaltySpec(kind, a1),
+                    max_iter=max_iter, tol=tol, allow_nonconvex=True, allow_degenerate=True)
+    y = np.array(values)
+    with backend(tvd_backend):
+        assert same_bytes(solve(y, cfg, init=init), mm_reference(y, cfg, init=init))
+
+
+def test_sweep_solves_match_mm_reference(monkeypatch):
+    """The 1,800 MM solves of the criterion-7 sweep at seed 0 (mdfl and cnc;
+    l1 never calls solve) and the rows they produce."""
+
+    def sweep(solver):
+        results = []
+
+        def recording(y, cfg):
+            results.append(solver(y, cfg))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "solve", recording)
+        rows = cli.sweep_sigma([0.25, 0.5, 1.0], 15, 0, 0.25, "atan", ["mdfl", "cnc"])
+        return rows, results
+
+    rows, results = sweep(solve)
+    ref_rows, ref_results = sweep(mm_reference)
+    assert len(results) == len(ref_results) == 1800
+    assert all(same_bytes(r, ref) for r, ref in zip(results, ref_results))
+    assert rows == ref_rows

@@ -13,6 +13,7 @@ from cncflsa import (
     rmse,
     standard_normal,
 )
+from cncflsa import signalgen
 
 
 class TestPulses:
@@ -97,6 +98,27 @@ class TestNoise:
         assert 0.995 <= np.std(w) <= 1.005
         rho1 = np.corrcoef(w[:-1], w[1:])[0, 1]
         assert abs(rho1) <= 0.01
+
+    # A zero word in a u1 position (even index) is skipped and the stream
+    # re-paired.  The skip needs one word beyond the 2*ceil(n/2) drawn first,
+    # so every case also grows the stream.
+    @pytest.mark.parametrize("n, zero_at", [(1, 0), (6, 0), (6, 4), (7, 6)])
+    def test_zero_u1_word_is_skipped(self, monkeypatch, n, zero_at):
+        real = signalgen._splitmix64
+
+        def with_zero(seed, count):
+            words = real(seed, count)
+            if zero_at < count:
+                words[zero_at] = 0
+            return words
+
+        def without_word(seed, count):
+            return np.delete(real(seed, count + 1), zero_at)
+
+        monkeypatch.setattr(signalgen, "_splitmix64", with_zero)
+        out = standard_normal(n, 5)
+        monkeypatch.setattr(signalgen, "_splitmix64", without_word)
+        assert out.tobytes() == standard_normal(n, 5).tobytes()
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
