@@ -1,0 +1,134 @@
+#include <math.h>
+
+/* Compiled kernels of cncflsa, bit-identical to their Python references.
+ * Built with -ffp-contract=off and without -ffast-math, every operation
+ * rounds on its own exactly as the same operation does in numpy, so each
+ * function keeps its reference's expressions in their order.
+ *
+ * cncflsa_tvd: exact 1-D total variation denoising, a line-for-line port of
+ * cncflsa.prox._tvd_python (its docstring and comments describe the
+ * algorithm).  Requires n >= 2 and lam > 0; the caller owns x (n doubles)
+ * and work (8 n doubles). */
+
+void cncflsa_tvd(const double *y, long n, double lam, double *x, double *work)
+{
+    double *pos = work, *d_a = work + 2 * n, *d_b = work + 4 * n;
+    double *lo_clamp = work + 6 * n, *hi_clamp = work + 7 * n;
+    double a_left = 1.0, b_left = -y[0], a_right = 1.0, b_right = -y[0];
+    double a, b, lo, hi, xi;
+    long head = n, tail = n - 1, i, k;
+
+    for (i = 0; i < n - 1; i++) {
+        a = a_left, b = b_left, k = head;
+        while (k <= tail && a * pos[k] + b < -lam) {
+            a += d_a[k], b += d_b[k], k++;
+        }
+        lo = (-lam - b) / a;
+        head = k - 1;
+        pos[head] = lo, d_a[head] = a, d_b[head] = b + lam;
+
+        a = a_right, b = b_right, k = tail;
+        while (k > head && a * pos[k] + b > lam) {
+            a -= d_a[k], b -= d_b[k], k--;
+        }
+        hi = (lam - b) / a;
+        tail = k + 1;
+        pos[tail] = hi, d_a[tail] = -a, d_b[tail] = lam - b;
+
+        lo_clamp[i] = lo, hi_clamp[i] = hi;
+        a_left = 1.0, b_left = -y[i + 1] - lam;
+        a_right = 1.0, b_right = -y[i + 1] + lam;
+    }
+
+    a = a_left, b = b_left, k = head;
+    while (k <= tail && a * pos[k] + b < 0.0) {
+        a += d_a[k], b += d_b[k], k++;
+    }
+    x[n - 1] = -b / a;
+    for (i = n - 2; i >= 0; i--) {
+        xi = x[i + 1];
+        if (xi < lo_clamp[i])
+            xi = lo_clamp[i];
+        else if (xi > hi_clamp[i])
+            xi = hi_clamp[i];
+        x[i] = xi;
+    }
+}
+
+/* Arguments of cncflsa_mm_step; mirrored by cncflsa.cnc._StepArgs, whose
+ * rows come from cncflsa.cnc._mm_rows: shifted, x and r of n doubles,
+ * phi0 of n, phi1 of n - 1, and work, the 8 n doubles of tvd scratch. */
+struct mm_step {
+    long n;
+    const double *y;
+    double *shifted, *x, *r, *phi0, *phi1, *work;
+    double lam0, lam1, a0, a1;
+    int kind0, kind1; /* index into cncflsa.penalties.KINDS */
+};
+
+enum { KIND_L1, KIND_LOG, KIND_ATAN, KIND_RATIONAL };
+
+/* cncflsa.penalties.PenaltySpec._algebra at one sample z: stores phi(z), or
+ * for log and atan the argument of their transcendental, and returns
+ * s'(z). */
+static double algebra(int kind, double a, double z, double *phi)
+{
+    double az = fabs(z), u, v;
+
+    if (a == 0.0) {
+        *phi = az;
+        return 0.0;
+    }
+    u = a * az;
+    if (kind == KIND_LOG) {
+        *phi = u;
+        return -a * z / (1.0 + u);
+    }
+    if (kind == KIND_ATAN) {
+        *phi = 1.7320508075688772 * u / (2.0 + u); /* sqrt(3) */
+        v = 1.0 + 2.0 * u;
+        return -4.0 * a * z * (1.0 + u) / (3.0 + v * v);
+    }
+    *phi = az / (1.0 + 0.5 * a * az);
+    v = 1.0 + 0.5 * u;
+    return -a * z * (1.0 + 0.25 * u) / (v * v);
+}
+
+/* One MM update, the port of cncflsa.cnc._mm_step_python: the fused lasso
+ * solve x = soft_threshold(tvd(shifted, lam1), lam0), r = y - x, phi0 from
+ * x and phi1 from diff(x), and the next shifted input
+ * y - lam0 s0'(x) - lam1 D^T s1'(diff(x)), written over the one just used. */
+void cncflsa_mm_step(const struct mm_step *m)
+{
+    long n = m->n, i;
+    double *shifted = m->shifted, *x = m->x, *r = m->r, *phi0 = m->phi0;
+    double *phi1 = m->phi1;
+    double t, v, sign, ds0, ds1 = 0.0, prev = 0.0, s;
+
+    if (n == 1 || m->lam1 == 0.0) {
+        for (i = 0; i < n; i++)
+            x[i] = shifted[i];
+    } else {
+        cncflsa_tvd(shifted, n, m->lam1, x, m->work);
+    }
+    for (i = 0; i < n; i++) { /* numpy's sign(t) * maximum(|t| - lam0, 0) */
+        t = x[i];
+        sign = t > 0.0 ? 1.0 : (t < 0.0 ? -1.0 : 0.0);
+        v = fabs(t) - m->lam0;
+        x[i] = sign * (v < 0.0 ? 0.0 : v);
+    }
+    for (i = 0; i < n; i++) {
+        r[i] = m->y[i] - x[i];
+        ds0 = algebra(m->kind0, m->a0, x[i], &phi0[i]);
+        s = m->y[i] - m->lam0 * ds0;
+        if (n > 1) {
+            if (i < n - 1)
+                ds1 = algebra(m->kind1, m->a1, x[i + 1] - x[i], &phi1[i]);
+            /* (D^T ds1)[i], as cncflsa.prox._diff_adjoint forms it */
+            v = i == 0 ? -ds1 : (i == n - 1 ? prev : prev - ds1);
+            s = s - m->lam1 * v;
+            prev = ds1;
+        }
+        shifted[i] = s;
+    }
+}

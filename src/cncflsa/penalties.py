@@ -23,7 +23,7 @@ _SQRT3 = np.sqrt(3.0)
 def _match(out, like):
     """Return a float for scalar input, the array otherwise."""
     if np.isscalar(like) or getattr(like, "ndim", 1) == 0:
-        return float(out)
+        return out.item()
     return out
 
 
@@ -32,7 +32,8 @@ class PenaltySpec:
     """Selects a sparsity penalty: kind plus non-convexity degree ``a``.
 
     ``a`` has units of 1/amplitude.  Kind "l1" behaves exactly like any other
-    kind with a = 0 and is normalized to a = 0 on construction.
+    kind with a = 0 and is normalized to a = 0 on construction.  A subnormal
+    ``a`` is rejected: the scale 2 / (a*sqrt(3)) of "atan" overflows there.
     """
 
     kind: str = "l1"
@@ -44,13 +45,15 @@ class PenaltySpec:
         a = float(self.a)
         if not np.isfinite(a) or a < 0.0:
             raise ValueError(f"penalty parameter a must be finite and >= 0, got {self.a!r}")
+        if 0.0 < a < np.finfo(float).tiny:
+            raise ValueError(f"penalty parameter a must be 0 or a normal float, got {self.a!r}")
         if self.kind == "l1":
             a = 0.0
         object.__setattr__(self, "a", a)
 
     def value(self, x):
         """Penalty value phi(x; a), elementwise; phi(0) = 0 and phi(-x) = phi(x)."""
-        return _match(self._terms(np.asarray(x, dtype=float))[0], x)
+        return _match(self._terms(np.atleast_1d(np.asarray(x, dtype=float)))[0], x)
 
     def residual(self, x):
         """Smooth concave part s(x; a) = phi(x; a) - |x|.
@@ -76,14 +79,25 @@ class PenaltySpec:
 
     def residual_deriv(self, x):
         """Derivative s'(x; a); odd, continuous, s'(0) = 0, |s'| < 1."""
-        return _match(self._terms(np.asarray(x, dtype=float))[1], x)
+        return _match(self._terms(np.atleast_1d(np.asarray(x, dtype=float)))[1], x)
 
     def _terms(self, x):
-        """phi(x; a) and s'(x; a) of a float array x, sharing |x| and a*|x|.
+        """phi(x; a) and s'(x; a) of a float array x of at least one dimension.
 
-        The one home of both formulas: the public methods delegate here, and
-        the MM loop calls it once per iterate for the objective and the next
-        shifted input together.
+        The one home of both formulas, split in two: :meth:`_algebra` and
+        :meth:`_finish`.  The public methods delegate here.
+        """
+        phi, ds = self._algebra(x)
+        return self._finish(phi), ds
+
+    def _algebra(self, x):
+        """Every part of phi and s' that rounds exactly in IEEE arithmetic.
+
+        Returns s'(x) and phi(x), except that for "log" and "atan" the first
+        array is the argument of their transcendental, which :meth:`_finish`
+        applies.  ``cncflsa_mm_step`` in ``_kernels.c`` ports this per
+        sample; numpy's log1p and arctan stay out of it, because their SIMD
+        versions round differently from the C library's.
         """
         ax = np.abs(x)
         a = self.a
@@ -91,14 +105,24 @@ class PenaltySpec:
             return ax, np.zeros_like(x)
         u = a * ax
         if self.kind == "log":
-            return np.log1p(u) / a, -a * x / (1.0 + u)
+            return u, -a * x / (1.0 + u)
         if self.kind == "atan":
             # Difference of two arctangents folded into one; avoids
             # cancellation for small a*|x|.
-            return ((2.0 / (a * _SQRT3)) * np.arctan(_SQRT3 * u / (2.0 + u)),
-                    -4.0 * a * x * (1.0 + u) / (3.0 + (1.0 + 2.0 * u) ** 2))
+            return _SQRT3 * u / (2.0 + u), -4.0 * a * x * (1.0 + u) / (3.0 + (1.0 + 2.0 * u) ** 2)
         # rational
         return ax / (1.0 + 0.5 * a * ax), -a * x * (1.0 + 0.25 * u) / (1.0 + 0.5 * u) ** 2
+
+    def _finish(self, phi):
+        """phi from the first array of :meth:`_algebra`, computed in place."""
+        a = self.a
+        if a != 0.0 and self.kind == "log":
+            np.log1p(phi, out=phi)
+            phi /= a
+        elif a != 0.0 and self.kind == "atan":
+            np.arctan(phi, out=phi)
+            phi *= 2.0 / (a * _SQRT3)
+        return phi
 
     def majorizer(self, x, v):
         """Tangent-line majorizer |x| + s'(v)(x - v) + s(v).

@@ -5,9 +5,11 @@ total variation denoising in worst-case linear time, the two-step fused
 lasso solve built from them, and subgradient-optimality oracles used to
 certify solutions independently of the solvers.
 
-The TV kernel has a compiled backend (``_tvd.c``, built on first import and
-cached in ``__pycache__``) and a pure-Python reference that it matches bit
-for bit and falls back to; ``TVD_BACKEND`` names the one in use.
+The TV kernel has a compiled backend (``_kernels.c``, built on first import
+and cached in ``__pycache__``) and a pure-Python reference that it matches
+bit for bit and falls back to; ``TVD_BACKEND`` names the one in use.  The
+same library holds the compiled MM update of :mod:`cncflsa.cnc`, which
+follows the same switch.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import zlib
 
 import numpy as np
 
-_C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_tvd.c")
+_C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 # Bit equality with the Python kernel needs every operation rounded on its
 # own: no fused multiply-add (-ffp-contract=off), no -ffast-math, no
 # -march=native.
@@ -129,7 +131,7 @@ def _tvd(y, lam, x, work):
     elif _tvd_c is None:
         x[:] = _tvd_python(y, lam)
     else:
-        _tvd_c(y.ctypes.data, n, lam, x.ctypes.data, work.ctypes.data)
+        _tvd_c.cncflsa_tvd(y.ctypes.data, n, lam, x.ctypes.data, work.ctypes.data)
     return x
 
 
@@ -143,7 +145,7 @@ def _tvd_python(y, lam):
     for every sample; the backward pass recovers the solution by clipping
     each sample between its recorded bounds.  Every breakpoint enters and
     leaves the active list at most once, so the worst case is linear in N.
-    ``_tvd.c`` ports it line for line.
+    ``cncflsa_tvd`` in ``_kernels.c`` ports it line for line.
     """
     n = y.size
     ys = y.tolist()
@@ -226,7 +228,7 @@ def _build():
     with open(_C_SOURCE, "rb") as fh:
         tag = zlib.crc32(" ".join(_C_FLAGS).encode(), zlib.crc32(fh.read()))
     cache = os.path.join(os.path.dirname(_C_SOURCE), "__pycache__")
-    path = os.path.join(cache, f"_tvd-{tag:08x}.so")
+    path = os.path.join(cache, f"_kernels-{tag:08x}.so")
     if os.path.exists(path):
         return path
     import subprocess  # a cache hit imports nothing the CLI does not
@@ -248,18 +250,22 @@ def _build():
 
 
 def _select_backend():
-    """The compiled kernel and ``"c"``, or ``(None, "python")`` when it
-    cannot be built or loaded."""
+    """The compiled library and ``"c"``, or ``(None, "python")`` when it
+    cannot be built or loaded or lacks one of its kernels."""
     try:
-        kernel = ctypes.CDLL(_build()).cncflsa_tvd
+        lib = ctypes.CDLL(_build())
+        tvd, step = lib.cncflsa_tvd, lib.cncflsa_mm_step
     except (OSError, AttributeError):
         return None, "python"
-    kernel.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
-                       ctypes.c_void_p, ctypes.c_void_p)
-    kernel.restype = None
-    return kernel, "c"
+    tvd.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
+                    ctypes.c_void_p, ctypes.c_void_p)
+    step.argtypes = (ctypes.c_void_p,)
+    tvd.restype = step.restype = None
+    return lib, "c"
 
 
+# The one backend switch: the compiled library, or None for the Python
+# references of both tvd and the MM update (cncflsa.cnc._mm_step).
 _tvd_c, TVD_BACKEND = _select_backend()
 
 

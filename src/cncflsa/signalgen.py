@@ -107,6 +107,11 @@ def _splitmix64(seed, count):
     return z ^ (z >> np.uint64(31))
 
 
+def _uniforms(seed, count):
+    """First `count` uniforms (word >> 11) * 2**-53 of the stream for `seed`."""
+    return (_splitmix64(seed, count) >> np.uint64(11)) * 2.0**-53
+
+
 def standard_normal(n, seed):
     """n standard-normal draws from the pinned SplitMix64 + Box-Muller chain."""
     n = int(n)
@@ -115,10 +120,14 @@ def standard_normal(n, seed):
     if n == 0:
         return np.zeros(0)
     npairs = (n + 1) // 2
-    nwords = 2 * npairs
-    u = (_splitmix64(seed, nwords) >> np.uint64(11)) * 2.0**-53
-    if np.any(u[0::2] == 0.0):
-        u = _reject_zero_u1(seed, npairs, u)
+    u = _uniforms(seed, 2 * npairs)
+    # A zero u1 (probability 2**-53 per pair) is skipped: the words after it
+    # are re-paired and the next word of the stream is appended.
+    skipped = 0
+    while np.any(u[0::2] == 0.0):
+        skipped += 1
+        j = 2 * np.flatnonzero(u[0::2] == 0.0)[0]
+        u = np.append(np.delete(u, j), _uniforms(seed, 2 * npairs + skipped)[-1])
     u1 = u[0::2]
     u2 = u[1::2]
     radius = np.sqrt(-2.0 * np.log(u1))
@@ -127,27 +136,6 @@ def standard_normal(n, seed):
     out[0::2] = radius * np.cos(angle)
     out[1::2] = radius * np.sin(angle)
     return out[:n]
-
-
-def _reject_zero_u1(seed, npairs, u):
-    # A zero word in u1 position occurs with probability 2**-53 per pair;
-    # when it does, the word is skipped and the stream re-paired.
-    words = u
-    picked = np.empty(2 * npairs)
-    i = 0
-    j = 0
-    while j < 2 * npairs:
-        if i >= words.size:
-            grow = (_splitmix64(seed, 2 * words.size + 8) >> np.uint64(11)) * 2.0**-53
-            words = grow
-        u1 = words[i]
-        if j % 2 == 0 and u1 == 0.0:
-            i += 1
-            continue
-        picked[j] = u1
-        i += 1
-        j += 1
-    return picked
 
 
 def add_awgn(x, noise: NoiseSpec):

@@ -190,6 +190,12 @@ class TestDenoise:
                        "--lambda0", "-1", "--lambda1", "1")
         assert proc.returncode == 4
 
+    def test_subnormal_a0_exit_code(self, tmp_path, noisy):
+        proc = run_cli("denoise", str(noisy), str(tmp_path / "o.txt"),
+                       "--lambda0", "0.4", "--lambda1", "2.0", "--a0", "1e-310")
+        assert proc.returncode == 4, proc.stderr
+        assert "normal" in proc.stderr
+
 
 class TestCheckConvexity:
     def test_boundary_convex(self):

@@ -1,0 +1,89 @@
+"""The compiled MM update (`cncflsa_mm_step`) against its Python twin
+(`cnc._mm_step_python`), call by call: byte-identical iterate, residual,
+penalty arrays and next shifted input, and the fallback to the twin when
+the library lacks the compiled step."""
+
+import shutil
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cncflsa import KINDS, CncConfig, PenaltySpec, cnc, prox, solve
+
+HAS_CC = shutil.which("cc") is not None or shutil.which("gcc") is not None
+
+signals = st.one_of(
+    st.lists(st.sampled_from([-0.0, 0.0, 0.5, -1.0, 3.0]), min_size=1, max_size=3),
+    st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=60),
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 2000)).map(
+        lambda t: np.random.default_rng(t[0]).normal(0.0, 3.0, t[1]).tolist()),
+)
+weights = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+degrees = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+
+
+def run_steps(y, shifted, cfg, compiled, calls=3):
+    """Buffers (shifted, x, r, phi0, phi1) after each of `calls` updates."""
+    y = np.ascontiguousarray(y)
+    rows = cnc._mm_rows(y.size)
+    rows[0][:] = shifted
+    states = []
+    with mock.patch.object(prox, "_tvd_c", prox._tvd_c if compiled else None):
+        step = cnc._mm_step(y, rows, cfg)
+        for _ in range(calls):
+            step()
+            states.append([row.tobytes() for row in rows[:5]])
+    return states
+
+
+@pytest.mark.skipif(prox.TVD_BACKEND != "c", reason="no compiled library")
+@settings(max_examples=300, deadline=None)
+@given(signals, st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.sampled_from(KINDS),
+       weights, weights, degrees, degrees)
+@example([-0.0], 0, "atan", "log", 0.5, 1.0, 0.5, 0.5)
+@example([-0.0, 2.0], 1, "log", "rational", 0.0, 1.0, 1.0, 0.2)
+@example([1.0, -0.0, 3.0], 2, "rational", "atan", 0.4, 0.0, 1.0, 3.0)
+@example([-0.0, -0.0, 0.0], 3, "l1", "atan", 1.0, 1.0, 0.0, 1.0)
+def test_compiled_step_matches_python_twin_bytes(values, seed, kind0, kind1, lam0, lam1, a0, a1):
+    y = np.array(values)
+    # Start from the shifted input of a random iterate, zeroed in places.
+    v = np.random.default_rng(seed).normal(0.0, 2.0, y.size) * (np.arange(y.size) % 3 != 0)
+    cfg = CncConfig(lam0, lam1, PenaltySpec(kind0, a0), PenaltySpec(kind1, a1),
+                    allow_nonconvex=True, allow_degenerate=True)
+    shifted = cnc.majorized_input(v, y, cfg)
+    assert run_steps(y, shifted, cfg, compiled=True) == run_steps(y, shifted, cfg, compiled=False)
+
+
+def test_solve_reads_a_strided_observation():
+    y = np.random.default_rng(4).normal(0.0, 1.0, 600)
+    cfg = CncConfig(0.3, 2.0, PenaltySpec("atan", 1.0), PenaltySpec("log", 0.05))
+    strided, contiguous = solve(y[::2], cfg), solve(y[::2].copy(), cfg)
+    assert strided.x.tobytes() == contiguous.x.tobytes()
+    assert strided.objective_history.tobytes() == contiguous.objective_history.tobytes()
+
+
+def test_solution_is_not_a_loop_buffer():
+    y = np.random.default_rng(5).normal(0.0, 1.0, 50)
+    x = solve(y, CncConfig(0.3, 2.0, PenaltySpec("atan", 1.0), PenaltySpec("atan", 0.05))).x
+    assert x.base is None and x.flags.owndata
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler")
+def test_fallback_when_the_library_lacks_the_step(monkeypatch, tmp_path):
+    source = Path(prox._C_SOURCE).read_text()
+    older = tmp_path / "_kernels.c"
+    older.write_text(source[:source.index("/* Arguments of cncflsa_mm_step")])
+    monkeypatch.setattr(prox, "_C_SOURCE", str(older))
+    assert prox._select_backend() == (None, "python")
+
+    y = np.random.default_rng(6).normal(0.0, 1.0, 300)
+    cfg = CncConfig(0.3, 2.0, PenaltySpec("atan", 1.0), PenaltySpec("atan", 0.05))
+    expected = solve(y, cfg)
+    monkeypatch.setattr(prox, "_tvd_c", None)
+    result = solve(y, cfg)
+    assert result.x.tobytes() == expected.x.tobytes()
+    assert result.objective_history.tobytes() == expected.objective_history.tobytes()

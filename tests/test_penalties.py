@@ -42,6 +42,18 @@ class TestValue:
         with pytest.raises(ValueError):
             PenaltySpec("lp", 1.0)
 
+    @pytest.mark.parametrize("kind", ["log", "atan", "rational"])
+    def test_subnormal_a_rejected(self, kind):
+        # 2 / (a*sqrt(3)) overflows for a subnormal a, so atan would give
+        # NaN at 0 and inf elsewhere; every kind rejects such an a alike.
+        for a in (1e-310, 5e-324, np.nextafter(np.finfo(float).tiny, 0.0)):
+            with pytest.raises(ValueError, match="normal"):
+                PenaltySpec(kind, a)
+        p = PenaltySpec(kind, np.finfo(float).tiny)
+        x = np.array([0.0, -1.0, 1.0, 1e300])
+        assert np.all(np.isfinite(p.value(x))) and np.all(np.isfinite(p.residual_deriv(x)))
+        assert p.value(0.0) == 0.0
+
 
 class TestResidual:
     def test_zero_at_origin(self):

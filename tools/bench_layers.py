@@ -1,0 +1,182 @@
+"""Per-layer timings of cncflsa, written to BENCH_<tag>.json.
+
+Times each layer on fixed inputs and keeps the median and quartiles of its
+repeats, in milliseconds per call:
+
+- ``prox.tvd`` at N = 300, 3,000, 30,000 and 300,000;
+- ``prox.fused_lasso_l1`` on the 300-sample fixture;
+- one MM update at N = 300 and 30,000, taken as the difference between a
+  solve capped at 11 updates and one capped at 1, divided by 10 (the
+  tolerance is so tight that neither stops early);
+- ``cnc.solve`` on the 300-sample fixture;
+- the criterion-7 sweep (3 sigma x 3 methods x 20 lambda0 x 15 trials);
+- ``python -m cncflsa.cli denoise`` on the 300-sample fixture, in a fresh
+  interpreter.
+
+Only public names are timed, so the script measures whichever version of
+the package is on the import path.  Run it once per version, each with its
+own label, to put both into one file:
+
+    PYTHONPATH=<parent checkout>/src python tools/bench_layers.py --tag T --label parent
+    PYTHONPATH=src python tools/bench_layers.py --tag T --label change
+
+Each run appends a record to its label in BENCH_<tag>.json (in the
+repository root unless --out-dir says otherwise) with nproc, the repeat
+counts, the tvd backend and the numpy version.  This machine's speed drifts
+between runs, so alternate the labels over several runs; once both labels
+are present the script prints, per layer, the median over each label's runs
+of their medians.  BLAS and OpenMP are pinned to one thread.
+"""
+
+from __future__ import annotations
+
+import os
+
+# Before numpy is imported, which is when BLAS reads these.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse
+import json
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from cncflsa import (
+    CncConfig,
+    NoiseSpec,
+    PenaltySpec,
+    add_awgn,
+    cli,
+    default_pulse_spec,
+    fused_lasso_l1,
+    generate_pulses,
+    lambda1_heuristic,
+    select_a1,
+    solve,
+    tvd,
+)
+from cncflsa import prox
+
+SIGMA = 0.5
+SWEEP_SIGMAS = [0.25, 0.5, 1.0]
+REPEATS = 15  # per layer; the criterion-7 sweep, at seconds a run, gets 5
+
+
+def signal(n, seed=7):
+    """The 300-sample pulse fixture tiled to n samples, plus seeded noise."""
+    clean = np.resize(generate_pulses(default_pulse_spec()), n)
+    return add_awgn(clean, NoiseSpec(SIGMA, seed))
+
+
+def cnc_config(**kw):
+    lam1 = lambda1_heuristic(300, SIGMA)
+    lam0 = 0.1 * lam1
+    a0 = 0.5 / lam0
+    return CncConfig(lam0, lam1, PenaltySpec("atan", a0),
+                     PenaltySpec("atan", select_a1(lam0, lam1, a0)), **kw)
+
+
+def timed(fn, inner):
+    """Milliseconds per call of fn, over `inner` back-to-back calls."""
+    start = time.perf_counter_ns()
+    for _ in range(inner):
+        fn()
+    return (time.perf_counter_ns() - start) / inner / 1e6
+
+
+def summary(samples):
+    q1, med, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median_ms": round(float(med), 5), "q1_ms": round(float(q1), 5),
+            "q3_ms": round(float(q3), 5), "repeats": len(samples)}
+
+
+def mm_update_ms(y, inner):
+    """Milliseconds per MM update: an 11-update solve minus a 1-update one."""
+    long_cfg, short_cfg = cnc_config(max_iter=11, tol=1e-300), cnc_config(max_iter=1, tol=1e-300)
+    if solve(y, long_cfg).iterations != 11:
+        raise RuntimeError("the 11-update solve stopped early")
+    return (timed(lambda: solve(y, long_cfg), inner) - timed(lambda: solve(y, short_cfg), inner)) / 10
+
+
+def cli_denoise_ms(workdir):
+    noisy, out = workdir / "noisy.txt", workdir / "out.txt"
+    cli.write_signal(noisy, signal(300))
+    cfg = cnc_config()
+    argv = [sys.executable, "-m", "cncflsa.cli", "denoise", str(noisy), str(out),
+            "--lambda0", repr(cfg.lambda0), "--lambda1", repr(cfg.lambda1)]
+    start = time.perf_counter_ns()
+    subprocess.run(argv, check=True, capture_output=True)
+    return (time.perf_counter_ns() - start) / 1e6
+
+
+def layers(workdir):
+    """(name, repeats, zero-argument function returning ms per call)."""
+    y300, cfg = signal(300), cnc_config()
+    lam1 = cfg.lambda1
+    out = []
+    for n, inner in ((300, 200), (3000, 40), (30000, 4), (300000, 1)):
+        y = signal(n)
+        out.append((f"prox.tvd N={n}", REPEATS, lambda y=y, inner=inner: timed(lambda: tvd(y, lam1), inner)))
+    out.append(("prox.fused_lasso_l1 N=300", REPEATS,
+                lambda: timed(lambda: fused_lasso_l1(y300, cfg.lambda0, lam1), 200)))
+    y30k = signal(30000)
+    out.append(("MM update N=300", REPEATS, lambda: mm_update_ms(y300, 40)))
+    out.append(("MM update N=30000", REPEATS, lambda: mm_update_ms(y30k, 2)))
+    out.append(("cnc.solve N=300", REPEATS, lambda: timed(lambda: solve(y300, cfg), 40)))
+    out.append(("criterion-7 sweep", 5, lambda: timed(
+        lambda: cli.sweep_sigma(SWEEP_SIGMAS, 15, 0, 0.25, "atan", ["l1", "mdfl", "cnc"]), 1)))
+    out.append(("cli denoise N=300", REPEATS, lambda: cli_denoise_ms(workdir)))
+    return out
+
+
+def measure():
+    result = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, count, fn in layers(Path(workdir)):
+            fn()  # warm caches and lazy set-up
+            result[name] = summary([fn() for _ in range(count)])
+            print(f"{name:28s} {result[name]['median_ms']:12.4f} ms", flush=True)
+    return result
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tag", required=True, help="file name part: BENCH_<tag>.json")
+    parser.add_argument("--label", required=True, help="key of this run in the file, e.g. parent")
+    parser.add_argument("--out-dir", type=Path, default=Path(__file__).resolve().parents[1])
+    args = parser.parse_args(argv)
+
+    path = args.out_dir / f"BENCH_{args.tag}.json"
+    doc = json.loads(path.read_text()) if path.exists() else {"tag": args.tag, "runs": {}}
+    doc["runs"].setdefault(args.label, []).append({
+        "tvd_backend": prox.TVD_BACKEND,
+        "nproc": os.cpu_count(),
+        "repeats": REPEATS,
+        "threads": {var: os.environ[var] for var in
+                    ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "layers": measure(),
+    })
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    runs = doc["runs"]
+    if "parent" in runs and "change" in runs:
+        print(f"\n{'layer':28s} {'parent ms':>12s} {'change ms':>12s} {'ratio':>7s}"
+              f"   ({len(runs['parent'])} parent and {len(runs['change'])} change runs)")
+        for name in runs["parent"][-1]["layers"]:
+            before, after = (float(np.median([r["layers"][name]["median_ms"] for r in runs[label]
+                                              if name in r["layers"]]))
+                             for label in ("parent", "change"))
+            print(f"{name:28s} {before:12.4f} {after:12.4f} {before / after:7.2f}")
+    print(f"wrote {path}")
+
+
+if __name__ == "__main__":
+    main()
