@@ -5,7 +5,8 @@ Signal files are plain text, one sample per line, written with 17 significant
 digits so round-trips are lossless.  Denoise runs emit a JSON metadata
 document next to the output signal; sweeps emit a CSV table.  Exit codes:
 0 success (for check-convexity: convex), 1 nonconvex verdict, 2 input parse
-error, 3 convexity violation without --allow-nonconvex, 4 invalid parameters.
+error, 3 convexity violation without --allow-nonconvex, 4 invalid parameters
+or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .cnc import (
     solve,
 )
 from .penalties import KINDS, PenaltySpec
-from .prox import TVD_BACKEND, fused_lasso_l1
+from .prox import TVD_BACKEND, _check_nonneg, fused_lasso_l1
 from .signalgen import (
     NoiseSpec,
     PulseSpec,
@@ -176,9 +177,7 @@ def cmd_generate(args):
 
 def cmd_check_convexity(args):
     for name in ("lambda0", "lambda1", "a0", "a1"):
-        v = getattr(args, name)
-        if not np.isfinite(v) or v < 0.0:
-            raise ValueError(f"--{name} must be finite and >= 0, got {v!r}")
+        _check_nonneg(getattr(args, name), f"--{name}")
     margin = convexity_margin_params(args.lambda0, args.lambda1, args.a0, args.a1)
     convex = margin >= -MARGIN_TOL
     print(f"margin {margin:.12g}")
@@ -187,9 +186,9 @@ def cmd_check_convexity(args):
 
 
 def collect_run_records(method, noisy, clean, lam0, lam1, kind, sigma,
-                        base_seed, tol=1e-9, max_iter=50, a0=None, a1=None):
+                        base_seed, tol=1e-9, max_iter=50, a0=None):
     """Run one method over the noisy realizations, one RunRecord per trial."""
-    a0, a1 = method_params(method, lam0, lam1, a0, a1)
+    a0, a1 = method_params(method, lam0, lam1, a0)
     records = []
     for t, y in enumerate(noisy):
         t0 = time.perf_counter()
@@ -220,58 +219,52 @@ def _aggregate(records, axis, value):
     }
 
 
-def sweep_sigma(values, trials, base_seed, beta, kind, methods, spec=None,
-                tol=1e-9, max_iter=50):
-    """RMSE vs noise level on the pulse fixture, lambda0 grid-tuned per
-    method at each level.  Returns one aggregate row per (method, sigma)."""
-    spec = spec or default_pulse_spec()
-    clean = generate_pulses(spec)
+def _noisy(clean, sigma, trials, base_seed):
+    """The noise realizations of one sweep point: trial t uses seed base_seed + t."""
+    return [add_awgn(clean, NoiseSpec(sigma, base_seed + t)) for t in range(trials)]
+
+
+def _tune_lambda0(method, noisy, clean, sigma, beta, kind, base_seed, tol, max_iter, a0=None):
+    """Records of the lambda0 on the grid with the lowest mean RMSE over the
+    noisy realizations.  With a0 given, only the lambda0 with
+    a0*lambda0 <= 1 are candidates."""
     n = clean.size
-    rows = []
-    for method in methods:
-        for sigma in values:
-            lam1 = lambda1_heuristic(n, sigma, beta)
-            noisy = [add_awgn(clean, NoiseSpec(sigma, base_seed + t)) for t in range(trials)]
-            best = None
-            for lam0 in lambda0_grid(n, sigma, beta):
-                records = collect_run_records(
-                    method, noisy, clean, lam0, lam1, kind, sigma, base_seed,
-                    tol, max_iter,
-                )
-                mean = float(np.mean([r.rmse for r in records]))
-                if best is None or mean < best[0]:
-                    best = (mean, records)
-            rows.append(_aggregate(best[1], "sigma", sigma))
-    return rows
+    lam1 = lambda1_heuristic(n, sigma, beta)
+    best = None
+    for lam0 in lambda0_grid(n, sigma, beta):
+        if a0 is not None and a0 * lam0 > 1.0:
+            continue
+        records = collect_run_records(
+            method, noisy, clean, lam0, lam1, kind, sigma, base_seed, tol, max_iter, a0=a0,
+        )
+        mean = float(np.mean([r.rmse for r in records]))
+        if best is None or mean < best[0]:
+            best = (mean, records)
+    if best is None:
+        raise ValueError(f"no feasible lambda0 in the grid for a0 = {a0}")
+    return best[1]
 
 
-def sweep_a0(values, trials, base_seed, beta, kind, sigma, spec=None,
-             tol=1e-9, max_iter=50):
+def sweep_sigma(values, trials, base_seed, beta, kind, methods, tol=1e-9, max_iter=50):
+    """RMSE vs noise level on the pulse fixture, lambda0 grid-tuned per
+    method at each level.  Returns one aggregate row per (method, sigma);
+    every method sees the same realizations of each level."""
+    clean = generate_pulses(default_pulse_spec())
+    noisy = [_noisy(clean, sigma, trials, base_seed) for sigma in values]
+    return [_aggregate(_tune_lambda0(method, ys, clean, sigma, beta, kind, base_seed, tol, max_iter),
+                       "sigma", sigma)
+            for method in methods for sigma, ys in zip(values, noisy)]
+
+
+def sweep_a0(values, trials, base_seed, beta, kind, sigma, tol=1e-9, max_iter=50):
     """RMSE vs amplitude-penalty non-convexity a0, with a1 recomputed from
     the boundary rule at every point and lambda0 grid-tuned among the
     feasible candidates (a0*lambda0 <= 1)."""
-    spec = spec or default_pulse_spec()
-    clean = generate_pulses(spec)
-    n = clean.size
-    lam1 = lambda1_heuristic(n, sigma, beta)
-    noisy = [add_awgn(clean, NoiseSpec(sigma, base_seed + t)) for t in range(trials)]
-    rows = []
-    for a0 in values:
-        best = None
-        for lam0 in lambda0_grid(n, sigma, beta):
-            if a0 * lam0 > 1.0:
-                continue
-            records = collect_run_records(
-                "cnc", noisy, clean, lam0, lam1, kind, sigma, base_seed,
-                tol, max_iter, a0=a0,
-            )
-            mean = float(np.mean([r.rmse for r in records]))
-            if best is None or mean < best[0]:
-                best = (mean, records)
-        if best is None:
-            raise ValueError(f"no feasible lambda0 in the grid for a0 = {a0}")
-        rows.append(_aggregate(best[1], "a0", a0))
-    return rows
+    clean = generate_pulses(default_pulse_spec())
+    noisy = _noisy(clean, sigma, trials, base_seed)
+    return [_aggregate(_tune_lambda0("cnc", noisy, clean, sigma, beta, kind, base_seed, tol,
+                                     max_iter, a0), "a0", a0)
+            for a0 in values]
 
 
 def cmd_sweep(args):
@@ -375,7 +368,7 @@ def main(argv=None):
     except ConvexityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVEXITY
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BADPARAM
 

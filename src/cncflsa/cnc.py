@@ -25,15 +25,7 @@ import numpy as np
 
 from . import prox as _prox
 from .penalties import KINDS, PenaltySpec
-from .prox import (
-    _check_nonneg,
-    _diff_adjoint,
-    _shrink,
-    _tvd,
-    as_signal,
-    diff_adjoint,
-    fused_lasso_l1,
-)
+from .prox import _as_pair, _check_nonneg, _diff_adjoint, _shrink, _tvd, as_signal, fused_lasso_l1
 
 # Roundoff tolerance when enforcing margin >= 0 on the convexity boundary.
 MARGIN_TOL = 1e-12
@@ -118,11 +110,9 @@ def select_a1(lambda0, lambda1, a0):
     """
     lambda0 = float(lambda0)
     lambda1 = float(lambda1)
-    a0 = float(a0)
     if not (np.isfinite(lambda0) and lambda0 > 0.0) or not (np.isfinite(lambda1) and lambda1 > 0.0):
         raise ValueError("lambda0 and lambda1 must be positive")
-    if not np.isfinite(a0) or a0 < 0.0:
-        raise ValueError(f"a0 must be finite and >= 0, got {a0!r}")
+    a0 = _check_nonneg(a0, "a0")
     budget = a0 * lambda0
     if budget > 1.0 + MARGIN_TOL:
         raise ValueError(
@@ -155,16 +145,9 @@ def method_params(method, lambda0, lambda1, a0=None, a1=None):
 
 def objective(x, y, cfg: CncConfig) -> float:
     """Penalized objective F(x) for observation y under cfg."""
-    x = as_signal(x, "x")
-    y = as_signal(y, "y")
-    if x.size != y.size:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    r = y - x
-    val = 0.5 * float(np.dot(r, r))
-    val += cfg.lambda0 * float(np.sum(cfg.penalty0.value(x)))
-    if x.size > 1:
-        val += cfg.lambda1 * float(np.sum(cfg.penalty1.value(np.diff(x))))
-    return val
+    x, y = _as_pair(x, y, "x", "y")
+    return _objective(y - x, cfg, cfg.penalty0.value(x).sum(),
+                      cfg.penalty1.value(np.diff(x)).sum())
 
 
 def objective_smooth(x, y, cfg: CncConfig) -> float:
@@ -173,16 +156,22 @@ def objective_smooth(x, y, cfg: CncConfig) -> float:
     F(x) = G(x) + lambda0*||x||_1 + lambda1*||diff(x)||_1, and the convexity
     margin certifies strict convexity of G (hence of F).
     """
-    x = as_signal(x, "x")
-    y = as_signal(y, "y")
-    if x.size != y.size:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    r = y - x
-    val = 0.5 * float(np.dot(r, r))
-    val += cfg.lambda0 * float(np.sum(cfg.penalty0.residual(x)))
-    if x.size > 1:
-        val += cfg.lambda1 * float(np.sum(cfg.penalty1.residual(np.diff(x))))
-    return val
+    x, y = _as_pair(x, y, "x", "y")
+    return _objective(y - x, cfg, cfg.penalty0.residual(x).sum(),
+                      cfg.penalty1.residual(np.diff(x)).sum())
+
+
+def _objective(r, cfg, sum0, sum1):
+    """F from r = y - x and the sums of phi0 over x and of phi1 over
+    diff(x); G when the sums are of the residuals s0 and s1.
+
+    The one home of the formula.  It takes sums, not arrays, so that each
+    caller reduces a penalty's terms with its own reduction (``.sum()``)
+    and can drop them before evaluating the next.  With one sample sum1 is
+    the 0.0 of an empty sum, and adding it changes no bit, because the
+    first two terms never sum to -0.0.
+    """
+    return 0.5 * float(np.dot(r, r)) + cfg.lambda0 * float(sum0) + cfg.lambda1 * float(sum1)
 
 
 def majorized_input(v, y, cfg: CncConfig):
@@ -192,13 +181,18 @@ def majorized_input(v, y, cfg: CncConfig):
     input for which the L1 fused lasso minimizes the tangent-line majorizer
     of the objective at v.
     """
-    v = as_signal(v, "v")
-    y = as_signal(y, "y")
-    if v.size != y.size:
-        raise ValueError(f"length mismatch: {v.size} vs {y.size}")
-    out = y - cfg.lambda0 * cfg.penalty0.residual_deriv(v)
-    if v.size > 1:
-        out = out - cfg.lambda1 * diff_adjoint(cfg.penalty1.residual_deriv(np.diff(v)))
+    v, y = _as_pair(v, y, "v", "y")
+    return _shifted_input(y, cfg, cfg.penalty0.residual_deriv(v),
+                          cfg.penalty1.residual_deriv(np.diff(v)))
+
+
+def _shifted_input(y, cfg, ds0, ds1):
+    """y - lambda0*ds0 - lambda1*diff_adjoint(ds1) from ds0 = s0'(x) and
+    ds1 = s1'(diff(x)), which is empty for one sample: the one home of the
+    formula of :func:`majorized_input`."""
+    out = y - cfg.lambda0 * ds0
+    if ds1.size:
+        out -= cfg.lambda1 * _diff_adjoint(ds1)
     return out
 
 
@@ -245,11 +239,10 @@ def _mm_updates(y, shifted, history, cfg):
     Appends F of every new iterate to history and returns the last iterate
     and whether the stopping rule fired.  :func:`_mm_step` runs each update
     in one block of buffers allocated once per solve; numpy then applies
-    each penalty's transcendental and sums F with the same reductions as
-    :func:`objective`, so the result is bit-identical to chaining the
+    each penalty's transcendental, and :func:`_objective` sums F as
+    :func:`objective` does, so the result is bit-identical to chaining the
     public functions.
     """
-    lam0, lam1 = cfg.lambda0, cfg.lambda1
     y = np.ascontiguousarray(y)
     n = y.size
     # The result is allocated before the loop's buffers, so that freeing
@@ -264,10 +257,7 @@ def _mm_updates(y, shifted, history, cfg):
     converged = False
     for _ in range(cfg.max_iter):
         step()
-        f = 0.5 * float(np.dot(r, r))
-        f += lam0 * float(cfg.penalty0._finish(phi0).sum())
-        if n > 1:
-            f += lam1 * float(cfg.penalty1._finish(phi1).sum())
+        f = _objective(r, cfg, cfg.penalty0._finish(phi0).sum(), cfg.penalty1._finish(phi1).sum())
         prev = history[-1]
         history.append(f)
         if abs(prev - f) <= cfg.tol * max(1.0, abs(prev)):
@@ -320,15 +310,13 @@ def _mm_step_python(y, rows, cfg):
 
     Solves the L1 fused lasso on ``shifted`` into x, then writes r = y - x,
     into phi0 and phi1 the first array of ``PenaltySpec._algebra`` of x and
-    of diff(x), and over ``shifted`` the next shifted input, with the same
-    expressions in the same order as :func:`objective` and
-    :func:`majorized_input`.
+    of diff(x), and over ``shifted`` the next shifted input
+    (:func:`_shifted_input`), with the same expressions in the same order as
+    :func:`objective` and :func:`majorized_input`.
     """
     shifted, x, r, phi0, phi1, work = rows
     x[:] = _shrink(_tvd(shifted, cfg.lambda1, x, work), cfg.lambda0)
     np.subtract(y, x, out=r)
     phi0[:], ds0 = cfg.penalty0._algebra(x)
-    shifted[:] = y - cfg.lambda0 * ds0
-    if y.size > 1:
-        phi1[:], ds1 = cfg.penalty1._algebra(x[1:] - x[:-1])
-        shifted -= cfg.lambda1 * _diff_adjoint(ds1)
+    phi1[:], ds1 = cfg.penalty1._algebra(x[1:] - x[:-1])
+    shifted[:] = _shifted_input(y, cfg, ds0, ds1)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .prox import _check_nonneg
+
 KINDS = ("l1", "log", "atan", "rational")
 
 _SQRT3 = np.sqrt(3.0)
@@ -42,9 +44,7 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}; expected one of {KINDS}")
-        a = float(self.a)
-        if not np.isfinite(a) or a < 0.0:
-            raise ValueError(f"penalty parameter a must be finite and >= 0, got {self.a!r}")
+        a = _check_nonneg(self.a, "penalty parameter a")
         if 0.0 < a < np.finfo(float).tiny:
             raise ValueError(f"penalty parameter a must be 0 or a normal float, got {self.a!r}")
         if self.kind == "l1":

@@ -40,7 +40,16 @@ def as_signal(x, name="signal"):
     return out
 
 
+def _as_pair(a, b, name_a, name_b):
+    """:func:`as_signal` of two signals that must have the same length."""
+    a, b = as_signal(a, name_a), as_signal(b, name_b)
+    if a.size != b.size:
+        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
+    return a, b
+
+
 def _check_nonneg(value, name):
+    """Return float(value), rejected unless finite and >= 0."""
     value = float(value)
     if not np.isfinite(value) or value < 0.0:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
@@ -278,10 +287,7 @@ def tvd_optimality_residual(y, x, lam):
     corresponding nonzero difference, and the residual y - x must sum to
     zero.  Returns 0 (up to roundoff) iff x is the minimizer.
     """
-    y = as_signal(y, "y")
-    x = as_signal(x, "x")
-    if y.size != x.size:
-        raise ValueError(f"length mismatch: {y.size} vs {x.size}")
+    y, x = _as_pair(y, x, "y", "x")
     lam = _check_nonneg(lam, "lam")
     r = y - x
     if lam == 0.0:
@@ -320,10 +326,7 @@ def fused_lasso_optimality_residual(y, x, lam0, lam1):
     along the chain of cumulative sums.  Violations are reported in the
     dimensionless units of u (or of g when lam1 = 0).
     """
-    y = as_signal(y, "y")
-    x = as_signal(x, "x")
-    if y.size != x.size:
-        raise ValueError(f"length mismatch: {y.size} vs {x.size}")
+    y, x = _as_pair(y, x, "y", "x")
     lam0 = _check_nonneg(lam0, "lam0")
     lam1 = _check_nonneg(lam1, "lam1")
     r = y - x

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import as_signal
+from .prox import _as_pair, _check_nonneg, as_signal
 
 _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -73,10 +73,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        sigma = float(self.sigma)
-        if not np.isfinite(sigma) or sigma < 0.0:
-            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", _check_nonneg(self.sigma, "sigma"))
         if int(self.seed) != self.seed or not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
@@ -151,9 +148,7 @@ def lambda1_heuristic(n, sigma, beta=0.25):
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    sigma = float(sigma)
-    if not np.isfinite(sigma) or sigma < 0.0:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    sigma = _check_nonneg(sigma, "sigma")
     beta = float(beta)
     if not np.isfinite(beta) or beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")
@@ -169,9 +164,6 @@ def lambda0_grid(n, sigma, beta=0.25):
 
 def rmse(x, reference):
     """Root mean squared error between two equal-length signals."""
-    x = as_signal(x, "x")
-    reference = as_signal(reference, "reference")
-    if x.size != reference.size:
-        raise ValueError(f"length mismatch: {x.size} vs {reference.size}")
+    x, reference = _as_pair(x, reference, "x", "reference")
     d = x - reference
     return float(np.sqrt(np.dot(d, d) / x.size))

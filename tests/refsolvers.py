@@ -4,12 +4,15 @@ reference runs accelerated projected gradient on the dual, the fused-lasso
 reference runs a primal-dual splitting on the joint objective.
 
 `mm_reference` is the exception: it is the MM loop of `cnc.solve` written
-as a plain chain of the public per-step functions, the reference that the
-solver's fused loop must match bit for bit."""
+as a plain chain of per-step functions, the reference that the solver's
+fused loop must match bit for bit.  Its objective and shifted input are
+written here from the penalty methods, `np.diff` and `diff_adjoint`, not
+taken from `cnc`, so a fault in the formulas the solver shares with the
+public `objective` and `majorized_input` cannot pass unseen."""
 
 import numpy as np
 
-from cncflsa import SolveResult, fused_lasso_l1, majorized_input, objective
+from cncflsa import SolveResult, diff_adjoint, fused_lasso_l1
 
 
 def d_apply(x):
@@ -93,18 +96,37 @@ def fused_lasso_reference(y, lam0, lam1, tol=1e-14, max_iter=400000):
     return x
 
 
+def mm_objective(x, y, cfg):
+    """F(x), summed in the order and grouping that `cnc.solve` must keep."""
+    r = y - x
+    val = 0.5 * float(np.dot(r, r))
+    val += cfg.lambda0 * float(np.sum(cfg.penalty0.value(x)))
+    if x.size > 1:
+        val += cfg.lambda1 * float(np.sum(cfg.penalty1.value(np.diff(x))))
+    return val
+
+
+def mm_shifted_input(v, y, cfg):
+    """y - lambda0*s0'(v) - lambda1*diff_adjoint(s1'(diff(v))), grouped as
+    `cnc.solve` must group it."""
+    out = y - cfg.lambda0 * cfg.penalty0.residual_deriv(v)
+    if v.size > 1:
+        out = out - cfg.lambda1 * diff_adjoint(cfg.penalty1.residual_deriv(np.diff(v)))
+    return out
+
+
 def mm_reference(y, cfg, init="flsa"):
-    """MM solve of `cnc.solve` from the public, self-validating steps: one
-    `majorized_input`, one `fused_lasso_l1` and one `objective` per update."""
+    """MM solve of `cnc.solve` as a plain chain: one `mm_shifted_input`, one
+    `fused_lasso_l1` and one `mm_objective` per update."""
     y = np.asarray(y, dtype=float)
     x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1) if init == "flsa" else np.zeros_like(y)
-    history = [objective(x, y, cfg)]
+    history = [mm_objective(x, y, cfg)]
     converged = False
     iterations = 0
     for _ in range(cfg.max_iter):
-        shifted = majorized_input(x, y, cfg)
+        shifted = mm_shifted_input(x, y, cfg)
         x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
-        f = objective(x, y, cfg)
+        f = mm_objective(x, y, cfg)
         prev = history[-1]
         history.append(f)
         iterations += 1

@@ -33,6 +33,12 @@ def test_cached_kernel_import_loads_neither_subprocess_nor_hashlib():
     assert loaded == ([] if backend == "c" else ["subprocess"])
 
 
+def assert_write_error(proc):
+    """An output file that cannot be written exits 4 with one error line."""
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 class TestSignalIO:
     def test_round_trip_lossless(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -82,6 +88,10 @@ class TestGenerate:
     def test_missing_spec_exit_code(self, tmp_path):
         proc = run_cli("generate", "--output", str(tmp_path / "p.txt"))
         assert proc.returncode == 4
+
+    def test_unwritable_output_exit_code(self, tmp_path):
+        assert_write_error(run_cli("generate", "--output", str(tmp_path / "absent" / "p.txt"),
+                                   "--default"))
 
 
 class TestDenoise:
@@ -190,6 +200,10 @@ class TestDenoise:
                        "--lambda0", "-1", "--lambda1", "1")
         assert proc.returncode == 4
 
+    def test_unwritable_output_exit_code(self, tmp_path, noisy):
+        assert_write_error(run_cli("denoise", str(noisy), str(tmp_path / "absent" / "o.txt"),
+                                   "--lambda0", "0.4", "--lambda1", "2.0"))
+
     def test_subnormal_a0_exit_code(self, tmp_path, noisy):
         proc = run_cli("denoise", str(noisy), str(tmp_path / "o.txt"),
                        "--lambda0", "0.4", "--lambda1", "2.0", "--a0", "1e-310")
@@ -267,6 +281,10 @@ class TestSweep:
         proc = run_cli("sweep", "--axis", "sigma", "--values", ",",
                        "--trials", "2", "--output", str(tmp_path / "s.csv"))
         assert proc.returncode == 4
+
+    def test_unwritable_output_exit_code(self, tmp_path):
+        assert_write_error(run_cli("sweep", "--axis", "sigma", "--values", "0.5", "--trials", "1",
+                                   "--methods", "l1", "--output", str(tmp_path / "absent" / "s.csv")))
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,7 +1,9 @@
 """The fused MM loop of `cnc.solve` against `mm_reference`, the same loop
-chained from the public per-step functions: byte-identical iterates,
-objective histories, update counts and stopping flags, with either tvd
-backend, and over every solve of the criterion-7 sweep."""
+chained from per-step functions written out in `tests/refsolvers.py`:
+byte-identical iterates, objective histories, update counts and stopping
+flags, with either tvd backend, and over every solve of the criterion-7
+sweep; and the public `objective` and `majorized_input` against the same
+per-step functions."""
 
 import contextlib
 from unittest import mock
@@ -11,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cncflsa import KINDS, CncConfig, PenaltySpec, cli, prox, solve
+from cncflsa import KINDS, CncConfig, PenaltySpec, cli, majorized_input, objective, prox, solve
 
-from refsolvers import mm_reference
+from refsolvers import mm_objective, mm_reference, mm_shifted_input
 
 
 def backend(name):
@@ -67,6 +69,20 @@ def test_solve_matches_mm_reference_bytes(tvd_backend, values, kind, lam0, lam1,
     y = np.array(values)
     with backend(tvd_backend):
         assert same_bytes(solve(y, cfg, init=init), mm_reference(y, cfg, init=init))
+
+
+@settings(max_examples=150, deadline=None)
+@given(signals, st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.sampled_from(KINDS),
+       weights, weights, degrees, degrees)
+@example([-0.0], 0, "atan", "log", 0.5, 1.0, 0.5, 0.5)
+@example([-0.0, 2.0, -0.0], 1, "rational", "l1", 0.0, 1.0, 1.0, 0.0)
+def test_public_steps_match_reference_bytes(values, seed, kind0, kind1, lam0, lam1, a0, a1):
+    y = np.array(values)
+    x = np.random.default_rng(seed).normal(0.0, 2.0, y.size) * (np.arange(y.size) % 3 != 0)
+    cfg = CncConfig(lam0, lam1, PenaltySpec(kind0, a0), PenaltySpec(kind1, a1),
+                    allow_nonconvex=True, allow_degenerate=True)
+    assert objective(x, y, cfg).hex() == mm_objective(x, y, cfg).hex()
+    assert majorized_input(x, y, cfg).tobytes() == mm_shifted_input(x, y, cfg).tobytes()
 
 
 def test_sweep_solves_match_mm_reference(monkeypatch):

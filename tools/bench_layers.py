@@ -22,10 +22,16 @@ own label, to put both into one file:
 
 Each run appends a record to its label in BENCH_<tag>.json (in the
 repository root unless --out-dir says otherwise) with nproc, the repeat
-counts, the tvd backend and the numpy version.  This machine's speed drifts
-between runs, so alternate the labels over several runs; once both labels
-are present the script prints, per layer, the median over each label's runs
-of their medians.  BLAS and OpenMP are pinned to one thread.
+counts, the tvd backend and the numpy version.  A 2-core VM's speed drifts
+by tens of percent between runs, so after every repeat the script reads the
+benchmark's in-process gauge (``in_process`` of ``perfbench/gauge.py``, a
+frozen pure-Python tvd), and each layer keeps the median of its readings
+as ``gauge_ms``.  Its calibrated time is ``median_ms * GAUGE_NOMINAL_MS /
+gauge_ms``: milliseconds at the speed where the gauge takes its nominal
+time.  Alternate the labels over several runs; once both labels are present
+the script prints, per layer, the median over each label's runs of their
+medians, the raw ratio and the calibrated ratio (from the runs that carry
+gauge readings).  BLAS and OpenMP are pinned to one thread.
 """
 
 from __future__ import annotations
@@ -63,6 +69,10 @@ from cncflsa import (
 )
 from cncflsa import prox
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from gauge import Gauge, in_process  # noqa: E402
+
+GAUGE_NOMINAL_MS = 12.0  # in_process at the speed the benchmark's in-process workloads assume
 SIGMA = 0.5
 SWEEP_SIGMAS = [0.25, 0.5, 1.0]
 REPEATS = 15  # per layer; the criterion-7 sweep, at seconds a run, gets 5
@@ -137,12 +147,28 @@ def layers(workdir):
 
 def measure():
     result = {}
+    gauge = Gauge(in_process, GAUGE_NOMINAL_MS, 0.0)
     with tempfile.TemporaryDirectory() as workdir:
         for name, count, fn in layers(Path(workdir)):
             fn()  # warm caches and lazy set-up
-            result[name] = summary([fn() for _ in range(count)])
-            print(f"{name:28s} {result[name]['median_ms']:12.4f} ms", flush=True)
+            samples = []
+            for _ in range(count):
+                samples.append(fn())
+                gauge.read()
+            result[name] = summary(samples)
+            result[name]["gauge_ms"] = round(float(np.median(gauge.ms[-count:])), 4)
+            print(f"{name:28s} {result[name]['median_ms']:12.4f} ms"
+                  f"   (gauge {result[name]['gauge_ms']:.2f} ms)", flush=True)
     return result
+
+
+def label_ms(runs, name, calibrated):
+    """Median over runs of a layer's median, raw or calibrated; None when no
+    run has it (a calibrated value needs the run's gauge readings)."""
+    values = [layer["median_ms"] * (GAUGE_NOMINAL_MS / layer["gauge_ms"] if calibrated else 1.0)
+              for layer in (r["layers"].get(name) for r in runs)
+              if layer is not None and (not calibrated or "gauge_ms" in layer)]
+    return float(np.median(values)) if values else None
 
 
 def main(argv=None):
@@ -163,18 +189,19 @@ def main(argv=None):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
+        "gauge": {"reference": "perfbench/gauge.py in_process", "nominal_ms": GAUGE_NOMINAL_MS},
         "layers": measure(),
     })
     path.write_text(json.dumps(doc, indent=2) + "\n")
     runs = doc["runs"]
     if "parent" in runs and "change" in runs:
-        print(f"\n{'layer':28s} {'parent ms':>12s} {'change ms':>12s} {'ratio':>7s}"
+        print(f"\n{'layer':28s} {'parent ms':>12s} {'change ms':>12s} {'ratio':>7s} {'calibrated':>10s}"
               f"   ({len(runs['parent'])} parent and {len(runs['change'])} change runs)")
         for name in runs["parent"][-1]["layers"]:
-            before, after = (float(np.median([r["layers"][name]["median_ms"] for r in runs[label]
-                                              if name in r["layers"]]))
-                             for label in ("parent", "change"))
-            print(f"{name:28s} {before:12.4f} {after:12.4f} {before / after:7.2f}")
+            before, after = (label_ms(runs[label], name, False) for label in ("parent", "change"))
+            cal = [label_ms(runs[label], name, True) for label in ("parent", "change")]
+            ratio = f"{cal[0] / cal[1]:10.2f}" if None not in cal else f"{'-':>10s}"
+            print(f"{name:28s} {before:12.4f} {after:12.4f} {before / after:7.2f} {ratio}")
     print(f"wrote {path}")
 
 
