@@ -68,9 +68,9 @@ struct mm_step {
 
 enum { KIND_L1, KIND_LOG, KIND_ATAN, KIND_RATIONAL };
 
-/* cncflsa.penalties.PenaltySpec._algebra at one sample z: stores phi(z), or
- * for log and atan the argument of their transcendental, and returns
- * s'(z). */
+/* cncflsa.penalties.PenaltySpec._phi and ._slope at one sample z: stores
+ * phi(z), or for log and atan the argument of their transcendental, and
+ * returns s'(z). */
 static double algebra(int kind, double a, double z, double *phi)
 {
     double az = fabs(z), u, v;

@@ -189,13 +189,14 @@ def collect_run_records(method, noisy, clean, lam0, lam1, kind, sigma,
                         base_seed, tol=1e-9, max_iter=50, a0=None):
     """Run one method over the noisy realizations, one RunRecord per trial."""
     a0, a1 = method_params(method, lam0, lam1, a0)
+    cfg = None if method == "l1" else _build_config(lam0, lam1, kind, a0, a1, tol, max_iter, False)
     records = []
     for t, y in enumerate(noisy):
         t0 = time.perf_counter()
-        if method == "l1":
+        if cfg is None:
             x, iterations, converged = fused_lasso_l1(y, lam0, lam1), 1, True
         else:
-            result = solve(y, _build_config(lam0, lam1, kind, a0, a1, tol, max_iter, False))
+            result = solve(y, cfg)
             x, iterations, converged = result.x, result.iterations, result.converged
         runtime_ms = (time.perf_counter() - t0) * 1e3
         records.append(RunRecord(
@@ -277,17 +278,18 @@ def cmd_sweep(args):
             raise ValueError(f"unknown method {mth!r}; expected subset of {METHODS}")
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
-    t0 = time.perf_counter()
-    if args.axis == "sigma":
-        rows = sweep_sigma(values, args.trials, args.seed, args.beta,
-                           args.penalty, methods, tol=args.tol, max_iter=args.max_iter)
-    else:
-        rows = sweep_a0(values, args.trials, args.seed, args.beta,
-                        args.penalty, args.sigma, tol=args.tol, max_iter=args.max_iter)
-    elapsed = time.perf_counter() - t0
     fields = ["method", "axis", "value", "lambda0", "a0", "a1",
               "mean_rmse", "std_rmse", "trials"]
+    # Opened first, so that an unwritable path fails before any solve.
     with open(args.output, "w", newline="", encoding="ascii") as fh:
+        t0 = time.perf_counter()
+        if args.axis == "sigma":
+            rows = sweep_sigma(values, args.trials, args.seed, args.beta,
+                               args.penalty, methods, tol=args.tol, max_iter=args.max_iter)
+        else:
+            rows = sweep_a0(values, args.trials, args.seed, args.beta,
+                            args.penalty, args.sigma, tol=args.tol, max_iter=args.max_iter)
+        elapsed = time.perf_counter() - t0
         writer = csv.writer(fh)
         writer.writerow(fields)
         for row in rows:

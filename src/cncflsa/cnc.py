@@ -147,7 +147,7 @@ def objective(x, y, cfg: CncConfig) -> float:
     """Penalized objective F(x) for observation y under cfg."""
     x, y = _as_pair(x, y, "x", "y")
     return _objective(y - x, cfg, cfg.penalty0.value(x).sum(),
-                      cfg.penalty1.value(np.diff(x)).sum())
+                      cfg.penalty1.value(x[1:] - x[:-1]).sum())
 
 
 def objective_smooth(x, y, cfg: CncConfig) -> float:
@@ -166,10 +166,11 @@ def _objective(r, cfg, sum0, sum1):
     diff(x); G when the sums are of the residuals s0 and s1.
 
     The one home of the formula.  It takes sums, not arrays, so that each
-    caller reduces a penalty's terms with its own reduction (``.sum()``)
-    and can drop them before evaluating the next.  With one sample sum1 is
-    the 0.0 of an empty sum, and adding it changes no bit, because the
-    first two terms never sum to -0.0.
+    caller reduces a penalty's terms with numpy's pairwise sum (``.sum()``
+    or the ``np.add.reduce`` behind it) and can drop them before
+    evaluating the next.  With one sample sum1 is the 0.0 of an empty sum,
+    and adding it changes no bit, because the first two terms never sum to
+    -0.0.
     """
     return 0.5 * float(np.dot(r, r)) + cfg.lambda0 * float(sum0) + cfg.lambda1 * float(sum1)
 
@@ -183,7 +184,7 @@ def majorized_input(v, y, cfg: CncConfig):
     """
     v, y = _as_pair(v, y, "v", "y")
     return _shifted_input(y, cfg, cfg.penalty0.residual_deriv(v),
-                          cfg.penalty1.residual_deriv(np.diff(v)))
+                          cfg.penalty1.residual_deriv(v[1:] - v[:-1]))
 
 
 def _shifted_input(y, cfg, ds0, ds1):
@@ -250,14 +251,15 @@ def _mm_updates(y, shifted, history, cfg):
     # and a hole per solve raised its peak RSS from 41.7 to 43.1 MB in a
     # 5-pair A/B.
     out = np.empty(n)
-    rows = _mm_rows(n)
+    rows, addresses = _mm_rows(n)
     first, x, r, phi0, phi1, _ = rows
     first[:] = shifted
-    step = _mm_step(y, rows, cfg)
+    step = _mm_step(y, rows, addresses, cfg)
+    finish0, finish1, total = cfg.penalty0._finish, cfg.penalty1._finish, np.add.reduce
     converged = False
     for _ in range(cfg.max_iter):
         step()
-        f = _objective(r, cfg, cfg.penalty0._finish(phi0).sum(), cfg.penalty1._finish(phi1).sum())
+        f = _objective(r, cfg, total(finish0(phi0)), total(finish1(phi1)))
         prev = history[-1]
         history.append(f)
         if abs(prev - f) <= cfg.tol * max(1.0, abs(prev)):
@@ -268,12 +270,15 @@ def _mm_updates(y, shifted, history, cfg):
 
 
 def _mm_rows(n):
-    """The buffers of one solve's MM updates, as views of one new block:
-    shifted, x, r and phi0 of N doubles, phi1 of N - 1, and work, the 8*N
-    doubles of kernel scratch."""
+    """The buffers of one solve's MM updates, as views of one new block,
+    and their addresses: shifted, x, r and phi0 of N doubles, phi1 of
+    N - 1, and work, the 8*N doubles of kernel scratch.  Row k starts k*N
+    doubles into the block, so one address lookup serves all six."""
     block = np.empty(13 * n)
     rows = block[:5 * n].reshape(5, n)
-    return rows[0], rows[1], rows[2], rows[3], rows[4, :n - 1], block[5 * n:]
+    base, stride = block.ctypes.data, block.itemsize * n
+    return ((rows[0], rows[1], rows[2], rows[3], rows[4, :n - 1], block[5 * n:]),
+            [base + k * stride for k in range(6)])
 
 
 class _StepArgs(ctypes.Structure):
@@ -287,9 +292,9 @@ class _StepArgs(ctypes.Structure):
                 ("kind0", ctypes.c_int), ("kind1", ctypes.c_int)]
 
 
-def _mm_step(y, rows, cfg):
-    """One MM update in a solve's buffers (see :func:`_mm_rows`), as a call
-    without arguments.
+def _mm_step(y, rows, addresses, cfg):
+    """One MM update in a solve's buffers and at their addresses (see
+    :func:`_mm_rows`), as a call without arguments.
 
     y is C-contiguous, and the caller keeps y and the rows alive while it
     calls.  Each call runs :func:`_mm_step_python`, compiled
@@ -298,7 +303,7 @@ def _mm_step(y, rows, cfg):
     lib = _prox._tvd_c
     if lib is None:
         return functools.partial(_mm_step_python, y, rows, cfg)
-    args = _StepArgs(y.size, y.ctypes.data, *(row.ctypes.data for row in rows),
+    args = _StepArgs(y.size, y.ctypes.data, *addresses,
                      cfg.lambda0, cfg.lambda1,
                      cfg.penalty0.a, cfg.penalty1.a,
                      KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind))
@@ -309,14 +314,14 @@ def _mm_step_python(y, rows, cfg):
     """One MM update, the reference of ``cncflsa_mm_step``.
 
     Solves the L1 fused lasso on ``shifted`` into x, then writes r = y - x,
-    into phi0 and phi1 the first array of ``PenaltySpec._algebra`` of x and
-    of diff(x), and over ``shifted`` the next shifted input
-    (:func:`_shifted_input`), with the same expressions in the same order as
-    :func:`objective` and :func:`majorized_input`.
+    into phi0 and phi1 ``PenaltySpec._phi`` of x and of diff(x), and over
+    ``shifted`` the next shifted input (:func:`_shifted_input`) from
+    ``PenaltySpec._slope`` of both, with the same expressions in the same
+    order as :func:`objective` and :func:`majorized_input`.
     """
     shifted, x, r, phi0, phi1, work = rows
     x[:] = _shrink(_tvd(shifted, cfg.lambda1, x, work), cfg.lambda0)
     np.subtract(y, x, out=r)
-    phi0[:], ds0 = cfg.penalty0._algebra(x)
-    phi1[:], ds1 = cfg.penalty1._algebra(x[1:] - x[:-1])
-    shifted[:] = _shifted_input(y, cfg, ds0, ds1)
+    d = x[1:] - x[:-1]
+    phi0[:], phi1[:] = cfg.penalty0._phi(x), cfg.penalty1._phi(d)
+    shifted[:] = _shifted_input(y, cfg, cfg.penalty0._slope(x), cfg.penalty1._slope(d))

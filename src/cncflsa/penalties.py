@@ -53,7 +53,7 @@ class PenaltySpec:
 
     def value(self, x):
         """Penalty value phi(x; a), elementwise; phi(0) = 0 and phi(-x) = phi(x)."""
-        return _match(self._terms(np.atleast_1d(np.asarray(x, dtype=float)))[0], x)
+        return _match(self._finish(self._phi(np.atleast_1d(np.asarray(x, dtype=float)))), x)
 
     def residual(self, x):
         """Smooth concave part s(x; a) = phi(x; a) - |x|.
@@ -79,42 +79,44 @@ class PenaltySpec:
 
     def residual_deriv(self, x):
         """Derivative s'(x; a); odd, continuous, s'(0) = 0, |s'| < 1."""
-        return _match(self._terms(np.atleast_1d(np.asarray(x, dtype=float)))[1], x)
+        return _match(self._slope(np.atleast_1d(np.asarray(x, dtype=float))), x)
 
-    def _terms(self, x):
-        """phi(x; a) and s'(x; a) of a float array x of at least one dimension.
+    # _phi and _slope hold every part of phi and s' that rounds exactly in
+    # IEEE arithmetic; ``algebra`` in ``_kernels.c`` ports both per sample.
+    # numpy's log1p and arctan stay in _finish, because their SIMD versions
+    # round differently from the C library's.
 
-        The one home of both formulas, split in two: :meth:`_algebra` and
-        :meth:`_finish`.  The public methods delegate here.
-        """
-        phi, ds = self._algebra(x)
-        return self._finish(phi), ds
-
-    def _algebra(self, x):
-        """Every part of phi and s' that rounds exactly in IEEE arithmetic.
-
-        Returns s'(x) and phi(x), except that for "log" and "atan" the first
-        array is the argument of their transcendental, which :meth:`_finish`
-        applies.  ``cncflsa_mm_step`` in ``_kernels.c`` ports this per
-        sample; numpy's log1p and arctan stay out of it, because their SIMD
-        versions round differently from the C library's.
-        """
+    def _phi(self, x):
+        """phi(x; a) of a float array x of at least one dimension, except
+        that for "log" and "atan" it is the argument of their
+        transcendental, which :meth:`_finish` applies."""
         ax = np.abs(x)
         a = self.a
         if a == 0.0:
-            return ax, np.zeros_like(x)
+            return ax
         u = a * ax
         if self.kind == "log":
-            return u, -a * x / (1.0 + u)
+            return u
+        if self.kind == "atan":
+            return _SQRT3 * u / (2.0 + u)
+        return ax / (1.0 + 0.5 * a * ax)  # rational
+
+    def _slope(self, x):
+        """s'(x; a) of a float array x of at least one dimension."""
+        a = self.a
+        if a == 0.0:
+            return np.zeros_like(x)
+        u = a * np.abs(x)
+        if self.kind == "log":
+            return -a * x / (1.0 + u)
         if self.kind == "atan":
             # Difference of two arctangents folded into one; avoids
             # cancellation for small a*|x|.
-            return _SQRT3 * u / (2.0 + u), -4.0 * a * x * (1.0 + u) / (3.0 + (1.0 + 2.0 * u) ** 2)
-        # rational
-        return ax / (1.0 + 0.5 * a * ax), -a * x * (1.0 + 0.25 * u) / (1.0 + 0.5 * u) ** 2
+            return -4.0 * a * x * (1.0 + u) / (3.0 + (1.0 + 2.0 * u) ** 2)
+        return -a * x * (1.0 + 0.25 * u) / (1.0 + 0.5 * u) ** 2  # rational
 
     def _finish(self, phi):
-        """phi from the first array of :meth:`_algebra`, computed in place."""
+        """phi from :meth:`_phi`, computed in place."""
         a = self.a
         if a != 0.0 and self.kind == "log":
             np.log1p(phi, out=phi)

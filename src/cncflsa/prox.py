@@ -35,7 +35,7 @@ def as_signal(x, name="signal"):
         raise ValueError(f"{name} must be one-dimensional, got shape {out.shape}")
     if out.size < 1:
         raise ValueError(f"{name} must contain at least one sample")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite samples")
     return out
 
@@ -60,7 +60,7 @@ def soft_threshold(x, lam):
     """Shrink toward zero by lam, flattening the band |x| <= lam to exactly 0."""
     lam = _check_nonneg(lam, "lam")
     xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
+    if not np.isfinite(xa).all():
         raise ValueError("x contains non-finite samples")
     out = _shrink(xa, lam)
     if np.isscalar(x) or xa.ndim == 0:

@@ -8,11 +8,32 @@ as a plain chain of per-step functions, the reference that the solver's
 fused loop must match bit for bit.  Its objective and shifted input are
 written here from the penalty methods, `np.diff` and `diff_adjoint`, not
 taken from `cnc`, so a fault in the formulas the solver shares with the
-public `objective` and `majorized_input` cannot pass unseen."""
+public `objective` and `majorized_input` cannot pass unseen.  The penalty
+methods are pinned in turn to `penalty_terms`, each kind's phi and s'
+written out here in one expression each."""
 
 import numpy as np
 
 from cncflsa import SolveResult, diff_adjoint, fused_lasso_l1
+
+SQRT3 = np.sqrt(3.0)
+
+
+def penalty_terms(kind, a, x):
+    """phi(x; a) and s'(x; a) of a float array x, with the operations of
+    `PenaltySpec.value` and `.residual_deriv` in the same order."""
+    ax = np.abs(x)
+    if kind == "l1" or a == 0.0:
+        return ax, np.zeros_like(x)
+    u = a * ax
+    if kind == "log":
+        return np.log1p(u) / a, -a * x / (1.0 + u)
+    if kind == "atan":
+        return (np.arctan(SQRT3 * u / (2.0 + u)) * (2.0 / (a * SQRT3)),
+                -4.0 * a * x * (1.0 + u) / (3.0 + (1.0 + 2.0 * u) ** 2))
+    if kind == "rational":
+        return ax / (1.0 + 0.5 * a * ax), -a * x * (1.0 + 0.25 * u) / (1.0 + 0.5 * u) ** 2
+    raise ValueError(kind)
 
 
 def d_apply(x):

@@ -8,6 +8,7 @@ import pytest
 from cncflsa import (
     NoiseSpec,
     add_awgn,
+    cli,
     default_pulse_spec,
     generate_pulses,
     tvd,
@@ -285,6 +286,17 @@ class TestSweep:
     def test_unwritable_output_exit_code(self, tmp_path):
         assert_write_error(run_cli("sweep", "--axis", "sigma", "--values", "0.5", "--trials", "1",
                                    "--methods", "l1", "--output", str(tmp_path / "absent" / "s.csv")))
+
+    def test_unwritable_output_fails_before_any_solve(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweep ran before its output was opened")
+
+        monkeypatch.setattr(cli, "sweep_sigma", unreachable)
+        code = cli.main(["sweep", "--axis", "sigma", "--values", "0.5",
+                         "--output", str(tmp_path / "absent" / "s.csv")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -29,11 +29,11 @@ degrees = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
 def run_steps(y, shifted, cfg, compiled, calls=3):
     """Buffers (shifted, x, r, phi0, phi1) after each of `calls` updates."""
     y = np.ascontiguousarray(y)
-    rows = cnc._mm_rows(y.size)
+    rows, addresses = cnc._mm_rows(y.size)
     rows[0][:] = shifted
     states = []
     with mock.patch.object(prox, "_tvd_c", prox._tvd_c if compiled else None):
-        step = cnc._mm_step(y, rows, cfg)
+        step = cnc._mm_step(y, rows, addresses, cfg)
         for _ in range(calls):
             step()
             states.append([row.tobytes() for row in rows[:5]])

@@ -3,6 +3,7 @@ import pytest
 
 from cncflsa import KINDS, PenaltySpec
 
+from refsolvers import penalty_terms
 from suites import A_VALUES, check_majorizer_domination, check_penalty_properties
 
 LN2 = np.log(2.0)
@@ -117,3 +118,40 @@ class TestMajorizer:
 @pytest.mark.parametrize("a", A_VALUES)
 def test_property_suite(kind, a):
     check_penalty_properties(kind, a)
+
+
+# At |x| = 1e300 the atan and rational s' overflow to NaN, in the package
+# and the reference alike.
+PROBES = np.concatenate([[0.0, -0.0, 1e-300, -5e-324, 1e300, -1.0],
+                         np.random.default_rng(8).normal(0.0, 3.0, 250)])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("a", A_VALUES)
+def test_value_and_residual_deriv_match_reference_bytes(kind, a):
+    p = PenaltySpec(kind, a)
+    phi, ds = penalty_terms(kind, a, PROBES)
+    assert p.value(PROBES).tobytes() == phi.tobytes()
+    assert p.residual_deriv(PROBES).tobytes() == ds.tobytes()
+    for v in PROBES[:8]:
+        phi, ds = penalty_terms(kind, a, np.array([v]))
+        for arg in (float(v), np.float64(v), np.array(v)):
+            out = p.value(arg), p.residual_deriv(arg)
+            assert [type(o) for o in out] == [float, float]
+            assert np.array(out).tobytes() == np.concatenate([phi, ds]).tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_method_computes_only_what_it_returns(kind, monkeypatch):
+    """residual_deriv needs no transcendental and value no slope."""
+
+    def forbidden(*args):
+        raise AssertionError("computed and thrown away")
+
+    p = PenaltySpec(kind, 0.7)
+    with monkeypatch.context() as m:
+        m.setattr(PenaltySpec, "_finish", forbidden)
+        p.residual_deriv(PROBES), p.residual_deriv(0.5)
+    with monkeypatch.context() as m:
+        m.setattr(PenaltySpec, "_slope", forbidden)
+        p.value(PROBES), p.value(0.5)

@@ -5,6 +5,8 @@ repeats, in milliseconds per call:
 
 - ``prox.tvd`` at N = 300, 3,000, 30,000 and 300,000;
 - ``prox.fused_lasso_l1`` on the 300-sample fixture;
+- a solve's starting point, ``fused_lasso_l1`` + ``cnc.objective`` +
+  ``cnc.majorized_input``, at N = 300 and 30,000;
 - one MM update at N = 300 and 30,000, taken as the difference between a
   solve capped at 11 updates and one capped at 1, divided by 10 (the
   tolerance is so tight that neither stops early);
@@ -63,6 +65,8 @@ from cncflsa import (
     fused_lasso_l1,
     generate_pulses,
     lambda1_heuristic,
+    majorized_input,
+    objective,
     select_a1,
     solve,
     tvd,
@@ -106,6 +110,13 @@ def summary(samples):
             "q3_ms": round(float(q3), 5), "repeats": len(samples)}
 
 
+def solve_start(y, cfg):
+    """The public calls that make a solve's starting point."""
+    x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
+    objective(x, y, cfg)
+    majorized_input(x, y, cfg)
+
+
 def mm_update_ms(y, inner):
     """Milliseconds per MM update: an 11-update solve minus a 1-update one."""
     long_cfg, short_cfg = cnc_config(max_iter=11, tol=1e-300), cnc_config(max_iter=1, tol=1e-300)
@@ -136,6 +147,8 @@ def layers(workdir):
     out.append(("prox.fused_lasso_l1 N=300", REPEATS,
                 lambda: timed(lambda: fused_lasso_l1(y300, cfg.lambda0, lam1), 200)))
     y30k = signal(30000)
+    out.append(("solve start N=300", REPEATS, lambda: timed(lambda: solve_start(y300, cfg), 200)))
+    out.append(("solve start N=30000", REPEATS, lambda: timed(lambda: solve_start(y30k, cfg), 4)))
     out.append(("MM update N=300", REPEATS, lambda: mm_update_ms(y300, 40)))
     out.append(("MM update N=30000", REPEATS, lambda: mm_update_ms(y30k, 2)))
     out.append(("cnc.solve N=300", REPEATS, lambda: timed(lambda: solve(y300, cfg), 40)))
