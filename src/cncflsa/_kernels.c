@@ -1,9 +1,13 @@
 #include <math.h>
+#include <stddef.h>
+#include <stdint.h>
 
 /* Compiled kernels of cncflsa, bit-identical to their Python references.
  * Built with -ffp-contract=off and without -ffast-math, every operation
  * rounds on its own exactly as the same operation does in numpy, so each
- * function keeps its reference's expressions in their order.
+ * function keeps its reference's expressions in their order.  What plain C
+ * cannot round as numpy does (its SIMD arctan and log1p, its pairwise sum
+ * and BLAS ddot) is done by calling numpy's own float64 inner loops.
  *
  * cncflsa_tvd: exact 1-D total variation denoising, a line-for-line port of
  * cncflsa.prox._tvd_python (its docstring and comments describe the
@@ -55,18 +59,27 @@ void cncflsa_tvd(const double *y, long n, double lam, double *x, double *work)
     }
 }
 
-/* Arguments of cncflsa_mm_step; mirrored by cncflsa.cnc._StepArgs, whose
- * rows come from cncflsa.cnc._mm_rows: shifted, x and r of n doubles,
- * phi0 of n, phi1 of n - 1, and work, the 8 n doubles of tvd scratch. */
+/* Arguments of cncflsa_mm_step and cncflsa_mm_solve; mirrored by
+ * cncflsa.cnc._StepArgs, whose rows come from cncflsa.cnc._mm_rows:
+ * shifted, x and r of n doubles, phi0 of n, phi1 of n - 1, and work, the
+ * 8 n doubles of tvd scratch.  max_iter and tol are read by
+ * cncflsa_mm_solve only. */
 struct mm_step {
     long n;
     const double *y;
     double *shifted, *x, *r, *phi0, *phi1, *work;
     double lam0, lam1, a0, a1;
     int kind0, kind1; /* index into cncflsa.penalties.KINDS */
+    long max_iter;
+    double tol;
 };
 
 enum { KIND_L1, KIND_LOG, KIND_ATAN, KIND_RATIONAL };
+
+/* cncflsa.penalties._U_LIMIT, 2^56: past a|z| of it the atan and rational
+ * s'(z) are taken as their limit -sign(z), which they round to there, so
+ * that they stay finite where their squares overflow (from about 1e154). */
+#define U_LIMIT 72057594037927936.0
 
 /* cncflsa.penalties.PenaltySpec._phi and ._slope at one sample z: stores
  * phi(z), or for log and atan the argument of their transcendental, and
@@ -86,10 +99,14 @@ static double algebra(int kind, double a, double z, double *phi)
     }
     if (kind == KIND_ATAN) {
         *phi = 1.7320508075688772 * u / (2.0 + u); /* sqrt(3) */
+        if (u > U_LIMIT)
+            return z > 0.0 ? -1.0 : 1.0;
         v = 1.0 + 2.0 * u;
         return -4.0 * a * z * (1.0 + u) / (3.0 + v * v);
     }
     *phi = az / (1.0 + 0.5 * a * az);
+    if (u > U_LIMIT)
+        return z > 0.0 ? -1.0 : 1.0;
     v = 1.0 + 0.5 * u;
     return -a * z * (1.0 + 0.25 * u) / (v * v);
 }
@@ -131,4 +148,87 @@ void cncflsa_mm_step(const struct mm_step *m)
         }
         shifted[i] = s;
     }
+}
+
+/* A float64 inner loop of a numpy ufunc, as numpy's ufuncobject.h declares
+ * PyUFuncGenericFunction, with npy_intp the width of a pointer. */
+typedef void (*numpy_loop)(char **args, const intptr_t *dimensions,
+                           const intptr_t *steps, void *data);
+
+/* numpy's loops of arctan and log1p (d->d), add (dd->d) and the vecdot
+ * gufunc (dd->d); mirrored by cncflsa.prox._NumpyLoops, which resolves and
+ * probes them.  Each is called with the arguments numpy itself passes. */
+struct numpy_loops {
+    numpy_loop arctan, log1p, add, vecdot;
+};
+
+/* cncflsa.penalties.PenaltySpec._finish of len values in place: numpy's
+ * log1p or arctan, then the scale. */
+static void finish(const struct numpy_loops *np, int kind, double a, double *phi, intptr_t len)
+{
+    char *args[2] = {(char *)phi, (char *)phi};
+    intptr_t steps[2] = {8, 8}, i;
+    double scale;
+
+    if (a == 0.0 || len == 0)
+        return;
+    if (kind == KIND_LOG) {
+        np->log1p(args, &len, steps, NULL);
+        for (i = 0; i < len; i++)
+            phi[i] /= a;
+    } else if (kind == KIND_ATAN) {
+        np->arctan(args, &len, steps, NULL);
+        scale = 2.0 / (a * 1.7320508075688772);
+        for (i = 0; i < len; i++)
+            phi[i] *= scale;
+    }
+}
+
+/* np.add.reduce of len values: the add loop in reduce form, onto 0.0. */
+static double total(const struct numpy_loops *np, double *v, intptr_t len)
+{
+    double acc = 0.0;
+    char *args[3] = {(char *)&acc, (char *)v, (char *)&acc};
+    intptr_t steps[3] = {0, 8, 0};
+
+    if (len > 0)
+        np->add(args, &len, steps, NULL);
+    return acc;
+}
+
+/* np.dot(r, r) of n values: one outer iteration of the vecdot loop. */
+static double dot(const struct numpy_loops *np, double *r, intptr_t n)
+{
+    double out;
+    char *args[3] = {(char *)r, (char *)r, (char *)&out};
+    intptr_t dims[2] = {1, n}, steps[5] = {0, 0, 0, 8, 8};
+
+    np->vecdot(args, dims, steps, NULL);
+    return out;
+}
+
+/* The MM updates of cncflsa.cnc._mm_updates, the port of its Python loop
+ * cncflsa.cnc._mm_loop_python: up to max_iter calls of cncflsa_mm_step,
+ * each followed by F of the new iterate (cncflsa.cnc._objective), stored
+ * in history[k] after history[0], and the stopping rule
+ * |prev - F| <= tol * max(1, |prev|), false on NaN as in Python.  Returns
+ * the number of updates, negated when the rule fired. */
+long cncflsa_mm_solve(const struct mm_step *m, const struct numpy_loops *np, double *history)
+{
+    long k;
+    double f, prev, scale;
+
+    for (k = 1; k <= m->max_iter; k++) {
+        cncflsa_mm_step(m);
+        finish(np, m->kind0, m->a0, m->phi0, m->n);
+        finish(np, m->kind1, m->a1, m->phi1, m->n - 1);
+        f = 0.5 * dot(np, m->r, m->n) + m->lam0 * total(np, m->phi0, m->n)
+            + m->lam1 * total(np, m->phi1, m->n - 1);
+        prev = history[k - 1];
+        history[k] = f;
+        scale = fabs(prev) > 1.0 ? fabs(prev) : 1.0;
+        if (fabs(prev - f) <= m->tol * scale)
+            return -k;
+    }
+    return m->max_iter;
 }

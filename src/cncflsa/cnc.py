@@ -18,7 +18,6 @@ shifted input.  There are no matrix inversions anywhere.
 from __future__ import annotations
 
 import ctypes
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,25 +223,25 @@ def solve(y, cfg: CncConfig, init="flsa") -> SolveResult:
         raise ValueError(f"init must be 'flsa' or 'zero', got {init!r}")
     # The starting point goes through the public functions, which validate
     # it; every update after that runs on arrays already known to be valid.
-    history = [objective(x, y, cfg)]
-    x, converged = _mm_updates(y, majorized_input(x, y, cfg), history, cfg)
+    f0 = objective(x, y, cfg)
+    x, history, converged = _mm_updates(y, majorized_input(x, y, cfg), f0, cfg)
     return SolveResult(
         x=x,
-        objective_history=np.asarray(history),
-        iterations=len(history) - 1,
+        objective_history=history,
+        iterations=history.size - 1,
         converged=converged,
     )
 
 
-def _mm_updates(y, shifted, history, cfg):
-    """The MM updates of :func:`solve` from the shifted input of its start.
+def _mm_updates(y, shifted, f0, cfg):
+    """The MM updates of :func:`solve` from the shifted input and the F of
+    its start.
 
-    Appends F of every new iterate to history and returns the last iterate
-    and whether the stopping rule fired.  :func:`_mm_step` runs each update
-    in one block of buffers allocated once per solve; numpy then applies
-    each penalty's transcendental, and :func:`_objective` sums F as
-    :func:`objective` does, so the result is bit-identical to chaining the
-    public functions.
+    Returns the last iterate, the objective history from f0 on, and whether
+    the stopping rule fired.  The updates run in one block of buffers
+    allocated once per solve, all in one call of ``cncflsa_mm_solve`` when
+    the compiled library is loaded, else in :func:`_mm_loop_python`, its
+    reference; either is bit-identical to chaining the public functions.
     """
     y = np.ascontiguousarray(y)
     n = y.size
@@ -251,22 +250,39 @@ def _mm_updates(y, shifted, history, cfg):
     # and a hole per solve raised its peak RSS from 41.7 to 43.1 MB in a
     # 5-pair A/B.
     out = np.empty(n)
+    history = np.empty(cfg.max_iter + 1)
+    history[0] = f0
     rows, addresses = _mm_rows(n)
-    first, x, r, phi0, phi1, _ = rows
-    first[:] = shifted
-    step = _mm_step(y, rows, addresses, cfg)
+    rows[0][:] = shifted
+    lib = _prox._tvd_c
+    if lib is None:
+        updates, converged = _mm_loop_python(y, rows, history, cfg)
+    else:
+        updates = lib.cncflsa_mm_solve(ctypes.byref(_step_args(y, addresses, cfg)),
+                                       lib.numpy_loops, history.ctypes.data)
+        updates, converged = abs(updates), updates < 0
+    out[:] = rows[1]
+    return out, history[:updates + 1].copy(), converged
+
+
+def _mm_loop_python(y, rows, history, cfg):
+    """The MM updates in a solve's buffers (see :func:`_mm_rows`), the
+    reference of ``cncflsa_mm_solve``: each update is
+    :func:`_mm_step_python`, then numpy applies each penalty's
+    transcendental, and :func:`_objective` sums F as :func:`objective`
+    does, into history after history[0].  Returns the number of updates
+    and whether the stopping rule fired."""
+    _, _, r, phi0, phi1, _ = rows
     finish0, finish1, total = cfg.penalty0._finish, cfg.penalty1._finish, np.add.reduce
-    converged = False
-    for _ in range(cfg.max_iter):
-        step()
+    prev = float(history[0])
+    for k in range(1, cfg.max_iter + 1):
+        _mm_step_python(y, rows, cfg)
         f = _objective(r, cfg, total(finish0(phi0)), total(finish1(phi1)))
-        prev = history[-1]
-        history.append(f)
+        history[k] = f
         if abs(prev - f) <= cfg.tol * max(1.0, abs(prev)):
-            converged = True
-            break
-    out[:] = x
-    return out, converged
+            return k, True
+        prev = f
+    return cfg.max_iter, False
 
 
 def _mm_rows(n):
@@ -289,25 +305,18 @@ class _StepArgs(ctypes.Structure):
                 ("phi0", ctypes.c_void_p), ("phi1", ctypes.c_void_p), ("work", ctypes.c_void_p),
                 ("lam0", ctypes.c_double), ("lam1", ctypes.c_double),
                 ("a0", ctypes.c_double), ("a1", ctypes.c_double),
-                ("kind0", ctypes.c_int), ("kind1", ctypes.c_int)]
+                ("kind0", ctypes.c_int), ("kind1", ctypes.c_int),
+                ("max_iter", ctypes.c_long), ("tol", ctypes.c_double)]
 
 
-def _mm_step(y, rows, addresses, cfg):
-    """One MM update in a solve's buffers and at their addresses (see
-    :func:`_mm_rows`), as a call without arguments.
-
-    y is C-contiguous, and the caller keeps y and the rows alive while it
-    calls.  Each call runs :func:`_mm_step_python`, compiled
-    (``cncflsa_mm_step``) unless the Python backend is selected.
-    """
-    lib = _prox._tvd_c
-    if lib is None:
-        return functools.partial(_mm_step_python, y, rows, cfg)
-    args = _StepArgs(y.size, y.ctypes.data, *addresses,
-                     cfg.lambda0, cfg.lambda1,
-                     cfg.penalty0.a, cfg.penalty1.a,
-                     KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind))
-    return functools.partial(lib.cncflsa_mm_step, ctypes.byref(args))
+def _step_args(y, addresses, cfg):
+    """The arguments of ``cncflsa_mm_step`` and ``cncflsa_mm_solve`` for
+    a C-contiguous y and a solve's buffer addresses (see :func:`_mm_rows`);
+    the caller keeps y and the buffers alive while it uses them."""
+    return _StepArgs(y.size, y.ctypes.data, *addresses,
+                     cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
+                     KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind),
+                     cfg.max_iter, cfg.tol)
 
 
 def _mm_step_python(y, rows, cfg):

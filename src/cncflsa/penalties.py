@@ -21,6 +21,13 @@ KINDS = ("l1", "log", "atan", "rational")
 
 _SQRT3 = np.sqrt(3.0)
 
+# From u = a*|x| = 2**56 on, 1 + 0.25*u rounds to 0.25*u (and 1 + u to u),
+# so the atan and rational s'(x) round to exactly -sign(x); from about
+# u = 1e154 on, the squares in their formulas overflow and the formulas
+# give NaN.  So past this limit s' is taken as -sign(x), which changes no
+# bit of a finite result.
+_U_LIMIT = 2.0**56
+
 
 def _match(out, like):
     """Return a float for scalar input, the array otherwise."""
@@ -78,13 +85,15 @@ class PenaltySpec:
         return _match(out, x)
 
     def residual_deriv(self, x):
-        """Derivative s'(x; a); odd, continuous, s'(0) = 0, |s'| < 1."""
+        """Derivative s'(x; a); odd, continuous, s'(0) = 0, |s'| < 1 up to
+        rounding."""
         return _match(self._slope(np.atleast_1d(np.asarray(x, dtype=float))), x)
 
     # _phi and _slope hold every part of phi and s' that rounds exactly in
     # IEEE arithmetic; ``algebra`` in ``_kernels.c`` ports both per sample.
-    # numpy's log1p and arctan stay in _finish, because their SIMD versions
-    # round differently from the C library's.
+    # _finish applies numpy's log1p and arctan, whose SIMD versions round
+    # differently from the C library's; ``cncflsa_mm_solve`` in
+    # ``_kernels.c`` calls the same numpy loops.
 
     def _phi(self, x):
         """phi(x; a) of a float array x of at least one dimension, except
@@ -109,6 +118,9 @@ class PenaltySpec:
         u = a * np.abs(x)
         if self.kind == "log":
             return -a * x / (1.0 + u)
+        fits = u <= _U_LIMIT
+        if not fits.all():
+            return np.where(fits, self._slope(np.where(fits, x, 0.0)), -np.sign(x))
         if self.kind == "atan":
             # Difference of two arctangents folded into one; avoids
             # cancellation for small a*|x|.

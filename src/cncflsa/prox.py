@@ -8,8 +8,9 @@ certify solutions independently of the solvers.
 The TV kernel has a compiled backend (``_kernels.c``, built on first import
 and cached in ``__pycache__``) and a pure-Python reference that it matches
 bit for bit and falls back to; ``TVD_BACKEND`` names the one in use.  The
-same library holds the compiled MM update of :mod:`cncflsa.cnc`, which
-follows the same switch.
+same library holds the compiled MM loop of :mod:`cncflsa.cnc`, which
+follows the same switch and calls numpy's own float64 loops, resolved and
+probed here once.
 """
 
 from __future__ import annotations
@@ -258,23 +259,89 @@ def _build():
     return path
 
 
+class _UFuncHead(ctypes.Structure):
+    """The head of numpy's public ``PyUFuncObject`` (``ufuncobject.h``), up
+    to ``ntypes``.  Only ``functions`` is ever dereferenced."""
+
+    _fields_ = [("ob_refcnt", ctypes.c_ssize_t), ("ob_type", ctypes.c_void_p),
+                ("nin", ctypes.c_int), ("nout", ctypes.c_int), ("nargs", ctypes.c_int),
+                ("identity", ctypes.c_int), ("functions", ctypes.POINTER(ctypes.c_void_p)),
+                ("data", ctypes.c_void_p), ("ntypes", ctypes.c_int)]
+
+
+def _numpy_loop(ufunc, types):
+    """Address of numpy's inner loop of ufunc for types, e.g. ``"d->d"``.
+
+    Raises OSError when the mirror's counts are not the ufunc's own, that
+    is when this numpy lays the object out differently."""
+    head = _UFuncHead.from_address(id(ufunc))
+    if (head.nin, head.nout, head.nargs, head.ntypes) != (
+            ufunc.nin, ufunc.nout, ufunc.nargs, ufunc.ntypes):
+        raise OSError(f"numpy.{ufunc.__name__} does not match PyUFuncObject")
+    return head.functions[ufunc.types.index(types)]
+
+
+class _NumpyLoops(ctypes.Structure):
+    """``struct numpy_loops`` of ``_kernels.c``."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in ("arctan", "log1p", "add", "vecdot")]
+
+
+def _loops_match_numpy(loops):
+    """Whether each loop, called as ``cncflsa_mm_solve`` calls it, gives the
+    bytes of numpy's own call on fixed values with +-0.0 among them, at
+    lengths within and beyond numpy's pairwise-sum blocks of 8 and 128."""
+    call = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                            ctypes.c_void_p)
+    arctan, log1p, add, vecdot = (call(getattr(loops, name)) for name, _ in loops._fields_)
+    ptrs, dims = ctypes.c_void_p * 3, ctypes.c_ssize_t * 5
+    values = np.arange(1000.0) * 0.37
+    values[1::2] *= -1.7
+    values[::7], values[3::7] = 0.0, -0.0
+    magnitudes = np.abs(values)  # in the domain of log1p
+    magnitudes[3::7] = -0.0
+    for n in (0, 1, 3, 7, 8, 9, 100, 128, 129, 1000):
+        v = values[:n].copy()
+        for loop, ufunc in ((arctan, np.arctan), (log1p, np.log1p)):
+            out = magnitudes[:n].copy()
+            loop(ptrs(out.ctypes.data, out.ctypes.data), dims(n), dims(8, 8), None)
+            if out.tobytes() != ufunc(magnitudes[:n]).tobytes():
+                return False
+        acc, dot = np.zeros(1), np.zeros(1)
+        add(ptrs(acc.ctypes.data, v.ctypes.data, acc.ctypes.data), dims(n), dims(0, 8, 0), None)
+        vecdot(ptrs(v.ctypes.data, v.ctypes.data, dot.ctypes.data), dims(1, n),
+               dims(0, 0, 0, 8, 8), None)
+        if (acc.tobytes(), dot.tobytes()) != (np.add.reduce(v).tobytes(), np.dot(v, v).tobytes()):
+            return False
+    return True
+
+
 def _select_backend():
     """The compiled library and ``"c"``, or ``(None, "python")`` when it
-    cannot be built or loaded or lacks one of its kernels."""
+    cannot be built or loaded, lacks one of its kernels, or one of numpy's
+    loops that ``cncflsa_mm_solve`` calls cannot be found or does not give
+    numpy's own bytes.  The library carries those loops as ``numpy_loops``."""
     try:
         lib = ctypes.CDLL(_build())
-        tvd, step = lib.cncflsa_tvd, lib.cncflsa_mm_step
-    except (OSError, AttributeError):
+        tvd, step, solve = lib.cncflsa_tvd, lib.cncflsa_mm_step, lib.cncflsa_mm_solve
+        loops = _NumpyLoops(_numpy_loop(np.arctan, "d->d"), _numpy_loop(np.log1p, "d->d"),
+                            _numpy_loop(np.add, "dd->d"), _numpy_loop(np.vecdot, "dd->d"))
+    except (OSError, AttributeError, ValueError):
+        return None, "python"
+    if not _loops_match_numpy(loops):
         return None, "python"
     tvd.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
                     ctypes.c_void_p, ctypes.c_void_p)
     step.argtypes = (ctypes.c_void_p,)
     tvd.restype = step.restype = None
+    solve.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+    solve.restype = ctypes.c_long
+    lib.numpy_loops = ctypes.byref(loops)
     return lib, "c"
 
 
 # The one backend switch: the compiled library, or None for the Python
-# references of both tvd and the MM update (cncflsa.cnc._mm_step).
+# references of both tvd and the MM loop (cncflsa.cnc._mm_updates).
 _tvd_c, TVD_BACKEND = _select_backend()
 
 

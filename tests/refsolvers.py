@@ -21,19 +21,26 @@ SQRT3 = np.sqrt(3.0)
 
 def penalty_terms(kind, a, x):
     """phi(x; a) and s'(x; a) of a float array x, with the operations of
-    `PenaltySpec.value` and `.residual_deriv` in the same order."""
+    `PenaltySpec.value` and `.residual_deriv` in the same order.  Where the
+    square in the atan or rational s' overflows, s' is its limit -sign(x)."""
     ax = np.abs(x)
     if kind == "l1" or a == 0.0:
         return ax, np.zeros_like(x)
     u = a * ax
     if kind == "log":
         return np.log1p(u) / a, -a * x / (1.0 + u)
-    if kind == "atan":
-        return (np.arctan(SQRT3 * u / (2.0 + u)) * (2.0 / (a * SQRT3)),
-                -4.0 * a * x * (1.0 + u) / (3.0 + (1.0 + 2.0 * u) ** 2))
-    if kind == "rational":
-        return ax / (1.0 + 0.5 * a * ax), -a * x * (1.0 + 0.25 * u) / (1.0 + 0.5 * u) ** 2
-    raise ValueError(kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "atan":
+            square = (1.0 + 2.0 * u) ** 2
+            phi = np.arctan(SQRT3 * u / (2.0 + u)) * (2.0 / (a * SQRT3))
+            ds = -4.0 * a * x * (1.0 + u) / (3.0 + square)
+        elif kind == "rational":
+            square = (1.0 + 0.5 * u) ** 2
+            phi = ax / (1.0 + 0.5 * a * ax)
+            ds = -a * x * (1.0 + 0.25 * u) / square
+        else:
+            raise ValueError(kind)
+    return phi, np.where(np.isinf(square), -np.sign(x), ds)
 
 
 def d_apply(x):

@@ -2,8 +2,9 @@
 chained from per-step functions written out in `tests/refsolvers.py`:
 byte-identical iterates, objective histories, update counts and stopping
 flags, with either tvd backend, and over every solve of the criterion-7
-sweep; and the public `objective` and `majorized_input` against the same
-per-step functions."""
+sweep; the compiled loop (`cncflsa_mm_solve`) against the Python loop
+(`cnc._mm_loop_python`) solve by solve; and the public `objective` and
+`majorized_input` against the same per-step functions."""
 
 import contextlib
 from unittest import mock
@@ -69,6 +70,38 @@ def test_solve_matches_mm_reference_bytes(tvd_backend, values, kind, lam0, lam1,
     y = np.array(values)
     with backend(tvd_backend):
         assert same_bytes(solve(y, cfg, init=init), mm_reference(y, cfg, init=init))
+
+
+@pytest.mark.skipif(prox.TVD_BACKEND != "c", reason="no compiled library")
+@settings(max_examples=200, deadline=None)
+@given(signals, st.sampled_from(KINDS), st.sampled_from(KINDS), weights, weights, degrees,
+       degrees, st.sampled_from(["flsa", "zero"]), st.one_of(caps, st.just((50, 1e-300))))
+@example([-0.0], "atan", "log", 0.5, 1.0, 0.5, 0.5, "flsa", (50, 1e-9))
+@example([-0.0, 2.0, -0.0], "log", "log", 0.3, 1.0, 0.2, 0.2, "zero", (50, 1e-300))
+@example([1.0, -0.0, 3.0], "atan", "l1", 0.4, 0.7, 2.5, 0.0, "flsa", (3, 1e-15))
+@example([0.5, 3.0], "rational", "atan", 0.0, 1.0, 1.0, 0.3, "flsa", (1, 1e-9))
+def test_compiled_loop_matches_python_loop_bytes(values, kind0, kind1, lam0, lam1, a0, a1, init,
+                                                 cap):
+    max_iter, tol = cap
+    cfg = CncConfig(lam0, lam1, PenaltySpec(kind0, a0), PenaltySpec(kind1, a1),
+                    max_iter=max_iter, tol=tol, allow_nonconvex=True, allow_degenerate=True)
+    y = np.array(values)
+    compiled = solve(y, cfg, init=init)
+    with backend("python"):
+        assert same_bytes(compiled, solve(y, cfg, init=init))
+
+
+@pytest.mark.parametrize("tvd_backend", ["c", "python"])
+@pytest.mark.parametrize("kind", ["atan", "rational"])
+def test_overflowing_slope_gives_a_finite_solve(tvd_backend, kind):
+    """mdfl (a0 = 1/lambda0, margin 0) with lambda0 = 1e-160: a0*|x| is
+    about 1e160, where the squares in s' overflow."""
+    y = np.random.default_rng(0).standard_normal(50)
+    cfg = CncConfig(1e-160, 1.0, PenaltySpec(kind, 1e160), PenaltySpec(kind, 0.0))
+    with backend(tvd_backend):
+        result = solve(y, cfg)
+        assert same_bytes(result, mm_reference(y, cfg))
+    assert np.all(np.isfinite(result.x)) and np.all(np.isfinite(result.objective_history))
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,6 +3,7 @@
 penalty arrays and next shifted input, and the fallback to the twin when
 the library lacks the compiled step."""
 
+import ctypes
 import shutil
 from pathlib import Path
 from unittest import mock
@@ -24,6 +25,7 @@ signals = st.one_of(
 )
 weights = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
 degrees = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
+WIDE = np.random.default_rng(9).normal(0.0, 3.0, 60).tolist()
 
 
 def run_steps(y, shifted, cfg, compiled, calls=3):
@@ -33,9 +35,12 @@ def run_steps(y, shifted, cfg, compiled, calls=3):
     rows[0][:] = shifted
     states = []
     with mock.patch.object(prox, "_tvd_c", prox._tvd_c if compiled else None):
-        step = cnc._mm_step(y, rows, addresses, cfg)
+        args = ctypes.byref(cnc._step_args(y, addresses, cfg))
         for _ in range(calls):
-            step()
+            if compiled:
+                prox._tvd_c.cncflsa_mm_step(args)
+            else:
+                cnc._mm_step_python(y, rows, cfg)
             states.append([row.tobytes() for row in rows[:5]])
     return states
 
@@ -48,6 +53,12 @@ def run_steps(y, shifted, cfg, compiled, calls=3):
 @example([-0.0, 2.0], 1, "log", "rational", 0.0, 1.0, 1.0, 0.2)
 @example([1.0, -0.0, 3.0], 2, "rational", "atan", 0.4, 0.0, 1.0, 3.0)
 @example([-0.0, -0.0, 0.0], 3, "l1", "atan", 1.0, 1.0, 0.0, 1.0)
+# a*|x| on both sides of 2**56, past which s' is taken as -sign(x), and
+# past 1e154, where the squares in the atan and rational s' overflow.
+@example(WIDE, 4, "atan", "rational", 0.1, 0.1, 2.0**53, 2.0**55)
+@example(WIDE, 4, "rational", "atan", 0.1, 0.1, 2.0**54, 2.0**53)
+@example(WIDE, 5, "rational", "atan", 0.1, 0.1, 1e160, 1e160)
+@example(WIDE, 5, "atan", "rational", 0.1, 0.1, 1e160, 1e160)
 def test_compiled_step_matches_python_twin_bytes(values, seed, kind0, kind1, lam0, lam1, a0, a1):
     y = np.array(values)
     # Start from the shifted input of a random iterate, zeroed in places.

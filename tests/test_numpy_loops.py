@@ -1,0 +1,81 @@
+"""The numpy loops that the compiled MM loop (`cncflsa_mm_solve`) calls:
+the fallback to the Python loop when their lookup or probe fails, and a
+guard that the compiled loop runs no Python per update.  The loop's bytes
+are checked against the Python loop in `tests/test_mm_loop.py`."""
+
+import ctypes
+
+import numpy as np
+import pytest
+
+from cncflsa import CncConfig, PenaltySpec, cnc, prox, solve
+
+from refsolvers import mm_reference
+
+pytestmark = pytest.mark.skipif(prox.TVD_BACKEND != "c", reason="no compiled library")
+
+
+def fingerprint(result):
+    return (result.x.tobytes(), result.objective_history.tobytes(),
+            result.iterations, result.converged)
+
+
+def test_compiled_loop_calls_no_python_per_update(monkeypatch):
+    """With the library, a solve's only _finish calls are the two of its
+    start's `value`, however many updates follow."""
+    finish, calls = PenaltySpec._finish, []
+
+    def counting(self, phi):
+        calls.append(phi.size)
+        return finish(self, phi)
+
+    def forbidden(*args):
+        raise AssertionError("the Python step ran")
+
+    monkeypatch.setattr(PenaltySpec, "_finish", counting)
+    monkeypatch.setattr(cnc, "_mm_step_python", forbidden)
+    rng = np.random.default_rng(1)
+    y = np.repeat(rng.normal(0.0, 3.0, 10), 30) + rng.normal(0.0, 0.5, 300)
+    updates = []
+    for max_iter in (1, 3, 50):
+        calls.clear()
+        cfg = CncConfig(0.1, 1.0, PenaltySpec("atan", 5.0), PenaltySpec("log", 0.1),
+                        max_iter=max_iter, tol=1e-300)
+        updates.append(solve(y, cfg).iterations)
+        assert calls == [300, 299]
+    assert updates[0] < updates[1] < updates[2]
+
+
+def check_fallback(monkeypatch):
+    assert prox._select_backend() == (None, "python")
+    y = np.random.default_rng(2).normal(0.0, 1.0, 300)
+    cfg = CncConfig(0.3, 2.0, PenaltySpec("atan", 1.0), PenaltySpec("rational", 0.05))
+    monkeypatch.setattr(prox, "_tvd_c", None)
+    assert fingerprint(solve(y, cfg)) == fingerprint(mm_reference(y, cfg))
+
+
+def test_fallback_when_a_loop_cannot_be_found(monkeypatch):
+    def lookup(ufunc, types):
+        raise ValueError(f"no {types} loop")
+
+    monkeypatch.setattr(prox, "_numpy_loop", lookup)
+    check_fallback(monkeypatch)
+
+
+def test_fallback_when_a_loop_is_not_numpys(monkeypatch):
+    lookup = prox._numpy_loop
+
+    def swapped(ufunc, types):
+        return lookup(np.log1p if ufunc is np.arctan else ufunc, types)
+
+    monkeypatch.setattr(prox, "_numpy_loop", swapped)
+    check_fallback(monkeypatch)
+
+
+def test_lookup_rejects_a_mismatched_layout(monkeypatch):
+    class Shifted(ctypes.Structure):
+        _fields_ = [("pad", ctypes.c_int), *prox._UFuncHead._fields_]
+
+    monkeypatch.setattr(prox, "_UFuncHead", Shifted)
+    with pytest.raises(OSError):
+        prox._numpy_loop(np.arctan, "d->d")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -120,8 +122,8 @@ def test_property_suite(kind, a):
     check_penalty_properties(kind, a)
 
 
-# At |x| = 1e300 the atan and rational s' overflow to NaN, in the package
-# and the reference alike.
+# At |x| = 1e300 the squares in the atan and rational s' overflow, and the
+# package and the reference both give the limit -sign(x).
 PROBES = np.concatenate([[0.0, -0.0, 1e-300, -5e-324, 1e300, -1.0],
                          np.random.default_rng(8).normal(0.0, 3.0, 250)])
 
@@ -155,3 +157,24 @@ def test_each_method_computes_only_what_it_returns(kind, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(PenaltySpec, "_slope", forbidden)
         p.value(PROBES), p.value(0.5)
+
+
+@pytest.mark.parametrize("kind", ["atan", "rational"])
+@pytest.mark.parametrize("a", [1e-3, 1.0, 1e160])
+def test_slope_stays_finite_past_overflow(kind, a):
+    """The squares in s' overflow from a*|x| of about 1e154 on; s' takes its
+    limit -sign(x) there, with no warning, up to a*|x| = 1e300, and keeps
+    the bits of the formula wherever that is finite.  Rounding takes |s'|
+    up to two ulps past 1 where a*|x| is between 2**52 and 2**56, so the
+    bound allows that."""
+    u = np.concatenate([np.logspace(-3.0, 300.0, 3031), 2.0 ** np.arange(50.0, 997.0, 0.125)])
+    x = u / a
+    p = PenaltySpec(kind, a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = p.residual_deriv(x)
+        assert np.array_equal(p.residual_deriv(-x), -ds)
+    assert ds.tobytes() == penalty_terms(kind, a, x)[1].tobytes()
+    assert np.all(np.isfinite(ds))
+    assert np.all(np.abs(ds) <= 1.0 + 4.0 * np.finfo(float).eps)
+    assert np.all(ds[a * x >= 2.0**56] == -1.0)
