@@ -76,9 +76,10 @@ struct mm_step {
 
 enum { KIND_L1, KIND_LOG, KIND_ATAN, KIND_RATIONAL };
 
-/* cncflsa.penalties._U_LIMIT, 2^56: past a|z| of it the atan and rational
- * s'(z) are taken as their limit -sign(z), which they round to there, so
- * that they stay finite where their squares overflow (from about 1e154). */
+/* cncflsa.penalties._U_LIMIT, 2^56: past a|z| of it every kind's s'(z) is
+ * taken as its limit -sign(z), which it rounds to there, so that it stays
+ * finite where the atan and rational squares overflow (from about 1e154)
+ * and where a|z| itself does. */
 #define U_LIMIT 72057594037927936.0
 
 /* cncflsa.penalties.PenaltySpec._phi and ._slope at one sample z: stores
@@ -93,28 +94,31 @@ static double algebra(int kind, double a, double z, double *phi)
         return 0.0;
     }
     u = a * az;
-    if (kind == KIND_LOG) {
+    if (kind == KIND_LOG)
         *phi = u;
-        return -a * z / (1.0 + u);
-    }
-    if (kind == KIND_ATAN) {
+    else if (kind == KIND_ATAN)
         *phi = 1.7320508075688772 * u / (2.0 + u); /* sqrt(3) */
-        if (u > U_LIMIT)
-            return z > 0.0 ? -1.0 : 1.0;
+    else
+        *phi = az / (1.0 + 0.5 * a * az);
+    if (u > U_LIMIT)
+        return z > 0.0 ? -1.0 : 1.0;
+    if (kind == KIND_LOG)
+        return -a * z / (1.0 + u);
+    if (kind == KIND_ATAN) {
         v = 1.0 + 2.0 * u;
         return -4.0 * a * z * (1.0 + u) / (3.0 + v * v);
     }
-    *phi = az / (1.0 + 0.5 * a * az);
-    if (u > U_LIMIT)
-        return z > 0.0 ? -1.0 : 1.0;
     v = 1.0 + 0.5 * u;
     return -a * z * (1.0 + 0.25 * u) / (v * v);
 }
 
-/* One MM update, the port of cncflsa.cnc._mm_step_python: the fused lasso
- * solve x = soft_threshold(tvd(shifted, lam1), lam0), r = y - x, phi0 from
- * x and phi1 from diff(x), and the next shifted input
- * y - lam0 s0'(x) - lam1 D^T s1'(diff(x)), written over the one just used. */
+/* One MM update, the public functions of the Python chain
+ * cncflsa.cnc._mm_loop_python fused into one pass: x = fused_lasso_l1(
+ * shifted, lam0, lam1), that is soft_threshold(tvd(shifted, lam1), lam0),
+ * r = y - x, phi0 from x and phi1 from diff(x) (PenaltySpec._phi, the
+ * per-sample half of objective), and the next shifted input
+ * majorized_input(x, y), y - lam0 s0'(x) - lam1 D^T s1'(diff(x)), written
+ * over the one just used. */
 void cncflsa_mm_step(const struct mm_step *m)
 {
     long n = m->n, i;
@@ -207,9 +211,10 @@ static double dot(const struct numpy_loops *np, double *r, intptr_t n)
     return out;
 }
 
-/* The MM updates of cncflsa.cnc._mm_updates, the port of its Python loop
- * cncflsa.cnc._mm_loop_python: up to max_iter calls of cncflsa_mm_step,
- * each followed by F of the new iterate (cncflsa.cnc._objective), stored
+/* The MM updates of cncflsa.cnc._mm_updates, bit-identical to its Python
+ * reference cncflsa.cnc._mm_loop_python, the chain of the public functions:
+ * up to max_iter calls of cncflsa_mm_step, each followed by F of the new
+ * iterate (cncflsa.cnc.objective, formed as cncflsa.cnc._objective), stored
  * in history[k] after history[0], and the stopping rule
  * |prev - F| <= tol * max(1, |prev|), false on NaN as in Python.  Returns
  * the number of updates, negated when the rule fired. */

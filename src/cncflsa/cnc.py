@@ -12,7 +12,10 @@ largest eigenvalue of the squared difference operator, which is below 4)
 never overcomes the unit curvature of the data term.  The solver majorizes
 each penalty by the absolute value plus the tangent line of its smooth
 residual, which turns every update into one exact L1 fused-lasso solve on a
-shifted input.  There are no matrix inversions anywhere.
+shifted input.  There are no matrix inversions anywhere.  The loop is the
+chain of the public :func:`fused_lasso_l1`, :func:`objective` and
+:func:`majorized_input`; with the compiled library it runs as one call of
+``cncflsa_mm_solve``, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import prox as _prox
 from .penalties import KINDS, PenaltySpec
-from .prox import _as_pair, _check_nonneg, _diff_adjoint, _shrink, _tvd, as_signal, fused_lasso_l1
+from .prox import _as_pair, _check_nonneg, _diff_adjoint, as_signal, fused_lasso_l1
 
 # Roundoff tolerance when enforcing margin >= 0 on the convexity boundary.
 MARGIN_TOL = 1e-12
@@ -182,28 +185,20 @@ def majorized_input(v, y, cfg: CncConfig):
     of the objective at v.
     """
     v, y = _as_pair(v, y, "v", "y")
-    return _shifted_input(y, cfg, cfg.penalty0.residual_deriv(v),
-                          cfg.penalty1.residual_deriv(v[1:] - v[:-1]))
-
-
-def _shifted_input(y, cfg, ds0, ds1):
-    """y - lambda0*ds0 - lambda1*diff_adjoint(ds1) from ds0 = s0'(x) and
-    ds1 = s1'(diff(x)), which is empty for one sample: the one home of the
-    formula of :func:`majorized_input`."""
-    out = y - cfg.lambda0 * ds0
+    out = y - cfg.lambda0 * cfg.penalty0.residual_deriv(v)
+    ds1 = cfg.penalty1.residual_deriv(v[1:] - v[:-1])
     if ds1.size:
         out -= cfg.lambda1 * _diff_adjoint(ds1)
     return out
 
 
-def solve(y, cfg: CncConfig, init="flsa") -> SolveResult:
+def solve(y, cfg: CncConfig) -> SolveResult:
     """Minimize the penalized objective by majorization-minimization.
 
-    Starts from the L1 fused-lasso solution (or zeros with init="zero"),
-    then repeats: shift the observation via :func:`majorized_input`, solve
-    one exact L1 fused lasso on it.  Each update decreases the objective.
-    Stops when the relative objective change drops to cfg.tol or after
-    cfg.max_iter updates.
+    Starts from the L1 fused-lasso solution, then repeats: shift the
+    observation via :func:`majorized_input`, solve one exact L1 fused lasso
+    on it.  Each update decreases the objective.  Stops when the relative
+    objective change drops to cfg.tol or after cfg.max_iter updates.
 
     Raises ConvexityError when the margin is negative and cfg.allow_nonconvex
     is not set.
@@ -215,14 +210,7 @@ def solve(y, cfg: CncConfig, init="flsa") -> SolveResult:
             f"convexity margin {margin:.6g} is negative; set allow_nonconvex=True "
             "to run outside the certified regime"
         )
-    if init == "flsa":
-        x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
-    elif init == "zero":
-        x = np.zeros_like(y)
-    else:
-        raise ValueError(f"init must be 'flsa' or 'zero', got {init!r}")
-    # The starting point goes through the public functions, which validate
-    # it; every update after that runs on arrays already known to be valid.
+    x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
     f0 = objective(x, y, cfg)
     x, history, converged = _mm_updates(y, majorized_input(x, y, cfg), f0, cfg)
     return SolveResult(
@@ -238,11 +226,14 @@ def _mm_updates(y, shifted, f0, cfg):
     its start.
 
     Returns the last iterate, the objective history from f0 on, and whether
-    the stopping rule fired.  The updates run in one block of buffers
-    allocated once per solve, all in one call of ``cncflsa_mm_solve`` when
-    the compiled library is loaded, else in :func:`_mm_loop_python`, its
-    reference; either is bit-identical to chaining the public functions.
+    the stopping rule fired.  With the compiled library the updates run in
+    one call of ``cncflsa_mm_solve``, in one block of buffers allocated
+    once per solve; without it they run in :func:`_mm_loop_python`, its
+    reference.  Both give the same bits.
     """
+    lib = _prox._tvd_c
+    if lib is None:
+        return _mm_loop_python(y, shifted, f0, cfg)
     y = np.ascontiguousarray(y)
     n = y.size
     # The result is allocated before the loop's buffers, so that freeing
@@ -254,35 +245,27 @@ def _mm_updates(y, shifted, f0, cfg):
     history[0] = f0
     rows, addresses = _mm_rows(n)
     rows[0][:] = shifted
-    lib = _prox._tvd_c
-    if lib is None:
-        updates, converged = _mm_loop_python(y, rows, history, cfg)
-    else:
-        updates = lib.cncflsa_mm_solve(ctypes.byref(_step_args(y, addresses, cfg)),
-                                       lib.numpy_loops, history.ctypes.data)
-        updates, converged = abs(updates), updates < 0
+    updates = lib.cncflsa_mm_solve(ctypes.byref(_step_args(y, addresses, cfg)),
+                                   lib.numpy_loops, history.ctypes.data)
+    updates, converged = abs(updates), updates < 0
     out[:] = rows[1]
     return out, history[:updates + 1].copy(), converged
 
 
-def _mm_loop_python(y, rows, history, cfg):
-    """The MM updates in a solve's buffers (see :func:`_mm_rows`), the
-    reference of ``cncflsa_mm_solve``: each update is
-    :func:`_mm_step_python`, then numpy applies each penalty's
-    transcendental, and :func:`_objective` sums F as :func:`objective`
-    does, into history after history[0].  Returns the number of updates
-    and whether the stopping rule fired."""
-    _, _, r, phi0, phi1, _ = rows
-    finish0, finish1, total = cfg.penalty0._finish, cfg.penalty1._finish, np.add.reduce
-    prev = float(history[0])
-    for k in range(1, cfg.max_iter + 1):
-        _mm_step_python(y, rows, cfg)
-        f = _objective(r, cfg, total(finish0(phi0)), total(finish1(phi1)))
-        history[k] = f
+def _mm_loop_python(y, shifted, f0, cfg):
+    """The MM updates as the chain of the public functions, the reference
+    of ``cncflsa_mm_solve``: each update is :func:`fused_lasso_l1` on the
+    shifted input, :func:`objective` of the new iterate and the stopping
+    rule, then, unless it fired, :func:`majorized_input` at that iterate."""
+    history = [f0]
+    for _ in range(cfg.max_iter):
+        x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
+        prev, f = history[-1], objective(x, y, cfg)
+        history.append(f)
         if abs(prev - f) <= cfg.tol * max(1.0, abs(prev)):
-            return k, True
-        prev = f
-    return cfg.max_iter, False
+            return x, np.array(history), True
+        shifted = majorized_input(x, y, cfg)
+    return x, np.array(history), False
 
 
 def _mm_rows(n):
@@ -317,20 +300,3 @@ def _step_args(y, addresses, cfg):
                      cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
                      KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind),
                      cfg.max_iter, cfg.tol)
-
-
-def _mm_step_python(y, rows, cfg):
-    """One MM update, the reference of ``cncflsa_mm_step``.
-
-    Solves the L1 fused lasso on ``shifted`` into x, then writes r = y - x,
-    into phi0 and phi1 ``PenaltySpec._phi`` of x and of diff(x), and over
-    ``shifted`` the next shifted input (:func:`_shifted_input`) from
-    ``PenaltySpec._slope`` of both, with the same expressions in the same
-    order as :func:`objective` and :func:`majorized_input`.
-    """
-    shifted, x, r, phi0, phi1, work = rows
-    x[:] = _shrink(_tvd(shifted, cfg.lambda1, x, work), cfg.lambda0)
-    np.subtract(y, x, out=r)
-    d = x[1:] - x[:-1]
-    phi0[:], phi1[:] = cfg.penalty0._phi(x), cfg.penalty1._phi(d)
-    shifted[:] = _shifted_input(y, cfg, cfg.penalty0._slope(x), cfg.penalty1._slope(d))

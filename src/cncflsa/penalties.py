@@ -22,11 +22,14 @@ KINDS = ("l1", "log", "atan", "rational")
 _SQRT3 = np.sqrt(3.0)
 
 # From u = a*|x| = 2**56 on, 1 + 0.25*u rounds to 0.25*u (and 1 + u to u),
-# so the atan and rational s'(x) round to exactly -sign(x); from about
-# u = 1e154 on, the squares in their formulas overflow and the formulas
-# give NaN.  So past this limit s' is taken as -sign(x), which changes no
-# bit of a finite result.
+# so every kind's s'(x) rounds to exactly -sign(x); from about u = 1e154
+# on, the squares in the atan and rational formulas overflow, and past the
+# largest float so does u itself, and the formulas give NaN.  So past this
+# limit s' is taken as -sign(x), which changes no bit of a finite result.
 _U_LIMIT = 2.0**56
+
+# Past this a, -4*a in the atan s' overflows and s'(0) reads NaN.
+_ATAN_A_MAX = float(np.finfo(float).max) / 4.0
 
 
 def _match(out, like):
@@ -43,6 +46,8 @@ class PenaltySpec:
     ``a`` has units of 1/amplitude.  Kind "l1" behaves exactly like any other
     kind with a = 0 and is normalized to a = 0 on construction.  A subnormal
     ``a`` is rejected: the scale 2 / (a*sqrt(3)) of "atan" overflows there.
+    So is an "atan" ``a`` above a quarter of the largest float, where the
+    factor -4*a of its s' overflows.
     """
 
     kind: str = "l1"
@@ -54,6 +59,8 @@ class PenaltySpec:
         a = _check_nonneg(self.a, "penalty parameter a")
         if 0.0 < a < np.finfo(float).tiny:
             raise ValueError(f"penalty parameter a must be 0 or a normal float, got {self.a!r}")
+        if self.kind == "atan" and a > _ATAN_A_MAX:
+            raise ValueError(f"atan penalty parameter a must be <= {_ATAN_A_MAX!r}, got {a!r}")
         if self.kind == "l1":
             a = 0.0
         object.__setattr__(self, "a", a)
@@ -116,11 +123,11 @@ class PenaltySpec:
         if a == 0.0:
             return np.zeros_like(x)
         u = a * np.abs(x)
-        if self.kind == "log":
-            return -a * x / (1.0 + u)
         fits = u <= _U_LIMIT
         if not fits.all():
             return np.where(fits, self._slope(np.where(fits, x, 0.0)), -np.sign(x))
+        if self.kind == "log":
+            return -a * x / (1.0 + u)
         if self.kind == "atan":
             # Difference of two arctangents folded into one; avoids
             # cancellation for small a*|x|.

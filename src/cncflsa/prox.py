@@ -10,7 +10,7 @@ and cached in ``__pycache__``) and a pure-Python reference that it matches
 bit for bit and falls back to; ``TVD_BACKEND`` names the one in use.  The
 same library holds the compiled MM loop of :mod:`cncflsa.cnc`, which
 follows the same switch and calls numpy's own float64 loops, resolved and
-probed here once.
+probed here once; without it the loop chains the public functions.
 """
 
 from __future__ import annotations
@@ -63,15 +63,10 @@ def soft_threshold(x, lam):
     xa = np.asarray(x, dtype=float)
     if not np.isfinite(xa).all():
         raise ValueError("x contains non-finite samples")
-    out = _shrink(xa, lam)
+    out = np.sign(xa) * np.maximum(np.abs(xa) - lam, 0.0)
     if np.isscalar(x) or xa.ndim == 0:
         return float(out)
     return out
-
-
-def _shrink(x, lam):
-    """Soft threshold of a validated float array x by a validated lam."""
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
 def diff(x):
@@ -115,7 +110,7 @@ def tvd(y, lam):
     y : array_like
         Input samples (1-D, finite).
     lam : float
-        Regularization weight, >= 0.  lam = 0 returns y unchanged; for
+        Regularization weight, >= 0.  lam = 0 returns a copy of y; for
         lam large enough the output is the constant mean of y.
 
     Returns
@@ -125,23 +120,13 @@ def tvd(y, lam):
     """
     y = np.ascontiguousarray(as_signal(y, "y"))
     lam = _check_nonneg(lam, "lam")
-    return _tvd(y, lam, np.empty(y.size), np.empty(8 * y.size))
-
-
-def _tvd(y, lam, x, work):
-    """:func:`tvd` of a validated, C-contiguous y into the buffer x.
-
-    ``work`` holds 8*N doubles of scratch for the compiled kernel, so a
-    caller that denoises many inputs of one length allocates both buffers
-    once.  Dispatches to the backend named by ``TVD_BACKEND``; returns x.
-    """
-    n = y.size
-    if n == 1 or lam == 0.0:
-        x[:] = y
-    elif _tvd_c is None:
-        x[:] = _tvd_python(y, lam)
-    else:
-        _tvd_c.cncflsa_tvd(y.ctypes.data, n, lam, x.ctypes.data, work.ctypes.data)
+    if y.size == 1 or lam == 0.0:
+        return y.copy()
+    if _tvd_c is None:
+        return _tvd_python(y, lam)
+    # work is the kernel's scratch of 8*N doubles, alive until it returns.
+    x, work = np.empty(y.size), np.empty(8 * y.size)
+    _tvd_c.cncflsa_tvd(y.ctypes.data, y.size, lam, x.ctypes.data, work.ctypes.data)
     return x
 
 

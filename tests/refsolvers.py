@@ -21,26 +21,29 @@ SQRT3 = np.sqrt(3.0)
 
 def penalty_terms(kind, a, x):
     """phi(x; a) and s'(x; a) of a float array x, with the operations of
-    `PenaltySpec.value` and `.residual_deriv` in the same order.  Where the
-    square in the atan or rational s' overflows, s' is its limit -sign(x)."""
+    `PenaltySpec.value` and `.residual_deriv` in the same order.  Where
+    a*|x|, or the square in the atan or rational s', overflows, s' is its
+    limit -sign(x) and the log phi is inf."""
     ax = np.abs(x)
     if kind == "l1" or a == 0.0:
         return ax, np.zeros_like(x)
-    u = a * ax
-    if kind == "log":
-        return np.log1p(u) / a, -a * x / (1.0 + u)
     with np.errstate(over="ignore", invalid="ignore"):
-        if kind == "atan":
-            square = (1.0 + 2.0 * u) ** 2
+        u = a * ax
+        if kind == "log":
+            big = u
+            phi = np.log1p(u) / a
+            ds = -a * x / (1.0 + u)
+        elif kind == "atan":
+            big = (1.0 + 2.0 * u) ** 2
             phi = np.arctan(SQRT3 * u / (2.0 + u)) * (2.0 / (a * SQRT3))
-            ds = -4.0 * a * x * (1.0 + u) / (3.0 + square)
+            ds = -4.0 * a * x * (1.0 + u) / (3.0 + big)
         elif kind == "rational":
-            square = (1.0 + 0.5 * u) ** 2
+            big = (1.0 + 0.5 * u) ** 2
             phi = ax / (1.0 + 0.5 * a * ax)
-            ds = -a * x * (1.0 + 0.25 * u) / square
+            ds = -a * x * (1.0 + 0.25 * u) / big
         else:
             raise ValueError(kind)
-    return phi, np.where(np.isinf(square), -np.sign(x), ds)
+    return phi, np.where(np.isinf(big), -np.sign(x), ds)
 
 
 def d_apply(x):
@@ -143,11 +146,11 @@ def mm_shifted_input(v, y, cfg):
     return out
 
 
-def mm_reference(y, cfg, init="flsa"):
+def mm_reference(y, cfg):
     """MM solve of `cnc.solve` as a plain chain: one `mm_shifted_input`, one
     `fused_lasso_l1` and one `mm_objective` per update."""
     y = np.asarray(y, dtype=float)
-    x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1) if init == "flsa" else np.zeros_like(y)
+    x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
     history = [mm_objective(x, y, cfg)]
     converged = False
     iterations = 0

@@ -211,6 +211,13 @@ class TestDenoise:
         assert proc.returncode == 4, proc.stderr
         assert "normal" in proc.stderr
 
+    def test_huge_atan_a0_exit_code(self, tmp_path, noisy):
+        proc = run_cli("denoise", str(noisy), str(tmp_path / "o.txt"), "--penalty", "atan",
+                       "--lambda0", "0.4", "--lambda1", "2.0", "--a0", "1e308", "--a1", "0",
+                       "--allow-nonconvex")
+        assert proc.returncode == 4, proc.stderr
+        assert "atan" in proc.stderr and not (tmp_path / "o.txt").exists()
+
 
 class TestCheckConvexity:
     def test_boundary_convex(self):

@@ -5,6 +5,7 @@ from cncflsa import (
     CncConfig,
     ConvexityError,
     PenaltySpec,
+    cnc,
     convexity_margin,
     convexity_margin_params,
     fused_lasso_l1,
@@ -339,14 +340,10 @@ class TestSolve:
         cfg = random_convex_cfg(rng)
         cfg.tol = 1e-13
         cfg.max_iter = 200
-        res_a = solve(y, cfg, init="zero")
-        res_b = solve(y, cfg, init="flsa")
-        assert np.max(np.abs(res_a.x - res_b.x)) <= 1e-6
-
-    def test_bad_init_rejected(self):
-        cfg = make_cfg(1.0, 1.0, 0.1, 0.1)
-        with pytest.raises(ValueError):
-            solve(np.ones(4), cfg, init="warm")
+        zero = np.zeros_like(y)
+        x_a, _, _ = cnc._mm_updates(y, majorized_input(zero, y, cfg), objective(zero, y, cfg), cfg)
+        res_b = solve(y, cfg)
+        assert np.max(np.abs(x_a - res_b.x)) <= 1e-6
 
     def test_degenerate_lambda0_is_pure_tv(self):
         rng = np.random.default_rng(17)

@@ -1,10 +1,11 @@
-"""The fused MM loop of `cnc.solve` against `mm_reference`, the same loop
+"""The MM loop of `cnc.solve` against `mm_reference`, the same loop
 chained from per-step functions written out in `tests/refsolvers.py`:
 byte-identical iterates, objective histories, update counts and stopping
-flags, with either tvd backend, and over every solve of the criterion-7
-sweep; the compiled loop (`cncflsa_mm_solve`) against the Python loop
-(`cnc._mm_loop_python`) solve by solve; and the public `objective` and
-`majorized_input` against the same per-step functions."""
+flags, with either backend, and over every solve of the criterion-7 sweep;
+the compiled loop (`cncflsa_mm_solve`) against the Python loop
+(`cnc._mm_loop_python`, the chain of the public `fused_lasso_l1`,
+`objective` and `majorized_input`) solve by solve; and the public
+`objective` and `majorized_input` against the same per-step functions."""
 
 import contextlib
 from unittest import mock
@@ -57,38 +58,35 @@ caps = st.sampled_from([(1, 1e-9), (3, 1e-15), (50, 1e-9)])
 
 @pytest.mark.parametrize("tvd_backend", ["c", "python"])
 @settings(max_examples=150, deadline=None)
-@given(signals, st.sampled_from(KINDS), weights, weights, degrees, degrees,
-       st.sampled_from(["flsa", "zero"]), caps)
-@example([-0.0], "atan", 0.5, 1.0, 0.5, 0.5, "flsa", (50, 1e-9))
-@example([-0.0, 2.0, -0.0], "log", 0.0, 1.0, 0.0, 0.2, "zero", (50, 1e-9))
-@example([1.0, -0.0, 3.0, 3.0], "rational", 0.4, 0.0, 1.0, 0.0, "flsa", (2, 1e-15))
-def test_solve_matches_mm_reference_bytes(tvd_backend, values, kind, lam0, lam1, a0, a1,
-                                          init, cap):
+@given(signals, st.sampled_from(KINDS), weights, weights, degrees, degrees, caps)
+@example([-0.0], "atan", 0.5, 1.0, 0.5, 0.5, (50, 1e-9))
+@example([-0.0, 2.0, -0.0], "log", 0.0, 1.0, 0.0, 0.2, (50, 1e-9))
+@example([1.0, -0.0, 3.0, 3.0], "rational", 0.4, 0.0, 1.0, 0.0, (2, 1e-15))
+def test_solve_matches_mm_reference_bytes(tvd_backend, values, kind, lam0, lam1, a0, a1, cap):
     max_iter, tol = cap
     cfg = CncConfig(lam0, lam1, PenaltySpec(kind, a0), PenaltySpec(kind, a1),
                     max_iter=max_iter, tol=tol, allow_nonconvex=True, allow_degenerate=True)
     y = np.array(values)
     with backend(tvd_backend):
-        assert same_bytes(solve(y, cfg, init=init), mm_reference(y, cfg, init=init))
+        assert same_bytes(solve(y, cfg), mm_reference(y, cfg))
 
 
 @pytest.mark.skipif(prox.TVD_BACKEND != "c", reason="no compiled library")
 @settings(max_examples=200, deadline=None)
 @given(signals, st.sampled_from(KINDS), st.sampled_from(KINDS), weights, weights, degrees,
-       degrees, st.sampled_from(["flsa", "zero"]), st.one_of(caps, st.just((50, 1e-300))))
-@example([-0.0], "atan", "log", 0.5, 1.0, 0.5, 0.5, "flsa", (50, 1e-9))
-@example([-0.0, 2.0, -0.0], "log", "log", 0.3, 1.0, 0.2, 0.2, "zero", (50, 1e-300))
-@example([1.0, -0.0, 3.0], "atan", "l1", 0.4, 0.7, 2.5, 0.0, "flsa", (3, 1e-15))
-@example([0.5, 3.0], "rational", "atan", 0.0, 1.0, 1.0, 0.3, "flsa", (1, 1e-9))
-def test_compiled_loop_matches_python_loop_bytes(values, kind0, kind1, lam0, lam1, a0, a1, init,
-                                                 cap):
+       degrees, st.one_of(caps, st.just((50, 1e-300))))
+@example([-0.0], "atan", "log", 0.5, 1.0, 0.5, 0.5, (50, 1e-9))
+@example([-0.0, 2.0, -0.0], "log", "log", 0.3, 1.0, 0.2, 0.2, (50, 1e-300))
+@example([1.0, -0.0, 3.0], "atan", "l1", 0.4, 0.7, 2.5, 0.0, (3, 1e-15))
+@example([0.5, 3.0], "rational", "atan", 0.0, 1.0, 1.0, 0.3, (1, 1e-9))
+def test_compiled_loop_matches_python_loop_bytes(values, kind0, kind1, lam0, lam1, a0, a1, cap):
     max_iter, tol = cap
     cfg = CncConfig(lam0, lam1, PenaltySpec(kind0, a0), PenaltySpec(kind1, a1),
                     max_iter=max_iter, tol=tol, allow_nonconvex=True, allow_degenerate=True)
     y = np.array(values)
-    compiled = solve(y, cfg, init=init)
+    compiled = solve(y, cfg)
     with backend("python"):
-        assert same_bytes(compiled, solve(y, cfg, init=init))
+        assert same_bytes(compiled, solve(y, cfg))
 
 
 @pytest.mark.parametrize("tvd_backend", ["c", "python"])

@@ -30,10 +30,10 @@ def test_compiled_loop_calls_no_python_per_update(monkeypatch):
         return finish(self, phi)
 
     def forbidden(*args):
-        raise AssertionError("the Python step ran")
+        raise AssertionError("the Python loop ran")
 
     monkeypatch.setattr(PenaltySpec, "_finish", counting)
-    monkeypatch.setattr(cnc, "_mm_step_python", forbidden)
+    monkeypatch.setattr(cnc, "_mm_loop_python", forbidden)
     rng = np.random.default_rng(1)
     y = np.repeat(rng.normal(0.0, 3.0, 10), 30) + rng.normal(0.0, 0.5, 300)
     updates = []

@@ -57,6 +57,21 @@ class TestValue:
         assert np.all(np.isfinite(p.value(x))) and np.all(np.isfinite(p.residual_deriv(x)))
         assert p.value(0.0) == 0.0
 
+    def test_huge_atan_a_rejected(self):
+        # -4*a in the atan s' overflows past a quarter of the largest float,
+        # where s'(0) read NaN and s'(1e-300) -inf.
+        top = np.finfo(float).max / 4.0
+        for a in (np.nextafter(top, np.inf), 1e308, np.finfo(float).max):
+            with pytest.raises(ValueError, match="atan"):
+                PenaltySpec("atan", a)
+        p = PenaltySpec("atan", top)
+        x = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0])
+        ds = p.residual_deriv(x)
+        assert np.all(np.isfinite(ds)) and ds[0] == ds[1] == 0.0
+        np.testing.assert_allclose(ds[2:], [-1.0, 1.0, -1.0], rtol=1e-15)
+        for kind in ("log", "rational"):
+            assert PenaltySpec(kind, 1e308).a == 1e308
+
 
 class TestResidual:
     def test_zero_at_origin(self):
@@ -159,14 +174,16 @@ def test_each_method_computes_only_what_it_returns(kind, monkeypatch):
         p.value(PROBES), p.value(0.5)
 
 
-@pytest.mark.parametrize("kind", ["atan", "rational"])
+@pytest.mark.parametrize("kind", ["atan", "rational", "log"])
 @pytest.mark.parametrize("a", [1e-3, 1.0, 1e160])
 def test_slope_stays_finite_past_overflow(kind, a):
-    """The squares in s' overflow from a*|x| of about 1e154 on; s' takes its
-    limit -sign(x) there, with no warning, up to a*|x| = 1e300, and keeps
-    the bits of the formula wherever that is finite.  Rounding takes |s'|
-    up to two ulps past 1 where a*|x| is between 2**52 and 2**56, so the
-    bound allows that."""
+    """The squares in the atan and rational s' overflow from a*|x| of about
+    1e154 on; s' takes its limit -sign(x) there, with no warning, up to
+    a*|x| = 1e300, and keeps the bits of the formula wherever that is
+    finite.  Rounding takes |s'| up to two ulps past 1 where a*|x| is
+    between 2**52 and 2**56, so the bound allows that.  With a = 1e160 the
+    largest x take a*|x| itself past the largest float, where numpy warns
+    of the overflow and the log s' read NaN; s' is -sign(x) there too."""
     u = np.concatenate([np.logspace(-3.0, 300.0, 3031), 2.0 ** np.arange(50.0, 997.0, 0.125)])
     x = u / a
     p = PenaltySpec(kind, a)
@@ -178,3 +195,8 @@ def test_slope_stays_finite_past_overflow(kind, a):
     assert np.all(np.isfinite(ds))
     assert np.all(np.abs(ds) <= 1.0 + 4.0 * np.finfo(float).eps)
     assert np.all(ds[a * x >= 2.0**56] == -1.0)
+    huge = np.finfo(float).max / 2.0 ** np.arange(0.0, 1000.0, 8.0)
+    with np.errstate(over="ignore"):
+        ds, past = p.residual_deriv(huge), a * huge >= 2.0**56
+    assert ds.tobytes() == penalty_terms(kind, a, huge)[1].tobytes()
+    assert np.all(np.isfinite(ds)) and np.all(ds[past] == -1.0)

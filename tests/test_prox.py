@@ -202,3 +202,16 @@ class TestFusedLasso:
             fused_lasso_l1([1.0, 2.0], -0.1, 0.5)
         with pytest.raises(ValueError):
             fused_lasso_l1([1.0, 2.0], 0.1, -0.5)
+
+
+@pytest.mark.parametrize("y", [np.array([-0.0]), np.array([2.5]), np.array([1.0, -0.0, 3.0])])
+def test_results_never_alias_the_input(y):
+    """At N = 1 and at lambda = 0 the kernels copy their input through; the
+    result must still be a new array, because `as_signal` hands back the
+    caller's own float64 array."""
+    before = y.tobytes()
+    for out in (tvd(y, 0.0), tvd(y, 1.0), soft_threshold(y, 0.0),
+                fused_lasso_l1(y, 0.0, 0.0), fused_lasso_l1(y, 0.0, 1.0)):
+        assert not np.shares_memory(out, y)
+        out[:] = 7.0
+        assert y.tobytes() == before
