@@ -5,14 +5,20 @@
 /* Compiled kernels of cncflsa, bit-identical to their Python references.
  * Built with -ffp-contract=off and without -ffast-math, every operation
  * rounds on its own exactly as the same operation does in numpy, so each
- * function keeps its reference's expressions in their order.  What plain C
- * cannot round as numpy does (its SIMD arctan and log1p, its pairwise sum
- * and BLAS ddot) is done by calling numpy's own float64 inner loops.
+ * function keeps its reference's expressions in their order.  -O3 with
+ * -fno-trapping-math vectorizes the maps of cncflsa_mm_step, which changes
+ * no bit: each lane runs the same operations as one scalar would.  What
+ * plain C cannot round as numpy does (its SIMD arctan and log1p, its
+ * pairwise sum and BLAS ddot) is done by calling numpy's own float64 inner
+ * loops.
  *
  * cncflsa_tvd: exact 1-D total variation denoising, a line-for-line port of
  * cncflsa.prox._tvd_python (its docstring and comments describe the
  * algorithm).  Requires n >= 2 and lam > 0; the caller owns x (n doubles)
- * and work (8 n doubles). */
+ * and work (8 n doubles), whose rows are the knots' pos, d_a and d_b
+ * (2 n doubles each, from work, work + 2 n and work + 4 n) and the clamps
+ * lo_clamp and hi_clamp (n - 1 doubles each, from work + 6 n and
+ * work + 7 n). */
 
 void cncflsa_tvd(const double *y, long n, double lam, double *x, double *work)
 {
@@ -62,8 +68,8 @@ void cncflsa_tvd(const double *y, long n, double lam, double *x, double *work)
 /* Arguments of cncflsa_mm_step and cncflsa_mm_solve; mirrored by
  * cncflsa.cnc._StepArgs, whose rows come from cncflsa.cnc._mm_rows:
  * shifted, x and r of n doubles, phi0 of n, phi1 of n - 1, and work, the
- * 8 n doubles of tvd scratch.  max_iter and tol are read by
- * cncflsa_mm_solve only. */
+ * 8 n doubles of tvd scratch, whose lo_clamp row cncflsa_mm_step reuses
+ * for s1'.  max_iter and tol are read by cncflsa_mm_solve only. */
 struct mm_step {
     long n;
     const double *y;
@@ -82,55 +88,93 @@ enum { KIND_L1, KIND_LOG, KIND_ATAN, KIND_RATIONAL };
  * and where a|z| itself does. */
 #define U_LIMIT 72057594037927936.0
 
+#define INLINE static inline __attribute__((always_inline))
+
+/* The kind whose formulas a penalty runs: with a = 0 every kind is l1. */
+static int effective_kind(int kind, double a)
+{
+    return a == 0.0 ? KIND_L1 : kind;
+}
+
 /* cncflsa.penalties.PenaltySpec._phi and ._slope at one sample z: stores
  * phi(z), or for log and atan the argument of their transcendental, and
- * returns s'(z). */
-static double algebra(int kind, double a, double z, double *phi)
+ * returns s'(z).  Each loop that inlines it passes a constant kind from
+ * effective_kind, so the kind costs no branch, and the limit is a select
+ * between two computed values, not an early return: the loop body has no
+ * control flow and gcc vectorizes it.  The formula's value past U_LIMIT,
+ * NaN or inf where it overflows, is computed and discarded. */
+INLINE double algebra(int kind, double a, double z, double *phi)
 {
-    double az = fabs(z), u, v;
+    double az = fabs(z), u = a * az, v, slope;
 
-    if (a == 0.0) {
+    if (kind == KIND_L1) {
         *phi = az;
         return 0.0;
     }
-    u = a * az;
-    if (kind == KIND_LOG)
+    if (kind == KIND_LOG) {
         *phi = u;
-    else if (kind == KIND_ATAN)
+        slope = -a * z / (1.0 + u);
+    } else if (kind == KIND_ATAN) {
         *phi = 1.7320508075688772 * u / (2.0 + u); /* sqrt(3) */
-    else
-        *phi = az / (1.0 + 0.5 * a * az);
-    if (u > U_LIMIT)
-        return z > 0.0 ? -1.0 : 1.0;
-    if (kind == KIND_LOG)
-        return -a * z / (1.0 + u);
-    if (kind == KIND_ATAN) {
         v = 1.0 + 2.0 * u;
-        return -4.0 * a * z * (1.0 + u) / (3.0 + v * v);
+        slope = -4.0 * a * z * (1.0 + u) / (3.0 + v * v);
+    } else {
+        *phi = az / (1.0 + 0.5 * a * az);
+        v = 1.0 + 0.5 * u;
+        slope = -a * z * (1.0 + 0.25 * u) / (v * v);
     }
-    v = 1.0 + 0.5 * u;
-    return -a * z * (1.0 + 0.25 * u) / (v * v);
+    return u > U_LIMIT ? (z > 0.0 ? -1.0 : 1.0) : slope;
+}
+
+/* The map over x: r = y - x, phi0, and y - lam0 s0'(x), the first term of
+ * majorized_input, written into shifted. */
+INLINE void map_x(int kind, const struct mm_step *m)
+{
+    const double *restrict y = m->y, *restrict x = m->x;
+    double *restrict shifted = m->shifted, *restrict r = m->r, *restrict phi0 = m->phi0;
+    double a = m->a0, lam0 = m->lam0;
+    long i;
+
+    for (i = 0; i < m->n; i++) {
+        r[i] = y[i] - x[i];
+        shifted[i] = y[i] - lam0 * algebra(kind, a, x[i], &phi0[i]);
+    }
+}
+
+/* The map over diff(x): phi1, and s1' into ds1. */
+INLINE void map_diff(int kind, const struct mm_step *m, double *restrict ds1)
+{
+    const double *restrict x = m->x;
+    double *restrict phi1 = m->phi1;
+    double a = m->a1;
+    long i;
+
+    for (i = 0; i < m->n - 1; i++)
+        ds1[i] = algebra(kind, a, x[i + 1] - x[i], &phi1[i]);
 }
 
 /* One MM update, the public functions of the Python chain
- * cncflsa.cnc._mm_loop_python fused into one pass: x = fused_lasso_l1(
- * shifted, lam0, lam1), that is soft_threshold(tvd(shifted, lam1), lam0),
- * r = y - x, phi0 from x and phi1 from diff(x) (PenaltySpec._phi, the
- * per-sample half of objective), and the next shifted input
- * majorized_input(x, y), y - lam0 s0'(x) - lam1 D^T s1'(diff(x)), written
- * over the one just used. */
+ * cncflsa.cnc._mm_loop_python: x = fused_lasso_l1(shifted, lam0, lam1),
+ * that is soft_threshold(tvd(shifted, lam1), lam0), r = y - x, phi0 from x
+ * and phi1 from diff(x) (PenaltySpec._phi, the per-sample half of
+ * objective), and the next shifted input majorized_input(x, y),
+ * y - lam0 s0'(x) - lam1 D^T s1'(diff(x)), written over the one just used.
+ * After the kernel and the soft threshold, three branch-free loops: the map
+ * over x, the map over diff(x), and the D^T pass.  s1' (n - 1 doubles)
+ * lives in the kernel's lo_clamp row at work + 6 n: dead once the kernel
+ * has returned, and memory each update already touches, so the scratch
+ * costs no new pages. */
 void cncflsa_mm_step(const struct mm_step *m)
 {
     long n = m->n, i;
-    double *shifted = m->shifted, *x = m->x, *r = m->r, *phi0 = m->phi0;
-    double *phi1 = m->phi1;
-    double t, v, sign, ds0, ds1 = 0.0, prev = 0.0, s;
+    double *shifted = m->shifted, *x = m->x, *ds1 = m->work + 6 * n;
+    double t, v, sign, lam1 = m->lam1;
 
-    if (n == 1 || m->lam1 == 0.0) {
+    if (n == 1 || lam1 == 0.0) {
         for (i = 0; i < n; i++)
             x[i] = shifted[i];
     } else {
-        cncflsa_tvd(shifted, n, m->lam1, x, m->work);
+        cncflsa_tvd(shifted, n, lam1, x, m->work);
     }
     for (i = 0; i < n; i++) { /* numpy's sign(t) * maximum(|t| - lam0, 0) */
         t = x[i];
@@ -138,20 +182,25 @@ void cncflsa_mm_step(const struct mm_step *m)
         v = fabs(t) - m->lam0;
         x[i] = sign * (v < 0.0 ? 0.0 : v);
     }
-    for (i = 0; i < n; i++) {
-        r[i] = m->y[i] - x[i];
-        ds0 = algebra(m->kind0, m->a0, x[i], &phi0[i]);
-        s = m->y[i] - m->lam0 * ds0;
-        if (n > 1) {
-            if (i < n - 1)
-                ds1 = algebra(m->kind1, m->a1, x[i + 1] - x[i], &phi1[i]);
-            /* (D^T ds1)[i], as cncflsa.prox._diff_adjoint forms it */
-            v = i == 0 ? -ds1 : (i == n - 1 ? prev : prev - ds1);
-            s = s - m->lam1 * v;
-            prev = ds1;
-        }
-        shifted[i] = s;
+    switch (effective_kind(m->kind0, m->a0)) {
+    case KIND_L1: map_x(KIND_L1, m); break;
+    case KIND_LOG: map_x(KIND_LOG, m); break;
+    case KIND_ATAN: map_x(KIND_ATAN, m); break;
+    default: map_x(KIND_RATIONAL, m);
     }
+    if (n == 1)
+        return;
+    switch (effective_kind(m->kind1, m->a1)) {
+    case KIND_L1: map_diff(KIND_L1, m, ds1); break;
+    case KIND_LOG: map_diff(KIND_LOG, m, ds1); break;
+    case KIND_ATAN: map_diff(KIND_ATAN, m, ds1); break;
+    default: map_diff(KIND_RATIONAL, m, ds1);
+    }
+    /* shifted - lam1 (D^T ds1), as cncflsa.prox._diff_adjoint forms it */
+    shifted[0] = shifted[0] - lam1 * -ds1[0];
+    for (i = 1; i < n - 1; i++)
+        shifted[i] = shifted[i] - lam1 * (ds1[i - 1] - ds1[i]);
+    shifted[n - 1] = shifted[n - 1] - lam1 * ds1[n - 2];
 }
 
 /* A float64 inner loop of a numpy ufunc, as numpy's ufuncobject.h declares

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import prox as _prox
 from .cnc import (
     MARGIN_TOL,
     METHODS,
@@ -31,7 +32,7 @@ from .cnc import (
     solve,
 )
 from .penalties import KINDS, PenaltySpec
-from .prox import TVD_BACKEND, _check_nonneg, fused_lasso_l1
+from .prox import _check_nonneg, fused_lasso_l1
 from .signalgen import (
     NoiseSpec,
     PulseSpec,
@@ -141,7 +142,8 @@ def cmd_denoise(args):
         "convexity_margin": convexity_margin(cfg),
         "iterations": result.iterations,
         "converged": result.converged,
-        "tvd_backend": TVD_BACKEND,
+        # The backend that ran, read at the call: the switch is prox._tvd_c.
+        "tvd_backend": "python" if _prox._tvd_c is None else "c",
         "objective_history": list(result.objective_history),
     }
     if args.reference is not None:

@@ -25,8 +25,10 @@ import numpy as np
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 # Bit equality with the Python kernel needs every operation rounded on its
 # own: no fused multiply-add (-ffp-contract=off), no -ffast-math, no
-# -march=native.
-_C_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# -march=native.  -fno-trapping-math changes no rounding; it lets -O3
+# turn the selects of the MM step's maps into vector blends, which gcc
+# otherwise refuses as control flow in the loop.
+_C_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-trapping-math")
 
 
 def as_signal(x, name="signal"):

@@ -11,6 +11,7 @@ from cncflsa import (
     cli,
     default_pulse_spec,
     generate_pulses,
+    prox,
     tvd,
 )
 from cncflsa.cli import collect_run_records, read_signal, write_signal
@@ -147,6 +148,16 @@ class TestDenoise:
         assert proc.returncode == 0, proc.stderr
         meta = json.loads((tmp_path / "out.txt.json").read_text())
         assert meta["tvd_backend"] == TVD_BACKEND
+
+    def test_metadata_reports_the_backend_that_ran(self, tmp_path, noisy, monkeypatch):
+        """With the library switched off after import, the solve runs the
+        Python loop, and the metadata must say so."""
+        monkeypatch.setattr(prox, "_tvd_c", None)
+        out = tmp_path / "out.txt"
+        assert cli.main(["denoise", str(noisy), str(out), "--lambda0", "0.4",
+                         "--lambda1", "2.0"]) == 0
+        meta = json.loads((tmp_path / "out.txt.json").read_text())
+        assert meta["tvd_backend"] == "python"
 
     def test_l1_denoise_of_own_output_converges_immediately(self, tmp_path, noisy):
         first = tmp_path / "first.txt"

@@ -1,8 +1,8 @@
 """The compiled MM update (`cncflsa_mm_step`) against the public functions
 it fuses, call by call: byte-identical iterate (`fused_lasso_l1`),
 residual, penalty arrays (`PenaltySpec._phi`) and next shifted input
-(`majorized_input`), and the fallback to the Python loop when the library
-lacks the compiled step."""
+(`majorized_input`), the build flags that this rests on, and the fallback
+to the Python loop when the library lacks the compiled step."""
 
 import ctypes
 import shutil
@@ -27,6 +27,12 @@ signals = st.one_of(
 weights = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
 degrees = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
 WIDE = np.random.default_rng(9).normal(0.0, 3.0, 60).tolist()
+# Small samples, spikes and a step: with a = 2**52, a*|z| of the large
+# values of x and of diff(x) is past 2**56 and of the small ones is not,
+# so the lanes past the limit sit between finite ones; with a = 1e160 every
+# nonzero lane is past it, where the atan and rational formulas overflow.
+EDGE = [0.4, 60.0, -0.7, 0.2, 0.5, 40.0, 40.5, 39.8, -0.3, 0.9, -60.0, 0.6, -0.2, 0.8, 0.0,
+        -0.9, 50.0]
 
 
 def run_steps(y, shifted, cfg, compiled, calls=3):
@@ -71,6 +77,15 @@ def run_steps(y, shifted, cfg, compiled, calls=3):
 @example(WIDE, 5, "atan", "rational", 0.1, 0.1, 1e160, 1e160)
 # a*|x| past the largest float, where the log s' read NaN.
 @example(WIDE, 6, "log", "log", 0.1, 0.1, 1e308, 1e308)
+# Lengths that end the vectorized maps in each kind of tail: every kind
+# past the limit as penalty0 and as penalty1, and a = 0 beside a > 0.
+@example(EDGE[:2], 7, "log", "atan", 0.1, 0.1, 2.0**52, 2.0**52)
+@example(EDGE[:3], 8, "atan", "rational", 0.1, 0.1, 2.0**52, 2.0**52)
+@example(EDGE[:4], 9, "rational", "log", 0.1, 0.1, 2.0**52, 2.0**52)
+@example(EDGE[:5], 10, "l1", "rational", 0.1, 0.1, 0.0, 1e160)
+@example(EDGE[:8], 11, "atan", "log", 0.1, 0.1, 2.0**52, 2.0**52)
+@example(EDGE[:9], 12, "rational", "atan", 0.1, 0.1, 1e160, 0.0)
+@example(EDGE, 13, "log", "atan", 0.1, 0.1, 1e160, 2.0**52)
 def test_compiled_step_matches_python_twin_bytes(values, seed, kind0, kind1, lam0, lam1, a0, a1):
     y = np.array(values)
     # Start from the shifted input of a random iterate, zeroed in places.
@@ -80,6 +95,14 @@ def test_compiled_step_matches_python_twin_bytes(values, seed, kind0, kind1, lam
     with np.errstate(over="ignore"):
         shifted = cnc.majorized_input(v, y, cfg)
     assert run_steps(y, shifted, cfg, compiled=True) == run_steps(y, shifted, cfg, compiled=False)
+
+
+def test_build_flags_round_every_operation_on_its_own():
+    """The byte tests above run one build; these flags are what make every
+    build of the library round as numpy does."""
+    assert "-ffp-contract=off" in prox._C_FLAGS
+    assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-fassociative-math",
+                "-ffinite-math-only", "-march=native"} & set(prox._C_FLAGS)
 
 
 def test_solve_reads_a_strided_observation():

@@ -10,13 +10,19 @@ repeats, in milliseconds per call:
 - one MM update at N = 300 and 30,000, taken as the difference between a
   solve capped at 11 updates and one capped at 1, divided by 10 (the
   tolerance is so tight that neither stops early);
+- with the compiled library, one call of ``cncflsa_mm_step`` at N = 300 and
+  30,000, split into its ``tvd`` kernel (``cncflsa_tvd`` on the step's
+  input) and the rest of the step (the step minus the kernel, both timed
+  in the same repeat);
 - ``cnc.solve`` on the 300-sample fixture;
 - the criterion-7 sweep (3 sigma x 3 methods x 20 lambda0 x 15 trials);
 - ``python -m cncflsa.cli denoise`` on the 300-sample fixture, in a fresh
   interpreter.
 
-Only public names are timed, so the script measures whichever version of
-the package is on the import path.  Run it once per version, each with its
+Apart from the compiled step's split, which calls the library through
+``cnc._mm_rows`` and ``cnc._step_args`` as ``cnc.solve`` does, only public
+names are timed, so the script measures whichever version of the package
+is on the import path.  Run it once per version, each with its
 own label, to put both into one file:
 
     PYTHONPATH=<parent checkout>/src python tools/bench_layers.py --tag T --label parent
@@ -45,6 +51,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import ctypes
 import json
 import platform
 import subprocess
@@ -71,7 +78,7 @@ from cncflsa import (
     solve,
     tvd,
 )
-from cncflsa import prox
+from cncflsa import cnc, prox
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from gauge import Gauge, in_process  # noqa: E402
@@ -125,6 +132,32 @@ def mm_update_ms(y, inner):
     return (timed(lambda: solve(y, long_cfg), inner) - timed(lambda: solve(y, short_cfg), inner)) / 10
 
 
+def compiled_step(n):
+    """Zero-argument callables of one compiled MM step on signal(n) and of
+    the tvd kernel on that step's input; None without the library.  Ten
+    steps first bring the iterate near its fixed point, where a solve
+    spends most of its updates, so that later steps change the input
+    little.  The kernel's arguments are converted once, so that its call
+    costs about what a step's call does."""
+    lib = prox._tvd_c
+    if lib is None:
+        return None
+    y, cfg = signal(n), cnc_config()
+    rows, addresses = cnc._mm_rows(n)
+    rows[0][:] = majorized_input(fused_lasso_l1(y, cfg.lambda0, cfg.lambda1), y, cfg)
+    args = ctypes.byref(cnc._step_args(y, addresses, cfg))
+    for _ in range(10):
+        lib.cncflsa_mm_step(args)
+    shifted, x, work = rows[0].copy(), np.empty(n), np.empty(8 * n)
+    kernel_args = (ctypes.c_void_p(shifted.ctypes.data), ctypes.c_long(n),
+                   ctypes.c_double(cfg.lambda1), ctypes.c_void_p(x.ctypes.data),
+                   ctypes.c_void_p(work.ctypes.data))
+    # Each callable holds the arrays its arguments point into.
+    keep = (y, rows, shifted, x, work)
+    return (lambda keep=keep: lib.cncflsa_mm_step(args),
+            lambda keep=keep: lib.cncflsa_tvd(*kernel_args))
+
+
 def cli_denoise_ms(workdir):
     noisy, out = workdir / "noisy.txt", workdir / "out.txt"
     cli.write_signal(noisy, signal(300))
@@ -151,6 +184,16 @@ def layers(workdir):
     out.append(("solve start N=30000", REPEATS, lambda: timed(lambda: solve_start(y30k, cfg), 4)))
     out.append(("MM update N=300", REPEATS, lambda: mm_update_ms(y300, 40)))
     out.append(("MM update N=30000", REPEATS, lambda: mm_update_ms(y30k, 2)))
+    for n, inner in ((300, 400), (30000, 4)):
+        split = compiled_step(n)
+        if split is not None:
+            step, kernel = split
+            out.append((f"MM step N={n}", REPEATS,
+                        lambda step=step, inner=inner: timed(step, inner)))
+            out.append((f"MM step tvd N={n}", REPEATS,
+                        lambda kernel=kernel, inner=inner: timed(kernel, inner)))
+            out.append((f"MM step rest N={n}", REPEATS, lambda step=step, kernel=kernel,
+                        inner=inner: timed(step, inner) - timed(kernel, inner)))
     out.append(("cnc.solve N=300", REPEATS, lambda: timed(lambda: solve(y300, cfg), 40)))
     out.append(("criterion-7 sweep", 5, lambda: timed(
         lambda: cli.sweep_sigma(SWEEP_SIGMAS, 15, 0, 0.25, "atan", ["l1", "mdfl", "cnc"]), 1)))
