@@ -65,17 +65,17 @@ void cncflsa_tvd(const double *y, long n, double lam, double *x, double *work)
     }
 }
 
-/* Arguments of cncflsa_mm_step and cncflsa_mm_solve; mirrored by
- * cncflsa.cnc._StepArgs, whose rows come from cncflsa.cnc._mm_rows:
- * shifted, x and r of n doubles, phi0 of n, phi1 of n - 1, and work, the
- * 8 n doubles of tvd scratch, whose lo_clamp row cncflsa_mm_step reuses
- * for s1'.  max_iter and tol are read by cncflsa_mm_solve only. */
+/* Arguments of cncflsa_mm_solve, all but max_iter and tol read by its
+ * internal update cncflsa_mm_step; mirrored by cncflsa.cnc._StepArgs, whose
+ * rows come from cncflsa.cnc._mm_rows: shifted, x and r of n doubles, phi0
+ * of n, phi1 of n - 1, and work, the 8 n doubles of tvd scratch, whose
+ * lo_clamp row cncflsa_mm_step reuses for s1'. */
 struct mm_step {
     long n;
     const double *y;
     double *shifted, *x, *r, *phi0, *phi1, *work;
     double lam0, lam1, a0, a1;
-    int kind0, kind1; /* index into cncflsa.penalties.KINDS */
+    int kind0, kind1; /* index into KINDS; PenaltySpec makes a = 0 "l1" */
     long max_iter;
     double tol;
 };
@@ -90,19 +90,13 @@ enum { KIND_L1, KIND_LOG, KIND_ATAN, KIND_RATIONAL };
 
 #define INLINE static inline __attribute__((always_inline))
 
-/* The kind whose formulas a penalty runs: with a = 0 every kind is l1. */
-static int effective_kind(int kind, double a)
-{
-    return a == 0.0 ? KIND_L1 : kind;
-}
-
 /* cncflsa.penalties.PenaltySpec._phi and ._slope at one sample z: stores
  * phi(z), or for log and atan the argument of their transcendental, and
- * returns s'(z).  Each loop that inlines it passes a constant kind from
- * effective_kind, so the kind costs no branch, and the limit is a select
- * between two computed values, not an early return: the loop body has no
- * control flow and gcc vectorizes it.  The formula's value past U_LIMIT,
- * NaN or inf where it overflows, is computed and discarded. */
+ * returns s'(z).  Each loop that inlines it passes a constant kind, so the
+ * kind costs no branch, and the limit is a select between two computed
+ * values, not an early return: the loop body has no control flow and gcc
+ * vectorizes it.  The formula's value past U_LIMIT, NaN or inf where it
+ * overflows, is computed and discarded. */
 INLINE double algebra(int kind, double a, double z, double *phi)
 {
     double az = fabs(z), u = a * az, v, slope;
@@ -164,7 +158,7 @@ INLINE void map_diff(int kind, const struct mm_step *m, double *restrict ds1)
  * lives in the kernel's lo_clamp row at work + 6 n: dead once the kernel
  * has returned, and memory each update already touches, so the scratch
  * costs no new pages. */
-void cncflsa_mm_step(const struct mm_step *m)
+static void cncflsa_mm_step(const struct mm_step *m)
 {
     long n = m->n, i;
     double *shifted = m->shifted, *x = m->x, *ds1 = m->work + 6 * n;
@@ -182,7 +176,7 @@ void cncflsa_mm_step(const struct mm_step *m)
         v = fabs(t) - m->lam0;
         x[i] = sign * (v < 0.0 ? 0.0 : v);
     }
-    switch (effective_kind(m->kind0, m->a0)) {
+    switch (m->kind0) {
     case KIND_L1: map_x(KIND_L1, m); break;
     case KIND_LOG: map_x(KIND_LOG, m); break;
     case KIND_ATAN: map_x(KIND_ATAN, m); break;
@@ -190,7 +184,7 @@ void cncflsa_mm_step(const struct mm_step *m)
     }
     if (n == 1)
         return;
-    switch (effective_kind(m->kind1, m->a1)) {
+    switch (m->kind1) {
     case KIND_L1: map_diff(KIND_L1, m, ds1); break;
     case KIND_LOG: map_diff(KIND_LOG, m, ds1); break;
     case KIND_ATAN: map_diff(KIND_ATAN, m, ds1); break;
@@ -223,7 +217,7 @@ static void finish(const struct numpy_loops *np, int kind, double a, double *phi
     intptr_t steps[2] = {8, 8}, i;
     double scale;
 
-    if (a == 0.0 || len == 0)
+    if (len == 0)
         return;
     if (kind == KIND_LOG) {
         np->log1p(args, &len, steps, NULL);

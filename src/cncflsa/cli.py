@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -110,26 +111,12 @@ def _method_name(a0, a1):
     return "cnc"
 
 
-def _build_config(lam0, lam1, kind, a0, a1, tol, max_iter, allow_nonconvex):
-    return CncConfig(
-        lambda0=lam0,
-        lambda1=lam1,
-        penalty0=PenaltySpec(kind, a0),
-        penalty1=PenaltySpec(kind, a1),
-        max_iter=max_iter,
-        tol=tol,
-        allow_nonconvex=allow_nonconvex,
-        allow_degenerate=(lam0 == 0.0 or lam1 == 0.0),
-    )
-
-
 def cmd_denoise(args):
     y = read_signal(args.input)
     a0, a1 = method_params(args.method, args.lambda0, args.lambda1, args.a0, args.a1)
-    cfg = _build_config(
-        args.lambda0, args.lambda1, args.penalty, a0, a1,
-        args.tol, args.max_iter, args.allow_nonconvex,
-    )
+    cfg = CncConfig(args.lambda0, args.lambda1, PenaltySpec(args.penalty, a0),
+                    PenaltySpec(args.penalty, a1), max_iter=args.max_iter, tol=args.tol,
+                    allow_nonconvex=args.allow_nonconvex)
     result = solve(y, cfg)
     write_signal(args.output, result.x)
     meta = {
@@ -191,7 +178,8 @@ def collect_run_records(method, noisy, clean, lam0, lam1, kind, sigma,
                         base_seed, tol=1e-9, max_iter=50, a0=None):
     """Run one method over the noisy realizations, one RunRecord per trial."""
     a0, a1 = method_params(method, lam0, lam1, a0)
-    cfg = None if method == "l1" else _build_config(lam0, lam1, kind, a0, a1, tol, max_iter, False)
+    cfg = None if method == "l1" else CncConfig(lam0, lam1, PenaltySpec(kind, a0),
+                                                PenaltySpec(kind, a1), max_iter=max_iter, tol=tol)
     records = []
     for t, y in enumerate(noisy):
         t0 = time.perf_counter()
@@ -282,22 +270,31 @@ def cmd_sweep(args):
         raise ValueError("--trials must be >= 1")
     fields = ["method", "axis", "value", "lambda0", "a0", "a1",
               "mean_rmse", "std_rmse", "trials"]
-    # Opened first, so that an unwritable path fails before any solve.
-    with open(args.output, "w", newline="", encoding="ascii") as fh:
-        t0 = time.perf_counter()
-        if args.axis == "sigma":
-            rows = sweep_sigma(values, args.trials, args.seed, args.beta,
-                               args.penalty, methods, tol=args.tol, max_iter=args.max_iter)
-        else:
-            rows = sweep_a0(values, args.trials, args.seed, args.beta,
-                            args.penalty, args.sigma, tol=args.tol, max_iter=args.max_iter)
-        elapsed = time.perf_counter() - t0
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([row["method"], row["axis"]]
-                            + [f"{row[f]:.17g}" for f in fields[2:-1]]
-                            + [row["trials"]])
+    # Opened first, so that an unwritable path fails before any solve, and
+    # moved over the output only once the sweep has succeeded.
+    if os.path.isdir(args.output):
+        raise IsADirectoryError(f"--output {args.output} is a directory")
+    tmp = f"{args.output}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="ascii") as fh:
+            t0 = time.perf_counter()
+            if args.axis == "sigma":
+                rows = sweep_sigma(values, args.trials, args.seed, args.beta,
+                                   args.penalty, methods, tol=args.tol, max_iter=args.max_iter)
+            else:
+                rows = sweep_a0(values, args.trials, args.seed, args.beta,
+                                args.penalty, args.sigma, tol=args.tol, max_iter=args.max_iter)
+            elapsed = time.perf_counter() - t0
+            writer = csv.writer(fh)
+            writer.writerow(fields)
+            for row in rows:
+                writer.writerow([row["method"], row["axis"]]
+                                + [f"{row[f]:.17g}" for f in fields[2:-1]]
+                                + [row["trials"]])
+        os.replace(tmp, args.output)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     print(f"wrote {len(rows)} rows to {args.output} ({elapsed:.1f}s)")
     return EXIT_OK
 

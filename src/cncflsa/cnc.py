@@ -44,11 +44,11 @@ class ConvexityError(ValueError):
 class CncConfig:
     """Full problem parameterization for :func:`solve`.
 
-    lambda0/lambda1 must be positive; zero is allowed only with
-    allow_degenerate=True, which reduces the inner step to pure TV denoising
-    (lambda0 = 0) or pure soft thresholding (lambda1 = 0).  allow_nonconvex
-    disables the convexity-margin precondition for experiments outside the
-    certified region.
+    lambda0/lambda1 are finite and >= 0; a zero weight drops its penalty
+    term, which reduces the inner step to pure TV denoising (lambda0 = 0)
+    or pure soft thresholding (lambda1 = 0).  allow_nonconvex disables the
+    convexity-margin precondition for experiments outside the certified
+    region.
     """
 
     lambda0: float
@@ -58,16 +58,10 @@ class CncConfig:
     max_iter: int = 50
     tol: float = 1e-9
     allow_nonconvex: bool = False
-    allow_degenerate: bool = False
 
     def __post_init__(self):
         self.lambda0 = _check_nonneg(self.lambda0, "lambda0")
         self.lambda1 = _check_nonneg(self.lambda1, "lambda1")
-        if (self.lambda0 == 0.0 or self.lambda1 == 0.0) and not self.allow_degenerate:
-            raise ValueError(
-                "lambda0 and lambda1 must be positive; pass allow_degenerate=True "
-                "to run with one of them disabled"
-            )
         if not isinstance(self.penalty0, PenaltySpec) or not isinstance(self.penalty1, PenaltySpec):
             raise ValueError("penalty0 and penalty1 must be PenaltySpec instances")
         if int(self.max_iter) != self.max_iter or self.max_iter < 1:
@@ -293,9 +287,9 @@ class _StepArgs(ctypes.Structure):
 
 
 def _step_args(y, addresses, cfg):
-    """The arguments of ``cncflsa_mm_step`` and ``cncflsa_mm_solve`` for
-    a C-contiguous y and a solve's buffer addresses (see :func:`_mm_rows`);
-    the caller keeps y and the buffers alive while it uses them."""
+    """The arguments of ``cncflsa_mm_solve`` for a C-contiguous y and a
+    solve's buffer addresses (see :func:`_mm_rows`); the caller keeps y and
+    the buffers alive while it uses them."""
     return _StepArgs(y.size, y.ctypes.data, *addresses,
                      cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
                      KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind),

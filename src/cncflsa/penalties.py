@@ -43,11 +43,12 @@ def _match(out, like):
 class PenaltySpec:
     """Selects a sparsity penalty: kind plus non-convexity degree ``a``.
 
-    ``a`` has units of 1/amplitude.  Kind "l1" behaves exactly like any other
-    kind with a = 0 and is normalized to a = 0 on construction.  A subnormal
-    ``a`` is rejected: the scale 2 / (a*sqrt(3)) of "atan" overflows there.
-    So is an "atan" ``a`` above a quarter of the largest float, where the
-    factor -4*a of its s' overflows.
+    ``a`` has units of 1/amplitude.  Any kind with a = 0 is the absolute
+    value, so construction makes it "l1", and "l1" gets a = 0: every formula
+    chooses by kind alone.  A subnormal ``a`` is rejected: the scale
+    2 / (a*sqrt(3)) of "atan" overflows there.  So is an "atan" ``a`` above
+    a quarter of the largest float, where the factor -4*a of its s'
+    overflows.
     """
 
     kind: str = "l1"
@@ -61,7 +62,8 @@ class PenaltySpec:
             raise ValueError(f"penalty parameter a must be 0 or a normal float, got {self.a!r}")
         if self.kind == "atan" and a > _ATAN_A_MAX:
             raise ValueError(f"atan penalty parameter a must be <= {_ATAN_A_MAX!r}, got {a!r}")
-        if self.kind == "l1":
+        if self.kind == "l1" or a == 0.0:
+            object.__setattr__(self, "kind", "l1")
             a = 0.0
         object.__setattr__(self, "a", a)
 
@@ -77,7 +79,7 @@ class PenaltySpec:
         """
         xa = np.asarray(x, dtype=float)
         a = self.a
-        if a == 0.0:
+        if self.kind == "l1":
             return _match(np.zeros_like(xa), x)
         ax = np.abs(xa)
         u = a * ax
@@ -108,7 +110,7 @@ class PenaltySpec:
         transcendental, which :meth:`_finish` applies."""
         ax = np.abs(x)
         a = self.a
-        if a == 0.0:
+        if self.kind == "l1":
             return ax
         u = a * ax
         if self.kind == "log":
@@ -120,7 +122,7 @@ class PenaltySpec:
     def _slope(self, x):
         """s'(x; a) of a float array x of at least one dimension."""
         a = self.a
-        if a == 0.0:
+        if self.kind == "l1":
             return np.zeros_like(x)
         u = a * np.abs(x)
         fits = u <= _U_LIMIT
@@ -137,10 +139,10 @@ class PenaltySpec:
     def _finish(self, phi):
         """phi from :meth:`_phi`, computed in place."""
         a = self.a
-        if a != 0.0 and self.kind == "log":
+        if self.kind == "log":
             np.log1p(phi, out=phi)
             phi /= a
-        elif a != 0.0 and self.kind == "atan":
+        elif self.kind == "atan":
             np.arctan(phi, out=phi)
             phi *= 2.0 / (a * _SQRT3)
         return phi

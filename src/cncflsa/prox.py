@@ -310,7 +310,7 @@ def _select_backend():
     numpy's own bytes.  The library carries those loops as ``numpy_loops``."""
     try:
         lib = ctypes.CDLL(_build())
-        tvd, step, solve = lib.cncflsa_tvd, lib.cncflsa_mm_step, lib.cncflsa_mm_solve
+        tvd, solve = lib.cncflsa_tvd, lib.cncflsa_mm_solve
         loops = _NumpyLoops(_numpy_loop(np.arctan, "d->d"), _numpy_loop(np.log1p, "d->d"),
                             _numpy_loop(np.add, "dd->d"), _numpy_loop(np.vecdot, "dd->d"))
     except (OSError, AttributeError, ValueError):
@@ -319,8 +319,7 @@ def _select_backend():
         return None, "python"
     tvd.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
                     ctypes.c_void_p, ctypes.c_void_p)
-    step.argtypes = (ctypes.c_void_p,)
-    tvd.restype = step.restype = None
+    tvd.restype = None
     solve.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
     solve.restype = ctypes.c_long
     lib.numpy_loops = ctypes.byref(loops)

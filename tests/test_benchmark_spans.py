@@ -3,9 +3,12 @@ workload's code path records calls of every span that `perfbench/run.py`
 expects on it.  A change that routes a public call path around the public
 functions the tracer wraps fails here, before a traced benchmark run
 reports it as incorrect.  The expected names are read from `run.py`, and
-the tracer is `perfbench/spans.py`'s own."""
+the tracer is `perfbench/spans.py`'s own.  Since the tracer wraps the
+names in `cncflsa.__all__`, that list must name everything the package
+imports."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -77,3 +80,11 @@ def test_traced_run_records_every_expected_span(workload, tmp_path):
     expected = run.EXPECTED_SPANS + run.EXPECTED_EXTRA[workload]
     silent = [name for name in expected if summary.get(name, {"calls": 0})["calls"] == 0]
     assert not silent, f"no calls recorded on {workload}: {silent}"
+
+
+def test_all_lists_every_name_the_package_imports():
+    """The tracer wraps the functions named in `cncflsa.__all__`, so a name
+    the package imports but leaves out of it would go untraced."""
+    imported = {name for name, value in vars(cncflsa).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert imported == set(cncflsa.__all__)

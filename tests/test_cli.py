@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from cncflsa import (
+    CncConfig,
     NoiseSpec,
+    PenaltySpec,
     add_awgn,
     cli,
     default_pulse_spec,
     generate_pulses,
     prox,
+    solve,
     tvd,
 )
 from cncflsa.cli import collect_run_records, read_signal, write_signal
@@ -111,6 +114,18 @@ class TestDenoise:
         )
         assert proc.returncode == 0
         np.testing.assert_array_equal(read_signal(out), tvd(read_signal(noisy), 2.0))
+
+    @pytest.mark.parametrize("lam0, lam1, a0", [("0", "2.0", 0.0), ("0.4", "0", 0.5 / 0.4)])
+    def test_zero_weight_config_writes_the_denoise_bytes(self, tmp_path, noisy, lam0, lam1, a0):
+        """A config with a zero weight needs no opt-in, and its solve writes
+        what denoise (cnc, atan) writes for the same weights: a0 is 0 when
+        lambda0 is, and a1 is 0 when either weight is."""
+        cfg = CncConfig(float(lam0), float(lam1), PenaltySpec("atan", a0), PenaltySpec("atan", 0.0))
+        expected, out = tmp_path / "expected.txt", tmp_path / "out.txt"
+        write_signal(expected, solve(read_signal(noisy), cfg).x)
+        assert cli.main(["denoise", str(noisy), str(out),
+                         "--lambda0", lam0, "--lambda1", lam1]) == 0
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_default_a1_puts_margin_on_boundary(self, tmp_path, noisy):
         out = tmp_path / "out.txt"
@@ -315,6 +330,26 @@ class TestSweep:
         err = capsys.readouterr().err
         assert code == 4
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_directory_output_fails_before_any_solve(self, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the sweep ran before its output was checked")
+
+        monkeypatch.setattr(cli, "sweep_sigma", unreachable)
+        assert cli.main(["sweep", "--axis", "sigma", "--values", "0.5",
+                         "--output", str(tmp_path)]) == 4
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [None, b"method,axis\nl1,a0\n"])
+    def test_failed_sweep_leaves_the_output_as_it_was(self, tmp_path, existing):
+        out = tmp_path / "s.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        # With a0 = 1000 no lambda0 of the grid has a0*lambda0 <= 1.
+        assert cli.main(["sweep", "--axis", "a0", "--values", "1000", "--trials", "1",
+                         "--output", str(out)]) == 4
+        assert list(tmp_path.iterdir()) == ([] if existing is None else [out])
+        assert existing is None or out.read_bytes() == existing
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -348,10 +348,7 @@ class TestSolve:
     def test_degenerate_lambda0_is_pure_tv(self):
         rng = np.random.default_rng(17)
         y = random_piecewise(rng, 30)
-        cfg = CncConfig(
-            0.0, 0.9, PenaltySpec("log", 0.0), PenaltySpec("log", 0.0),
-            allow_degenerate=True,
-        )
+        cfg = CncConfig(0.0, 0.9, PenaltySpec("log", 0.0), PenaltySpec("log", 0.0))
         from cncflsa import tvd
 
         np.testing.assert_array_equal(solve(y, cfg).x, tvd(y, 0.9))
@@ -359,17 +356,10 @@ class TestSolve:
     def test_degenerate_lambda1_is_pure_soft(self):
         rng = np.random.default_rng(18)
         y = random_piecewise(rng, 30)
-        cfg = CncConfig(
-            0.7, 0.0, PenaltySpec("log", 0.0), PenaltySpec("log", 0.0),
-            allow_degenerate=True,
-        )
+        cfg = CncConfig(0.7, 0.0, PenaltySpec("log", 0.0), PenaltySpec("log", 0.0))
         from cncflsa import soft_threshold
 
         np.testing.assert_array_equal(solve(y, cfg).x, soft_threshold(y, 0.7))
-
-    def test_degenerate_requires_flag(self):
-        with pytest.raises(ValueError):
-            CncConfig(0.0, 1.0, PenaltySpec(), PenaltySpec())
 
     def test_single_sample_signal(self):
         # no difference term exists; the solve still runs and descends

@@ -65,7 +65,7 @@ caps = st.sampled_from([(1, 1e-9), (3, 1e-15), (50, 1e-9)])
 def test_solve_matches_mm_reference_bytes(tvd_backend, values, kind, lam0, lam1, a0, a1, cap):
     max_iter, tol = cap
     cfg = CncConfig(lam0, lam1, PenaltySpec(kind, a0), PenaltySpec(kind, a1),
-                    max_iter=max_iter, tol=tol, allow_nonconvex=True, allow_degenerate=True)
+                    max_iter=max_iter, tol=tol, allow_nonconvex=True)
     y = np.array(values)
     with backend(tvd_backend):
         assert same_bytes(solve(y, cfg), mm_reference(y, cfg))
@@ -82,7 +82,7 @@ def test_solve_matches_mm_reference_bytes(tvd_backend, values, kind, lam0, lam1,
 def test_compiled_loop_matches_python_loop_bytes(values, kind0, kind1, lam0, lam1, a0, a1, cap):
     max_iter, tol = cap
     cfg = CncConfig(lam0, lam1, PenaltySpec(kind0, a0), PenaltySpec(kind1, a1),
-                    max_iter=max_iter, tol=tol, allow_nonconvex=True, allow_degenerate=True)
+                    max_iter=max_iter, tol=tol, allow_nonconvex=True)
     y = np.array(values)
     compiled = solve(y, cfg)
     with backend("python"):
@@ -111,7 +111,7 @@ def test_public_steps_match_reference_bytes(values, seed, kind0, kind1, lam0, la
     y = np.array(values)
     x = np.random.default_rng(seed).normal(0.0, 2.0, y.size) * (np.arange(y.size) % 3 != 0)
     cfg = CncConfig(lam0, lam1, PenaltySpec(kind0, a0), PenaltySpec(kind1, a1),
-                    allow_nonconvex=True, allow_degenerate=True)
+                    allow_nonconvex=True)
     assert objective(x, y, cfg).hex() == mm_objective(x, y, cfg).hex()
     assert majorized_input(x, y, cfg).tobytes() == mm_shifted_input(x, y, cfg).tobytes()
 

@@ -1,10 +1,13 @@
-"""The compiled MM update (`cncflsa_mm_step`) against the public functions
-it fuses, call by call: byte-identical iterate (`fused_lasso_l1`),
-residual, penalty arrays (`PenaltySpec._phi`) and next shifted input
-(`majorized_input`), the build flags that this rests on, and the fallback
-to the Python loop when the library lacks the compiled step."""
+"""The compiled MM update against the public functions it fuses, one
+update at a time: `cncflsa_mm_solve` capped at one update gives the
+byte-identical iterate (`fused_lasso_l1`), residual, penalty values
+(`PenaltySpec.value`), F (`objective`) and next shifted input
+(`majorized_input`).  Also the build flags that this rests on, the one
+entry point of the loop, and the fallback to the Python loop when the
+library lacks it."""
 
 import ctypes
+import dataclasses
 import shutil
 from pathlib import Path
 from unittest import mock
@@ -14,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cncflsa import KINDS, CncConfig, PenaltySpec, cnc, fused_lasso_l1, majorized_input, prox, solve
+from cncflsa import (KINDS, CncConfig, PenaltySpec, cnc, fused_lasso_l1, majorized_input,
+                     objective, prox, solve)
 
 HAS_CC = shutil.which("cc") is not None or shutil.which("gcc") is not None
 
@@ -36,28 +40,31 @@ EDGE = [0.4, 60.0, -0.7, 0.2, 0.5, 40.0, 40.5, 39.8, -0.3, 0.9, -60.0, 0.6, -0.2
 
 
 def run_steps(y, shifted, cfg, compiled, calls=3):
-    """Buffers (shifted, x, r, phi0, phi1) after each of `calls` updates,
-    from the compiled step or from the public functions on the Python
-    kernel."""
+    """Buffers (shifted, x, r, phi0, phi1) and F after each of `calls`
+    updates, from ``cncflsa_mm_solve`` capped at one update per call, whose
+    rows carry the state to the next call, or from the public functions on
+    the Python kernel."""
     y = np.ascontiguousarray(y)
     states = []
     if compiled:
+        lib, history = prox._tvd_c, np.zeros(2)
         rows, addresses = cnc._mm_rows(y.size)
         rows[0][:] = shifted
-        args = ctypes.byref(cnc._step_args(y, addresses, cfg))
+        args = ctypes.byref(cnc._step_args(y, addresses, dataclasses.replace(cfg, max_iter=1)))
         for _ in range(calls):
-            prox._tvd_c.cncflsa_mm_step(args)
-            states.append([row.tobytes() for row in rows[:5]])
+            lib.cncflsa_mm_solve(args, lib.numpy_loops, history.ctypes.data)
+            states.append([row.tobytes() for row in rows[:5]] + [history[1].hex()])
         return states
     with mock.patch.object(prox, "_tvd_c", None):
         for _ in range(calls):
             x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
-            # Where a*|x| overflows, numpy warns; the log phi (its u) is inf
-            # there as in C, and s' is -sign(x).
+            # Where a*|x| overflows, numpy warns; the log phi is inf there
+            # as in C, and s' is -sign(x).
             with np.errstate(over="ignore"):
-                phi0, phi1 = cfg.penalty0._phi(x), cfg.penalty1._phi(x[1:] - x[:-1])
+                phi0, phi1 = cfg.penalty0.value(x), cfg.penalty1.value(x[1:] - x[:-1])
+                f = objective(x, y, cfg)
                 shifted = majorized_input(x, y, cfg)
-            states.append([v.tobytes() for v in (shifted, x, y - x, phi0, phi1)])
+            states.append([v.tobytes() for v in (shifted, x, y - x, phi0, phi1)] + [f.hex()])
     return states
 
 
@@ -91,7 +98,7 @@ def test_compiled_step_matches_python_twin_bytes(values, seed, kind0, kind1, lam
     # Start from the shifted input of a random iterate, zeroed in places.
     v = np.random.default_rng(seed).normal(0.0, 2.0, y.size) * (np.arange(y.size) % 3 != 0)
     cfg = CncConfig(lam0, lam1, PenaltySpec(kind0, a0), PenaltySpec(kind1, a1),
-                    allow_nonconvex=True, allow_degenerate=True)
+                    allow_nonconvex=True)
     with np.errstate(over="ignore"):
         shifted = cnc.majorized_input(v, y, cfg)
     assert run_steps(y, shifted, cfg, compiled=True) == run_steps(y, shifted, cfg, compiled=False)
@@ -119,11 +126,17 @@ def test_solution_is_not_a_loop_buffer():
     assert x.base is None and x.flags.owndata
 
 
+@pytest.mark.skipif(prox.TVD_BACKEND != "c", reason="no compiled library")
+def test_the_loop_is_the_one_mm_entry_point():
+    assert hasattr(prox._tvd_c, "cncflsa_mm_solve")
+    assert not hasattr(prox._tvd_c, "cncflsa_mm_step")
+
+
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler")
-def test_fallback_when_the_library_lacks_the_step(monkeypatch, tmp_path):
+def test_fallback_when_the_library_lacks_the_loop(monkeypatch, tmp_path):
     source = Path(prox._C_SOURCE).read_text()
     older = tmp_path / "_kernels.c"
-    older.write_text(source[:source.index("/* Arguments of cncflsa_mm_step")])
+    older.write_text(source[:source.index("/* Arguments of cncflsa_mm_solve")])
     monkeypatch.setattr(prox, "_C_SOURCE", str(older))
     assert prox._select_backend() == (None, "python")
 

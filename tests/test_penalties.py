@@ -37,6 +37,11 @@ class TestValue:
         np.testing.assert_array_equal(PenaltySpec("l1", 7.0).value(x), np.abs(x))
         assert PenaltySpec("l1", 7.0).a == 0.0
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_a_is_l1(self, kind):
+        spec = PenaltySpec(kind, 0.0)
+        assert spec == PenaltySpec("l1") and spec.kind == "l1"
+
     def test_negative_a_rejected(self):
         with pytest.raises(ValueError):
             PenaltySpec("log", -0.5)

@@ -10,16 +10,16 @@ repeats, in milliseconds per call:
 - one MM update at N = 300 and 30,000, taken as the difference between a
   solve capped at 11 updates and one capped at 1, divided by 10 (the
   tolerance is so tight that neither stops early);
-- with the compiled library, one call of ``cncflsa_mm_step`` at N = 300 and
-  30,000, split into its ``tvd`` kernel (``cncflsa_tvd`` on the step's
-  input) and the rest of the step (the step minus the kernel, both timed
-  in the same repeat);
+- with the compiled library, one compiled MM update at N = 300 and 30,000,
+  a call of ``cncflsa_mm_solve`` capped at one update, split into its
+  ``tvd`` kernel (``cncflsa_tvd`` on the update's input) and the rest of
+  the update (the update minus the kernel, both timed in the same repeat);
 - ``cnc.solve`` on the 300-sample fixture;
 - the criterion-7 sweep (3 sigma x 3 methods x 20 lambda0 x 15 trials);
 - ``python -m cncflsa.cli denoise`` on the 300-sample fixture, in a fresh
   interpreter.
 
-Apart from the compiled step's split, which calls the library through
+Apart from the compiled update's split, which calls the library through
 ``cnc._mm_rows`` and ``cnc._step_args`` as ``cnc.solve`` does, only public
 names are timed, so the script measures whichever version of the package
 is on the import path.  Run it once per version, each with its
@@ -132,29 +132,32 @@ def mm_update_ms(y, inner):
     return (timed(lambda: solve(y, long_cfg), inner) - timed(lambda: solve(y, short_cfg), inner)) / 10
 
 
-def compiled_step(n):
-    """Zero-argument callables of one compiled MM step on signal(n) and of
-    the tvd kernel on that step's input; None without the library.  Ten
-    steps first bring the iterate near its fixed point, where a solve
-    spends most of its updates, so that later steps change the input
-    little.  The kernel's arguments are converted once, so that its call
-    costs about what a step's call does."""
+def compiled_update(n):
+    """Zero-argument callables of one compiled MM update on signal(n), a
+    call of ``cncflsa_mm_solve`` capped at one update, and of the tvd
+    kernel on that update's input; None without the library.  Ten updates
+    first bring the iterate near its fixed point, where a solve spends most
+    of its updates, so that later updates change the input little.  The
+    arguments of both are converted once, so that the kernel's call costs
+    about what the update's call does."""
     lib = prox._tvd_c
     if lib is None:
         return None
-    y, cfg = signal(n), cnc_config()
+    y, cfg = signal(n), cnc_config(max_iter=1)
     rows, addresses = cnc._mm_rows(n)
     rows[0][:] = majorized_input(fused_lasso_l1(y, cfg.lambda0, cfg.lambda1), y, cfg)
-    args = ctypes.byref(cnc._step_args(y, addresses, cfg))
+    history = np.zeros(2)
+    update_args = (ctypes.byref(cnc._step_args(y, addresses, cfg)), lib.numpy_loops,
+                   ctypes.c_void_p(history.ctypes.data))
     for _ in range(10):
-        lib.cncflsa_mm_step(args)
+        lib.cncflsa_mm_solve(*update_args)
     shifted, x, work = rows[0].copy(), np.empty(n), np.empty(8 * n)
     kernel_args = (ctypes.c_void_p(shifted.ctypes.data), ctypes.c_long(n),
                    ctypes.c_double(cfg.lambda1), ctypes.c_void_p(x.ctypes.data),
                    ctypes.c_void_p(work.ctypes.data))
     # Each callable holds the arrays its arguments point into.
-    keep = (y, rows, shifted, x, work)
-    return (lambda keep=keep: lib.cncflsa_mm_step(args),
+    keep = (y, rows, history, shifted, x, work)
+    return (lambda keep=keep: lib.cncflsa_mm_solve(*update_args),
             lambda keep=keep: lib.cncflsa_tvd(*kernel_args))
 
 
@@ -185,15 +188,15 @@ def layers(workdir):
     out.append(("MM update N=300", REPEATS, lambda: mm_update_ms(y300, 40)))
     out.append(("MM update N=30000", REPEATS, lambda: mm_update_ms(y30k, 2)))
     for n, inner in ((300, 400), (30000, 4)):
-        split = compiled_step(n)
+        split = compiled_update(n)
         if split is not None:
-            step, kernel = split
-            out.append((f"MM step N={n}", REPEATS,
-                        lambda step=step, inner=inner: timed(step, inner)))
-            out.append((f"MM step tvd N={n}", REPEATS,
+            update, kernel = split
+            out.append((f"MM update compiled N={n}", REPEATS,
+                        lambda update=update, inner=inner: timed(update, inner)))
+            out.append((f"MM update compiled tvd N={n}", REPEATS,
                         lambda kernel=kernel, inner=inner: timed(kernel, inner)))
-            out.append((f"MM step rest N={n}", REPEATS, lambda step=step, kernel=kernel,
-                        inner=inner: timed(step, inner) - timed(kernel, inner)))
+            out.append((f"MM update compiled rest N={n}", REPEATS, lambda update=update,
+                        kernel=kernel, inner=inner: timed(update, inner) - timed(kernel, inner)))
     out.append(("cnc.solve N=300", REPEATS, lambda: timed(lambda: solve(y300, cfg), 40)))
     out.append(("criterion-7 sweep", 5, lambda: timed(
         lambda: cli.sweep_sigma(SWEEP_SIGMAS, 15, 0, 0.25, "atan", ["l1", "mdfl", "cnc"]), 1)))
@@ -213,7 +216,7 @@ def measure():
                 gauge.read()
             result[name] = summary(samples)
             result[name]["gauge_ms"] = round(float(np.median(gauge.ms[-count:])), 4)
-            print(f"{name:28s} {result[name]['median_ms']:12.4f} ms"
+            print(f"{name:32s} {result[name]['median_ms']:12.4f} ms"
                   f"   (gauge {result[name]['gauge_ms']:.2f} ms)", flush=True)
     return result
 
@@ -251,13 +254,13 @@ def main(argv=None):
     path.write_text(json.dumps(doc, indent=2) + "\n")
     runs = doc["runs"]
     if "parent" in runs and "change" in runs:
-        print(f"\n{'layer':28s} {'parent ms':>12s} {'change ms':>12s} {'ratio':>7s} {'calibrated':>10s}"
+        print(f"\n{'layer':32s} {'parent ms':>12s} {'change ms':>12s} {'ratio':>7s} {'calibrated':>10s}"
               f"   ({len(runs['parent'])} parent and {len(runs['change'])} change runs)")
         for name in runs["parent"][-1]["layers"]:
             before, after = (label_ms(runs[label], name, False) for label in ("parent", "change"))
             cal = [label_ms(runs[label], name, True) for label in ("parent", "change")]
             ratio = f"{cal[0] / cal[1]:10.2f}" if None not in cal else f"{'-':>10s}"
-            print(f"{name:28s} {before:12.4f} {after:12.4f} {before / after:7.2f} {ratio}")
+            print(f"{name:32s} {before:12.4f} {after:12.4f} {before / after:7.2f} {ratio}")
     print(f"wrote {path}")
 
 

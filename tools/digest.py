@@ -15,7 +15,8 @@ Each digest covers the bytes of
 
 Only public names are used, and the backend is switched through
 ``cncflsa.prox._tvd_c`` alone, so the script runs unchanged on any checkout
-of the package:
+of the package since zero weights need no ``allow_degenerate=True``; digest
+an older checkout with the script of its own tree:
 
     PYTHONPATH=<checkout>/src python tools/digest.py
 
@@ -74,7 +75,7 @@ def random_solves(h):
                         PenaltySpec(str(rng.choice(KINDS)), degree(rng, lam0)),
                         PenaltySpec(str(rng.choice(KINDS)), degree(rng, lam1)),
                         max_iter=int(rng.choice(CAPS)), tol=float(rng.choice(TOLS)),
-                        allow_nonconvex=True, allow_degenerate=True)
+                        allow_nonconvex=True)
         result = solve(y, cfg)
         h.update(result.x.tobytes())
         h.update(result.objective_history.tobytes())
