@@ -92,11 +92,13 @@ enum { KIND_L1, KIND_LOG, KIND_ATAN, KIND_RATIONAL };
 
 /* cncflsa.penalties.PenaltySpec._phi and ._slope at one sample z: stores
  * phi(z), or for log and atan the argument of their transcendental, and
- * returns s'(z).  Each loop that inlines it passes a constant kind, so the
- * kind costs no branch, and the limit is a select between two computed
- * values, not an early return: the loop body has no control flow and gcc
- * vectorizes it.  The formula's value past U_LIMIT, NaN or inf where it
- * overflows, is computed and discarded. */
+ * returns s'(z).  Its callers are the maps of cncflsa_mm_step and
+ * cncflsa_penalty_map, the map of PenaltySpec.value and
+ * PenaltySpec.residual_deriv.  Each loop that inlines it passes a constant
+ * kind, so the kind costs no branch, and the limit is a select between two
+ * computed values, not an early return: the loop body has no control flow
+ * and gcc vectorizes it.  The formula's value past U_LIMIT, NaN or inf
+ * where it overflows, is computed and discarded. */
 INLINE double algebra(int kind, double a, double z, double *phi)
 {
     double az = fabs(z), u = a * az, v, slope;
@@ -145,6 +147,36 @@ INLINE void map_diff(int kind, const struct mm_step *m, double *restrict ds1)
 
     for (i = 0; i < m->n - 1; i++)
         ds1[i] = algebra(kind, a, x[i + 1] - x[i], &phi1[i]);
+}
+
+/* The maps of a penalty's public methods over n samples x: phi(x) as
+ * PenaltySpec._phi gives it, before PenaltySpec._finish, into out when
+ * slope is 0, and s'(x) as PenaltySpec._slope gives it when slope is 1.
+ * The half a method does not return is computed and discarded, which gcc
+ * drops as dead code. */
+INLINE void map_penalty(int kind, int slope, double a, const double *restrict x,
+                        double *restrict out, long n)
+{
+    double phi;
+    long i;
+
+    if (slope) {
+        for (i = 0; i < n; i++)
+            out[i] = algebra(kind, a, x[i], &phi);
+    } else {
+        for (i = 0; i < n; i++)
+            algebra(kind, a, x[i], &out[i]);
+    }
+}
+
+void cncflsa_penalty_map(int kind, double a, const double *x, long n, double *out, int slope)
+{
+    switch (kind) {
+    case KIND_L1: map_penalty(KIND_L1, slope, a, x, out, n); break;
+    case KIND_LOG: map_penalty(KIND_LOG, slope, a, x, out, n); break;
+    case KIND_ATAN: map_penalty(KIND_ATAN, slope, a, x, out, n); break;
+    default: map_penalty(KIND_RATIONAL, slope, a, x, out, n);
+    }
 }
 
 /* One MM update, the public functions of the Python chain

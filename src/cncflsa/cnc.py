@@ -27,7 +27,7 @@ import numpy as np
 
 from . import prox as _prox
 from .penalties import KINDS, PenaltySpec
-from .prox import _as_pair, _check_nonneg, _diff_adjoint, as_signal, fused_lasso_l1
+from .prox import _address, _as_pair, _check_nonneg, _diff_adjoint, as_signal, fused_lasso_l1
 
 # Roundoff tolerance when enforcing margin >= 0 on the convexity boundary.
 MARGIN_TOL = 1e-12
@@ -40,7 +40,7 @@ class ConvexityError(ValueError):
     """Raised when a solve would run outside the certified convex regime."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CncConfig:
     """Full problem parameterization for :func:`solve`.
 
@@ -48,7 +48,8 @@ class CncConfig:
     term, which reduces the inner step to pure TV denoising (lambda0 = 0)
     or pure soft thresholding (lambda1 = 0).  allow_nonconvex disables the
     convexity-margin precondition for experiments outside the certified
-    region.
+    region.  Frozen, so that construction validates every field that a
+    solve reads; ``dataclasses.replace`` makes a changed copy.
     """
 
     lambda0: float
@@ -60,14 +61,14 @@ class CncConfig:
     allow_nonconvex: bool = False
 
     def __post_init__(self):
-        self.lambda0 = _check_nonneg(self.lambda0, "lambda0")
-        self.lambda1 = _check_nonneg(self.lambda1, "lambda1")
+        object.__setattr__(self, "lambda0", _check_nonneg(self.lambda0, "lambda0"))
+        object.__setattr__(self, "lambda1", _check_nonneg(self.lambda1, "lambda1"))
         if not isinstance(self.penalty0, PenaltySpec) or not isinstance(self.penalty1, PenaltySpec):
             raise ValueError("penalty0 and penalty1 must be PenaltySpec instances")
         if int(self.max_iter) != self.max_iter or self.max_iter < 1:
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
-        self.max_iter = int(self.max_iter)
-        self.tol = float(self.tol)
+        object.__setattr__(self, "max_iter", int(self.max_iter))
+        object.__setattr__(self, "tol", float(self.tol))
         if not np.isfinite(self.tol) or self.tol <= 0.0:
             raise ValueError(f"tol must be a positive real, got {self.tol!r}")
 
@@ -221,26 +222,25 @@ def _mm_updates(y, shifted, f0, cfg):
 
     Returns the last iterate, the objective history from f0 on, and whether
     the stopping rule fired.  With the compiled library the updates run in
-    one call of ``cncflsa_mm_solve``, in one block of buffers allocated
-    once per solve; without it they run in :func:`_mm_loop_python`, its
-    reference.  Both give the same bits.
+    one call of ``cncflsa_mm_solve``, in one block of buffers, the history
+    among them, allocated once per solve; without it they run in
+    :func:`_mm_loop_python`, its reference.  Both give the same bits.
     """
     lib = _prox._tvd_c
     if lib is None:
         return _mm_loop_python(y, shifted, f0, cfg)
     y = np.ascontiguousarray(y)
-    n = y.size
     # The result is allocated before the loop's buffers, so that freeing
     # them leaves no hole below it: a sweep keeps thousands of results,
     # and a hole per solve raised its peak RSS from 41.7 to 43.1 MB in a
     # 5-pair A/B.
-    out = np.empty(n)
-    history = np.empty(cfg.max_iter + 1)
-    history[0] = f0
-    rows, addresses = _mm_rows(n)
+    out = np.empty(y.size)
+    rows, addresses = _mm_rows(y.size, cfg.max_iter + 1)
     rows[0][:] = shifted
+    history = rows[6]
+    history[0] = f0
     updates = lib.cncflsa_mm_solve(ctypes.byref(_step_args(y, addresses, cfg)),
-                                   lib.numpy_loops, history.ctypes.data)
+                                   lib.numpy_loops, addresses[6])
     updates, converged = abs(updates), updates < 0
     out[:] = rows[1]
     return out, history[:updates + 1].copy(), converged
@@ -262,16 +262,17 @@ def _mm_loop_python(y, shifted, f0, cfg):
     return x, np.array(history), False
 
 
-def _mm_rows(n):
+def _mm_rows(n, history=0):
     """The buffers of one solve's MM updates, as views of one new block,
     and their addresses: shifted, x, r and phi0 of N doubles, phi1 of
-    N - 1, and work, the 8*N doubles of kernel scratch.  Row k starts k*N
-    doubles into the block, so one address lookup serves all six."""
-    block = np.empty(13 * n)
+    N - 1, work, the 8*N doubles of kernel scratch, and the objective
+    history of `history` doubles.  Row k starts k*N doubles into the block
+    and the history 13*N, so one address lookup serves all seven."""
+    block = np.empty(13 * n + history)
     rows = block[:5 * n].reshape(5, n)
-    base, stride = block.ctypes.data, block.itemsize * n
-    return ((rows[0], rows[1], rows[2], rows[3], rows[4, :n - 1], block[5 * n:]),
-            [base + k * stride for k in range(6)])
+    base, stride = _address(block), block.itemsize * n
+    return ((rows[0], rows[1], rows[2], rows[3], rows[4, :n - 1], block[5 * n:13 * n],
+             block[13 * n:]), [base + k * stride for k in (0, 1, 2, 3, 4, 5, 13)])
 
 
 class _StepArgs(ctypes.Structure):
@@ -288,9 +289,10 @@ class _StepArgs(ctypes.Structure):
 
 def _step_args(y, addresses, cfg):
     """The arguments of ``cncflsa_mm_solve`` for a C-contiguous y and a
-    solve's buffer addresses (see :func:`_mm_rows`); the caller keeps y and
-    the buffers alive while it uses them."""
-    return _StepArgs(y.size, y.ctypes.data, *addresses,
+    solve's buffer addresses (see :func:`_mm_rows`), of which it takes the
+    six rows; the caller keeps y and the buffers alive while it uses
+    them."""
+    return _StepArgs(y.size, _address(y), *addresses[:6],
                      cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
                      KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind),
                      cfg.max_iter, cfg.tol)

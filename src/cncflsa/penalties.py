@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import _check_nonneg
+from . import prox as _prox
+from .prox import _address, _check_nonneg
 
 KINDS = ("l1", "log", "atan", "rational")
 
@@ -34,7 +35,8 @@ _ATAN_A_MAX = float(np.finfo(float).max) / 4.0
 
 def _match(out, like):
     """Return a float for scalar input, the array otherwise."""
-    if np.isscalar(like) or getattr(like, "ndim", 1) == 0:
+    ndim = getattr(like, "ndim", None)
+    if ndim == 0 or (ndim is None and np.isscalar(like)):
         return out.item()
     return out
 
@@ -69,7 +71,7 @@ class PenaltySpec:
 
     def value(self, x):
         """Penalty value phi(x; a), elementwise; phi(0) = 0 and phi(-x) = phi(x)."""
-        return _match(self._finish(self._phi(np.atleast_1d(np.asarray(x, dtype=float)))), x)
+        return _match(self._finish(self._map(x, 0)), x)
 
     def residual(self, x):
         """Smooth concave part s(x; a) = phi(x; a) - |x|.
@@ -96,13 +98,27 @@ class PenaltySpec:
     def residual_deriv(self, x):
         """Derivative s'(x; a); odd, continuous, s'(0) = 0, |s'| < 1 up to
         rounding."""
-        return _match(self._slope(np.atleast_1d(np.asarray(x, dtype=float))), x)
+        return _match(self._map(x, 1), x)
 
     # _phi and _slope hold every part of phi and s' that rounds exactly in
     # IEEE arithmetic; ``algebra`` in ``_kernels.c`` ports both per sample.
     # _finish applies numpy's log1p and arctan, whose SIMD versions round
     # differently from the C library's; ``cncflsa_mm_solve`` in
     # ``_kernels.c`` calls the same numpy loops.
+
+    def _map(self, x, slope):
+        """:meth:`_phi` (slope 0) or :meth:`_slope` (slope 1) of x as a
+        float array of at least one dimension: with the compiled library
+        one call of its ``cncflsa_penalty_map``, which gives the same bits,
+        and without it the reference."""
+        x = np.ascontiguousarray(x, dtype=float)
+        lib = _prox._tvd_c
+        if lib is None:
+            return self._slope(x) if slope else self._phi(x)
+        out = np.empty(x.shape)
+        lib.cncflsa_penalty_map(KINDS.index(self.kind), self.a, _address(x), x.size,
+                                _address(out), slope)
+        return out
 
     def _phi(self, x):
         """phi(x; a) of a float array x of at least one dimension, except

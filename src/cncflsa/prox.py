@@ -10,12 +10,15 @@ and cached in ``__pycache__``) and a pure-Python reference that it matches
 bit for bit and falls back to; ``TVD_BACKEND`` names the one in use.  The
 same library holds the compiled MM loop of :mod:`cncflsa.cnc`, which
 follows the same switch and calls numpy's own float64 loops, resolved and
-probed here once; without it the loop chains the public functions.
+probed here once; without it the loop chains the public functions.  It also
+holds the per-sample maps of ``PenaltySpec.value`` and
+``PenaltySpec.residual_deriv``, which follow the same switch.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import shutil
 import zlib
@@ -54,7 +57,7 @@ def _as_pair(a, b, name_a, name_b):
 def _check_nonneg(value, name):
     """Return float(value), rejected unless finite and >= 0."""
     value = float(value)
-    if not np.isfinite(value) or value < 0.0:
+    if not math.isfinite(value) or value < 0.0:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     return value
 
@@ -66,7 +69,7 @@ def soft_threshold(x, lam):
     if not np.isfinite(xa).all():
         raise ValueError("x contains non-finite samples")
     out = np.sign(xa) * np.maximum(np.abs(xa) - lam, 0.0)
-    if np.isscalar(x) or xa.ndim == 0:
+    if xa.ndim == 0:
         return float(out)
     return out
 
@@ -128,7 +131,7 @@ def tvd(y, lam):
         return _tvd_python(y, lam)
     # work is the kernel's scratch of 8*N doubles, alive until it returns.
     x, work = np.empty(y.size), np.empty(8 * y.size)
-    _tvd_c.cncflsa_tvd(y.ctypes.data, y.size, lam, x.ctypes.data, work.ctypes.data)
+    _tvd_c.cncflsa_tvd(_address(y), y.size, lam, _address(x), _address(work))
     return x
 
 
@@ -256,6 +259,32 @@ class _UFuncHead(ctypes.Structure):
                 ("data", ctypes.c_void_p), ("ntypes", ctypes.c_int)]
 
 
+class _ArrayHead(ctypes.Structure):
+    """The head of numpy's public ``PyArrayObject_fields``
+    (``ndarraytypes.h``), up to ``data``."""
+
+    _fields_ = [("ob_refcnt", ctypes.c_ssize_t), ("ob_type", ctypes.c_void_p),
+                ("data", ctypes.c_void_p)]
+
+
+def _address(array):
+    """``array.ctypes.data``, read from the array's head: about a sixth of
+    the cost, since it builds no ctypes view of the array.  The caller
+    keeps the array alive while it uses the address."""
+    return _ArrayHead.from_address(id(array)).data
+
+
+def _heads_match_numpy():
+    """Whether :func:`_address` gives numpy's own address for fresh arrays,
+    views that start inside a buffer, and read-only and empty ones."""
+    base = np.arange(24.0)
+    readonly = base[3:9]
+    readonly.flags.writeable = False
+    arrays = (base, base[5:], base[1::3], base.reshape(4, 6)[1:, 2:], readonly, np.empty(0),
+              np.zeros(()))
+    return all(_address(a) == a.ctypes.data for a in arrays)
+
+
 def _numpy_loop(ufunc, types):
     """Address of numpy's inner loop of ufunc for types, e.g. ``"d->d"``.
 
@@ -305,21 +334,26 @@ def _loops_match_numpy(loops):
 
 def _select_backend():
     """The compiled library and ``"c"``, or ``(None, "python")`` when it
-    cannot be built or loaded, lacks one of its kernels, or one of numpy's
+    cannot be built or loaded, lacks one of its kernels, one of numpy's
     loops that ``cncflsa_mm_solve`` calls cannot be found or does not give
-    numpy's own bytes.  The library carries those loops as ``numpy_loops``."""
+    numpy's own bytes, or an array's head is not laid out as
+    :class:`_ArrayHead` mirrors it.  The library carries those loops as
+    ``numpy_loops``."""
     try:
         lib = ctypes.CDLL(_build())
-        tvd, solve = lib.cncflsa_tvd, lib.cncflsa_mm_solve
+        tvd, solve, penalty = lib.cncflsa_tvd, lib.cncflsa_mm_solve, lib.cncflsa_penalty_map
         loops = _NumpyLoops(_numpy_loop(np.arctan, "d->d"), _numpy_loop(np.log1p, "d->d"),
                             _numpy_loop(np.add, "dd->d"), _numpy_loop(np.vecdot, "dd->d"))
     except (OSError, AttributeError, ValueError):
         return None, "python"
-    if not _loops_match_numpy(loops):
+    if not (_loops_match_numpy(loops) and _heads_match_numpy()):
         return None, "python"
     tvd.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
                     ctypes.c_void_p, ctypes.c_void_p)
     tvd.restype = None
+    penalty.argtypes = (ctypes.c_int, ctypes.c_double, ctypes.c_void_p, ctypes.c_long,
+                        ctypes.c_void_p, ctypes.c_int)
+    penalty.restype = None
     solve.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
     solve.restype = ctypes.c_long
     lib.numpy_loops = ctypes.byref(loops)
@@ -327,7 +361,8 @@ def _select_backend():
 
 
 # The one backend switch: the compiled library, or None for the Python
-# references of both tvd and the MM loop (cncflsa.cnc._mm_updates).
+# references of tvd, of the MM loop (cncflsa.cnc._mm_updates) and of the
+# penalty maps (cncflsa.penalties.PenaltySpec._map).
 _tvd_c, TVD_BACKEND = _select_backend()
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -299,9 +301,7 @@ class TestSolve:
         for _ in range(3):
             n = int(rng.integers(8, 32))
             y = random_piecewise(rng, n)
-            cfg = random_convex_cfg(rng)
-            cfg.tol = 1e-15
-            cfg.max_iter = 500
+            cfg = dataclasses.replace(random_convex_cfg(rng), tol=1e-15, max_iter=500)
             res = solve(y, cfg)
             fstar = objective(res.x, y, cfg)
             for _ in range(300):
@@ -337,9 +337,7 @@ class TestSolve:
     def test_zero_init(self):
         rng = np.random.default_rng(16)
         y = random_piecewise(rng, 40)
-        cfg = random_convex_cfg(rng)
-        cfg.tol = 1e-13
-        cfg.max_iter = 200
+        cfg = dataclasses.replace(random_convex_cfg(rng), tol=1e-13, max_iter=200)
         zero = np.zeros_like(y)
         x_a, _, _ = cnc._mm_updates(y, majorized_input(zero, y, cfg), objective(zero, y, cfg), cfg)
         res_b = solve(y, cfg)
@@ -375,3 +373,24 @@ class TestSolve:
             CncConfig(1.0, 1.0, PenaltySpec(), PenaltySpec(), tol=0.0)
         with pytest.raises(ValueError):
             CncConfig(-1.0, 1.0, PenaltySpec(), PenaltySpec())
+
+    def test_config_is_frozen(self):
+        """A field set after construction would skip its check: max_iter = 0
+        returned the start from the compiled loop and raised in the Python
+        one."""
+        cfg = CncConfig(1.0, 1.0)
+        assert len(dataclasses.fields(cfg)) == 7
+        for field in dataclasses.fields(cfg):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, field.name, getattr(cfg, field.name))
+
+    def test_replace_validates(self):
+        cfg = CncConfig(1.0, 1.0)
+        for max_iter in (0, 2.5):
+            with pytest.raises(ValueError):
+                dataclasses.replace(cfg, max_iter=max_iter)
+        with pytest.raises(ValueError):
+            dataclasses.replace(cfg, tol=float("nan"))
+        changed = dataclasses.replace(cfg, lambda0=np.float64(2), max_iter=3.0)
+        assert (type(changed.lambda0), changed.lambda0) == (float, 2.0)
+        assert (type(changed.max_iter), changed.max_iter) == (int, 3)

@@ -6,7 +6,10 @@ repeats, in milliseconds per call:
 - ``prox.tvd`` at N = 300, 3,000, 30,000 and 300,000;
 - ``prox.fused_lasso_l1`` on the 300-sample fixture;
 - a solve's starting point, ``fused_lasso_l1`` + ``cnc.objective`` +
-  ``cnc.majorized_input``, at N = 300 and 30,000;
+  ``cnc.majorized_input``, at N = 300 and 30,000, and its penalty pieces
+  at the start's iterate: ``PenaltySpec.value`` and
+  ``PenaltySpec.residual_deriv`` (of penalty0), ``cnc.objective`` and
+  ``cnc.majorized_input``;
 - one MM update at N = 300 and 30,000, taken as the difference between a
   solve capped at 11 updates and one capped at 1, divided by 10 (the
   tolerance is so tight that neither stops early);
@@ -185,6 +188,13 @@ def layers(workdir):
     y30k = signal(30000)
     out.append(("solve start N=300", REPEATS, lambda: timed(lambda: solve_start(y300, cfg), 200)))
     out.append(("solve start N=30000", REPEATS, lambda: timed(lambda: solve_start(y30k, cfg), 4)))
+    for n, y, inner in ((300, y300, 400), (30000, y30k, 10)):
+        x, spec = fused_lasso_l1(y, cfg.lambda0, lam1), cfg.penalty0
+        for name, fn in (("PenaltySpec.value", lambda x=x: spec.value(x)),
+                         ("PenaltySpec.residual_deriv", lambda x=x: spec.residual_deriv(x)),
+                         ("cnc.objective", lambda x=x, y=y: objective(x, y, cfg)),
+                         ("cnc.majorized_input", lambda x=x, y=y: majorized_input(x, y, cfg))):
+            out.append((f"{name} N={n}", REPEATS, lambda fn=fn, inner=inner: timed(fn, inner)))
     out.append(("MM update N=300", REPEATS, lambda: mm_update_ms(y300, 40)))
     out.append(("MM update N=30000", REPEATS, lambda: mm_update_ms(y30k, 2)))
     for n, inner in ((300, 400), (30000, 4)):

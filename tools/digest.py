@@ -11,7 +11,14 @@ Each digest covers the bytes of
   with 15 trials and all three methods: every row, and the iterate and
   history of each of its MM solves;
 - ``cli denoise`` on a noisy fixture for a few flag sets: the output file
-  and its JSON metadata.
+  and its JSON metadata;
+- the public penalty functions on seeded random signals of the same sizes,
+  with each kind at random degrees and at the edge degrees 2**52 and 2**55
+  (a*|x| on both sides of 2**56, past which s' is -sign(x)), 1e160 (past
+  the overflow of the atan and rational squares) and 1e308 (past that of
+  a*|x| itself; not for atan, which rejects it): ``PenaltySpec.value`` and
+  ``PenaltySpec.residual_deriv`` of the signal, its diff and its first
+  sample, and ``objective`` and ``majorized_input``.
 
 Only public names are used, and the backend is switched through
 ``cncflsa.prox._tvd_c`` alone, so the script runs unchanged on any checkout
@@ -35,9 +42,11 @@ from pathlib import Path
 
 import numpy as np
 
-from cncflsa import KINDS, CncConfig, PenaltySpec, cli, prox, solve
+from cncflsa import KINDS, CncConfig, PenaltySpec, cli, majorized_input, objective, prox, solve
 
 SOLVES = 400
+PENALTY_DRAWS = 300
+EDGE_DEGREES = (2.0**52, 2.0**55, 1e160, 1e308)
 SIZES = (1, 2, 3, 17, 129, 300, 1000)
 CAPS = (1, 3, 50)
 TOLS = (1e-9, 1e-300)
@@ -63,13 +72,19 @@ def degree(rng, lam):
     return 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 2.0)) / max(lam, 0.1)
 
 
+def random_signal(rng):
+    """Steps plus noise, of a length from SIZES, with -0.0 and 0.0 samples."""
+    n = int(rng.choice(SIZES))
+    y = np.cumsum(rng.normal(0.0, 2.0, n) * (rng.random(n) < 0.1)) + rng.normal(0.0, 0.5, n)
+    y[rng.random(n) < 0.1] = -0.0
+    y[rng.random(n) < 0.05] = 0.0
+    return y
+
+
 def random_solves(h):
     rng = np.random.default_rng(0)
     for _ in range(SOLVES):
-        n = int(rng.choice(SIZES))
-        y = np.cumsum(rng.normal(0.0, 2.0, n) * (rng.random(n) < 0.1)) + rng.normal(0.0, 0.5, n)
-        y[rng.random(n) < 0.1] = -0.0
-        y[rng.random(n) < 0.05] = 0.0
+        y = random_signal(rng)
         lam0, lam1 = weight(rng), weight(rng)
         cfg = CncConfig(lam0, lam1,
                         PenaltySpec(str(rng.choice(KINDS)), degree(rng, lam0)),
@@ -80,6 +95,34 @@ def random_solves(h):
         h.update(result.x.tobytes())
         h.update(result.objective_history.tobytes())
         h.update(repr((result.iterations, result.converged)).encode())
+
+
+def penalty_spec(rng, lam):
+    """A kind at random, with a random degree or, one time in two, an edge
+    degree."""
+    kind = str(rng.choice(KINDS))
+    if rng.random() < 0.5:
+        return PenaltySpec(kind, degree(rng, lam))
+    edges = EDGE_DEGREES[:-1] if kind == "atan" else EDGE_DEGREES
+    return PenaltySpec(kind, float(rng.choice(edges)))
+
+
+def penalty_functions(h):
+    rng = np.random.default_rng(1)
+    with np.errstate(all="ignore"):  # a*|x| overflows at the edge degrees
+        for _ in range(PENALTY_DRAWS):
+            y = random_signal(rng)
+            x = y + rng.normal(0.0, 0.3, y.size) * (rng.random(y.size) < 0.5)
+            lam0, lam1 = weight(rng), weight(rng)
+            cfg = CncConfig(lam0, lam1, penalty_spec(rng, lam0), penalty_spec(rng, lam1),
+                            allow_nonconvex=True)
+            for spec in (cfg.penalty0, cfg.penalty1):
+                for arg in (x, x[1:] - x[:-1]):
+                    h.update(spec.value(arg).tobytes())
+                    h.update(spec.residual_deriv(arg).tobytes())
+                h.update(repr((spec.value(float(x[0])), spec.residual_deriv(float(x[0])))).encode())
+            h.update(objective(x, y, cfg).hex().encode())
+            h.update(majorized_input(x, y, cfg).tobytes())
 
 
 def sweep_table(h):
@@ -120,6 +163,7 @@ def digest():
     random_solves(h)
     sweep_table(h)
     denoise_runs(h)
+    penalty_functions(h)
     return h.hexdigest()
 
 
