@@ -1,3 +1,4 @@
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -65,19 +66,15 @@ void cncflsa_tvd(const double *y, long n, double lam, double *x, double *work)
     }
 }
 
-/* Arguments of cncflsa_mm_solve, all but max_iter and tol read by its
- * internal update cncflsa_mm_step; mirrored by cncflsa.cnc._StepArgs, whose
- * rows come from cncflsa.cnc._mm_rows: shifted, x and r of n doubles, phi0
- * of n, phi1 of n - 1, and work, the 8 n doubles of tvd scratch, whose
- * lo_clamp row cncflsa_mm_step reuses for s1'. */
+/* The state of one solve's updates, private to this file: cncflsa_mm_solve
+ * fills it from its arguments and the rows it cuts from its block, and
+ * cncflsa_mm_step reads it. */
 struct mm_step {
     long n;
     const double *y;
     double *shifted, *x, *r, *phi0, *phi1, *work;
     double lam0, lam1, a0, a1;
     int kind0, kind1; /* index into KINDS; PenaltySpec makes a = 0 "l1" */
-    long max_iter;
-    double tol;
 };
 
 enum { KIND_L1, KIND_LOG, KIND_ATAN, KIND_RATIONAL };
@@ -98,7 +95,9 @@ enum { KIND_L1, KIND_LOG, KIND_ATAN, KIND_RATIONAL };
  * kind, so the kind costs no branch, and the limit is a select between two
  * computed values, not an early return: the loop body has no control flow
  * and gcc vectorizes it.  The formula's value past U_LIMIT, NaN or inf
- * where it overflows, is computed and discarded. */
+ * where it overflows, is computed and discarded.  So is the atan phi's
+ * where sqrt(3) u overflows, which would read inf, or NaN where u is inf:
+ * its limit sqrt(3) is taken there. */
 INLINE double algebra(int kind, double a, double z, double *phi)
 {
     double az = fabs(z), u = a * az, v, slope;
@@ -111,7 +110,8 @@ INLINE double algebra(int kind, double a, double z, double *phi)
         *phi = u;
         slope = -a * z / (1.0 + u);
     } else if (kind == KIND_ATAN) {
-        *phi = 1.7320508075688772 * u / (2.0 + u); /* sqrt(3) */
+        v = 1.7320508075688772 * u; /* sqrt(3) */
+        *phi = v > DBL_MAX ? 1.7320508075688772 : v / (2.0 + u);
         v = 1.0 + 2.0 * u;
         slope = -4.0 * a * z * (1.0 + u) / (3.0 + v * v);
     } else {
@@ -292,23 +292,40 @@ static double dot(const struct numpy_loops *np, double *r, intptr_t n)
  * iterate (cncflsa.cnc.objective, formed as cncflsa.cnc._objective), stored
  * in history[k] after history[0], and the stopping rule
  * |prev - F| <= tol * max(1, |prev|), false on NaN as in Python.  Returns
- * the number of updates, negated when the rule fired. */
-long cncflsa_mm_solve(const struct mm_step *m, const struct numpy_loops *np, double *history)
+ * the number of updates, negated when the rule fired.
+ *
+ * Each update writes its iterate into x (n doubles).  The caller owns block,
+ * 12 n + max_iter + 1 doubles, the one home of this layout:
+ *   block           shifted, the input of the next update (n), which the
+ *                   caller fills with the start's before the call;
+ *   block + n       r = y - x (n);
+ *   block + 2 n     phi0 (n);
+ *   block + 3 n     phi1 (n - 1, in a row of n);
+ *   block + 4 n     work, the 8 n doubles of tvd scratch, whose lo_clamp
+ *                   row cncflsa_mm_step reuses for s1';
+ *   block + 12 n    history (max_iter + 1), whose history[0], the start's
+ *                   F, the caller writes before the call. */
+long cncflsa_mm_solve(const double *y, long n, double *x, double *block, double lam0,
+                      double lam1, double a0, double a1, int kind0, int kind1, long max_iter,
+                      double tol, const struct numpy_loops *np)
 {
+    struct mm_step m = {n, y, block, x, block + n, block + 2 * n, block + 3 * n, block + 4 * n,
+                        lam0, lam1, a0, a1, kind0, kind1};
+    double *history = block + 12 * n;
     long k;
     double f, prev, scale;
 
-    for (k = 1; k <= m->max_iter; k++) {
-        cncflsa_mm_step(m);
-        finish(np, m->kind0, m->a0, m->phi0, m->n);
-        finish(np, m->kind1, m->a1, m->phi1, m->n - 1);
-        f = 0.5 * dot(np, m->r, m->n) + m->lam0 * total(np, m->phi0, m->n)
-            + m->lam1 * total(np, m->phi1, m->n - 1);
+    for (k = 1; k <= max_iter; k++) {
+        cncflsa_mm_step(&m);
+        finish(np, kind0, a0, m.phi0, n);
+        finish(np, kind1, a1, m.phi1, n - 1);
+        f = 0.5 * dot(np, m.r, n) + lam0 * total(np, m.phi0, n)
+            + lam1 * total(np, m.phi1, n - 1);
         prev = history[k - 1];
         history[k] = f;
         scale = fabs(prev) > 1.0 ? fabs(prev) : 1.0;
-        if (fabs(prev - f) <= m->tol * scale)
+        if (fabs(prev - f) <= tol * scale)
             return -k;
     }
-    return m->max_iter;
+    return max_iter;
 }

@@ -20,7 +20,6 @@ chain of the public :func:`fused_lasso_l1`, :func:`objective` and
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +47,10 @@ class CncConfig:
     term, which reduces the inner step to pure TV denoising (lambda0 = 0)
     or pure soft thresholding (lambda1 = 0).  allow_nonconvex disables the
     convexity-margin precondition for experiments outside the certified
-    region.  Frozen, so that construction validates every field that a
-    solve reads; ``dataclasses.replace`` makes a changed copy.
+    region.  max_iter (a positive integer) caps the MM updates of a solve,
+    and tol (positive) is its stopping tolerance on the change of F; see
+    :func:`solve`.  Frozen, so that construction validates every field that
+    a solve reads; ``dataclasses.replace`` makes a changed copy.
     """
 
     lambda0: float
@@ -192,8 +193,10 @@ def solve(y, cfg: CncConfig) -> SolveResult:
 
     Starts from the L1 fused-lasso solution, then repeats: shift the
     observation via :func:`majorized_input`, solve one exact L1 fused lasso
-    on it.  Each update decreases the objective.  Stops when the relative
-    objective change drops to cfg.tol or after cfg.max_iter updates.
+    on it.  Each update decreases the objective.  Stops, converged, after
+    the first update that changes F by at most cfg.tol * max(1, |prev|),
+    prev being F before it: a relative test where |prev| > 1 and an
+    absolute one below; otherwise stops after cfg.max_iter updates.
 
     Raises ConvexityError when the margin is negative and cfg.allow_nonconvex
     is not set.
@@ -229,21 +232,22 @@ def _mm_updates(y, shifted, f0, cfg):
     lib = _prox._tvd_c
     if lib is None:
         return _mm_loop_python(y, shifted, f0, cfg)
-    y = np.ascontiguousarray(y)
-    # The result is allocated before the loop's buffers, so that freeing
-    # them leaves no hole below it: a sweep keeps thousands of results,
-    # and a hole per solve raised its peak RSS from 41.7 to 43.1 MB in a
-    # 5-pair A/B.
-    out = np.empty(y.size)
-    rows, addresses = _mm_rows(y.size, cfg.max_iter + 1)
-    rows[0][:] = shifted
-    history = rows[6]
+    y, n = np.ascontiguousarray(y), y.size
+    # The result is allocated before the block, so that freeing the block
+    # leaves no hole below it: a sweep keeps thousands of results, and a
+    # hole per solve raised its peak RSS from 41.7 to 43.1 MB in a 5-pair
+    # A/B.  The block's layout is that of cncflsa_mm_solve in _kernels.c:
+    # the shifted input first, the history last.
+    x = np.empty(n)
+    block = np.empty(12 * n + cfg.max_iter + 1)
+    block[:n], history = shifted, block[12 * n:]
     history[0] = f0
-    updates = lib.cncflsa_mm_solve(ctypes.byref(_step_args(y, addresses, cfg)),
-                                   lib.numpy_loops, addresses[6])
-    updates, converged = abs(updates), updates < 0
-    out[:] = rows[1]
-    return out, history[:updates + 1].copy(), converged
+    updates = lib.cncflsa_mm_solve(_address(y), n, _address(x), _address(block),
+                                   cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
+                                   KINDS.index(cfg.penalty0.kind),
+                                   KINDS.index(cfg.penalty1.kind), cfg.max_iter, cfg.tol,
+                                   lib.numpy_loops)
+    return x, history[:abs(updates) + 1].copy(), updates < 0
 
 
 def _mm_loop_python(y, shifted, f0, cfg):
@@ -260,39 +264,3 @@ def _mm_loop_python(y, shifted, f0, cfg):
             return x, np.array(history), True
         shifted = majorized_input(x, y, cfg)
     return x, np.array(history), False
-
-
-def _mm_rows(n, history=0):
-    """The buffers of one solve's MM updates, as views of one new block,
-    and their addresses: shifted, x, r and phi0 of N doubles, phi1 of
-    N - 1, work, the 8*N doubles of kernel scratch, and the objective
-    history of `history` doubles.  Row k starts k*N doubles into the block
-    and the history 13*N, so one address lookup serves all seven."""
-    block = np.empty(13 * n + history)
-    rows = block[:5 * n].reshape(5, n)
-    base, stride = _address(block), block.itemsize * n
-    return ((rows[0], rows[1], rows[2], rows[3], rows[4, :n - 1], block[5 * n:13 * n],
-             block[13 * n:]), [base + k * stride for k in (0, 1, 2, 3, 4, 5, 13)])
-
-
-class _StepArgs(ctypes.Structure):
-    """``struct mm_step`` of ``_kernels.c``."""
-
-    _fields_ = [("n", ctypes.c_long), ("y", ctypes.c_void_p),
-                ("shifted", ctypes.c_void_p), ("x", ctypes.c_void_p), ("r", ctypes.c_void_p),
-                ("phi0", ctypes.c_void_p), ("phi1", ctypes.c_void_p), ("work", ctypes.c_void_p),
-                ("lam0", ctypes.c_double), ("lam1", ctypes.c_double),
-                ("a0", ctypes.c_double), ("a1", ctypes.c_double),
-                ("kind0", ctypes.c_int), ("kind1", ctypes.c_int),
-                ("max_iter", ctypes.c_long), ("tol", ctypes.c_double)]
-
-
-def _step_args(y, addresses, cfg):
-    """The arguments of ``cncflsa_mm_solve`` for a C-contiguous y and a
-    solve's buffer addresses (see :func:`_mm_rows`), of which it takes the
-    six rows; the caller keeps y and the buffers alive while it uses
-    them."""
-    return _StepArgs(y.size, _address(y), *addresses[:6],
-                     cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
-                     KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind),
-                     cfg.max_iter, cfg.tol)

@@ -120,6 +120,9 @@ class PenaltySpec:
                                 _address(out), slope)
         return out
 
+    # Past the largest float, a*|x| overflows; like the compiled maps,
+    # the references then warn of nothing.
+    @np.errstate(over="ignore", invalid="ignore")
     def _phi(self, x):
         """phi(x; a) of a float array x of at least one dimension, except
         that for "log" and "atan" it is the argument of their
@@ -132,9 +135,13 @@ class PenaltySpec:
         if self.kind == "log":
             return u
         if self.kind == "atan":
-            return _SQRT3 * u / (2.0 + u)
+            # Where sqrt(3)*u overflows, the quotient reads inf, or NaN
+            # where u is inf; its limit sqrt(3) is taken there.
+            v = _SQRT3 * u
+            return np.where(np.isinf(v), _SQRT3, v / (2.0 + u))
         return ax / (1.0 + 0.5 * a * ax)  # rational
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _slope(self, x):
         """s'(x; a) of a float array x of at least one dimension."""
         a = self.a

@@ -354,7 +354,9 @@ def _select_backend():
     penalty.argtypes = (ctypes.c_int, ctypes.c_double, ctypes.c_void_p, ctypes.c_long,
                         ctypes.c_void_p, ctypes.c_int)
     penalty.restype = None
-    solve.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+    solve.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
+                      *(ctypes.c_double,) * 4, ctypes.c_int, ctypes.c_int, ctypes.c_long,
+                      ctypes.c_double, ctypes.c_void_p)
     solve.restype = ctypes.c_long
     lib.numpy_loops = ctypes.byref(loops)
     return lib, "c"

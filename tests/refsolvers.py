@@ -23,7 +23,8 @@ def penalty_terms(kind, a, x):
     """phi(x; a) and s'(x; a) of a float array x, with the operations of
     `PenaltySpec.value` and `.residual_deriv` in the same order.  Where
     a*|x|, or the square in the atan or rational s', overflows, s' is its
-    limit -sign(x) and the log phi is inf."""
+    limit -sign(x), the log phi is inf, and where sqrt(3)*a*|x| overflows,
+    the argument of the atan phi is its limit sqrt(3)."""
     ax = np.abs(x)
     if kind == "l1" or a == 0.0:
         return ax, np.zeros_like(x)
@@ -35,7 +36,8 @@ def penalty_terms(kind, a, x):
             ds = -a * x / (1.0 + u)
         elif kind == "atan":
             big = (1.0 + 2.0 * u) ** 2
-            phi = np.arctan(SQRT3 * u / (2.0 + u)) * (2.0 / (a * SQRT3))
+            v = SQRT3 * u
+            phi = np.arctan(np.where(np.isinf(v), SQRT3, v / (2.0 + u))) * (2.0 / (a * SQRT3))
             ds = -4.0 * a * x * (1.0 + u) / (3.0 + big)
         elif kind == "rational":
             big = (1.0 + 0.5 * u) ** 2

@@ -102,6 +102,21 @@ def test_overflowing_slope_gives_a_finite_solve(tvd_backend, kind):
     assert np.all(np.isfinite(result.x)) and np.all(np.isfinite(result.objective_history))
 
 
+@pytest.mark.parametrize("tvd_backend", ["c", "python"])
+def test_atan_phi_takes_its_limit_where_a_x_overflows(tvd_backend):
+    """mdfl with lambda0 = 1e-300, margin 0: a0*|x| of the 1e9 samples is
+    past the largest float, where sqrt(3)*u/(2 + u) read inf/inf = NaN, so
+    F was NaN and the solve ran to max_iter unconverged.  phi takes its
+    limit there, and F is finite."""
+    y = np.array([0.0, 1e9, 1e9, 0.0, 3.0, 2.0, 0.0])
+    cfg = CncConfig(1e-300, 1.0, PenaltySpec("atan", 1e300), PenaltySpec("atan", 0.0))
+    with backend(tvd_backend):
+        result = solve(y, cfg)
+        assert same_bytes(result, mm_reference(y, cfg))
+    assert result.converged and result.iterations == 1
+    assert np.all(np.isfinite(result.objective_history))
+
+
 @settings(max_examples=150, deadline=None)
 @given(signals, st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.sampled_from(KINDS),
        weights, weights, degrees, degrees)

@@ -6,8 +6,6 @@ byte-identical iterate (`fused_lasso_l1`), residual, penalty values
 entry point of the loop, and the fallback to the Python loop when the
 library lacks it."""
 
-import ctypes
-import dataclasses
 import shutil
 from pathlib import Path
 from unittest import mock
@@ -40,30 +38,30 @@ EDGE = [0.4, 60.0, -0.7, 0.2, 0.5, 40.0, 40.5, 39.8, -0.3, 0.9, -60.0, 0.6, -0.2
 
 
 def run_steps(y, shifted, cfg, compiled, calls=3):
-    """Buffers (shifted, x, r, phi0, phi1) and F after each of `calls`
+    """Rows (shifted, x, r, phi0, phi1) and F after each of `calls`
     updates, from ``cncflsa_mm_solve`` capped at one update per call, whose
-    rows carry the state to the next call, or from the public functions on
-    the Python kernel."""
+    block carries the state to the next call and is read at the offsets
+    that ``_kernels.c`` documents, or from the public functions on the
+    Python kernel."""
     y = np.ascontiguousarray(y)
-    states = []
+    n, states = y.size, []
     if compiled:
-        lib, history = prox._tvd_c, np.zeros(2)
-        rows, addresses = cnc._mm_rows(y.size)
-        rows[0][:] = shifted
-        args = ctypes.byref(cnc._step_args(y, addresses, dataclasses.replace(cfg, max_iter=1)))
+        lib, x, block = prox._tvd_c, np.empty(n), np.zeros(12 * n + 2)
+        block[:n] = shifted
+        rows = (block[:n], x, block[n:2 * n], block[2 * n:3 * n], block[3 * n:4 * n - 1])
+        args = (y.ctypes.data, n, x.ctypes.data, block.ctypes.data, cfg.lambda0, cfg.lambda1,
+                cfg.penalty0.a, cfg.penalty1.a, KINDS.index(cfg.penalty0.kind),
+                KINDS.index(cfg.penalty1.kind), 1, cfg.tol, lib.numpy_loops)
         for _ in range(calls):
-            lib.cncflsa_mm_solve(args, lib.numpy_loops, history.ctypes.data)
-            states.append([row.tobytes() for row in rows[:5]] + [history[1].hex()])
+            lib.cncflsa_mm_solve(*args)
+            states.append([row.tobytes() for row in rows] + [block[12 * n + 1].hex()])
         return states
     with mock.patch.object(prox, "_tvd_c", None):
         for _ in range(calls):
             x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
-            # Where a*|x| overflows, numpy warns; the log phi is inf there
-            # as in C, and s' is -sign(x).
-            with np.errstate(over="ignore"):
-                phi0, phi1 = cfg.penalty0.value(x), cfg.penalty1.value(x[1:] - x[:-1])
-                f = objective(x, y, cfg)
-                shifted = majorized_input(x, y, cfg)
+            phi0, phi1 = cfg.penalty0.value(x), cfg.penalty1.value(x[1:] - x[:-1])
+            f = objective(x, y, cfg)
+            shifted = majorized_input(x, y, cfg)
             states.append([v.tobytes() for v in (shifted, x, y - x, phi0, phi1)] + [f.hex()])
     return states
 
@@ -99,8 +97,7 @@ def test_compiled_step_matches_python_twin_bytes(values, seed, kind0, kind1, lam
     v = np.random.default_rng(seed).normal(0.0, 2.0, y.size) * (np.arange(y.size) % 3 != 0)
     cfg = CncConfig(lam0, lam1, PenaltySpec(kind0, a0), PenaltySpec(kind1, a1),
                     allow_nonconvex=True)
-    with np.errstate(over="ignore"):
-        shifted = cnc.majorized_input(v, y, cfg)
+    shifted = cnc.majorized_input(v, y, cfg)
     assert run_steps(y, shifted, cfg, compiled=True) == run_steps(y, shifted, cfg, compiled=False)
 
 
@@ -122,8 +119,9 @@ def test_solve_reads_a_strided_observation():
 
 def test_solution_is_not_a_loop_buffer():
     y = np.random.default_rng(5).normal(0.0, 1.0, 50)
-    x = solve(y, CncConfig(0.3, 2.0, PenaltySpec("atan", 1.0), PenaltySpec("atan", 0.05))).x
-    assert x.base is None and x.flags.owndata
+    result = solve(y, CncConfig(0.3, 2.0, PenaltySpec("atan", 1.0), PenaltySpec("atan", 0.05)))
+    for array in (result.x, result.objective_history):
+        assert array.base is None and array.flags.owndata
 
 
 @pytest.mark.skipif(prox.TVD_BACKEND != "c", reason="no compiled library")
@@ -136,7 +134,7 @@ def test_the_loop_is_the_one_mm_entry_point():
 def test_fallback_when_the_library_lacks_the_loop(monkeypatch, tmp_path):
     source = Path(prox._C_SOURCE).read_text()
     older = tmp_path / "_kernels.c"
-    older.write_text(source[:source.index("/* Arguments of cncflsa_mm_solve")])
+    older.write_text(source[:source.index("/* The MM updates of")])
     monkeypatch.setattr(prox, "_C_SOURCE", str(older))
     assert prox._select_backend() == (None, "python")
 

@@ -9,6 +9,7 @@ an array's head is not laid out as `prox._ArrayHead` mirrors it."""
 import ctypes
 import math
 import shutil
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -135,6 +136,24 @@ def test_compiled_maps_call_no_reference(kind, monkeypatch):
         spec.value(arg), spec.residual_deriv(arg)
     y = np.random.default_rng(3).normal(0.0, 1.0, 50)
     solve(y, CncConfig(0.3, 1.0, spec, PenaltySpec(kind, 0.05)))
+
+
+@pytest.mark.skipif(not HAS_LIB, reason="no compiled library")
+@pytest.mark.parametrize("spec", [PenaltySpec("log", 1e308), PenaltySpec("atan", 4e307),
+                                  PenaltySpec("rational", 1e200)])
+def test_references_are_quiet_past_overflow(spec):
+    """Where a*|x| is past the largest float, and for atan where
+    sqrt(3)*a*|x| is, _phi and _slope warn of nothing, as the compiled maps
+    do, and give their bytes: s' is -sign(x), the log phi inf and the atan
+    phi its limit."""
+    x = np.array([-1e200, -3e108, -10.0, -3.0, -1.0, -0.0, 0.0, 1.0, 3.0, 10.0, 3e108, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compiled = spec.value(x), spec.residual_deriv(x)
+        with mock.patch.object(prox, "_tvd_c", None):
+            reference = spec.value(x), spec.residual_deriv(x)
+    assert [v.tobytes() for v in reference] == [v.tobytes() for v in compiled]
+    assert np.all(np.isfinite(reference[0])) or spec.kind == "log"
 
 
 def parent_check_nonneg(value, name):

@@ -22,13 +22,15 @@ repeats, in milliseconds per call:
 - ``python -m cncflsa.cli denoise`` on the 300-sample fixture, in a fresh
   interpreter.
 
-Apart from the compiled update's split, which calls the library through
-``cnc._mm_rows`` and ``cnc._step_args`` as ``cnc.solve`` does, only public
+Apart from the compiled update's split, which calls ``cncflsa_mm_solve``
+with the arguments and block that ``cnc.solve`` passes it, only public
 names are timed, so the script measures whichever version of the package
-is on the import path.  Run it once per version, each with its
-own label, to put both into one file:
+is on the import path.  That entry's arguments are private to a version, so
+run each version's own script, each with its own label, to put both into
+one file:
 
-    PYTHONPATH=<parent checkout>/src python tools/bench_layers.py --tag T --label parent
+    PYTHONPATH=<parent checkout>/src python <parent checkout>/tools/bench_layers.py \
+        --tag T --label parent --out-dir .
     PYTHONPATH=src python tools/bench_layers.py --tag T --label change
 
 Each run appends a record to its label in BENCH_<tag>.json (in the
@@ -66,6 +68,7 @@ from pathlib import Path
 import numpy as np
 
 from cncflsa import (
+    KINDS,
     CncConfig,
     NoiseSpec,
     PenaltySpec,
@@ -81,7 +84,7 @@ from cncflsa import (
     solve,
     tvd,
 )
-from cncflsa import cnc, prox
+from cncflsa import prox
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from gauge import Gauge, in_process  # noqa: E402
@@ -147,19 +150,23 @@ def compiled_update(n):
     if lib is None:
         return None
     y, cfg = signal(n), cnc_config(max_iter=1)
-    rows, addresses = cnc._mm_rows(n)
-    rows[0][:] = majorized_input(fused_lasso_l1(y, cfg.lambda0, cfg.lambda1), y, cfg)
-    history = np.zeros(2)
-    update_args = (ctypes.byref(cnc._step_args(y, addresses, cfg)), lib.numpy_loops,
-                   ctypes.c_void_p(history.ctypes.data))
+    # The block's layout is that of cncflsa_mm_solve in _kernels.c.
+    out, block = np.empty(n), np.zeros(12 * n + 2)
+    block[:n] = majorized_input(fused_lasso_l1(y, cfg.lambda0, cfg.lambda1), y, cfg)
+    update_args = (ctypes.c_void_p(y.ctypes.data), ctypes.c_long(n),
+                   ctypes.c_void_p(out.ctypes.data), ctypes.c_void_p(block.ctypes.data),
+                   *(ctypes.c_double(v) for v in (cfg.lambda0, cfg.lambda1, cfg.penalty0.a,
+                                                  cfg.penalty1.a)),
+                   *(ctypes.c_int(KINDS.index(p.kind)) for p in (cfg.penalty0, cfg.penalty1)),
+                   ctypes.c_long(1), ctypes.c_double(cfg.tol), lib.numpy_loops)
     for _ in range(10):
         lib.cncflsa_mm_solve(*update_args)
-    shifted, x, work = rows[0].copy(), np.empty(n), np.empty(8 * n)
+    shifted, x, work = block[:n].copy(), np.empty(n), np.empty(8 * n)
     kernel_args = (ctypes.c_void_p(shifted.ctypes.data), ctypes.c_long(n),
                    ctypes.c_double(cfg.lambda1), ctypes.c_void_p(x.ctypes.data),
                    ctypes.c_void_p(work.ctypes.data))
     # Each callable holds the arrays its arguments point into.
-    keep = (y, rows, history, shifted, x, work)
+    keep = (y, out, block, shifted, x, work)
     return (lambda keep=keep: lib.cncflsa_mm_solve(*update_args),
             lambda keep=keep: lib.cncflsa_tvd(*kernel_args))
 
