@@ -19,7 +19,6 @@ from .cnc import (
     convexity_margin_params,
     majorized_input,
     objective,
-    objective_smooth,
     select_a1,
     solve,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "convexity_margin_params",
     "select_a1",
     "objective",
-    "objective_smooth",
     "majorized_input",
     "solve",
     "PulseSpec",

@@ -72,7 +72,6 @@ class RunRecord:
     rmse: float
     iterations: int
     converged: bool
-    runtime_ms: float
 
 
 def read_signal(path):
@@ -174,26 +173,23 @@ def cmd_check_convexity(args):
     return EXIT_OK if convex else EXIT_NONCONVEX
 
 
-def collect_run_records(method, noisy, clean, lam0, lam1, kind, sigma,
-                        base_seed, tol=1e-9, max_iter=50, a0=None):
-    """Run one method over the noisy realizations, one RunRecord per trial."""
+def collect_run_records(method, noisy, clean, lam0, lam1, kind, sigma, base_seed, a0=None,
+                        **options):
+    """Run one method over the noisy realizations, one RunRecord per trial.
+    The options go to CncConfig, built (so checked) for "l1" too."""
     a0, a1 = method_params(method, lam0, lam1, a0)
-    cfg = None if method == "l1" else CncConfig(lam0, lam1, PenaltySpec(kind, a0),
-                                                PenaltySpec(kind, a1), max_iter=max_iter, tol=tol)
+    cfg = CncConfig(lam0, lam1, PenaltySpec(kind, a0), PenaltySpec(kind, a1), **options)
     records = []
     for t, y in enumerate(noisy):
-        t0 = time.perf_counter()
-        if cfg is None:
+        if method == "l1":
             x, iterations, converged = fused_lasso_l1(y, lam0, lam1), 1, True
         else:
             result = solve(y, cfg)
             x, iterations, converged = result.x, result.iterations, result.converged
-        runtime_ms = (time.perf_counter() - t0) * 1e3
         records.append(RunRecord(
             method=method, lambda0=float(lam0), lambda1=float(lam1),
             a0=a0, a1=a1, penalty=kind, sigma=sigma, seed=base_seed + t,
             rmse=rmse(x, clean), iterations=iterations, converged=converged,
-            runtime_ms=runtime_ms,
         ))
     return records
 
@@ -215,7 +211,7 @@ def _noisy(clean, sigma, trials, base_seed):
     return [add_awgn(clean, NoiseSpec(sigma, base_seed + t)) for t in range(trials)]
 
 
-def _tune_lambda0(method, noisy, clean, sigma, beta, kind, base_seed, tol, max_iter, a0=None):
+def _tune_lambda0(method, noisy, clean, sigma, beta, kind, base_seed, a0=None, **options):
     """Records of the lambda0 on the grid with the lowest mean RMSE over the
     noisy realizations.  With a0 given, only the lambda0 with
     a0*lambda0 <= 1 are candidates."""
@@ -226,7 +222,7 @@ def _tune_lambda0(method, noisy, clean, sigma, beta, kind, base_seed, tol, max_i
         if a0 is not None and a0 * lam0 > 1.0:
             continue
         records = collect_run_records(
-            method, noisy, clean, lam0, lam1, kind, sigma, base_seed, tol, max_iter, a0=a0,
+            method, noisy, clean, lam0, lam1, kind, sigma, base_seed, a0, **options,
         )
         mean = float(np.mean([r.rmse for r in records]))
         if best is None or mean < best[0]:
@@ -236,25 +232,25 @@ def _tune_lambda0(method, noisy, clean, sigma, beta, kind, base_seed, tol, max_i
     return best[1]
 
 
-def sweep_sigma(values, trials, base_seed, beta, kind, methods, tol=1e-9, max_iter=50):
+def sweep_sigma(values, trials, base_seed, beta, kind, methods, **options):
     """RMSE vs noise level on the pulse fixture, lambda0 grid-tuned per
     method at each level.  Returns one aggregate row per (method, sigma);
     every method sees the same realizations of each level."""
     clean = generate_pulses(default_pulse_spec())
     noisy = [_noisy(clean, sigma, trials, base_seed) for sigma in values]
-    return [_aggregate(_tune_lambda0(method, ys, clean, sigma, beta, kind, base_seed, tol, max_iter),
+    return [_aggregate(_tune_lambda0(method, ys, clean, sigma, beta, kind, base_seed, **options),
                        "sigma", sigma)
             for method in methods for sigma, ys in zip(values, noisy)]
 
 
-def sweep_a0(values, trials, base_seed, beta, kind, sigma, tol=1e-9, max_iter=50):
+def sweep_a0(values, trials, base_seed, beta, kind, sigma, **options):
     """RMSE vs amplitude-penalty non-convexity a0, with a1 recomputed from
     the boundary rule at every point and lambda0 grid-tuned among the
     feasible candidates (a0*lambda0 <= 1)."""
     clean = generate_pulses(default_pulse_spec())
     noisy = _noisy(clean, sigma, trials, base_seed)
-    return [_aggregate(_tune_lambda0("cnc", noisy, clean, sigma, beta, kind, base_seed, tol,
-                                     max_iter, a0), "a0", a0)
+    return [_aggregate(_tune_lambda0("cnc", noisy, clean, sigma, beta, kind, base_seed, a0,
+                                     **options), "a0", a0)
             for a0 in values]
 
 
@@ -316,8 +312,8 @@ def build_parser():
     p.add_argument("--a1", type=float, default=None)
     p.add_argument("--penalty", choices=KINDS, default="atan")
     p.add_argument("--method", choices=METHODS, default="cnc")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--tol", type=float, default=CncConfig.tol)
+    p.add_argument("--max-iter", type=int, default=CncConfig.max_iter)
     p.add_argument("--allow-nonconvex", action="store_true")
     p.add_argument("--reference", default=None,
                    help="clean signal file; adds an rmse field to the metadata")
@@ -344,8 +340,8 @@ def build_parser():
     p.add_argument("--beta", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--penalty", choices=KINDS, default="atan")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--tol", type=float, default=CncConfig.tol)
+    p.add_argument("--max-iter", type=int, default=CncConfig.max_iter)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -142,35 +142,17 @@ def method_params(method, lambda0, lambda1, a0=None, a1=None):
 
 
 def objective(x, y, cfg: CncConfig) -> float:
-    """Penalized objective F(x) for observation y under cfg."""
-    x, y = _as_pair(x, y, "x", "y")
-    return _objective(y - x, cfg, cfg.penalty0.value(x).sum(),
-                      cfg.penalty1.value(x[1:] - x[:-1]).sum())
+    """Penalized objective F(x) for observation y under cfg.
 
-
-def objective_smooth(x, y, cfg: CncConfig) -> float:
-    """Twice continuously differentiable part G(x) of the objective.
-
-    F(x) = G(x) + lambda0*||x||_1 + lambda1*||diff(x)||_1, and the convexity
-    margin certifies strict convexity of G (hence of F).
+    Each penalty's terms are reduced with numpy's pairwise sum and dropped
+    before the next are evaluated.  With one sample the difference sum is
+    the 0.0 of an empty sum, and adding it changes no bit, because the
+    first two terms never sum to -0.0.
     """
     x, y = _as_pair(x, y, "x", "y")
-    return _objective(y - x, cfg, cfg.penalty0.residual(x).sum(),
-                      cfg.penalty1.residual(np.diff(x)).sum())
-
-
-def _objective(r, cfg, sum0, sum1):
-    """F from r = y - x and the sums of phi0 over x and of phi1 over
-    diff(x); G when the sums are of the residuals s0 and s1.
-
-    The one home of the formula.  It takes sums, not arrays, so that each
-    caller reduces a penalty's terms with numpy's pairwise sum (``.sum()``
-    or the ``np.add.reduce`` behind it) and can drop them before
-    evaluating the next.  With one sample sum1 is the 0.0 of an empty sum,
-    and adding it changes no bit, because the first two terms never sum to
-    -0.0.
-    """
-    return 0.5 * float(np.dot(r, r)) + cfg.lambda0 * float(sum0) + cfg.lambda1 * float(sum1)
+    r = y - x
+    return (0.5 * float(np.dot(r, r)) + cfg.lambda0 * float(cfg.penalty0.value(x).sum())
+            + cfg.lambda1 * float(cfg.penalty1.value(x[1:] - x[:-1]).sum()))
 
 
 def majorized_input(v, y, cfg: CncConfig):

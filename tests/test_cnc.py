@@ -13,7 +13,6 @@ from cncflsa import (
     fused_lasso_l1,
     majorized_input,
     objective,
-    objective_smooth,
     select_a1,
     solve,
 )
@@ -142,29 +141,6 @@ class TestObjectives:
         )
         assert objective(x, y, cfg) == pytest.approx(explicit, rel=1e-14)
 
-    def test_smooth_part_l1_case_is_quadratic(self):
-        rng = np.random.default_rng(4)
-        y = rng.normal(0, 1, 12)
-        x = rng.normal(0, 1, 12)
-        cfg = make_cfg(0.3, 0.8, 0.0, 0.0)
-        assert objective_smooth(x, y, cfg) == pytest.approx(0.5 * np.sum((y - x) ** 2), rel=1e-14)
-
-    def test_split_identity(self):
-        # objective == smooth part + l1 terms
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            n = int(rng.integers(2, 40))
-            y = rng.normal(0, 2, n)
-            x = rng.normal(0, 2, n)
-            cfg = random_convex_cfg(rng)
-            lhs = objective(x, y, cfg)
-            rhs = (
-                objective_smooth(x, y, cfg)
-                + cfg.lambda0 * np.sum(np.abs(x))
-                + cfg.lambda1 * np.sum(np.abs(np.diff(x)))
-            )
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-
     def test_length_mismatch(self):
         cfg = make_cfg(1.0, 1.0, 0.1, 0.1)
         with pytest.raises(ValueError):
@@ -202,16 +178,6 @@ class TestMidpointConvexity:
             self._g_batch(U, 0.5, a1) + self._g_batch(V, 0.5, a1)
         )
         assert np.max(viol) > 1e-6
-
-    def test_batch_matches_api(self):
-        # the vectorized helper agrees with objective_smooth
-        cfg = make_cfg(1.0, 1.0, 0.5, 0.125)
-        y = np.zeros(2)
-        rng = np.random.default_rng(9)
-        X = rng.uniform(-3, 3, (20, 2))
-        batch = self._g_batch(X, 0.5, 0.125)
-        for row, g in zip(X, batch):
-            assert objective_smooth(row, y, cfg) == pytest.approx(g, rel=1e-13)
 
 
 class TestMajorizedInput:
