@@ -289,7 +289,7 @@ static double dot(const struct numpy_loops *np, double *r, intptr_t n)
 /* The MM updates of cncflsa.cnc._mm_updates, bit-identical to its Python
  * reference cncflsa.cnc._mm_loop_python, the chain of the public functions:
  * up to max_iter calls of cncflsa_mm_step, each followed by F of the new
- * iterate (cncflsa.cnc.objective, formed as cncflsa.cnc._objective), stored
+ * iterate (cncflsa.cnc.objective, in its order of evaluation), stored
  * in history[k] after history[0], and the stopping rule
  * |prev - F| <= tol * max(1, |prev|), false on NaN as in Python.  Returns
  * the number of updates, negated when the rule fired.

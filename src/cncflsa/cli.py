@@ -103,6 +103,10 @@ def write_signal(path, x):
 
 
 def _method_name(a0, a1):
+    """Class of the solve by which penalty terms are non-convex, for the
+    metadata.  It is not the requested --method, so it does not restate
+    method_params: explicit --a0/--a1 and zero weights change the class
+    (``tools/digest.py``'s --lambda0 0 denoise pins "l1")."""
     if a0 == 0.0 and a1 == 0.0:
         return "l1"
     if a1 == 0.0:
@@ -117,7 +121,6 @@ def cmd_denoise(args):
                     PenaltySpec(args.penalty, a1), max_iter=args.max_iter, tol=args.tol,
                     allow_nonconvex=args.allow_nonconvex)
     result = solve(y, cfg)
-    write_signal(args.output, result.x)
     meta = {
         "method": _method_name(cfg.penalty0.a, cfg.penalty1.a),
         "lambda0": cfg.lambda0,
@@ -134,6 +137,8 @@ def cmd_denoise(args):
     }
     if args.reference is not None:
         meta["rmse"] = rmse(result.x, read_signal(args.reference))
+    # Written only once the reference has been read and compared.
+    write_signal(args.output, result.x)
     with open(args.output + ".json", "w", encoding="ascii") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")

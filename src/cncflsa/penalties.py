@@ -73,11 +73,13 @@ class PenaltySpec:
         """Penalty value phi(x; a), elementwise; phi(0) = 0 and phi(-x) = phi(x)."""
         return _match(self._finish(self._map(x, 0)), x)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def residual(self, x):
         """Smooth concave part s(x; a) = phi(x; a) - |x|.
 
         Computed from closed forms per kind rather than as a numerical
-        difference, which would cancel catastrophically near 0.
+        difference, which would cancel catastrophically near 0.  Where a*|x|
+        overflows, phi < 1420/a is below half an ulp of |x|, so s is -|x|.
         """
         xa = np.asarray(x, dtype=float)
         a = self.a
@@ -91,9 +93,10 @@ class PenaltySpec:
             out = (np.log1p(u) - u) / a
         elif self.kind == "atan":
             out = ((2.0 / _SQRT3) * np.arctan(_SQRT3 * u / (2.0 + u)) - u) / a
-        else:  # rational
+        else:  # rational; where a*x*x overflows, the quotient goes first
             out = -(0.5 * a * xa * xa) / (1.0 + 0.5 * u)
-        return _match(out, x)
+            out = np.where(np.isfinite(out), out, -ax * (0.5 * u / (1.0 + 0.5 * u)))
+        return _match(np.where(np.isinf(u), -ax, out), x)
 
     def residual_deriv(self, x):
         """Derivative s'(x; a); odd, continuous, s'(0) = 0, |s'| < 1 up to

@@ -231,6 +231,16 @@ class TestDenoise:
         assert_write_error(run_cli("denoise", str(noisy), str(tmp_path / "absent" / "o.txt"),
                                    "--lambda0", "0.4", "--lambda1", "2.0"))
 
+    @pytest.mark.parametrize("reference, code", [("hello\n", 2), ("0\n1\n", 4)])
+    def test_failed_reference_writes_nothing(self, tmp_path, noisy, reference, code):
+        """An unparsable reference exits 2 and one of the wrong length 4,
+        both before the output signal is written."""
+        ref, out = tmp_path / "ref.txt", tmp_path / "out.txt"
+        ref.write_text(reference)
+        assert cli.main(["denoise", str(noisy), str(out), "--lambda0", "0.4", "--lambda1", "2.0",
+                         "--reference", str(ref)]) == code
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["noisy.txt", "ref.txt"]
+
     def test_subnormal_a0_exit_code(self, tmp_path, noisy):
         proc = run_cli("denoise", str(noisy), str(tmp_path / "o.txt"),
                        "--lambda0", "0.4", "--lambda1", "2.0", "--a0", "1e-310")
@@ -310,6 +320,15 @@ class TestSweep:
         records = collect_run_records(method, noisy, clean, 0.3 * lam1, lam1, "atan", 0.5, 0,
                                       max_iter=max_iter)
         assert [r.converged for r in records] == [converged, converged]
+
+    @pytest.mark.parametrize("methods", ["l1", "cnc"])
+    @pytest.mark.parametrize("option", [("--tol", "-1"), ("--max-iter", "0")])
+    def test_invalid_solve_options_exit_code(self, tmp_path, methods, option):
+        """CncConfig checks the options for every method, l1 included,
+        and the failed sweep leaves neither the CSV nor its temporary."""
+        assert cli.main(["sweep", "--axis", "sigma", "--values", "0.5", "--trials", "1",
+                         "--methods", methods, *option, "--output", str(tmp_path / "s.csv")]) == 4
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_axis_exit_code(self, tmp_path):
         proc = run_cli("sweep", "--axis", "sigma", "--values", ",",

@@ -164,6 +164,40 @@ def test_value_and_residual_deriv_match_reference_bytes(kind, a):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("a", A_VALUES)
+def test_residual_keeps_the_closed_form_bytes(kind, a):
+    """Where the closed forms are finite, residual gives their bits."""
+    x = np.concatenate([[0.0, -0.0, 5e-324, -1e-300], np.linspace(-50.0, 50.0, 1001)])
+    ax, u = np.abs(x), a * np.abs(x)
+    if a == 0.0 or kind == "l1":
+        expected = np.zeros_like(x)
+    elif kind == "log":
+        expected = (np.log1p(u) - u) / a
+    elif kind == "atan":
+        expected = ((2.0 / np.sqrt(3.0)) * np.arctan(np.sqrt(3.0) * u / (2.0 + u)) - u) / a
+    else:
+        expected = -(0.5 * a * x * x) / (1.0 + 0.5 * u)
+    assert PenaltySpec(kind, a).residual(x).tobytes() == expected.tobytes()
+
+
+# Where a*|x| overflows, phi < 1420/a, so s is -|x| rounded.  The rational
+# a*x*x overflows first, from a*x*x of about 3.6e308 on, and there s is
+# -|x| * (0.5*u / (1 + 0.5*u)).
+@pytest.mark.parametrize("kind, a, x, expected", [
+    ("log", 10.0, 1e308, -1e308), ("atan", 10.0, 1e308, -1e308),
+    ("rational", 10.0, 1e308, -1e308), ("rational", 1.0, 1e155, -1e155),
+    ("rational", 1e-307, 1e308, -1e308 * (5.0 / 6.0))])
+def test_residual_stays_finite_past_overflow(kind, a, x, expected):
+    p = PenaltySpec(kind, a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (x, -x, np.array([x, 1.0])):
+            s = np.atleast_1d(p.residual(v))
+            assert s[0] == pytest.approx(expected, rel=1e-15)
+            assert np.all(np.isfinite(p.majorizer(v, v)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_each_method_computes_only_what_it_returns(kind, monkeypatch):
     """residual_deriv needs no transcendental and value no slope."""
 
