@@ -33,7 +33,7 @@ from .cnc import (
     solve,
 )
 from .penalties import KINDS, PenaltySpec
-from .prox import _check_nonneg, fused_lasso_l1
+from .prox import _all_finite, _check_nonneg, fused_lasso_l1, soft_threshold, tvd
 from .signalgen import (
     NoiseSpec,
     PulseSpec,
@@ -91,7 +91,7 @@ def read_signal(path):
     if not values:
         raise SignalParseError(f"{path}: no samples found")
     out = np.asarray(values)
-    if not np.all(np.isfinite(out)):
+    if not _all_finite(out):
         raise SignalParseError(f"{path}: non-finite samples")
     return out
 
@@ -178,16 +178,21 @@ def cmd_check_convexity(args):
     return EXIT_OK if convex else EXIT_NONCONVEX
 
 
-def collect_run_records(method, noisy, clean, lam0, lam1, kind, sigma, base_seed, a0=None,
-                        **options):
+def collect_run_records(method, noisy, clean, lam0, lam1, kind, sigma, base_seed, a0=None, *,
+                        denoised=None, **options):
     """Run one method over the noisy realizations, one RunRecord per trial.
-    The options go to CncConfig, built (so checked) for "l1" too."""
+    The options go to CncConfig, built (so checked) for "l1" too.  For
+    "l1", denoised may hold tvd(y, lam1) of each realization; a trial then
+    only soft-thresholds it, the rest of fused_lasso_l1, so the bytes are
+    the same."""
     a0, a1 = method_params(method, lam0, lam1, a0)
     cfg = CncConfig(lam0, lam1, PenaltySpec(kind, a0), PenaltySpec(kind, a1), **options)
     records = []
     for t, y in enumerate(noisy):
         if method == "l1":
-            x, iterations, converged = fused_lasso_l1(y, lam0, lam1), 1, True
+            x = fused_lasso_l1(y, lam0, lam1) if denoised is None else soft_threshold(
+                denoised[t], lam0)
+            iterations, converged = 1, True
         else:
             result = solve(y, cfg)
             x, iterations, converged = result.x, result.iterations, result.converged
@@ -219,15 +224,18 @@ def _noisy(clean, sigma, trials, base_seed):
 def _tune_lambda0(method, noisy, clean, sigma, beta, kind, base_seed, a0=None, **options):
     """Records of the lambda0 on the grid with the lowest mean RMSE over the
     noisy realizations.  With a0 given, only the lambda0 with
-    a0*lambda0 <= 1 are candidates."""
+    a0*lambda0 <= 1 are candidates.  lambda1 is fixed, so the "l1" trials
+    of every lambda0 share one tvd per realization."""
     n = clean.size
     lam1 = lambda1_heuristic(n, sigma, beta)
+    denoised = [tvd(y, lam1) for y in noisy] if method == "l1" else None
     best = None
     for lam0 in lambda0_grid(n, sigma, beta):
         if a0 is not None and a0 * lam0 > 1.0:
             continue
         records = collect_run_records(
-            method, noisy, clean, lam0, lam1, kind, sigma, base_seed, a0, **options,
+            method, noisy, clean, lam0, lam1, kind, sigma, base_seed, a0, denoised=denoised,
+            **options,
         )
         mean = float(np.mean([r.rmse for r in records]))
         if best is None or mean < best[0]:

@@ -12,8 +12,10 @@ from cncflsa import (
     add_awgn,
     cli,
     default_pulse_spec,
+    fused_lasso_l1,
     generate_pulses,
     prox,
+    rmse,
     solve,
     tvd,
 )
@@ -320,6 +322,43 @@ class TestSweep:
         records = collect_run_records(method, noisy, clean, 0.3 * lam1, lam1, "atan", 0.5, 0,
                                       max_iter=max_iter)
         assert [r.converged for r in records] == [converged, converged]
+
+    def test_l1_tuning_runs_one_tvd_per_trial(self, monkeypatch):
+        """lambda1 is fixed, so the l1 trials of all 20 lambda0 share one
+        tvd per realization, and each cell's records are those of
+        fused_lasso_l1 per trial, byte for byte."""
+        clean = generate_pulses(default_pulse_spec())
+        trials, sigma, beta = 4, 0.5, 0.25
+        noisy = cli._noisy(clean, sigma, trials, 7)
+        cells = []
+
+        def count(fn):
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+            return counted
+
+        def collect(*args, **kwargs):
+            records = collect_run_records(*args, **kwargs)
+            cells.append((args, kwargs, records))
+            return records
+
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(prox, "tvd", count(prox.tvd))
+            m.setattr(cli, "tvd", count(cli.tvd))
+            m.setattr(cli, "collect_run_records", collect)
+            best = cli._tune_lambda0("l1", noisy, clean, sigma, beta, "atan", 7)
+        assert len(calls) == trials and len(cells) == 20
+        lam1 = cells[0][0][4]
+        for args, kwargs, records in cells:
+            assert kwargs["denoised"] is not None
+            lam0 = args[3]
+            for t, (y, record) in enumerate(zip(noisy, records)):
+                x = fused_lasso_l1(y, lam0, lam1)
+                assert np.float64(record.rmse).tobytes() == np.float64(rmse(x, clean)).tobytes()
+                assert record.seed == 7 + t
+        assert best in [records for _, _, records in cells]
 
     @pytest.mark.parametrize("methods", ["l1", "cnc"])
     @pytest.mark.parametrize("option", [("--tol", "-1"), ("--max-iter", "0")])

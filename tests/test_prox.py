@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from cncflsa import (
     tvd,
     tvd_optimality_residual,
 )
+
+from cncflsa.prox import _all_finite, as_signal
 
 from refsolvers import fl_objective, fused_lasso_reference, tv_objective, tvd_reference
 
@@ -39,9 +43,62 @@ class TestSoftThreshold:
         assert soft_threshold(1.0, 1.0) == 0.0
         assert soft_threshold(-1.0, 1.0) == 0.0
 
+    def test_zero_dimensional_input_gives_a_float(self):
+        out = soft_threshold(np.array(-3.0), 1.0)
+        assert type(out) is float and out == -2.0
+        with pytest.raises(ValueError, match="non-finite"):
+            soft_threshold(np.array(np.inf), 1.0)
+
+    def test_two_dimensional_input_keeps_its_shape(self):
+        x = np.array([[-3.0, 0.5, 2.0], [1.0, -1.5, -0.0]])
+        out = soft_threshold(x, 1.0)
+        assert out.tobytes() == np.array([[-2.0, 0.0, 1.0], [0.0, -0.5, 0.0]]).tobytes()
+        x[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            soft_threshold(x, 1.0)
+        # A non-contiguous view, whose flattening copies
+        with pytest.raises(ValueError, match="non-finite"):
+            soft_threshold(x.T[::2], 1.0)
+
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)
+
+
+class TestAllFinite:
+    """The finiteness check of every public function: exact, and quiet
+    where the sum of squares that usually decides it overflows."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 128, 129, 300])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_rejects_a_non_finite_entry_at_every_position(self, n, bad, scale):
+        """At scale 1e200 the sum of squares of the finite entries alone
+        overflows, so np.isfinite decides."""
+        base = np.random.default_rng(n).normal(0.0, scale, n)
+        assert _all_finite(base)
+        for i in range(n):
+            a = base.copy()
+            a[i] = bad
+            assert not _all_finite(a)
+            assert not _all_finite(a.reshape(1, n))
+        with pytest.raises(ValueError, match="non-finite"):
+            as_signal(a)
+
+    @pytest.mark.parametrize("values", [[1e200] * 3, [1e308, -1e308], [-1.7e308] + [1.0] * 8,
+                                        [5e-324, 1e155, 1e155]])
+    def test_accepts_finite_input_whose_sum_of_squares_overflows(self, values):
+        a = np.array(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _all_finite(a) and _all_finite(a.reshape(1, -1)) and _all_finite(a[::-1])
+            assert as_signal(values).tobytes() == a.tobytes()
+            assert soft_threshold(a, 0.0).tobytes() == a.tobytes()
+
+    def test_empty_and_zero_dimensional(self):
+        assert _all_finite(np.empty(0)) and _all_finite(np.empty((0, 3)))
+        assert _all_finite(np.array(-0.0)) and _all_finite(np.array(1e308))
+        assert not _all_finite(np.array(np.nan))
 
 
 class TestDiff:
