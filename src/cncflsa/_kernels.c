@@ -97,7 +97,9 @@ enum { KIND_L1, KIND_LOG, KIND_ATAN, KIND_RATIONAL };
  * and gcc vectorizes it.  The formula's value past U_LIMIT, NaN or inf
  * where it overflows, is computed and discarded.  So is the atan phi's
  * where sqrt(3) u overflows, which would read inf, or NaN where u is inf:
- * its limit sqrt(3) is taken there. */
+ * its limit sqrt(3) is taken there, and the rational phi's where 0.5 a |z|
+ * overflows, which would read 0, or NaN where |z| is inf: its limit 2/a is
+ * taken there.  2/a is loop-invariant, so gcc computes it once per loop. */
 INLINE double algebra(int kind, double a, double z, double *phi)
 {
     double az = fabs(z), u = a * az, v, slope;
@@ -115,7 +117,8 @@ INLINE double algebra(int kind, double a, double z, double *phi)
         v = 1.0 + 2.0 * u;
         slope = -4.0 * a * z * (1.0 + u) / (3.0 + v * v);
     } else {
-        *phi = az / (1.0 + 0.5 * a * az);
+        v = 0.5 * a * az;
+        *phi = v > DBL_MAX ? 2.0 / a : az / (1.0 + v);
         v = 1.0 + 0.5 * u;
         slope = -a * z * (1.0 + 0.25 * u) / (v * v);
     }

@@ -33,7 +33,7 @@ from .cnc import (
     solve,
 )
 from .penalties import KINDS, PenaltySpec
-from .prox import _all_finite, _check_nonneg, fused_lasso_l1, soft_threshold, tvd
+from .prox import _all_finite, _check_nonneg, soft_threshold, tvd
 from .signalgen import (
     NoiseSpec,
     PulseSpec,
@@ -137,9 +137,17 @@ def cmd_denoise(args):
     }
     if args.reference is not None:
         meta["rmse"] = rmse(result.x, read_signal(args.reference))
-    # Written only once the reference has been read and compared.
-    write_signal(args.output, result.x)
-    with open(args.output + ".json", "w", encoding="ascii") as fh:
+    # Written only once the reference has been read and compared, and the
+    # metadata file is opened first, so that a target that cannot be opened
+    # fails before the signal is written.
+    meta_path = args.output + ".json"
+    with open(meta_path, "w", encoding="ascii") as fh:
+        try:
+            write_signal(args.output, result.x)
+        except OSError:
+            fh.close()
+            os.unlink(meta_path)
+            raise
         json.dump(meta, fh, indent=2)
         fh.write("\n")
     return EXIT_OK
@@ -181,18 +189,17 @@ def cmd_check_convexity(args):
 def collect_run_records(method, noisy, clean, lam0, lam1, kind, sigma, base_seed, a0=None, *,
                         denoised=None, **options):
     """Run one method over the noisy realizations, one RunRecord per trial.
-    The options go to CncConfig, built (so checked) for "l1" too.  For
-    "l1", denoised may hold tvd(y, lam1) of each realization; a trial then
-    only soft-thresholds it, the rest of fused_lasso_l1, so the bytes are
-    the same."""
+    The options go to CncConfig, built (so checked) for "l1" too.  An "l1"
+    trial is fused_lasso_l1, soft_threshold(tvd(y, lam1), lam0), with the
+    tvd of each realization taken from denoised when it is given."""
     a0, a1 = method_params(method, lam0, lam1, a0)
     cfg = CncConfig(lam0, lam1, PenaltySpec(kind, a0), PenaltySpec(kind, a1), **options)
+    if method == "l1" and denoised is None:
+        denoised = [tvd(y, lam1) for y in noisy]
     records = []
     for t, y in enumerate(noisy):
         if method == "l1":
-            x = fused_lasso_l1(y, lam0, lam1) if denoised is None else soft_threshold(
-                denoised[t], lam0)
-            iterations, converged = 1, True
+            x, iterations, converged = soft_threshold(denoised[t], lam0), 1, True
         else:
             result = solve(y, cfg)
             x, iterations, converged = result.x, result.iterations, result.converged

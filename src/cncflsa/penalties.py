@@ -142,7 +142,10 @@ class PenaltySpec:
             # where u is inf; its limit sqrt(3) is taken there.
             v = _SQRT3 * u
             return np.where(np.isinf(v), _SQRT3, v / (2.0 + u))
-        return ax / (1.0 + 0.5 * a * ax)  # rational
+        # rational; where 0.5*a*|x| overflows, the quotient reads 0, or NaN
+        # where |x| is inf; its limit 2/a is taken there.
+        w = 0.5 * a * ax
+        return np.where(np.isinf(w), 2.0 / a, ax / (1.0 + w))
 
     @np.errstate(over="ignore", invalid="ignore")
     def _slope(self, x):

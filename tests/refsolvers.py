@@ -24,7 +24,8 @@ def penalty_terms(kind, a, x):
     `PenaltySpec.value` and `.residual_deriv` in the same order.  Where
     a*|x|, or the square in the atan or rational s', overflows, s' is its
     limit -sign(x), the log phi is inf, and where sqrt(3)*a*|x| overflows,
-    the argument of the atan phi is its limit sqrt(3)."""
+    the argument of the atan phi is its limit sqrt(3), and where 0.5*a*|x|
+    does, the rational phi is its limit 2/a."""
     ax = np.abs(x)
     if kind == "l1" or a == 0.0:
         return ax, np.zeros_like(x)
@@ -41,7 +42,8 @@ def penalty_terms(kind, a, x):
             ds = -4.0 * a * x * (1.0 + u) / (3.0 + big)
         elif kind == "rational":
             big = (1.0 + 0.5 * u) ** 2
-            phi = ax / (1.0 + 0.5 * a * ax)
+            w = 0.5 * a * ax
+            phi = np.where(np.isinf(w), 2.0 / a, ax / (1.0 + w))
             ds = -a * x * (1.0 + 0.25 * u) / big
         else:
             raise ValueError(kind)

@@ -243,6 +243,20 @@ class TestDenoise:
                          "--reference", str(ref)]) == code
         assert sorted(p.name for p in tmp_path.iterdir()) == ["noisy.txt", "ref.txt"]
 
+    def test_unwritable_metadata_writes_nothing(self, tmp_path, noisy):
+        """A directory in place of the .json exits 4 before the signal is
+        written."""
+        (tmp_path / "out.txt.json").mkdir()
+        assert cli.main(["denoise", str(noisy), str(tmp_path / "out.txt"),
+                         "--lambda0", "0.4", "--lambda1", "2.0"]) == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["noisy.txt", "out.txt.json"]
+
+    def test_unwritable_signal_leaves_no_metadata(self, tmp_path, noisy):
+        (tmp_path / "out.txt").mkdir()
+        assert cli.main(["denoise", str(noisy), str(tmp_path / "out.txt"),
+                         "--lambda0", "0.4", "--lambda1", "2.0"]) == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["noisy.txt", "out.txt"]
+
     def test_subnormal_a0_exit_code(self, tmp_path, noisy):
         proc = run_cli("denoise", str(noisy), str(tmp_path / "o.txt"),
                        "--lambda0", "0.4", "--lambda1", "2.0", "--a0", "1e-310")

@@ -117,6 +117,21 @@ def test_atan_phi_takes_its_limit_where_a_x_overflows(tvd_backend):
     assert np.all(np.isfinite(result.objective_history))
 
 
+@pytest.mark.parametrize("tvd_backend", ["c", "python"])
+def test_rational_phi_takes_its_limit_where_half_a_x_overflows(tvd_backend):
+    """Where 0.5*a*|x| is past the largest float, |x|/(1 + 0.5*a*|x|)
+    read 0, though phi rises to its limit 2/a, so F dropped the term.  phi
+    takes that limit there, in value and in objective."""
+    spec = PenaltySpec("rational", 1e200)
+    x = np.array([1e108, -3.5e108, 1e200, -1e300, 1.7e308])
+    cfg = CncConfig(1.0, 0.0, spec, PenaltySpec(), allow_nonconvex=True)
+    with backend(tvd_backend):
+        phi, scalar = spec.value(x), spec.value(-1e200)
+        f = objective(x[2:3], x[2:3], cfg)
+    assert phi[:2] == pytest.approx([2e-200, 2e-200], rel=1e-15)
+    assert np.all(phi[2:] == 2.0 / 1e200) and scalar == f == 2.0 / 1e200
+
+
 @settings(max_examples=150, deadline=None)
 @given(signals, st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.sampled_from(KINDS),
        weights, weights, degrees, degrees)

@@ -4,6 +4,8 @@ Times each layer on fixed inputs and keeps the median and quartiles of its
 repeats, in milliseconds per call:
 
 - ``prox.tvd`` at N = 300, 3,000, 30,000 and 300,000;
+- ``prox.as_signal``, the validation of every public function's input, at
+  N = 300 and 30,000;
 - ``prox.fused_lasso_l1`` on the 300-sample fixture;
 - a solve's starting point, ``fused_lasso_l1`` + ``cnc.objective`` +
   ``cnc.majorized_input``, at N = 300 and 30,000, and its penalty pieces
@@ -190,6 +192,10 @@ def layers(workdir):
     for n, inner in ((300, 200), (3000, 40), (30000, 4), (300000, 1)):
         y = signal(n)
         out.append((f"prox.tvd N={n}", REPEATS, lambda y=y, inner=inner: timed(lambda: tvd(y, lam1), inner)))
+    for n, inner in ((300, 2000), (30000, 200)):
+        y = signal(n)
+        out.append((f"prox.as_signal N={n}", REPEATS,
+                    lambda y=y, inner=inner: timed(lambda: prox.as_signal(y), inner)))
     out.append(("prox.fused_lasso_l1 N=300", REPEATS,
                 lambda: timed(lambda: fused_lasso_l1(y300, cfg.lambda0, lam1), 200)))
     y30k = signal(30000)
