@@ -60,6 +60,18 @@ class TestSignalIO:
         with pytest.raises(ValueError):
             read_signal(path)
 
+    @pytest.mark.parametrize("text", ["1.5\nnan\n", "inf\n2\n", "1e308\n-1e308\n-inf\n"])
+    def test_non_finite_samples_are_a_parse_error(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(cli.SignalParseError, match=r"bad\.txt: non-finite samples$"):
+            read_signal(path)
+
+    def test_samples_whose_squares_overflow_are_read(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("1e308\n-1e308\n1e200\n")
+        assert read_signal(path).tolist() == [1e308, -1e308, 1e200]
+
 
 class TestGenerate:
     def test_default_fixture_exact(self, tmp_path):

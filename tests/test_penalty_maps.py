@@ -56,11 +56,12 @@ def on_both(fn):
 def layouts(x):
     """x as given, as a Python float and a 0-d array of its first sample,
     strided, read-only, in two dimensions, transposed, and its diff (empty
-    when x has one sample, NaN where x has inf - inf)."""
+    when x has one sample, NaN where x has inf - inf, inf where a finite
+    difference overflows)."""
     readonly = x.copy()
     readonly.flags.writeable = False
     grid = np.resize(x, (3, x.size))
-    with np.errstate(invalid="ignore"):  # inf - inf
+    with np.errstate(invalid="ignore", over="ignore"):
         out = [x, x[::2], readonly, grid, grid.T, x[1:] - x[:-1]]
     if x.size:
         out += [float(x[0]), np.array(x[0])]

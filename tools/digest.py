@@ -16,7 +16,8 @@ Each digest covers the bytes of
   with each kind at random degrees and at the edge degrees 2**52 and 2**55
   (a*|x| on both sides of 2**56, past which s' is -sign(x)), 1e160 (past
   the overflow of the atan and rational squares) and 1e308 (past that of
-  a*|x| itself; not for atan, which rejects it): ``PenaltySpec.value`` and
+  a*|x| itself, and of the rational phi's 0.5*a*|x|; not for atan, which
+  rejects it): ``PenaltySpec.value`` and
   ``PenaltySpec.residual_deriv`` of the signal, its diff and its first
   sample, and ``objective`` and ``majorized_input``.
 
