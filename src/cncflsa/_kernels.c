@@ -13,6 +13,15 @@
  * pairwise sum and BLAS ddot) is done by calling numpy's own float64 inner
  * loops.
  *
+ * Each exported entry is built twice, for x86-64-v3 (AVX2, 4-lane maps) and
+ * for the baseline x86-64 (SSE2), and the loader's ifunc resolver picks the
+ * body this CPU runs; so the cached library runs on any x86-64 and uses the
+ * wider vectors where they exist.  Neither body rounds differently: v3's
+ * FMA stays off under -ffp-contract=off, and an IEEE add, mul, div, compare
+ * or blend gives the same bits at any vector width.  The clones need gcc's
+ * target_clones and glibc's ifunc; elsewhere CLONES expands to nothing and
+ * the one body is the baseline's.
+ *
  * cncflsa_tvd: exact 1-D total variation denoising, a line-for-line port of
  * cncflsa.prox._tvd_python (its docstring and comments describe the
  * algorithm).  Requires n >= 2 and lam > 0; the caller owns x (n doubles)
@@ -21,7 +30,13 @@
  * lo_clamp and hi_clamp (n - 1 doubles each, from work + 6 n and
  * work + 7 n). */
 
-void cncflsa_tvd(const double *y, long n, double lam, double *x, double *work)
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__GLIBC__)
+#define CLONES __attribute__((target_clones("arch=x86-64-v3", "default")))
+#else
+#define CLONES
+#endif
+
+CLONES void cncflsa_tvd(const double *y, long n, double lam, double *x, double *work)
 {
     double *pos = work, *d_a = work + 2 * n, *d_b = work + 4 * n;
     double *lo_clamp = work + 6 * n, *hi_clamp = work + 7 * n;
@@ -172,7 +187,7 @@ INLINE void map_penalty(int kind, int slope, double a, const double *restrict x,
     }
 }
 
-void cncflsa_penalty_map(int kind, double a, const double *x, long n, double *out, int slope)
+CLONES void cncflsa_penalty_map(int kind, double a, const double *x, long n, double *out, int slope)
 {
     switch (kind) {
     case KIND_L1: map_penalty(KIND_L1, slope, a, x, out, n); break;
@@ -192,8 +207,9 @@ void cncflsa_penalty_map(int kind, double a, const double *x, long n, double *ou
  * over x, the map over diff(x), and the D^T pass.  s1' (n - 1 doubles)
  * lives in the kernel's lo_clamp row at work + 6 n: dead once the kernel
  * has returned, and memory each update already touches, so the scratch
- * costs no new pages. */
-static void cncflsa_mm_step(const struct mm_step *m)
+ * costs no new pages.  Inlined into each clone of cncflsa_mm_solve, so that
+ * its maps are built at that clone's vector width. */
+INLINE void cncflsa_mm_step(const struct mm_step *m)
 {
     long n = m->n, i;
     double *shifted = m->shifted, *x = m->x, *ds1 = m->work + 6 * n;
@@ -308,7 +324,7 @@ static double dot(const struct numpy_loops *np, double *r, intptr_t n)
  *                   row cncflsa_mm_step reuses for s1';
  *   block + 12 n    history (max_iter + 1), whose history[0], the start's
  *                   F, the caller writes before the call. */
-long cncflsa_mm_solve(const double *y, long n, double *x, double *block, double lam0,
+CLONES long cncflsa_mm_solve(const double *y, long n, double *x, double *block, double lam0,
                       double lam1, double a0, double a1, int kind0, int kind1, long max_iter,
                       double tol, const struct numpy_loops *np)
 {

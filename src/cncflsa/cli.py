@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,28 @@ def write_signal(path, x):
             fh.write(f"{v:.17g}\n")
 
 
+@contextmanager
+def _replacing(*paths):
+    """Per-process temporaries for ``paths``, which the block writes and
+    which are moved over them in order once it has written them all, so
+    that a failed write changes none of them.  Removes what is left of the
+    temporaries either way.  A directory in the way of any path fails
+    before the block runs, since it would fail a move only after another
+    had replaced its file."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path} is a directory")
+    tmps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+
 def _method_name(a0, a1):
     """Class of the solve by which penalty terms are non-convex, for the
     metadata.  It is not the requested --method, so it does not restate
@@ -137,19 +160,12 @@ def cmd_denoise(args):
     }
     if args.reference is not None:
         meta["rmse"] = rmse(result.x, read_signal(args.reference))
-    # Written only once the reference has been read and compared, and the
-    # metadata file is opened first, so that a target that cannot be opened
-    # fails before the signal is written.
-    meta_path = args.output + ".json"
-    with open(meta_path, "w", encoding="ascii") as fh:
-        try:
-            write_signal(args.output, result.x)
-        except OSError:
-            fh.close()
-            os.unlink(meta_path)
-            raise
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    # Written only once the reference has been read and compared.
+    with _replacing(args.output, args.output + ".json") as (signal_tmp, meta_tmp):
+        write_signal(signal_tmp, result.x)
+        with open(meta_tmp, "w", encoding="ascii") as fh:
+            json.dump(meta, fh, indent=2)
+            fh.write("\n")
     return EXIT_OK
 
 
@@ -288,10 +304,7 @@ def cmd_sweep(args):
               "mean_rmse", "std_rmse", "trials"]
     # Opened first, so that an unwritable path fails before any solve, and
     # moved over the output only once the sweep has succeeded.
-    if os.path.isdir(args.output):
-        raise IsADirectoryError(f"--output {args.output} is a directory")
-    tmp = f"{args.output}.{os.getpid()}.tmp"
-    try:
+    with _replacing(args.output) as (tmp,):
         with open(tmp, "w", newline="", encoding="ascii") as fh:
             t0 = time.perf_counter()
             if args.axis == "sigma":
@@ -307,10 +320,6 @@ def cmd_sweep(args):
                 writer.writerow([row["method"], row["axis"]]
                                 + [f"{row[f]:.17g}" for f in fields[2:-1]]
                                 + [row["trials"]])
-        os.replace(tmp, args.output)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
     print(f"wrote {len(rows)} rows to {args.output} ({elapsed:.1f}s)")
     return EXIT_OK
 

@@ -27,10 +27,12 @@ import numpy as np
 
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 # Bit equality with the Python kernel needs every operation rounded on its
-# own: no fused multiply-add (-ffp-contract=off), no -ffast-math, no
-# -march=native.  -fno-trapping-math changes no rounding; it lets -O3
-# turn the selects of the MM step's maps into vector blends, which gcc
-# otherwise refuses as control flow in the loop.
+# own: no fused multiply-add (-ffp-contract=off) and no -ffast-math.
+# -fno-trapping-math changes no rounding; it lets -O3 turn the selects of
+# the MM step's maps into vector blends, which gcc otherwise refuses as
+# control flow in the loop.  -march=native stays out because the cached
+# library must run on any x86-64; _kernels.c builds its wider clones
+# itself, and the loader picks the one this CPU runs.
 _C_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-trapping-math")
 
 

@@ -1,7 +1,8 @@
 """Finite-difference property suites shared between the module tests and the
 acceptance gate.  Everything here checks the penalty contracts through
 independent numerics (central differences, random probes), never through the
-closed forms under test."""
+closed forms under test.  Also the edge samples that the byte tests of the
+compiled maps share."""
 
 import numpy as np
 
@@ -11,6 +12,15 @@ GRID = np.linspace(-10.0, 10.0, 2001)  # step 0.01
 A_VALUES = (0.0, 0.1, 1.0, 10.0)
 H1 = 1e-5  # first-derivative step
 H2 = 1e-4  # second-derivative step
+# Small samples, spikes and steps: with a = 2**52, a*|z| of the large
+# values of x and of diff(x) is past 2**56 and of the small ones is not,
+# so the lanes past the limit sit between finite ones; with a = 1e160 every
+# nonzero lane is past it, where the atan and rational formulas overflow.
+# Its prefixes of 2 to 9, 15 to 17, 31 and 33 samples end the 2- and
+# 4-lane maps, over x and over diff(x), in every kind of tail.
+EDGE = [0.4, 60.0, -0.7, 0.2, 0.5, 40.0, 40.5, 39.8, -0.3, 0.9, -60.0, 0.6, -0.2, 0.8, 0.0,
+        -0.9, 50.0, 0.7, -45.0, 45.5, -0.1, 0.3, 70.0, -0.6, -0.0, 55.0, 0.2, -0.5, 30.0,
+        30.2, -0.8, 0.1, -70.0]
 
 
 def second_diff(f, x, h):

@@ -263,6 +263,36 @@ class TestDenoise:
                          "--lambda0", "0.4", "--lambda1", "2.0"]) == 4
         assert sorted(p.name for p in tmp_path.iterdir()) == ["noisy.txt", "out.txt.json"]
 
+    def test_unwritable_signal_keeps_the_older_metadata(self, tmp_path, noisy):
+        """A directory in place of the signal exits 4, leaves an older
+        .json of the same name as it was, and leaves no temporary file."""
+        (tmp_path / "out.txt").mkdir()
+        (tmp_path / "out.txt.json").write_text("older\n")
+        assert cli.main(["denoise", str(noisy), str(tmp_path / "out.txt"),
+                         "--lambda0", "0.4", "--lambda1", "2.0"]) == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["noisy.txt", "out.txt",
+                                                               "out.txt.json"]
+        assert (tmp_path / "out.txt.json").read_text() == "older\n"
+
+    def test_failed_metadata_write_keeps_both_older_files(self, tmp_path, noisy, monkeypatch):
+        """A write that fails part-way leaves both older files as they were
+        and no temporary file."""
+        out = tmp_path / "out.txt"
+        out.write_text("older signal\n")
+        (tmp_path / "out.txt.json").write_text("older\n")
+
+        def full_disk(obj, fh, **kwargs):
+            fh.write("{")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.json, "dump", full_disk)
+        assert cli.main(["denoise", str(noisy), str(out), "--lambda0", "0.4",
+                         "--lambda1", "2.0"]) == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["noisy.txt", "out.txt",
+                                                               "out.txt.json"]
+        assert out.read_text() == "older signal\n"
+        assert (tmp_path / "out.txt.json").read_text() == "older\n"
+
     def test_unwritable_signal_leaves_no_metadata(self, tmp_path, noisy):
         (tmp_path / "out.txt").mkdir()
         assert cli.main(["denoise", str(noisy), str(tmp_path / "out.txt"),

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from cncflsa import (KINDS, CncConfig, PenaltySpec, cnc, fused_lasso_l1, majorized_input,
                      objective, prox, solve)
 
+from suites import EDGE
+
 HAS_CC = shutil.which("cc") is not None or shutil.which("gcc") is not None
 
 signals = st.one_of(
@@ -29,12 +31,6 @@ signals = st.one_of(
 weights = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
 degrees = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
 WIDE = np.random.default_rng(9).normal(0.0, 3.0, 60).tolist()
-# Small samples, spikes and a step: with a = 2**52, a*|z| of the large
-# values of x and of diff(x) is past 2**56 and of the small ones is not,
-# so the lanes past the limit sit between finite ones; with a = 1e160 every
-# nonzero lane is past it, where the atan and rational formulas overflow.
-EDGE = [0.4, 60.0, -0.7, 0.2, 0.5, 40.0, 40.5, 39.8, -0.3, 0.9, -60.0, 0.6, -0.2, 0.8, 0.0,
-        -0.9, 50.0]
 
 
 def run_steps(y, shifted, cfg, compiled, calls=3):
@@ -88,9 +84,15 @@ def run_steps(y, shifted, cfg, compiled, calls=3):
 @example(EDGE[:3], 8, "atan", "rational", 0.1, 0.1, 2.0**52, 2.0**52)
 @example(EDGE[:4], 9, "rational", "log", 0.1, 0.1, 2.0**52, 2.0**52)
 @example(EDGE[:5], 10, "l1", "rational", 0.1, 0.1, 0.0, 1e160)
+@example(EDGE[:6], 14, "log", "rational", 0.1, 0.1, 2.0**52, 2.0**52)
+@example(EDGE[:7], 15, "rational", "log", 0.1, 0.1, 1e160, 2.0**52)
 @example(EDGE[:8], 11, "atan", "log", 0.1, 0.1, 2.0**52, 2.0**52)
 @example(EDGE[:9], 12, "rational", "atan", 0.1, 0.1, 1e160, 0.0)
-@example(EDGE, 13, "log", "atan", 0.1, 0.1, 1e160, 2.0**52)
+@example(EDGE[:15], 16, "atan", "atan", 0.1, 0.1, 2.0**52, 2.0**52)
+@example(EDGE[:16], 17, "rational", "l1", 0.1, 0.1, 2.0**52, 0.0)
+@example(EDGE[:17], 13, "log", "atan", 0.1, 0.1, 1e160, 2.0**52)
+@example(EDGE[:31], 18, "atan", "rational", 0.1, 0.1, 1e160, 2.0**52)
+@example(EDGE, 19, "rational", "log", 0.1, 0.1, 2.0**52, 1e160)
 def test_compiled_step_matches_python_twin_bytes(values, seed, kind0, kind1, lam0, lam1, a0, a1):
     y = np.array(values)
     # Start from the shifted input of a random iterate, zeroed in places.

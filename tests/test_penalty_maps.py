@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 from cncflsa import KINDS, CncConfig, PenaltySpec, majorized_input, objective, prox, solve
 
+from suites import EDGE
+
 HAS_LIB = prox.TVD_BACKEND == "c"
 HAS_CC = shutil.which("cc") is not None or shutil.which("gcc") is not None
 
@@ -86,7 +88,19 @@ def same(compiled, reference):
 @given(specs, samples)
 @example(PenaltySpec("log", 1e308), [1e300, -0.0, 0.0, -1e-300, 5.0])
 @example(PenaltySpec("atan", 1e160), [-0.0])
-@example(PenaltySpec("rational", 2.0**52), [0.4, 60.0, -0.7, 0.2, 0.5, 40.0, 40.5, 39.8, -0.3])
+@example(PenaltySpec("log", 2.0**52), EDGE[:2])
+@example(PenaltySpec("atan", 2.0**52), EDGE[:3])
+@example(PenaltySpec("rational", 1e160), EDGE[:4])
+@example(PenaltySpec("log", 1e308), EDGE[:5])
+@example(PenaltySpec("atan", 1e160), EDGE[:6])
+@example(PenaltySpec("rational", 2.0**55), EDGE[:7])
+@example(PenaltySpec("l1", 0.0), EDGE[:8])
+@example(PenaltySpec("rational", 2.0**52), EDGE[:9])
+@example(PenaltySpec("log", 1e160), EDGE[:15])
+@example(PenaltySpec("atan", 2.0**55), EDGE[:16])
+@example(PenaltySpec("rational", 1e308), EDGE[:17])
+@example(PenaltySpec("atan", 2.0**52), EDGE[:31])
+@example(PenaltySpec("log", 2.0**55), EDGE)
 def test_maps_give_the_reference_bytes(spec, values):
     x = np.array(values, dtype=float)
     for method in (spec.value, spec.residual_deriv):
