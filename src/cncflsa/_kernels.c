@@ -19,8 +19,8 @@
  * wider vectors where they exist.  Neither body rounds differently: v3's
  * FMA stays off under -ffp-contract=off, and an IEEE add, mul, div, compare
  * or blend gives the same bits at any vector width.  The clones need gcc's
- * target_clones and glibc's ifunc; elsewhere CLONES expands to nothing and
- * the one body is the baseline's.
+ * target_clones (gcc 12 or later) and glibc's ifunc; elsewhere CLONES
+ * expands to nothing and the one body is the baseline's.
  *
  * cncflsa_tvd: exact 1-D total variation denoising, a line-for-line port of
  * cncflsa.prox._tvd_python (its docstring and comments describe the
@@ -30,7 +30,11 @@
  * lo_clamp and hi_clamp (n - 1 doubles each, from work + 6 n and
  * work + 7 n). */
 
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__GLIBC__)
+/* gcc 12 is the oldest checked: an older one may reject arch=x86-64-v3 in
+ * target_clones (the x86-64 levels came in gcc 11), and a failed build
+ * would leave the package on its Python backend. */
+#if defined(__GNUC__) && __GNUC__ >= 12 && !defined(__clang__) && defined(__x86_64__) \
+    && defined(__GLIBC__)
 #define CLONES __attribute__((target_clones("arch=x86-64-v3", "default")))
 #else
 #define CLONES
