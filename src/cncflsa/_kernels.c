@@ -1,21 +1,35 @@
-#include <float.h>
-#include <math.h>
-#include <stddef.h>
-#include <stdint.h>
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include <numpy/arrayobject.h>
+#include <numpy/ufuncobject.h>
 
-/* Compiled kernels of cncflsa, bit-identical to their Python references.
- * Built with -ffp-contract=off and without -ffast-math, every operation
- * rounds on its own exactly as the same operation does in numpy, so each
- * function keeps its reference's expressions in their order.  -O3 with
+#include <float.h>
+#include <limits.h>
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+/* cncflsa._kernels, the compiled kernels of cncflsa as a CPython extension
+ * module, bit-identical to their Python references.  Built with
+ * -ffp-contract=off and without -ffast-math, every operation rounds on its
+ * own exactly as the same operation does in numpy, so each function keeps
+ * its reference's expressions in their order.  -O3 with
  * -fno-trapping-math vectorizes the maps of cncflsa_mm_step, which changes
  * no bit: each lane runs the same operations as one scalar would.  What
  * plain C cannot round as numpy does (its SIMD arctan and log1p, its
  * pairwise sum and BLAS ddot) is done by calling numpy's own float64 inner
- * loops.
+ * loops, which the module's import finds and probes.
  *
- * Each exported entry is built twice, for x86-64-v3 (AVX2, 4-lane maps) and
- * for the baseline x86-64 (SSE2), and the loader's ifunc resolver picks the
- * body this CPU runs; so the cached library runs on any x86-64 and uses the
+ * The module's four entries (tvd, penalty_map, mm_solve and all_finite, at
+ * the end of this file) take numpy arrays, check their dtype, layout,
+ * lengths and integer ranges, raising TypeError or ValueError rather than
+ * reading past a buffer, and allocate their outputs and scratch
+ * themselves.  Each releases the GIL around its N-sized loops.
+ *
+ * Each kernel is built twice, for x86-64-v3 (AVX2, 4-lane maps) and for
+ * the baseline x86-64 (SSE2), and the loader's ifunc resolver picks the
+ * body this CPU runs; so the cached module runs on any x86-64 and uses the
  * wider vectors where they exist.  Neither body rounds differently: v3's
  * FMA stays off under -ffp-contract=off, and an IEEE add, mul, div, compare
  * or blend gives the same bits at any vector width.  The clones need gcc's
@@ -28,7 +42,9 @@
  * and work (8 n doubles), whose rows are the knots' pos, d_a and d_b
  * (2 n doubles each, from work, work + 2 n and work + 4 n) and the clamps
  * lo_clamp and hi_clamp (n - 1 doubles each, from work + 6 n and
- * work + 7 n). */
+ * work + 7 n).  Every index it forms stays within those rows whatever the
+ * values: head only falls from n and tail only rises from n - 1, each by at
+ * most one per sample. */
 
 /* gcc 12 is the oldest checked: an older one may reject arch=x86-64-v3 in
  * target_clones (the x86-64 levels came in gcc 11), and a failed build
@@ -40,13 +56,14 @@
 #define CLONES
 #endif
 
-CLONES void cncflsa_tvd(const double *y, long n, double lam, double *x, double *work)
+CLONES static void cncflsa_tvd(const double *y, npy_intp n, double lam, double *x,
+                               double *work)
 {
     double *pos = work, *d_a = work + 2 * n, *d_b = work + 4 * n;
     double *lo_clamp = work + 6 * n, *hi_clamp = work + 7 * n;
     double a_left = 1.0, b_left = -y[0], a_right = 1.0, b_right = -y[0];
     double a, b, lo, hi, xi;
-    long head = n, tail = n - 1, i, k;
+    npy_intp head = n, tail = n - 1, i, k;
 
     for (i = 0; i < n - 1; i++) {
         a = a_left, b = b_left, k = head;
@@ -85,11 +102,10 @@ CLONES void cncflsa_tvd(const double *y, long n, double lam, double *x, double *
     }
 }
 
-/* The state of one solve's updates, private to this file: cncflsa_mm_solve
- * fills it from its arguments and the rows it cuts from its block, and
- * cncflsa_mm_step reads it. */
+/* The state of one solve's updates: cncflsa_mm_solve fills it from its
+ * arguments and the rows of its scratch, and cncflsa_mm_step reads it. */
 struct mm_step {
-    long n;
+    npy_intp n;
     const double *y;
     double *shifted, *x, *r, *phi0, *phi1, *work;
     double lam0, lam1, a0, a1;
@@ -151,7 +167,7 @@ INLINE void map_x(int kind, const struct mm_step *m)
     const double *restrict y = m->y, *restrict x = m->x;
     double *restrict shifted = m->shifted, *restrict r = m->r, *restrict phi0 = m->phi0;
     double a = m->a0, lam0 = m->lam0;
-    long i;
+    npy_intp i;
 
     for (i = 0; i < m->n; i++) {
         r[i] = y[i] - x[i];
@@ -165,7 +181,7 @@ INLINE void map_diff(int kind, const struct mm_step *m, double *restrict ds1)
     const double *restrict x = m->x;
     double *restrict phi1 = m->phi1;
     double a = m->a1;
-    long i;
+    npy_intp i;
 
     for (i = 0; i < m->n - 1; i++)
         ds1[i] = algebra(kind, a, x[i + 1] - x[i], &phi1[i]);
@@ -177,10 +193,10 @@ INLINE void map_diff(int kind, const struct mm_step *m, double *restrict ds1)
  * The half a method does not return is computed and discarded, which gcc
  * drops as dead code. */
 INLINE void map_penalty(int kind, int slope, double a, const double *restrict x,
-                        double *restrict out, long n)
+                        double *restrict out, npy_intp n)
 {
     double phi;
-    long i;
+    npy_intp i;
 
     if (slope) {
         for (i = 0; i < n; i++)
@@ -191,7 +207,8 @@ INLINE void map_penalty(int kind, int slope, double a, const double *restrict x,
     }
 }
 
-CLONES void cncflsa_penalty_map(int kind, double a, const double *x, long n, double *out, int slope)
+CLONES static void cncflsa_penalty_map(int kind, double a, const double *x, npy_intp n,
+                                       double *out, int slope)
 {
     switch (kind) {
     case KIND_L1: map_penalty(KIND_L1, slope, a, x, out, n); break;
@@ -215,7 +232,7 @@ CLONES void cncflsa_penalty_map(int kind, double a, const double *x, long n, dou
  * its maps are built at that clone's vector width. */
 INLINE void cncflsa_mm_step(const struct mm_step *m)
 {
-    long n = m->n, i;
+    npy_intp n = m->n, i;
     double *shifted = m->shifted, *x = m->x, *ds1 = m->work + 6 * n;
     double t, v, sign, lam1 = m->lam1;
 
@@ -252,34 +269,52 @@ INLINE void cncflsa_mm_step(const struct mm_step *m)
     shifted[n - 1] = shifted[n - 1] - lam1 * ds1[n - 2];
 }
 
-/* A float64 inner loop of a numpy ufunc, as numpy's ufuncobject.h declares
- * PyUFuncGenericFunction, with npy_intp the width of a pointer. */
-typedef void (*numpy_loop)(char **args, const intptr_t *dimensions,
-                           const intptr_t *steps, void *data);
+/* Whether the n doubles from x are all finite.  Adding 2^52 to a double's
+ * exponent field, masked out of its bits, carries into the sign bit
+ * exactly when the field is all ones, that is for inf and NaN; so the loop
+ * is 64-bit and, add and or, which vectorize at any width. */
+CLONES static int cncflsa_all_finite(const double *x, npy_intp n)
+{
+    uint64_t bits, carry = 0;
+    npy_intp i;
+
+    for (i = 0; i < n; i++) {
+        memcpy(&bits, x + i, sizeof(bits));
+        carry |= (bits & 0x7ff0000000000000ULL) + 0x0010000000000000ULL;
+    }
+    return !(carry >> 63);
+}
+
+/* A float64 inner loop of a numpy ufunc and the data numpy passes it, as
+ * ufunc->functions[i] and ufunc->data[i] of numpy's PyUFuncObject. */
+struct numpy_loop {
+    PyUFuncGenericFunction call;
+    void *data;
+};
 
 /* numpy's loops of arctan and log1p (d->d), add (dd->d) and the vecdot
- * gufunc (dd->d); mirrored by cncflsa.prox._NumpyLoops, which resolves and
- * probes them.  Each is called with the arguments numpy itself passes. */
+ * gufunc (dd->d), the module's state: module_exec finds and probes them.
+ * Each is called with the arguments numpy itself passes. */
 struct numpy_loops {
-    numpy_loop arctan, log1p, add, vecdot;
+    struct numpy_loop arctan, log1p, add, vecdot;
 };
 
 /* cncflsa.penalties.PenaltySpec._finish of len values in place: numpy's
  * log1p or arctan, then the scale. */
-static void finish(const struct numpy_loops *np, int kind, double a, double *phi, intptr_t len)
+static void finish(const struct numpy_loops *np, int kind, double a, double *phi, npy_intp len)
 {
     char *args[2] = {(char *)phi, (char *)phi};
-    intptr_t steps[2] = {8, 8}, i;
+    npy_intp steps[2] = {8, 8}, i;
     double scale;
 
     if (len == 0)
         return;
     if (kind == KIND_LOG) {
-        np->log1p(args, &len, steps, NULL);
+        np->log1p.call(args, &len, steps, np->log1p.data);
         for (i = 0; i < len; i++)
             phi[i] /= a;
     } else if (kind == KIND_ATAN) {
-        np->arctan(args, &len, steps, NULL);
+        np->arctan.call(args, &len, steps, np->arctan.data);
         scale = 2.0 / (a * 1.7320508075688772);
         for (i = 0; i < len; i++)
             phi[i] *= scale;
@@ -287,56 +322,64 @@ static void finish(const struct numpy_loops *np, int kind, double a, double *phi
 }
 
 /* np.add.reduce of len values: the add loop in reduce form, onto 0.0. */
-static double total(const struct numpy_loops *np, double *v, intptr_t len)
+static double total(const struct numpy_loops *np, double *v, npy_intp len)
 {
     double acc = 0.0;
     char *args[3] = {(char *)&acc, (char *)v, (char *)&acc};
-    intptr_t steps[3] = {0, 8, 0};
+    npy_intp steps[3] = {0, 8, 0};
 
     if (len > 0)
-        np->add(args, &len, steps, NULL);
+        np->add.call(args, &len, steps, np->add.data);
     return acc;
 }
 
 /* np.dot(r, r) of n values: one outer iteration of the vecdot loop. */
-static double dot(const struct numpy_loops *np, double *r, intptr_t n)
+static double dot(const struct numpy_loops *np, double *r, npy_intp n)
 {
     double out;
     char *args[3] = {(char *)r, (char *)r, (char *)&out};
-    intptr_t dims[2] = {1, n}, steps[5] = {0, 0, 0, 8, 8};
+    npy_intp dims[2] = {1, n}, steps[5] = {0, 0, 0, 8, 8};
 
-    np->vecdot(args, dims, steps, NULL);
+    np->vecdot.call(args, dims, steps, np->vecdot.data);
     return out;
 }
+
+/* The objective history of a solve, grown as its updates run. */
+struct history {
+    double *f;
+    long long size;
+};
 
 /* The MM updates of cncflsa.cnc._mm_updates, bit-identical to its Python
  * reference cncflsa.cnc._mm_loop_python, the chain of the public functions:
  * up to max_iter calls of cncflsa_mm_step, each followed by F of the new
- * iterate (cncflsa.cnc.objective, in its order of evaluation), stored
- * in history[k] after history[0], and the stopping rule
+ * iterate (cncflsa.cnc.objective, in its order of evaluation), stored in
+ * h->f[k] after h->f[0], and the stopping rule
  * |prev - F| <= tol * max(1, |prev|), false on NaN as in Python.  Returns
- * the number of updates, negated when the rule fired.
+ * the number of updates, negated when the rule fired, or 0 when the
+ * history could not grow.
  *
- * Each update writes its iterate into x (n doubles).  The caller owns block,
- * 12 n + max_iter + 1 doubles, the one home of this layout:
- *   block           shifted, the input of the next update (n), which the
- *                   caller fills with the start's before the call;
- *   block + n       r = y - x (n);
- *   block + 2 n     phi0 (n);
- *   block + 3 n     phi1 (n - 1, in a row of n);
- *   block + 4 n     work, the 8 n doubles of tvd scratch, whose lo_clamp
+ * Each update reads its input from shifted (n doubles) and writes over it
+ * the input of the next, and writes its iterate into x (n doubles).  The
+ * caller owns block, 11 n doubles:
+ *   block           r = y - x (n);
+ *   block + n       phi0 (n);
+ *   block + 2 n     phi1 (n - 1, in a row of n);
+ *   block + 3 n     work, the 8 n doubles of tvd scratch, whose lo_clamp
  *                   row cncflsa_mm_step reuses for s1';
- *   block + 12 n    history (max_iter + 1), whose history[0], the start's
- *                   F, the caller writes before the call. */
-CLONES long cncflsa_mm_solve(const double *y, long n, double *x, double *block, double lam0,
-                      double lam1, double a0, double a1, int kind0, int kind1, long max_iter,
-                      double tol, const struct numpy_loops *np)
+ * and h, whose f holds h->size doubles, the start's F first; its size
+ * doubles whenever an update needs more room.  Runs without the GIL, so it
+ * grows h with PyMem_RawRealloc. */
+CLONES static long long cncflsa_mm_solve(const double *y, npy_intp n, double *x, double *shifted,
+                                         double *block, double lam0, double lam1, double a0,
+                                         double a1, int kind0, int kind1, long long max_iter,
+                                         double tol, struct history *h,
+                                         const struct numpy_loops *np)
 {
-    struct mm_step m = {n, y, block, x, block + n, block + 2 * n, block + 3 * n, block + 4 * n,
+    struct mm_step m = {n, y, shifted, x, block, block + n, block + 2 * n, block + 3 * n,
                         lam0, lam1, a0, a1, kind0, kind1};
-    double *history = block + 12 * n;
-    long k;
-    double f, prev, scale;
+    long long k;
+    double f, prev, scale, *grown;
 
     for (k = 1; k <= max_iter; k++) {
         cncflsa_mm_step(&m);
@@ -344,11 +387,425 @@ CLONES long cncflsa_mm_solve(const double *y, long n, double *x, double *block, 
         finish(np, kind1, a1, m.phi1, n - 1);
         f = 0.5 * dot(np, m.r, n) + lam0 * total(np, m.phi0, n)
             + lam1 * total(np, m.phi1, n - 1);
-        prev = history[k - 1];
-        history[k] = f;
+        if (k == h->size) {
+            grown = PyMem_RawRealloc(h->f, 2 * h->size * sizeof(double));
+            if (grown == NULL)
+                return 0;
+            h->f = grown, h->size *= 2;
+        }
+        prev = h->f[k - 1];
+        h->f[k] = f;
         scale = fabs(prev) > 1.0 ? fabs(prev) : 1.0;
         if (fabs(prev - f) <= tol * scale)
             return -k;
     }
     return max_iter;
+}
+
+/* The values of the byte probe: arange(1000) * 0.37, odd places times
+ * -1.7, with 0.0 at every seventh place from 0 and -0.0 from 3; and
+ * magnitudes, their absolute values but with the -0.0 kept, in the domain
+ * of log1p. */
+#define PROBE_MAX 1000
+
+static void probe_values(double *values, double *magnitudes)
+{
+    int i;
+
+    for (i = 0; i < PROBE_MAX; i++) {
+        values[i] = i * 0.37;
+        if (i % 2)
+            values[i] *= -1.7;
+        if (i % 7 == 0)
+            values[i] = 0.0;
+        if (i % 7 == 3)
+            values[i] = -0.0;
+        magnitudes[i] = i % 7 == 3 ? -0.0 : fabs(values[i]);
+    }
+}
+
+/* A new float64 array holding the n doubles from v. */
+static PyObject *array_of(const double *v, npy_intp n)
+{
+    PyObject *out = PyArray_SimpleNew(1, &n, NPY_DOUBLE);
+
+    if (out != NULL)
+        memcpy(PyArray_DATA((PyArrayObject *)out), v, n * sizeof(double));
+    return out;
+}
+
+/* 1 when numpy's result (stolen; an array or a scalar) holds the n doubles
+ * from want byte for byte, 0 when not, -1 on error. */
+static int same_bytes(PyObject *result, const double *want, npy_intp n)
+{
+    PyArrayObject *got;
+    int same;
+
+    if (result == NULL)
+        return -1;
+    got = (PyArrayObject *)PyArray_FROM_OTF(result, NPY_DOUBLE, NPY_ARRAY_IN_ARRAY);
+    Py_DECREF(result);
+    if (got == NULL)
+        return -1;
+    same = PyArray_SIZE(got) == n && memcmp(PyArray_DATA(got), want, n * sizeof(double)) == 0;
+    Py_DECREF(got);
+    return same;
+}
+
+/* 1 when each loop, called as cncflsa_mm_solve calls it, gives the bytes of
+ * numpy's own call (ufuncs[i] of arctan, log1p and add, and numpy_dot for
+ * vecdot) on the n values of v and of mag, 0 when one does not, -1 on
+ * error. */
+static int loops_match_numpy_at(const struct numpy_loops *np, PyObject *const *ufuncs,
+                                PyObject *numpy_dot, PyObject *v, PyObject *mag, npy_intp n)
+{
+    const struct numpy_loop *unary[2] = {&np->arctan, &np->log1p};
+    double out[PROBE_MAX], acc = 0.0, product;
+    char *values = PyArray_DATA((PyArrayObject *)v), *args[3];
+    npy_intp dims[2] = {1, n};
+    int j, same;
+
+    for (j = 0; j < 2; j++) {
+        memcpy(out, PyArray_DATA((PyArrayObject *)mag), n * sizeof(double));
+        args[0] = args[1] = (char *)out;
+        unary[j]->call(args, &n, (npy_intp[2]){8, 8}, unary[j]->data);
+        if ((same = same_bytes(PyObject_CallOneArg(ufuncs[j], mag), out, n)) != 1)
+            return same;
+    }
+    args[0] = args[2] = (char *)&acc, args[1] = values;
+    np->add.call(args, &n, (npy_intp[3]){0, 8, 0}, np->add.data);
+    if ((same = same_bytes(PyObject_CallMethod(ufuncs[2], "reduce", "O", v), &acc, 1)) != 1)
+        return same;
+    args[0] = args[1] = values, args[2] = (char *)&product;
+    np->vecdot.call(args, dims, (npy_intp[5]){0, 0, 0, 8, 8}, np->vecdot.data);
+    return same_bytes(PyObject_CallFunctionObjArgs(numpy_dot, v, v, NULL), &product, 1);
+}
+
+/* loops_match_numpy_at on the probe's values at lengths within and beyond
+ * numpy's pairwise-sum blocks of 8 and 128. */
+static int loops_match_numpy(const struct numpy_loops *np, PyObject *const *ufuncs,
+                             PyObject *numpy_dot)
+{
+    static const npy_intp lengths[] = {0, 1, 3, 7, 8, 9, 100, 128, 129, PROBE_MAX};
+    double values[PROBE_MAX], magnitudes[PROBE_MAX];
+    PyObject *v, *mag;
+    size_t i;
+    int same = 1;
+
+    probe_values(values, magnitudes);
+    for (i = 0; same == 1 && i < sizeof(lengths) / sizeof(lengths[0]); i++) {
+        v = array_of(values, lengths[i]), mag = array_of(magnitudes, lengths[i]);
+        same = v == NULL || mag == NULL
+            ? -1 : loops_match_numpy_at(np, ufuncs, numpy_dot, v, mag, lengths[i]);
+        Py_XDECREF(v);
+        Py_XDECREF(mag);
+    }
+    return same;
+}
+
+/* numpy.<name>'s float64 loop, the first whose types are all NPY_DOUBLE;
+ * stores the ufunc (a new reference, or NULL) into *ufunc.  -1 with
+ * ImportError when numpy has no <name>, or it is not a ufunc or has no
+ * such loop. */
+static int find_loop(PyObject *numpy, const char *name, struct numpy_loop *loop,
+                     PyObject **ufunc)
+{
+    PyUFuncObject *uf;
+    int i, j;
+
+    *ufunc = PyObject_GetAttrString(numpy, name);
+    if (*ufunc != NULL && PyObject_TypeCheck(*ufunc, &PyUFunc_Type)) {
+        uf = (PyUFuncObject *)*ufunc;
+        for (i = 0; i < uf->ntypes; i++) {
+            for (j = 0; j < uf->nargs && uf->types[i * uf->nargs + j] == NPY_DOUBLE; j++)
+                ;
+            if (j == uf->nargs && uf->functions[i] != NULL) {
+                loop->call = uf->functions[i];
+                loop->data = uf->data == NULL ? NULL : uf->data[i];
+                return 0;
+            }
+        }
+    }
+    PyErr_Format(PyExc_ImportError, "numpy.%s is not a ufunc with a float64 loop", name);
+    return -1;
+}
+
+/* The module's import: numpy's C API, then its four loops, found in
+ * numpy's ufuncs and probed against numpy's own calls; ImportError when a
+ * loop is missing or does not give numpy's bytes. */
+static int module_exec(PyObject *module)
+{
+    static const char *names[4] = {"arctan", "log1p", "add", "vecdot"};
+    struct numpy_loops *np = PyModule_GetState(module);
+    struct numpy_loop *loops[4] = {&np->arctan, &np->log1p, &np->add, &np->vecdot};
+    PyObject *numpy, *ufuncs[4] = {NULL, NULL, NULL, NULL}, *numpy_dot = NULL;
+    int i, ok = -1;
+
+    if (PyArray_ImportNumPyAPI() < 0 || PyUFunc_ImportUFuncAPI() < 0)
+        return -1;
+    numpy = PyImport_ImportModule("numpy");
+    if (numpy == NULL)
+        return -1;
+    for (i = 0; i < 4 && find_loop(numpy, names[i], loops[i], &ufuncs[i]) == 0; i++)
+        ;
+    if (i == 4 && (numpy_dot = PyObject_GetAttrString(numpy, "dot")) != NULL) {
+        ok = loops_match_numpy(np, ufuncs, numpy_dot);
+        if (ok == 0)
+            PyErr_SetString(PyExc_ImportError, "numpy's float64 loops do not give numpy's bytes");
+    }
+    for (i = 0; i < 4; i++)
+        Py_XDECREF(ufuncs[i]);
+    Py_XDECREF(numpy_dot);
+    Py_DECREF(numpy);
+    return ok == 1 ? 0 : -1;
+}
+
+/* The argument checks of the entries. */
+
+static int check_nargs(const char *entry, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments, got %zd", entry, want, nargs);
+    return -1;
+}
+
+/* arg as an aligned, C-contiguous array of native float64 with ndim
+ * dimensions (any number when ndim is -1), or NULL with TypeError or
+ * ValueError. */
+static PyArrayObject *as_array(PyObject *arg, const char *name, int ndim)
+{
+    PyArrayObject *a = (PyArrayObject *)arg;
+
+    if (!PyArray_Check(arg)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a numpy array, got %s", name,
+                     Py_TYPE(arg)->tp_name);
+        return NULL;
+    }
+    if (PyArray_TYPE(a) != NPY_DOUBLE || !PyArray_ISNOTSWAPPED(a)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a native float64 array", name);
+        return NULL;
+    }
+    if (!PyArray_ISCARRAY_RO(a)) {
+        PyErr_Format(PyExc_ValueError, "%s must be aligned and C-contiguous", name);
+        return NULL;
+    }
+    if (ndim >= 0 && PyArray_NDIM(a) != ndim) {
+        PyErr_Format(PyExc_ValueError, "%s must have %d dimension(s), got %d", name, ndim,
+                     PyArray_NDIM(a));
+        return NULL;
+    }
+    return a;
+}
+
+static int as_double(PyObject *arg, double *out)
+{
+    *out = PyFloat_AsDouble(arg);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* arg as an int in [lo, hi], or -1 with TypeError or ValueError. */
+static int as_int(PyObject *arg, const char *name, int lo, int hi, int *out)
+{
+    int overflow;
+    long value = PyLong_AsLongAndOverflow(arg, &overflow);
+
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow || value < lo || value > hi) {
+        PyErr_Format(PyExc_ValueError, "%s must be an integer in [%d, %d]", name, lo, hi);
+        return -1;
+    }
+    *out = (int)value;
+    return 0;
+}
+
+/* PyMem_RawMalloc of rows rows of n doubles, or NULL with MemoryError. */
+static double *scratch(npy_intp n, npy_intp rows)
+{
+    double *out = NULL;
+
+    if (n <= PY_SSIZE_T_MAX / (npy_intp)sizeof(double) / rows)
+        out = PyMem_RawMalloc(n * rows * sizeof(double));
+    if (out == NULL)
+        PyErr_NoMemory();
+    return out;
+}
+
+/* The entries. */
+
+PyDoc_STRVAR(tvd_doc, "tvd(y, lam) -> x\n\n"
+"The exact TV denoising of cncflsa.prox.tvd: y a C-contiguous float64 vector\n"
+"of at least 2 samples, lam finite and > 0.");
+
+static PyObject *tvd(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyArrayObject *y;
+    PyObject *x;
+    const double *in;
+    double lam, *out, *work;
+    npy_intp n;
+
+    if (check_nargs("tvd", nargs, 2) < 0 || (y = as_array(args[0], "y", 1)) == NULL
+        || as_double(args[1], &lam) < 0)
+        return NULL;
+    n = PyArray_DIM(y, 0);
+    if (n < 2 || !(lam > 0.0 && lam <= DBL_MAX)) {
+        PyErr_SetString(PyExc_ValueError, "tvd needs at least 2 samples and a finite lam > 0");
+        return NULL;
+    }
+    if ((x = PyArray_SimpleNew(1, &n, NPY_DOUBLE)) == NULL)
+        return NULL;
+    if ((work = scratch(n, 8)) == NULL) {
+        Py_DECREF(x);
+        return NULL;
+    }
+    in = PyArray_DATA(y), out = PyArray_DATA((PyArrayObject *)x);
+    Py_BEGIN_ALLOW_THREADS
+    cncflsa_tvd(in, n, lam, out, work);
+    Py_END_ALLOW_THREADS
+    PyMem_RawFree(work);
+    return x;
+}
+
+PyDoc_STRVAR(penalty_map_doc, "penalty_map(kind, a, x, slope) -> out\n\n"
+"PenaltySpec._phi (slope 0) or PenaltySpec._slope (slope 1) of penalty\n"
+"KINDS[kind] with degree a, over a C-contiguous float64 array x of any shape.");
+
+static PyObject *penalty_map(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyArrayObject *x;
+    PyObject *out;
+    const double *in;
+    double a, *values;
+    npy_intp n;
+    int kind, slope;
+
+    if (check_nargs("penalty_map", nargs, 4) < 0 || as_int(args[0], "kind", 0, 3, &kind) < 0
+        || as_double(args[1], &a) < 0 || (x = as_array(args[2], "x", -1)) == NULL
+        || as_int(args[3], "slope", 0, 1, &slope) < 0)
+        return NULL;
+    if ((out = PyArray_SimpleNew(PyArray_NDIM(x), PyArray_DIMS(x), NPY_DOUBLE)) == NULL)
+        return NULL;
+    in = PyArray_DATA(x), values = PyArray_DATA((PyArrayObject *)out), n = PyArray_SIZE(x);
+    Py_BEGIN_ALLOW_THREADS
+    cncflsa_penalty_map(kind, a, in, n, values, slope);
+    Py_END_ALLOW_THREADS
+    return out;
+}
+
+PyDoc_STRVAR(mm_solve_doc, "mm_solve(y, shifted, f0, lam0, lam1, a0, a1, kind0, kind1, max_iter,"
+" tol)\n    -> (x, history, converged)\n\n"
+"The MM updates of cncflsa.cnc._mm_updates from the shifted input of a start\n"
+"whose F is f0, on C-contiguous float64 vectors y and shifted of one length\n"
+"that share no memory; kind0 and kind1 index KINDS, and max_iter >= 1 (any\n"
+"larger than a C long long runs as unbounded).  Overwrites shifted with the\n"
+"input of the update after the last.  history holds f0 and the F of each\n"
+"update run.");
+
+static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyArrayObject *y, *shifted;
+    PyObject *x, *history;
+    const struct numpy_loops *loops = PyModule_GetState(self);
+    const double *in;
+    double f0, lam0, lam1, a0, a1, tol, *block, *out, *next;
+    struct history h = {NULL, 0};
+    long long max_iter, updates;
+    int kind0, kind1, overflow;
+    npy_intp n, size;
+    char *lo, *hi;
+
+    if (check_nargs("mm_solve", nargs, 11) < 0 || (y = as_array(args[0], "y", 1)) == NULL
+        || (shifted = as_array(args[1], "shifted", 1)) == NULL || as_double(args[2], &f0) < 0
+        || as_double(args[3], &lam0) < 0 || as_double(args[4], &lam1) < 0
+        || as_double(args[5], &a0) < 0 || as_double(args[6], &a1) < 0
+        || as_int(args[7], "kind0", 0, 3, &kind0) < 0 || as_int(args[8], "kind1", 0, 3, &kind1) < 0
+        || as_double(args[10], &tol) < 0)
+        return NULL;
+    max_iter = PyLong_AsLongLongAndOverflow(args[9], &overflow);
+    if (max_iter == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow > 0)
+        max_iter = LLONG_MAX;
+    else if (overflow < 0 || max_iter < 1) {
+        PyErr_SetString(PyExc_ValueError, "max_iter must be >= 1");
+        return NULL;
+    }
+    n = PyArray_DIM(y, 0);
+    lo = PyArray_BYTES(y), hi = PyArray_BYTES(shifted);
+    if (lo > hi)
+        lo = PyArray_BYTES(shifted), hi = PyArray_BYTES(y);
+    if (n < 1 || PyArray_DIM(shifted, 0) != n || hi - lo < n * (npy_intp)sizeof(double)
+        || !PyArray_ISWRITEABLE(shifted)) {
+        PyErr_SetString(PyExc_ValueError, "y and shifted must have one length >= 1 and share no "
+                                          "memory, and shifted must be writeable");
+        return NULL;
+    }
+    /* The result before the scratch, so that freeing the scratch leaves no
+     * hole below it: a sweep keeps thousands of results. */
+    if ((x = PyArray_SimpleNew(1, &n, NPY_DOUBLE)) == NULL)
+        return NULL;
+    h.size = max_iter < 64 ? max_iter + 1 : 64;
+    if ((block = scratch(n, 11)) == NULL || (h.f = scratch(h.size, 1)) == NULL) {
+        PyMem_RawFree(block);
+        Py_DECREF(x);
+        return NULL;
+    }
+    h.f[0] = f0;
+    in = PyArray_DATA(y), out = PyArray_DATA((PyArrayObject *)x), next = PyArray_DATA(shifted);
+    Py_BEGIN_ALLOW_THREADS
+    updates = cncflsa_mm_solve(in, n, out, next, block, lam0, lam1, a0, a1, kind0, kind1,
+                               max_iter, tol, &h, loops);
+    Py_END_ALLOW_THREADS
+    PyMem_RawFree(block);
+    size = (npy_intp)(updates < 0 ? -updates : updates) + 1;
+    history = updates == 0 ? PyErr_NoMemory() : PyArray_SimpleNew(1, &size, NPY_DOUBLE);
+    if (history != NULL)
+        memcpy(PyArray_DATA((PyArrayObject *)history), h.f, size * sizeof(double));
+    PyMem_RawFree(h.f);
+    if (history == NULL) {
+        Py_DECREF(x);
+        return NULL;
+    }
+    return Py_BuildValue("(NNO)", x, history, updates < 0 ? Py_True : Py_False);
+}
+
+PyDoc_STRVAR(all_finite_doc, "all_finite(a) -> bool\n\n"
+"Whether every entry of the C-contiguous float64 array a is finite.");
+
+static PyObject *all_finite(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyArrayObject *a;
+    const double *x;
+    npy_intp n;
+    int finite;
+
+    if (check_nargs("all_finite", nargs, 1) < 0 || (a = as_array(args[0], "a", -1)) == NULL)
+        return NULL;
+    x = PyArray_DATA(a), n = PyArray_SIZE(a);
+    Py_BEGIN_ALLOW_THREADS
+    finite = cncflsa_all_finite(x, n);
+    Py_END_ALLOW_THREADS
+    return PyBool_FromLong(finite);
+}
+
+static PyMethodDef methods[] = {
+    {"tvd", (PyCFunction)(void (*)(void))tvd, METH_FASTCALL, tvd_doc},
+    {"penalty_map", (PyCFunction)(void (*)(void))penalty_map, METH_FASTCALL, penalty_map_doc},
+    {"mm_solve", (PyCFunction)(void (*)(void))mm_solve, METH_FASTCALL, mm_solve_doc},
+    {"all_finite", (PyCFunction)(void (*)(void))all_finite, METH_FASTCALL, all_finite_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyModuleDef_Slot slots[] = {{Py_mod_exec, module_exec}, {0, NULL}};
+
+static struct PyModuleDef kernels_module = {
+    PyModuleDef_HEAD_INIT, "_kernels", "The compiled kernels of cncflsa; see _kernels.c.",
+    sizeof(struct numpy_loops), methods, slots, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC PyInit__kernels(void)
+{
+    return PyModuleDef_Init(&kernels_module);
 }

@@ -14,8 +14,8 @@ each penalty by the absolute value plus the tangent line of its smooth
 residual, which turns every update into one exact L1 fused-lasso solve on a
 shifted input.  There are no matrix inversions anywhere.  The loop is the
 chain of the public :func:`fused_lasso_l1`, :func:`objective` and
-:func:`majorized_input`; with the compiled library it runs as one call of
-``cncflsa_mm_solve``, which gives the same bits.
+:func:`majorized_input`; with the compiled module it runs as one call of
+its ``mm_solve``, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import prox as _prox
 from .penalties import KINDS, PenaltySpec
-from .prox import _address, _as_pair, _check_nonneg, _diff_adjoint, as_signal, fused_lasso_l1
+from .prox import _as_pair, _check_nonneg, _diff_adjoint, as_signal, fused_lasso_l1
 
 # Roundoff tolerance when enforcing margin >= 0 on the convexity boundary.
 MARGIN_TOL = 1e-12
@@ -206,30 +206,17 @@ def _mm_updates(y, shifted, f0, cfg):
     its start.
 
     Returns the last iterate, the objective history from f0 on, and whether
-    the stopping rule fired.  With the compiled library the updates run in
-    one call of ``cncflsa_mm_solve``, in one block of buffers, the history
-    among them, allocated once per solve; without it they run in
+    the stopping rule fired.  With the compiled module the updates run in
+    one call of its ``mm_solve``, which allocates its scratch and the
+    history itself and overwrites shifted; without it they run in
     :func:`_mm_loop_python`, its reference.  Both give the same bits.
     """
     lib = _prox._tvd_c
     if lib is None:
         return _mm_loop_python(y, shifted, f0, cfg)
-    y, n = np.ascontiguousarray(y), y.size
-    # The result is allocated before the block, so that freeing the block
-    # leaves no hole below it: a sweep keeps thousands of results, and a
-    # hole per solve raised its peak RSS from 41.7 to 43.1 MB in a 5-pair
-    # A/B.  The block's layout is that of cncflsa_mm_solve in _kernels.c:
-    # the shifted input first, the history last.
-    x = np.empty(n)
-    block = np.empty(12 * n + cfg.max_iter + 1)
-    block[:n], history = shifted, block[12 * n:]
-    history[0] = f0
-    updates = lib.cncflsa_mm_solve(_address(y), n, _address(x), _address(block),
-                                   cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
-                                   KINDS.index(cfg.penalty0.kind),
-                                   KINDS.index(cfg.penalty1.kind), cfg.max_iter, cfg.tol,
-                                   lib.numpy_loops)
-    return x, history[:abs(updates) + 1].copy(), updates < 0
+    return lib.mm_solve(np.ascontiguousarray(y), shifted, f0, cfg.lambda0, cfg.lambda1,
+                        cfg.penalty0.a, cfg.penalty1.a, KINDS.index(cfg.penalty0.kind),
+                        KINDS.index(cfg.penalty1.kind), cfg.max_iter, cfg.tol)
 
 
 def _mm_loop_python(y, shifted, f0, cfg):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prox as _prox
-from .prox import _address, _check_nonneg
+from .prox import _check_nonneg
 
 KINDS = ("l1", "log", "atan", "rational")
 
@@ -111,17 +111,14 @@ class PenaltySpec:
 
     def _map(self, x, slope):
         """:meth:`_phi` (slope 0) or :meth:`_slope` (slope 1) of x as a
-        float array of at least one dimension: with the compiled library
-        one call of its ``cncflsa_penalty_map``, which gives the same bits,
-        and without it the reference."""
+        float array of at least one dimension: with the compiled module one
+        call of its ``penalty_map``, which gives the same bits, and without
+        it the reference."""
         x = np.ascontiguousarray(x, dtype=float)
         lib = _prox._tvd_c
         if lib is None:
             return self._slope(x) if slope else self._phi(x)
-        out = np.empty(x.shape)
-        lib.cncflsa_penalty_map(KINDS.index(self.kind), self.a, _address(x), x.size,
-                                _address(out), slope)
-        return out
+        return lib.penalty_map(KINDS.index(self.kind), self.a, x, slope)
 
     # Past the largest float, a*|x| overflows; like the compiled maps,
     # the references then warn of nothing.

@@ -5,19 +5,22 @@ total variation denoising in worst-case linear time, the two-step fused
 lasso solve built from them, and subgradient-optimality oracles used to
 certify solutions independently of the solvers.
 
-The TV kernel has a compiled backend (``_kernels.c``, built on first import
-and cached in ``__pycache__``) and a pure-Python reference that it matches
-bit for bit and falls back to; ``TVD_BACKEND`` names the one in use.  The
-same library holds the compiled MM loop of :mod:`cncflsa.cnc`, which
-follows the same switch and calls numpy's own float64 loops, resolved and
-probed here once; without it the loop chains the public functions.  It also
-holds the per-sample maps of ``PenaltySpec.value`` and
-``PenaltySpec.residual_deriv``, which follow the same switch.
+The TV kernel has a compiled backend (``_kernels.c``, a CPython extension
+module built on first import and cached in ``__pycache__``) and a
+pure-Python reference that it matches bit for bit and falls back to;
+``TVD_BACKEND`` names the one in use.  The same module holds the compiled
+MM loop of :mod:`cncflsa.cnc`, which follows the same switch and calls
+numpy's own float64 loops, found and probed by the module's import;
+without it the loop chains the public functions.  It also holds the
+per-sample maps of ``PenaltySpec.value`` and
+``PenaltySpec.residual_deriv`` and the finiteness check of every input,
+which follow the same switch.
 """
 
 from __future__ import annotations
 
-import ctypes
+import importlib.machinery
+import importlib.util
 import math
 import os
 import shutil
@@ -31,7 +34,7 @@ _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c
 # -fno-trapping-math changes no rounding; it lets -O3 turn the selects of
 # the MM step's maps into vector blends, which gcc otherwise refuses as
 # control flow in the loop.  -march=native stays out because the cached
-# library must run on any x86-64; _kernels.c builds its wider clones
+# module must run on any x86-64; _kernels.c builds its wider clones
 # itself, and the loader picks the one this CPU runs.
 _C_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-trapping-math")
 
@@ -49,17 +52,12 @@ def as_signal(x, name="signal"):
 
 
 def _all_finite(a):
-    """Whether every entry of the float array a is finite, exactly.
-
-    The sum of the squares proves it when it is finite: an inf or NaN entry
-    makes it inf or NaN, and no negative term can cancel an inf.  Only when
-    it is not finite, by overflow or by a non-finite entry, does
-    ``np.isfinite`` decide, so finite input costs one dot product (the
-    ``prox.as_signal`` rows of ``tools/bench_layers.py``).  ``np.vdot``
-    flattens any shape, so it is never a matrix product, and unlike
-    ``ndarray.dot`` it does not warn when the sum overflows.
-    """
-    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+    """Whether every entry of the float64 array a is finite: the compiled
+    module's exact per-element check when a is C-contiguous, and
+    ``np.isfinite`` otherwise."""
+    if _tvd_c is not None and a.flags.c_contiguous:
+        return _tvd_c.all_finite(a)
+    return bool(np.isfinite(a).all())
 
 
 def _as_pair(a, b, name_a, name_b):
@@ -145,10 +143,7 @@ def tvd(y, lam):
         return y.copy()
     if _tvd_c is None:
         return _tvd_python(y, lam)
-    # work is the kernel's scratch of 8*N doubles, alive until it returns.
-    x, work = np.empty(y.size), np.empty(8 * y.size)
-    _tvd_c.cncflsa_tvd(_address(y), y.size, lam, _address(x), _address(work))
-    return x
+    return _tvd_c.tvd(y, lam)
 
 
 def _tvd_python(y, lam):
@@ -232,30 +227,44 @@ def _tvd_python(y, lam):
     return x
 
 
-def _build():
-    """Path of the compiled kernel, compiled into ``__pycache__`` on a miss.
-
-    The file name carries a digest of the C source and the flags, so an
-    edited source never loads a stale library.  The compiler writes a
-    per-process temporary file that ``os.replace`` moves into place, so
-    concurrent first imports cannot race.  Raises OSError when there is no
-    C compiler, the compile fails or the directory is not writable.
-    """
+def _cache_path():
+    """Where the compiled module is cached: ``__pycache__`` beside the C
+    source, under a name whose digest covers the source, the flags, the
+    interpreter's extension suffix and numpy's version, so that an edited
+    source, another interpreter or another numpy never loads a stale
+    module."""
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     with open(_C_SOURCE, "rb") as fh:
-        tag = zlib.crc32(" ".join(_C_FLAGS).encode(), zlib.crc32(fh.read()))
-    cache = os.path.join(os.path.dirname(_C_SOURCE), "__pycache__")
-    path = os.path.join(cache, f"_kernels-{tag:08x}.so")
+        tag = zlib.crc32(" ".join((*_C_FLAGS, suffix, np.__version__)).encode(),
+                         zlib.crc32(fh.read()))
+    return os.path.join(os.path.dirname(_C_SOURCE), "__pycache__", f"_kernels-{tag:08x}{suffix}")
+
+
+def _build():
+    """Path of the compiled module, compiled into ``__pycache__`` on a miss.
+
+    The compiler writes a per-process temporary file that ``os.replace``
+    moves into place, so concurrent first imports cannot race.  Raises
+    OSError when there is no C compiler, the compile fails (say, without
+    the Python or numpy headers) or the directory is not writable.
+    """
+    path = _cache_path()
     if os.path.exists(path):
         return path
-    import subprocess  # a cache hit imports nothing the CLI does not
+    # A cache hit imports nothing the CLI does not.
+    import subprocess
+    import sysconfig
 
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         raise OSError("no C compiler on PATH")
-    os.makedirs(cache, exist_ok=True)
+    headers = sysconfig.get_paths()
+    includes = [f"-I{d}" for d in (headers["include"], headers["platinclude"], np.get_include())]
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        proc = subprocess.run([cc, *_C_FLAGS, "-o", tmp, _C_SOURCE], capture_output=True)
+        proc = subprocess.run([cc, *_C_FLAGS, *includes, "-o", tmp, _C_SOURCE],
+                              capture_output=True)
         if proc.returncode != 0:
             raise OSError(f"{cc} failed: {proc.stderr.decode(errors='replace')}")
         os.replace(tmp, path)
@@ -265,122 +274,36 @@ def _build():
     return path
 
 
-class _UFuncHead(ctypes.Structure):
-    """The head of numpy's public ``PyUFuncObject`` (``ufuncobject.h``), up
-    to ``ntypes``.  Only ``functions`` is ever dereferenced."""
-
-    _fields_ = [("ob_refcnt", ctypes.c_ssize_t), ("ob_type", ctypes.c_void_p),
-                ("nin", ctypes.c_int), ("nout", ctypes.c_int), ("nargs", ctypes.c_int),
-                ("identity", ctypes.c_int), ("functions", ctypes.POINTER(ctypes.c_void_p)),
-                ("data", ctypes.c_void_p), ("ntypes", ctypes.c_int)]
-
-
-class _ArrayHead(ctypes.Structure):
-    """The head of numpy's public ``PyArrayObject_fields``
-    (``ndarraytypes.h``), up to ``data``."""
-
-    _fields_ = [("ob_refcnt", ctypes.c_ssize_t), ("ob_type", ctypes.c_void_p),
-                ("data", ctypes.c_void_p)]
-
-
-def _address(array):
-    """``array.ctypes.data``, read from the array's head: about a sixth of
-    the cost, since it builds no ctypes view of the array.  The caller
-    keeps the array alive while it uses the address."""
-    return _ArrayHead.from_address(id(array)).data
-
-
-def _heads_match_numpy():
-    """Whether :func:`_address` gives numpy's own address for fresh arrays,
-    views that start inside a buffer, and read-only and empty ones."""
-    base = np.arange(24.0)
-    readonly = base[3:9]
-    readonly.flags.writeable = False
-    arrays = (base, base[5:], base[1::3], base.reshape(4, 6)[1:, 2:], readonly, np.empty(0),
-              np.zeros(()))
-    return all(_address(a) == a.ctypes.data for a in arrays)
-
-
-def _numpy_loop(ufunc, types):
-    """Address of numpy's inner loop of ufunc for types, e.g. ``"d->d"``.
-
-    Raises OSError when the mirror's counts are not the ufunc's own, that
-    is when this numpy lays the object out differently."""
-    head = _UFuncHead.from_address(id(ufunc))
-    if (head.nin, head.nout, head.nargs, head.ntypes) != (
-            ufunc.nin, ufunc.nout, ufunc.nargs, ufunc.ntypes):
-        raise OSError(f"numpy.{ufunc.__name__} does not match PyUFuncObject")
-    return head.functions[ufunc.types.index(types)]
-
-
-class _NumpyLoops(ctypes.Structure):
-    """``struct numpy_loops`` of ``_kernels.c``."""
-
-    _fields_ = [(name, ctypes.c_void_p) for name in ("arctan", "log1p", "add", "vecdot")]
-
-
-def _loops_match_numpy(loops):
-    """Whether each loop, called as ``cncflsa_mm_solve`` calls it, gives the
-    bytes of numpy's own call on fixed values with +-0.0 among them, at
-    lengths within and beyond numpy's pairwise-sum blocks of 8 and 128."""
-    call = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                            ctypes.c_void_p)
-    arctan, log1p, add, vecdot = (call(getattr(loops, name)) for name, _ in loops._fields_)
-    ptrs, dims = ctypes.c_void_p * 3, ctypes.c_ssize_t * 5
-    values = np.arange(1000.0) * 0.37
-    values[1::2] *= -1.7
-    values[::7], values[3::7] = 0.0, -0.0
-    magnitudes = np.abs(values)  # in the domain of log1p
-    magnitudes[3::7] = -0.0
-    for n in (0, 1, 3, 7, 8, 9, 100, 128, 129, 1000):
-        v = values[:n].copy()
-        for loop, ufunc in ((arctan, np.arctan), (log1p, np.log1p)):
-            out = magnitudes[:n].copy()
-            loop(ptrs(out.ctypes.data, out.ctypes.data), dims(n), dims(8, 8), None)
-            if out.tobytes() != ufunc(magnitudes[:n]).tobytes():
-                return False
-        acc, dot = np.zeros(1), np.zeros(1)
-        add(ptrs(acc.ctypes.data, v.ctypes.data, acc.ctypes.data), dims(n), dims(0, 8, 0), None)
-        vecdot(ptrs(v.ctypes.data, v.ctypes.data, dot.ctypes.data), dims(1, n),
-               dims(0, 0, 0, 8, 8), None)
-        if (acc.tobytes(), dot.tobytes()) != (np.add.reduce(v).tobytes(), np.dot(v, v).tobytes()):
-            return False
-    return True
+def _load(path):
+    """A fresh ``cncflsa._kernels`` module from the file at path; its
+    import finds and probes numpy's loops.  Raises ImportError when it
+    cannot be loaded or a loop is missing or fails its probe."""
+    loader = importlib.machinery.ExtensionFileLoader("cncflsa._kernels", path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(loader.name, path, loader=loader))
+    loader.exec_module(module)
+    return module
 
 
 def _select_backend():
-    """The compiled library and ``"c"``, or ``(None, "python")`` when it
-    cannot be built or loaded, lacks one of its kernels, one of numpy's
-    loops that ``cncflsa_mm_solve`` calls cannot be found or does not give
-    numpy's own bytes, or an array's head is not laid out as
-    :class:`_ArrayHead` mirrors it.  The library carries those loops as
-    ``numpy_loops``."""
+    """The compiled module and ``"c"``, or ``(None, "python")`` when it
+    cannot be built or loaded, lacks one of its four entries, or one of
+    numpy's loops that its ``mm_solve`` calls cannot be found or does not
+    give numpy's own bytes."""
     try:
-        lib = ctypes.CDLL(_build())
-        tvd, solve, penalty = lib.cncflsa_tvd, lib.cncflsa_mm_solve, lib.cncflsa_penalty_map
-        loops = _NumpyLoops(_numpy_loop(np.arctan, "d->d"), _numpy_loop(np.log1p, "d->d"),
-                            _numpy_loop(np.add, "dd->d"), _numpy_loop(np.vecdot, "dd->d"))
-    except (OSError, AttributeError, ValueError):
+        module = _load(_build())
+    except (OSError, ImportError):
         return None, "python"
-    if not (_loops_match_numpy(loops) and _heads_match_numpy()):
+    if not all(hasattr(module, name) for name in ("tvd", "penalty_map", "mm_solve",
+                                                   "all_finite")):
         return None, "python"
-    tvd.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_double,
-                    ctypes.c_void_p, ctypes.c_void_p)
-    tvd.restype = None
-    penalty.argtypes = (ctypes.c_int, ctypes.c_double, ctypes.c_void_p, ctypes.c_long,
-                        ctypes.c_void_p, ctypes.c_int)
-    penalty.restype = None
-    solve.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-                      *(ctypes.c_double,) * 4, ctypes.c_int, ctypes.c_int, ctypes.c_long,
-                      ctypes.c_double, ctypes.c_void_p)
-    solve.restype = ctypes.c_long
-    lib.numpy_loops = ctypes.byref(loops)
-    return lib, "c"
+    return module, "c"
 
 
-# The one backend switch: the compiled library, or None for the Python
-# references of tvd, of the MM loop (cncflsa.cnc._mm_updates) and of the
-# penalty maps (cncflsa.penalties.PenaltySpec._map).
+# The one backend switch: the compiled module, or None for the Python
+# references of tvd, of the MM loop (cncflsa.cnc._mm_updates), of the
+# penalty maps (cncflsa.penalties.PenaltySpec._map) and of the finiteness
+# check (_all_finite).
 _tvd_c, TVD_BACKEND = _select_backend()
 
 

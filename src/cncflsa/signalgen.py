@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import _as_pair, _check_nonneg, as_signal
+from .prox import _all_finite, _as_pair, _check_nonneg, as_signal
 
 _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -136,11 +136,18 @@ def standard_normal(n, seed):
 
 
 def add_awgn(x, noise: NoiseSpec):
-    """x plus deterministic white Gaussian noise; sigma = 0 returns x exactly."""
+    """x plus deterministic white Gaussian noise; sigma = 0 returns x exactly.
+
+    Raises ValueError when a noisy sample is not finite, which a sigma
+    near the largest float makes happen."""
     x = as_signal(x, "x")
     if noise.sigma == 0.0:
         return x.copy()
-    return x + noise.sigma * standard_normal(x.size, noise.seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = x + noise.sigma * standard_normal(x.size, noise.seed)
+    if not _all_finite(out):
+        raise ValueError(f"x + sigma*noise is not finite for sigma = {noise.sigma!r}")
+    return out
 
 
 def lambda1_heuristic(n, sigma, beta=0.25):

@@ -27,17 +27,19 @@ from clirun import child_env, run_cli
 
 def test_cached_kernel_import_loads_neither_subprocess_nor_hashlib():
     """Each CLI run pays for every module its import loads; with the kernel
-    cache warm (this process built it), the import needs neither module."""
+    cache warm (this process built it), the import needs neither module, nor
+    sysconfig, which only a build reads for the header paths."""
     code = ("import sys, cncflsa.cli, cncflsa.prox as p; "
-            "print(p.TVD_BACKEND, *sorted({'subprocess', 'hashlib'} & set(sys.modules)))")
+            "print(p.TVD_BACKEND, *sorted({'subprocess', 'hashlib', 'sysconfig'} & "
+            "set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
     backend, *loaded = proc.stdout.split()
     assert backend == TVD_BACKEND
     # Without a compiler there is no cache, and the failed build imports
-    # subprocess to look for one.
-    assert loaded == ([] if backend == "c" else ["subprocess"])
+    # subprocess and sysconfig before it looks for one.
+    assert loaded == ([] if backend == "c" else ["subprocess", "sysconfig"])
 
 
 def assert_write_error(proc):
@@ -112,6 +114,17 @@ class TestGenerate:
         assert_write_error(run_cli("generate", "--output", str(tmp_path / "absent" / "p.txt"),
                                    "--default"))
 
+    def test_overflowing_sigma_exit_code(self, tmp_path):
+        """At sigma = 1e308 the noisy samples overflow: generate exits 4 with
+        one error line, writes nothing and warns of nothing, instead of
+        writing inf samples that denoise then rejects."""
+        out = tmp_path / "p.txt"
+        proc = run_cli("generate", "--output", str(out), "--default", "--sigma", "1e308",
+                       "--seed", "1")
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
 
 class TestDenoise:
     @pytest.fixture
@@ -140,6 +153,17 @@ class TestDenoise:
         assert cli.main(["denoise", str(noisy), str(out),
                          "--lambda0", lam0, "--lambda1", lam1]) == 0
         assert out.read_bytes() == expected.read_bytes()
+
+    def test_huge_max_iter_writes_the_default_cap_bytes(self, tmp_path, noisy):
+        """A cap far beyond the updates run, 1e11 or past a C long, costs
+        only the updates run: the solve converges as under the default cap."""
+        outs = [tmp_path / f"out{i}.txt" for i in range(3)]
+        flags = ("--lambda0", "0.2", "--lambda1", "2")
+        for out, cap in zip(outs, ([], ["--max-iter", "100000000000"], ["--max-iter", str(2**70)])):
+            proc = run_cli("denoise", str(noisy), str(out), *flags, *cap)
+            assert proc.returncode == 0, proc.stderr
+        assert outs[1].read_bytes() == outs[2].read_bytes() == outs[0].read_bytes()
+        assert json.loads((tmp_path / "out1.txt.json").read_text())["converged"]
 
     def test_default_a1_puts_margin_on_boundary(self, tmp_path, noisy):
         out = tmp_path / "out.txt"

@@ -1,0 +1,146 @@
+"""The argument checks of the compiled module's four entries (`tvd`,
+`penalty_map`, `mm_solve` and `all_finite`): a float32 array, a byte-swapped
+one, a strided view, a length that does not fit, a non-array, an integer out
+of range and a wrong argument count each raise TypeError or ValueError, and
+the process goes on; none reads past a buffer."""
+
+import numpy as np
+import pytest
+
+from cncflsa import prox
+
+pytestmark = pytest.mark.skipif(prox.TVD_BACKEND != "c", reason="no compiled library")
+
+Y = np.linspace(-1.0, 1.0, 8)
+
+
+def good(entry):
+    """Arguments that the entry accepts, with fresh arrays."""
+    return {
+        "tvd": [Y.copy(), 0.5],
+        "penalty_map": [2, 0.7, Y.copy(), 0],
+        "mm_solve": [Y.copy(), Y[::-1].copy(), 0.0, 0.1, 0.5, 0.3, 0.2, 2, 1, 3, 1e-9],
+        "all_finite": [Y.copy()],
+    }[entry]
+
+
+# The positions of each entry's array arguments.
+ARRAYS = {"tvd": [0], "penalty_map": [2], "mm_solve": [0, 1], "all_finite": [0]}
+
+
+def call(entry, args):
+    return getattr(prox._tvd_c, entry)(*args)
+
+
+@pytest.mark.parametrize("entry", list(ARRAYS))
+def test_good_arguments_run(entry):
+    call(entry, good(entry))
+
+
+@pytest.mark.parametrize("bad, error", [
+    (lambda a: a.astype(np.float32), TypeError),
+    (lambda a: a.astype(">f8"), TypeError),
+    (lambda a: a.astype(np.int64), TypeError),
+    (lambda a: np.repeat(a, 2)[::2], ValueError),
+    (lambda a: a.tolist(), TypeError),
+    (lambda a: float(a[0]), TypeError),
+    (lambda a: None, TypeError),
+])
+@pytest.mark.parametrize("entry, position",
+                         [(entry, i) for entry, places in ARRAYS.items() for i in places])
+def test_a_wrong_array_raises(entry, position, bad, error):
+    args = good(entry)
+    args[position] = bad(args[position])
+    with pytest.raises(error):
+        call(entry, args)
+
+
+@pytest.mark.parametrize("entry, position, value", [
+    ("tvd", 0, Y[:1].copy()),  # below the kernel's 2 samples
+    ("tvd", 0, Y.reshape(2, 4).copy()),
+    ("tvd", 1, 0.0),
+    ("tvd", 1, float("nan")),
+    ("tvd", 1, float("inf")),
+    ("mm_solve", 1, Y[:7].copy()),  # shorter than y
+    ("mm_solve", 1, np.append(Y, 1.0)),  # longer than y
+    ("mm_solve", 0, np.empty(0)),
+    ("mm_solve", 0, Y.reshape(2, 4).copy()),
+])
+def test_a_length_or_shape_that_does_not_fit_raises(entry, position, value):
+    args = good(entry)
+    args[position] = value
+    if entry == "mm_solve" and position == 0:
+        args[1] = np.zeros(value.shape)
+    with pytest.raises(ValueError):
+        call(entry, args)
+
+
+@pytest.mark.parametrize("entry, position, value, error", [
+    ("penalty_map", 0, 4, ValueError),
+    ("penalty_map", 0, -1, ValueError),
+    ("penalty_map", 0, 2**70, ValueError),
+    ("penalty_map", 0, 1.0, TypeError),
+    ("penalty_map", 3, 2, ValueError),
+    ("penalty_map", 1, "0.7", TypeError),
+    ("mm_solve", 7, 4, ValueError),
+    ("mm_solve", 8, -1, ValueError),
+    ("mm_solve", 9, 0, ValueError),
+    ("mm_solve", 9, -(2**70), ValueError),
+    ("mm_solve", 9, 3.0, TypeError),
+])
+def test_an_integer_out_of_range_raises(entry, position, value, error):
+    args = good(entry)
+    args[position] = value
+    with pytest.raises(error):
+        call(entry, args)
+
+
+@pytest.mark.parametrize("entry", list(ARRAYS))
+def test_a_wrong_argument_count_raises(entry):
+    args = good(entry)
+    with pytest.raises(TypeError):
+        call(entry, args[:-1])
+    with pytest.raises(TypeError):
+        call(entry, args + [0])
+
+
+def test_mm_solve_writes_only_a_writeable_shifted_apart_from_y():
+    """mm_solve overwrites shifted, so it must be writeable and share no
+    memory with y, which the updates read throughout."""
+    args = good("mm_solve")
+    args[1].flags.writeable = False
+    with pytest.raises(ValueError):
+        call("mm_solve", args)
+    args = good("mm_solve")
+    args[1] = args[0]
+    with pytest.raises(ValueError):
+        call("mm_solve", args)
+    both = np.arange(12.0)
+    args[0], args[1] = both[:8], both[4:]
+    with pytest.raises(ValueError):
+        call("mm_solve", args)
+    args[0], args[1] = both[4:], both[:8]
+    with pytest.raises(ValueError):
+        call("mm_solve", args)
+
+
+def test_mm_solve_overwrites_shifted_and_sizes_its_history():
+    args = good("mm_solve")
+    args[9] = 2**70  # no cap in reach
+    shifted = args[1].copy()
+    x, history, converged = call("mm_solve", args)
+    assert converged and history.size >= 2 and history[0] == 0.0
+    assert x.shape == Y.shape and history.flags.owndata and x.flags.owndata
+    assert args[1].tobytes() != shifted.tobytes()
+
+
+def test_all_finite_is_exact_in_any_shape():
+    for shape in [(0,), (1,), (3, 5), (2, 0, 4), ()]:
+        a = np.ones(shape)
+        assert call("all_finite", [a]) is True
+        for bad in (np.inf, -np.inf, np.nan):
+            for i in range(a.size):
+                b = a.copy()
+                b.flat[i] = bad
+                assert call("all_finite", [b]) is False
+    assert call("all_finite", [np.array([np.finfo(float).max, -np.finfo(float).max, 5e-324])])

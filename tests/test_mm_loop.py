@@ -2,7 +2,7 @@
 chained from per-step functions written out in `tests/refsolvers.py`:
 byte-identical iterates, objective histories, update counts and stopping
 flags, with either backend, and over every solve of the criterion-7 sweep;
-the compiled loop (`cncflsa_mm_solve`) against the Python loop
+the compiled loop (the module's `mm_solve`) against the Python loop
 (`cnc._mm_loop_python`, the chain of the public `fused_lasso_l1`,
 `objective` and `majorized_input`) solve by solve; and the public
 `objective` and `majorized_input` against the same per-step functions."""
@@ -130,6 +130,21 @@ def test_rational_phi_takes_its_limit_where_half_a_x_overflows(tvd_backend):
         f = objective(x[2:3], x[2:3], cfg)
     assert phi[:2] == pytest.approx([2e-200, 2e-200], rel=1e-15)
     assert np.all(phi[2:] == 2.0 / 1e200) and scalar == f == 2.0 / 1e200
+
+
+@pytest.mark.parametrize("tvd_backend", ["c", "python"])
+@pytest.mark.parametrize("max_iter", [10**11, 2**70])
+def test_a_huge_update_cap_costs_only_the_updates_run(tvd_backend, max_iter):
+    """The compiled solve once allocated its history for max_iter + 1
+    updates up front, so a cap of 1e11 ran out of memory and one past a C
+    long could not be passed; the history now grows with the updates run,
+    and the solve is the one under a cap it never reaches."""
+    y = np.random.default_rng(8).normal(0.0, 0.5, 300) + np.repeat([0.0, 2.0, -1.0], 100)
+    cfg = CncConfig(0.2, 2.0, PenaltySpec("atan", 2.5), PenaltySpec("atan", 0.0625))
+    with backend(tvd_backend):
+        expected = solve(y, cfg)
+        result = solve(y, CncConfig(0.2, 2.0, cfg.penalty0, cfg.penalty1, max_iter=max_iter))
+    assert expected.converged and same_bytes(result, expected)
 
 
 @settings(max_examples=150, deadline=None)

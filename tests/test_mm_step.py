@@ -1,10 +1,10 @@
 """The compiled MM update against the public functions it fuses, one
-update at a time: `cncflsa_mm_solve` capped at one update gives the
-byte-identical iterate (`fused_lasso_l1`), residual, penalty values
-(`PenaltySpec.value`), F (`objective`) and next shifted input
+update at a time: the module's `mm_solve` capped at one update gives the
+byte-identical iterate (`fused_lasso_l1`), residual, F (`objective`, whose
+penalty terms are `PenaltySpec.value`) and next shifted input
 (`majorized_input`).  Also the build flags that this rests on, the one
 entry point of the loop, and the fallback to the Python loop when the
-library lacks it."""
+module lacks it."""
 
 import shutil
 from pathlib import Path
@@ -34,31 +34,26 @@ WIDE = np.random.default_rng(9).normal(0.0, 3.0, 60).tolist()
 
 
 def run_steps(y, shifted, cfg, compiled, calls=3):
-    """Rows (shifted, x, r, phi0, phi1) and F after each of `calls`
-    updates, from ``cncflsa_mm_solve`` capped at one update per call, whose
-    block carries the state to the next call and is read at the offsets
-    that ``_kernels.c`` documents, or from the public functions on the
-    Python kernel."""
+    """Rows (shifted, x, r) and F after each of `calls` updates, from the
+    module's ``mm_solve`` capped at one update per call, which overwrites
+    its shifted argument with the input of the next update, or from the
+    public functions on the Python kernel."""
     y = np.ascontiguousarray(y)
-    n, states = y.size, []
+    states = []
     if compiled:
-        lib, x, block = prox._tvd_c, np.empty(n), np.zeros(12 * n + 2)
-        block[:n] = shifted
-        rows = (block[:n], x, block[n:2 * n], block[2 * n:3 * n], block[3 * n:4 * n - 1])
-        args = (y.ctypes.data, n, x.ctypes.data, block.ctypes.data, cfg.lambda0, cfg.lambda1,
-                cfg.penalty0.a, cfg.penalty1.a, KINDS.index(cfg.penalty0.kind),
-                KINDS.index(cfg.penalty1.kind), 1, cfg.tol, lib.numpy_loops)
+        shifted = shifted.copy()
         for _ in range(calls):
-            lib.cncflsa_mm_solve(*args)
-            states.append([row.tobytes() for row in rows] + [block[12 * n + 1].hex()])
+            x, history, _ = prox._tvd_c.mm_solve(
+                y, shifted, 0.0, cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
+                KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind), 1, cfg.tol)
+            states.append([v.tobytes() for v in (shifted, x, y - x)] + [history[1].hex()])
         return states
     with mock.patch.object(prox, "_tvd_c", None):
         for _ in range(calls):
             x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
-            phi0, phi1 = cfg.penalty0.value(x), cfg.penalty1.value(x[1:] - x[:-1])
             f = objective(x, y, cfg)
             shifted = majorized_input(x, y, cfg)
-            states.append([v.tobytes() for v in (shifted, x, y - x, phi0, phi1)] + [f.hex()])
+            states.append([v.tobytes() for v in (shifted, x, y - x)] + [f.hex()])
     return states
 
 
@@ -128,15 +123,16 @@ def test_solution_is_not_a_loop_buffer():
 
 @pytest.mark.skipif(prox.TVD_BACKEND != "c", reason="no compiled library")
 def test_the_loop_is_the_one_mm_entry_point():
-    assert hasattr(prox._tvd_c, "cncflsa_mm_solve")
-    assert not hasattr(prox._tvd_c, "cncflsa_mm_step")
+    assert hasattr(prox._tvd_c, "mm_solve")
+    assert not hasattr(prox._tvd_c, "mm_step")
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler")
 def test_fallback_when_the_library_lacks_the_loop(monkeypatch, tmp_path):
     source = Path(prox._C_SOURCE).read_text()
     older = tmp_path / "_kernels.c"
-    older.write_text(source[:source.index("/* The MM updates of")])
+    older.write_text(source.replace('{"mm_solve",', '{"other_name",'))
+    assert older.read_text() != source
     monkeypatch.setattr(prox, "_C_SOURCE", str(older))
     assert prox._select_backend() == (None, "python")
 

@@ -1,9 +1,10 @@
-"""The numpy loops that the compiled MM loop (`cncflsa_mm_solve`) calls:
-the fallback to the Python loop when their lookup or probe fails, and a
-guard that the compiled loop runs no Python per update.  The loop's bytes
-are checked against the Python loop in `tests/test_mm_loop.py`."""
+"""The numpy loops that the compiled MM loop (the module's `mm_solve`)
+calls: the fallback to the Python loop when their lookup or probe at the
+module's import fails, and a guard that the compiled loop runs no Python
+per update.  The loop's bytes are checked against the Python loop in
+`tests/test_mm_loop.py`."""
 
-import ctypes
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,27 +56,33 @@ def check_fallback(monkeypatch):
 
 
 def test_fallback_when_a_loop_cannot_be_found(monkeypatch):
-    def lookup(ufunc, types):
-        raise ValueError(f"no {types} loop")
-
-    monkeypatch.setattr(prox, "_numpy_loop", lookup)
+    monkeypatch.delattr(np, "vecdot")
+    with pytest.raises(ImportError, match="vecdot"):
+        prox._load(prox._build())
     check_fallback(monkeypatch)
 
 
-def test_fallback_when_a_loop_is_not_numpys(monkeypatch):
-    lookup = prox._numpy_loop
-
-    def swapped(ufunc, types):
-        return lookup(np.log1p if ufunc is np.arctan else ufunc, types)
-
-    monkeypatch.setattr(prox, "_numpy_loop", swapped)
+def test_fallback_when_a_loop_is_not_numpys(monkeypatch, tmp_path):
+    """A module whose lookup takes each ufunc's first loop, which is not
+    its float64 one, fails the probe at its import."""
+    source = Path(prox._C_SOURCE).read_text()
+    first = tmp_path / "_kernels.c"
+    first.write_text(source.replace("loop->call = uf->functions[i];",
+                                    "loop->call = uf->functions[0];"))
+    assert first.read_text() != source
+    monkeypatch.setattr(prox, "_C_SOURCE", str(first))
+    with pytest.raises(ImportError, match="bytes"):
+        prox._load(prox._build())
     check_fallback(monkeypatch)
 
 
-def test_lookup_rejects_a_mismatched_layout(monkeypatch):
-    class Shifted(ctypes.Structure):
-        _fields_ = [("pad", ctypes.c_int), *prox._UFuncHead._fields_]
-
-    monkeypatch.setattr(prox, "_UFuncHead", Shifted)
-    with pytest.raises(OSError):
-        prox._numpy_loop(np.arctan, "d->d")
+def test_lookup_rejects_a_ufunc_without_the_float64_loop(monkeypatch):
+    """The lookup takes only a loop whose every argument is float64
+    (``np.isnan`` has d->?, and ``np.bitwise_and`` no float loop at all),
+    and only from a ufunc."""
+    for name, stand_in in (("arctan", np.isnan), ("add", np.bitwise_and),
+                           ("log1p", np.sqrt.__call__)):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, name, stand_in)
+            with pytest.raises(ImportError, match=name):
+                prox._load(prox._build())

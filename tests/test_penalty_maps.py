@@ -1,12 +1,10 @@
 """The compiled maps of `PenaltySpec.value` and `PenaltySpec.residual_deriv`
-(`cncflsa_penalty_map`) against their Python references `_phi` and
+(the module's `penalty_map`) against their Python references `_phi` and
 `_slope`: the same bytes through the public methods, and through
 `objective` and `majorized_input`, on inputs of any shape and layout; no
-call of the references with the library; the boundary check that every
-start calls; and the fallback to Python when the library lacks the map or
-an array's head is not laid out as `prox._ArrayHead` mirrors it."""
+call of the references with the module; the boundary check that every
+start calls; and the fallback to Python when the module lacks the map."""
 
-import ctypes
 import math
 import shutil
 import warnings
@@ -217,13 +215,6 @@ def check_fallback(monkeypatch, change):
 def test_fallback_when_the_library_lacks_the_map(monkeypatch, tmp_path):
     source = Path(prox._C_SOURCE).read_text()
     older = tmp_path / "_kernels.c"
-    older.write_text(source.replace("void cncflsa_penalty_map(", "void other_name("))
+    older.write_text(source.replace('{"penalty_map",', '{"other_name",'))
+    assert older.read_text() != source
     check_fallback(monkeypatch, lambda: monkeypatch.setattr(prox, "_C_SOURCE", str(older)))
-
-
-@pytest.mark.skipif(not HAS_LIB, reason="no compiled library")
-def test_fallback_when_an_array_head_is_not_numpys(monkeypatch):
-    class Shifted(ctypes.Structure):
-        _fields_ = [("pad", ctypes.c_void_p), *prox._ArrayHead._fields_]
-
-    check_fallback(monkeypatch, lambda: monkeypatch.setattr(prox, "_ArrayHead", Shifted))

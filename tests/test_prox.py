@@ -66,15 +66,16 @@ class TestSoftThreshold:
 
 
 class TestAllFinite:
-    """The finiteness check of every public function: exact, and quiet
-    where the sum of squares that usually decides it overflows."""
+    """The finiteness check of every public function: exact on C-contiguous
+    and other layouts, and quiet on finite input whose sum of squares
+    overflows (which an earlier check through np.vdot had to allow for)."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 128, 129, 300])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("scale", [1.0, 1e200])
     def test_rejects_a_non_finite_entry_at_every_position(self, n, bad, scale):
         """At scale 1e200 the sum of squares of the finite entries alone
-        overflows, so np.isfinite decides."""
+        overflows; the check looks at each entry, so that changes nothing."""
         base = np.random.default_rng(n).normal(0.0, scale, n)
         assert _all_finite(base)
         for i in range(n):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,14 @@ class TestNoise:
         a = add_awgn(x, NoiseSpec(0.7, 12345))
         b = add_awgn(x, NoiseSpec(0.7, 12345))
         np.testing.assert_array_equal(a, b)
+
+    def test_non_finite_noisy_samples_are_rejected_quietly(self):
+        x = generate_pulses(default_pulse_spec())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                add_awgn(x, NoiseSpec(1e308, 1))
+            assert np.all(np.isfinite(add_awgn(x, NoiseSpec(1e300, 1))))
 
     def test_seed_changes_stream(self):
         x = np.zeros(100)

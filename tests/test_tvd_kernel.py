@@ -1,6 +1,8 @@
 """The compiled tvd kernel against the pure-Python reference: bit equality
-of the kernel and of whole solves, the build cache, and the fallback."""
+of the kernel and of whole solves, the build cache and its file names, and
+the fallback."""
 
+import importlib.machinery
 import os
 import shutil
 import subprocess
@@ -141,6 +143,21 @@ def test_build_caches_by_source_digest(monkeypatch, tmp_path):
     assert edited != first
     assert sorted(os.listdir(tmp_path / "__pycache__")) == sorted(
         [Path(first).name, Path(edited).name])
+
+
+def test_cache_name_covers_the_extension_suffix_and_numpy_version(monkeypatch):
+    """A module built for another interpreter or against another numpy is
+    never loaded: each names a different file."""
+    base = prox._cache_path()
+    assert base.endswith(importlib.machinery.EXTENSION_SUFFIXES[0])
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".cpython-399-other.so"])
+    other_suffix = prox._cache_path()
+    monkeypatch.undo()
+    monkeypatch.setattr(np, "__version__", np.__version__ + ".post1")
+    other_numpy = prox._cache_path()
+    assert len({base, other_suffix, other_numpy}) == 3
+    assert other_suffix.endswith(".cpython-399-other.so")
+    assert {Path(p).parent for p in (base, other_suffix, other_numpy)} == {Path(base).parent}
 
 
 def test_concurrent_first_builds_agree(tmp_path):

@@ -15,17 +15,18 @@ repeats, in milliseconds per call:
 - one MM update at N = 300 and 30,000, taken as the difference between a
   solve capped at 11 updates and one capped at 1, divided by 10 (the
   tolerance is so tight that neither stops early);
-- with the compiled library, one compiled MM update at N = 300 and 30,000,
-  a call of ``cncflsa_mm_solve`` capped at one update, split into its
-  ``tvd`` kernel (``cncflsa_tvd`` on the update's input) and the rest of
-  the update (the update minus the kernel, both timed in the same repeat);
+- with the compiled module, one compiled MM update at N = 300 and 30,000,
+  a call of its ``mm_solve`` entry capped at one update, split into its
+  ``tvd`` kernel (the module's ``tvd`` on the update's input) and the rest
+  of the update (the update minus the kernel, both timed in the same
+  repeat);
 - ``cnc.solve`` on the 300-sample fixture;
 - the criterion-7 sweep (3 sigma x 3 methods x 20 lambda0 x 15 trials);
 - ``python -m cncflsa.cli denoise`` on the 300-sample fixture, in a fresh
   interpreter.
 
-Apart from the compiled update's split, which calls ``cncflsa_mm_solve``
-with the arguments and block that ``cnc.solve`` passes it, only public
+Apart from the compiled update's split, which calls the module's
+``mm_solve`` with the arguments that ``cnc.solve`` passes it, only public
 names are timed, so the script measures whichever version of the package
 is on the import path.  That entry's arguments are private to a version, so
 run each version's own script, each with its own label, to put both into
@@ -58,7 +59,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
-import ctypes
 import json
 import platform
 import subprocess
@@ -142,35 +142,23 @@ def mm_update_ms(y, inner):
 
 def compiled_update(n):
     """Zero-argument callables of one compiled MM update on signal(n), a
-    call of ``cncflsa_mm_solve`` capped at one update, and of the tvd
-    kernel on that update's input; None without the library.  Ten updates
-    first bring the iterate near its fixed point, where a solve spends most
-    of its updates, so that later updates change the input little.  The
-    arguments of both are converted once, so that the kernel's call costs
-    about what the update's call does."""
+    call of the module's ``mm_solve`` capped at one update, and of its
+    ``tvd`` on that update's input; None without the module.  ``mm_solve``
+    overwrites its shifted argument with the input of the next update, so
+    each call runs the update after the last.  Ten updates first bring the
+    iterate near its fixed point, where a solve spends most of its updates,
+    so that later updates change the input little."""
     lib = prox._tvd_c
     if lib is None:
         return None
     y, cfg = signal(n), cnc_config(max_iter=1)
-    # The block's layout is that of cncflsa_mm_solve in _kernels.c.
-    out, block = np.empty(n), np.zeros(12 * n + 2)
-    block[:n] = majorized_input(fused_lasso_l1(y, cfg.lambda0, cfg.lambda1), y, cfg)
-    update_args = (ctypes.c_void_p(y.ctypes.data), ctypes.c_long(n),
-                   ctypes.c_void_p(out.ctypes.data), ctypes.c_void_p(block.ctypes.data),
-                   *(ctypes.c_double(v) for v in (cfg.lambda0, cfg.lambda1, cfg.penalty0.a,
-                                                  cfg.penalty1.a)),
-                   *(ctypes.c_int(KINDS.index(p.kind)) for p in (cfg.penalty0, cfg.penalty1)),
-                   ctypes.c_long(1), ctypes.c_double(cfg.tol), lib.numpy_loops)
+    shifted = majorized_input(fused_lasso_l1(y, cfg.lambda0, cfg.lambda1), y, cfg)
+    args = (y, shifted, 0.0, cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
+            KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind), 1, cfg.tol)
     for _ in range(10):
-        lib.cncflsa_mm_solve(*update_args)
-    shifted, x, work = block[:n].copy(), np.empty(n), np.empty(8 * n)
-    kernel_args = (ctypes.c_void_p(shifted.ctypes.data), ctypes.c_long(n),
-                   ctypes.c_double(cfg.lambda1), ctypes.c_void_p(x.ctypes.data),
-                   ctypes.c_void_p(work.ctypes.data))
-    # Each callable holds the arrays its arguments point into.
-    keep = (y, out, block, shifted, x, work)
-    return (lambda keep=keep: lib.cncflsa_mm_solve(*update_args),
-            lambda keep=keep: lib.cncflsa_tvd(*kernel_args))
+        lib.mm_solve(*args)
+    kernel_input = shifted.copy()
+    return lambda: lib.mm_solve(*args), lambda: lib.tvd(kernel_input, cfg.lambda1)
 
 
 def cli_denoise_ms(workdir):
