@@ -21,11 +21,19 @@
  * pairwise sum and BLAS ddot) is done by calling numpy's own float64 inner
  * loops, which the module's import finds and probes.
  *
- * The module's four entries (tvd, penalty_map, mm_solve and all_finite, at
- * the end of this file) take numpy arrays, check their dtype, layout,
- * lengths and integer ranges, raising TypeError or ValueError rather than
- * reading past a buffer, and allocate their outputs and scratch
- * themselves.  Each releases the GIL around its N-sized loops.
+ * The module has six entries, at the end of this file, each called by one
+ * public function of cncflsa after that function's own input checks: tvd
+ * by prox.tvd, soft_threshold by prox.soft_threshold, all_finite by
+ * prox.as_signal and every other finiteness check, penalty_map by
+ * PenaltySpec.value (which it also finishes, as mm_solve does) and
+ * PenaltySpec.residual_deriv, shifted_input by cnc.majorized_input, and
+ * mm_solve by cnc.solve for every update after the start.  Each entry
+ * takes numpy arrays, checks their dtype, layout, lengths and integer
+ * ranges, raising TypeError or ValueError rather than reading past a
+ * buffer, and allocates its outputs and scratch itself.  Each releases
+ * the GIL around its N-sized loops.  Where an entry and the MM step share
+ * a loop, it is written once: shrink, subtract_adjoint and algebra as
+ * INLINE functions, finish as a plain one.
  *
  * Each kernel is built twice, for x86-64-v3 (AVX2, 4-lane maps) and for
  * the baseline x86-64 (SSE2), and the loader's ifunc resolver picks the
@@ -218,6 +226,36 @@ CLONES static void cncflsa_penalty_map(int kind, double a, const double *x, npy_
     }
 }
 
+/* numpy's sign(t) * maximum(|t| - lam, 0) of the n values t from in, into
+ * out, which may be in: cncflsa.prox.soft_threshold, whose expression it
+ * rounds as, and the soft threshold of cncflsa_mm_step. */
+INLINE void shrink(const double *in, double *out, npy_intp n, double lam)
+{
+    double t, v, sign;
+    npy_intp i;
+
+    for (i = 0; i < n; i++) {
+        t = in[i];
+        sign = t > 0.0 ? 1.0 : (t < 0.0 ? -1.0 : 0.0);
+        v = fabs(t) - lam;
+        out[i] = sign * (v < 0.0 ? 0.0 : v);
+    }
+}
+
+/* shifted - lam1 (D^T ds1) over n >= 2 samples, in place, as
+ * cncflsa.cnc.majorized_input forms it with cncflsa.prox._diff_adjoint:
+ * the pass of cncflsa_mm_step and cncflsa_shifted_input. */
+INLINE void subtract_adjoint(double *restrict shifted, const double *restrict ds1, double lam1,
+                             npy_intp n)
+{
+    npy_intp i;
+
+    shifted[0] = shifted[0] - lam1 * -ds1[0];
+    for (i = 1; i < n - 1; i++)
+        shifted[i] = shifted[i] - lam1 * (ds1[i - 1] - ds1[i]);
+    shifted[n - 1] = shifted[n - 1] - lam1 * ds1[n - 2];
+}
+
 /* One MM update, the public functions of the Python chain
  * cncflsa.cnc._mm_loop_python: x = fused_lasso_l1(shifted, lam0, lam1),
  * that is soft_threshold(tvd(shifted, lam1), lam0), r = y - x, phi0 from x
@@ -234,7 +272,7 @@ INLINE void cncflsa_mm_step(const struct mm_step *m)
 {
     npy_intp n = m->n, i;
     double *shifted = m->shifted, *x = m->x, *ds1 = m->work + 6 * n;
-    double t, v, sign, lam1 = m->lam1;
+    double lam1 = m->lam1;
 
     if (n == 1 || lam1 == 0.0) {
         for (i = 0; i < n; i++)
@@ -242,12 +280,7 @@ INLINE void cncflsa_mm_step(const struct mm_step *m)
     } else {
         cncflsa_tvd(shifted, n, lam1, x, m->work);
     }
-    for (i = 0; i < n; i++) { /* numpy's sign(t) * maximum(|t| - lam0, 0) */
-        t = x[i];
-        sign = t > 0.0 ? 1.0 : (t < 0.0 ? -1.0 : 0.0);
-        v = fabs(t) - m->lam0;
-        x[i] = sign * (v < 0.0 ? 0.0 : v);
-    }
+    shrink(x, x, n, m->lam0);
     switch (m->kind0) {
     case KIND_L1: map_x(KIND_L1, m); break;
     case KIND_LOG: map_x(KIND_LOG, m); break;
@@ -262,11 +295,27 @@ INLINE void cncflsa_mm_step(const struct mm_step *m)
     case KIND_ATAN: map_diff(KIND_ATAN, m, ds1); break;
     default: map_diff(KIND_RATIONAL, m, ds1);
     }
-    /* shifted - lam1 (D^T ds1), as cncflsa.prox._diff_adjoint forms it */
-    shifted[0] = shifted[0] - lam1 * -ds1[0];
-    for (i = 1; i < n - 1; i++)
-        shifted[i] = shifted[i] - lam1 * (ds1[i - 1] - ds1[i]);
-    shifted[n - 1] = shifted[n - 1] - lam1 * ds1[n - 2];
+    subtract_adjoint(shifted, ds1, lam1, n);
+}
+
+/* cncflsa.cnc.majorized_input from its two residual_deriv rows, into out
+ * (n doubles): y - lam0 ds0, then, when n >= 2, subtract_adjoint. */
+CLONES static void cncflsa_shifted_input(const double *y, double lam0, const double *ds0,
+                                         double lam1, const double *ds1, npy_intp n, double *out)
+{
+    npy_intp i;
+
+    for (i = 0; i < n; i++)
+        out[i] = y[i] - lam0 * ds0[i];
+    if (n > 1)
+        subtract_adjoint(out, ds1, lam1, n);
+}
+
+/* cncflsa.prox.soft_threshold of n values, into out: shrink in a body of
+ * its own, so that each clone runs it at its vector width. */
+CLONES static void cncflsa_soft_threshold(const double *x, npy_intp n, double lam, double *out)
+{
+    shrink(x, out, n, lam);
 }
 
 /* Whether the n doubles from x are all finite.  Adding 2^52 to a double's
@@ -669,11 +718,14 @@ static PyObject *tvd(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 PyDoc_STRVAR(penalty_map_doc, "penalty_map(kind, a, x, slope) -> out\n\n"
-"PenaltySpec._phi (slope 0) or PenaltySpec._slope (slope 1) of penalty\n"
-"KINDS[kind] with degree a, over a C-contiguous float64 array x of any shape.");
+"phi as PenaltySpec.value gives it (slope 0; PenaltySpec._phi, then\n"
+"PenaltySpec._finish through numpy's own loops) or s' as PenaltySpec._slope\n"
+"gives it (slope 1) of penalty KINDS[kind] with degree a, over a C-contiguous\n"
+"float64 array x of any shape.");
 
 static PyObject *penalty_map(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
+    const struct numpy_loops *loops = PyModule_GetState(self);
     PyArrayObject *x;
     PyObject *out;
     const double *in;
@@ -690,6 +742,68 @@ static PyObject *penalty_map(PyObject *self, PyObject *const *args, Py_ssize_t n
     in = PyArray_DATA(x), values = PyArray_DATA((PyArrayObject *)out), n = PyArray_SIZE(x);
     Py_BEGIN_ALLOW_THREADS
     cncflsa_penalty_map(kind, a, in, n, values, slope);
+    if (!slope)
+        finish(loops, kind, a, values, n);
+    Py_END_ALLOW_THREADS
+    return out;
+}
+
+PyDoc_STRVAR(soft_threshold_doc, "soft_threshold(x, lam) -> out\n\n"
+"cncflsa.prox.soft_threshold of a C-contiguous float64 array x of any shape,\n"
+"lam finite and >= 0.");
+
+static PyObject *soft_threshold(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyArrayObject *x;
+    PyObject *out;
+    const double *in;
+    double lam, *values;
+    npy_intp n;
+
+    if (check_nargs("soft_threshold", nargs, 2) < 0 || (x = as_array(args[0], "x", -1)) == NULL
+        || as_double(args[1], &lam) < 0)
+        return NULL;
+    if (!(lam >= 0.0 && lam <= DBL_MAX)) {
+        PyErr_SetString(PyExc_ValueError, "soft_threshold needs a finite lam >= 0");
+        return NULL;
+    }
+    if ((out = PyArray_SimpleNew(PyArray_NDIM(x), PyArray_DIMS(x), NPY_DOUBLE)) == NULL)
+        return NULL;
+    in = PyArray_DATA(x), values = PyArray_DATA((PyArrayObject *)out), n = PyArray_SIZE(x);
+    Py_BEGIN_ALLOW_THREADS
+    cncflsa_soft_threshold(in, n, lam, values);
+    Py_END_ALLOW_THREADS
+    return out;
+}
+
+PyDoc_STRVAR(shifted_input_doc, "shifted_input(y, lam0, ds0, lam1, ds1) -> out\n\n"
+"The shifted input of cncflsa.cnc.majorized_input, y - lam0 ds0 - lam1 D^T ds1,\n"
+"from the residual_deriv rows ds0 (of the iterate) and ds1 (of its diff): y\n"
+"and ds0 C-contiguous float64 vectors of one length n >= 1, ds1 one of n - 1.");
+
+static PyObject *shifted_input(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyArrayObject *y, *ds0, *ds1;
+    PyObject *out;
+    const double *in, *s0, *s1;
+    double lam0, lam1, *values;
+    npy_intp n;
+
+    if (check_nargs("shifted_input", nargs, 5) < 0 || (y = as_array(args[0], "y", 1)) == NULL
+        || as_double(args[1], &lam0) < 0 || (ds0 = as_array(args[2], "ds0", 1)) == NULL
+        || as_double(args[3], &lam1) < 0 || (ds1 = as_array(args[4], "ds1", 1)) == NULL)
+        return NULL;
+    n = PyArray_DIM(y, 0);
+    if (n < 1 || PyArray_DIM(ds0, 0) != n || PyArray_DIM(ds1, 0) != n - 1) {
+        PyErr_SetString(PyExc_ValueError, "y and ds0 must have one length n >= 1, and ds1 n - 1");
+        return NULL;
+    }
+    if ((out = PyArray_SimpleNew(1, &n, NPY_DOUBLE)) == NULL)
+        return NULL;
+    in = PyArray_DATA(y), s0 = PyArray_DATA(ds0), s1 = PyArray_DATA(ds1);
+    values = PyArray_DATA((PyArrayObject *)out);
+    Py_BEGIN_ALLOW_THREADS
+    cncflsa_shifted_input(in, lam0, s0, lam1, s1, n, values);
     Py_END_ALLOW_THREADS
     return out;
 }
@@ -795,6 +909,10 @@ static PyMethodDef methods[] = {
     {"penalty_map", (PyCFunction)(void (*)(void))penalty_map, METH_FASTCALL, penalty_map_doc},
     {"mm_solve", (PyCFunction)(void (*)(void))mm_solve, METH_FASTCALL, mm_solve_doc},
     {"all_finite", (PyCFunction)(void (*)(void))all_finite, METH_FASTCALL, all_finite_doc},
+    {"soft_threshold", (PyCFunction)(void (*)(void))soft_threshold, METH_FASTCALL,
+     soft_threshold_doc},
+    {"shifted_input", (PyCFunction)(void (*)(void))shifted_input, METH_FASTCALL,
+     shifted_input_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -66,9 +66,13 @@ class CncConfig:
         object.__setattr__(self, "lambda1", _check_nonneg(self.lambda1, "lambda1"))
         if not isinstance(self.penalty0, PenaltySpec) or not isinstance(self.penalty1, PenaltySpec):
             raise ValueError("penalty0 and penalty1 must be PenaltySpec instances")
-        if int(self.max_iter) != self.max_iter or self.max_iter < 1:
+        try:
+            max_iter = int(self.max_iter)
+        except (OverflowError, ValueError):  # inf, NaN or a string that is no integer
+            max_iter = None
+        if max_iter is None or max_iter != self.max_iter or max_iter < 1:
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
-        object.__setattr__(self, "max_iter", int(self.max_iter))
+        object.__setattr__(self, "max_iter", max_iter)
         object.__setattr__(self, "tol", float(self.tol))
         if not np.isfinite(self.tol) or self.tol <= 0.0:
             raise ValueError(f"tol must be a positive real, got {self.tol!r}")
@@ -151,8 +155,8 @@ def objective(x, y, cfg: CncConfig) -> float:
     """
     x, y = _as_pair(x, y, "x", "y")
     r = y - x
-    return (0.5 * float(np.dot(r, r)) + cfg.lambda0 * float(cfg.penalty0.value(x).sum())
-            + cfg.lambda1 * float(cfg.penalty1.value(x[1:] - x[:-1]).sum()))
+    return (0.5 * float(np.dot(r, r)) + cfg.lambda0 * float(np.add.reduce(cfg.penalty0.value(x)))
+            + cfg.lambda1 * float(np.add.reduce(cfg.penalty1.value(x[1:] - x[:-1]))))
 
 
 def majorized_input(v, y, cfg: CncConfig):
@@ -160,11 +164,17 @@ def majorized_input(v, y, cfg: CncConfig):
 
     Returns y - lambda0*s0'(v) - lambda1*diff_adjoint(s1'(diff(v))), the
     input for which the L1 fused lasso minimizes the tangent-line majorizer
-    of the objective at v.
+    of the objective at v.  With the compiled module and a C-contiguous y,
+    the two ``residual_deriv`` rows are combined in one call of its
+    ``shifted_input``, which gives the bits of the numpy expression below.
     """
     v, y = _as_pair(v, y, "v", "y")
-    out = y - cfg.lambda0 * cfg.penalty0.residual_deriv(v)
+    ds0 = cfg.penalty0.residual_deriv(v)
     ds1 = cfg.penalty1.residual_deriv(v[1:] - v[:-1])
+    lib = _prox._tvd_c
+    if lib is not None and y.flags.c_contiguous:
+        return lib.shifted_input(y, cfg.lambda0, ds0, cfg.lambda1, ds1)
+    out = y - cfg.lambda0 * ds0
     if ds1.size:
         out -= cfg.lambda1 * _diff_adjoint(ds1)
     return out

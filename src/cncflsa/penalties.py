@@ -70,8 +70,11 @@ class PenaltySpec:
         object.__setattr__(self, "a", a)
 
     def value(self, x):
-        """Penalty value phi(x; a), elementwise; phi(0) = 0 and phi(-x) = phi(x)."""
-        return _match(self._finish(self._map(x, 0)), x)
+        """Penalty value phi(x; a), elementwise; phi(0) = 0 and phi(-x) = phi(x).
+
+        With the compiled module one call of its ``penalty_map``, which
+        finishes phi in C with numpy's own loops; see :meth:`_map`."""
+        return _match(self._map(x, 0), x)
 
     @np.errstate(over="ignore", invalid="ignore")
     def residual(self, x):
@@ -106,18 +109,19 @@ class PenaltySpec:
     # _phi and _slope hold every part of phi and s' that rounds exactly in
     # IEEE arithmetic; ``algebra`` in ``_kernels.c`` ports both per sample.
     # _finish applies numpy's log1p and arctan, whose SIMD versions round
-    # differently from the C library's; ``cncflsa_mm_solve`` in
-    # ``_kernels.c`` calls the same numpy loops.
+    # differently from the C library's; ``finish`` in ``_kernels.c``, which
+    # the module's ``penalty_map`` and ``mm_solve`` run, calls the same
+    # numpy loops.
 
     def _map(self, x, slope):
-        """:meth:`_phi` (slope 0) or :meth:`_slope` (slope 1) of x as a
-        float array of at least one dimension: with the compiled module one
-        call of its ``penalty_map``, which gives the same bits, and without
-        it the reference."""
+        """phi (slope 0), :meth:`_finish` of :meth:`_phi`, or s' (slope 1),
+        :meth:`_slope`, of x as a float array of at least one dimension:
+        with the compiled module one call of its ``penalty_map``, which
+        gives the same bits, and without it the references."""
         x = np.ascontiguousarray(x, dtype=float)
         lib = _prox._tvd_c
         if lib is None:
-            return self._slope(x) if slope else self._phi(x)
+            return self._slope(x) if slope else self._finish(self._phi(x))
         return lib.penalty_map(KINDS.index(self.kind), self.a, x, slope)
 
     # Past the largest float, a*|x| overflows; like the compiled maps,

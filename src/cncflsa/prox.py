@@ -8,13 +8,19 @@ certify solutions independently of the solvers.
 The TV kernel has a compiled backend (``_kernels.c``, a CPython extension
 module built on first import and cached in ``__pycache__``) and a
 pure-Python reference that it matches bit for bit and falls back to;
-``TVD_BACKEND`` names the one in use.  The same module holds the compiled
-MM loop of :mod:`cncflsa.cnc`, which follows the same switch and calls
-numpy's own float64 loops, found and probed by the module's import;
-without it the loop chains the public functions.  It also holds the
-per-sample maps of ``PenaltySpec.value`` and
-``PenaltySpec.residual_deriv`` and the finiteness check of every input,
-which follow the same switch.
+``TVD_BACKEND`` names the one in use.  The module has six entries, each
+called by one public step after its own input checks and each matching
+its Python reference bit for bit; all follow the one switch ``_tvd_c``:
+
+- ``tvd``, by :func:`tvd`;
+- ``soft_threshold``, by :func:`soft_threshold` on C-contiguous input;
+- ``all_finite``, by :func:`as_signal` and every other finiteness check;
+- ``penalty_map``, by ``PenaltySpec.value`` (finished with numpy's own
+  ``arctan``/``log1p`` loops, found and probed by the module's import) and
+  ``PenaltySpec.residual_deriv``;
+- ``shifted_input``, by :func:`cncflsa.cnc.majorized_input`;
+- ``mm_solve``, by :func:`cncflsa.cnc.solve` for every update after its
+  start; without the module the loop chains the public functions.
 """
 
 from __future__ import annotations
@@ -77,12 +83,19 @@ def _check_nonneg(value, name):
 
 
 def soft_threshold(x, lam):
-    """Shrink toward zero by lam, flattening the band |x| <= lam to exactly 0."""
+    """Shrink toward zero by lam, flattening the band |x| <= lam to exactly 0.
+
+    A C-contiguous x goes through the compiled module's ``soft_threshold``
+    when it is loaded, which gives the bits of the numpy expression that
+    handles every other layout and the Python backend."""
     lam = _check_nonneg(lam, "lam")
     xa = np.asarray(x, dtype=float)
     if not _all_finite(xa):
         raise ValueError("x contains non-finite samples")
-    out = np.sign(xa) * np.maximum(np.abs(xa) - lam, 0.0)
+    if _tvd_c is not None and xa.flags.c_contiguous:
+        out = _tvd_c.soft_threshold(xa, lam)
+    else:
+        out = np.sign(xa) * np.maximum(np.abs(xa) - lam, 0.0)
     if xa.ndim == 0:
         return float(out)
     return out
@@ -285,25 +298,27 @@ def _load(path):
     return module
 
 
+# The compiled module's entries; this module's docstring names the public
+# function that calls each and falls back to its Python reference.
+_ENTRIES = ("tvd", "penalty_map", "mm_solve", "all_finite", "soft_threshold", "shifted_input")
+
+
 def _select_backend():
     """The compiled module and ``"c"``, or ``(None, "python")`` when it
-    cannot be built or loaded, lacks one of its four entries, or one of
+    cannot be built or loaded, lacks one of its ``_ENTRIES``, or one of
     numpy's loops that its ``mm_solve`` calls cannot be found or does not
     give numpy's own bytes."""
     try:
         module = _load(_build())
     except (OSError, ImportError):
         return None, "python"
-    if not all(hasattr(module, name) for name in ("tvd", "penalty_map", "mm_solve",
-                                                   "all_finite")):
+    if not all(hasattr(module, name) for name in _ENTRIES):
         return None, "python"
     return module, "c"
 
 
 # The one backend switch: the compiled module, or None for the Python
-# references of tvd, of the MM loop (cncflsa.cnc._mm_updates), of the
-# penalty maps (cncflsa.penalties.PenaltySpec._map) and of the finiteness
-# check (_all_finite).
+# references of all its entries.
 _tvd_c, TVD_BACKEND = _select_backend()
 
 

@@ -9,6 +9,7 @@ in order, u1 = 0 rejected).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,7 +171,19 @@ def lambda0_grid(n, sigma, beta=0.25):
 
 
 def rmse(x, reference):
-    """Root mean squared error between two equal-length signals."""
+    """Root mean squared error between two equal-length signals.
+
+    Where the sum of squares overflows, it is formed from the halved
+    differences scaled by their largest magnitude, so the result is finite
+    whenever the RMSE is (a difference past the largest float still warns,
+    as numpy's subtraction does); every other result is the plain
+    formula's."""
     x, reference = _as_pair(x, reference, "x", "reference")
     d = x - reference
-    return float(np.sqrt(np.dot(d, d) / x.size))
+    total = float(np.vdot(d, d))  # np.dot's bits, without its overflow warning
+    if math.isfinite(total):
+        return math.sqrt(total / x.size)
+    half = 0.5 * x - 0.5 * reference
+    scale = float(np.max(np.abs(half)))
+    half /= scale
+    return 2.0 * (scale * math.sqrt(float(np.vdot(half, half)) / x.size))

@@ -350,6 +350,13 @@ class TestSolve:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(cfg, field.name, getattr(cfg, field.name))
 
+    def test_max_iter_that_is_no_positive_integer_raises_value_error(self):
+        """inf raised OverflowError from int() before; it now gets the
+        ValueError, and the message, of every other bad max_iter."""
+        for max_iter in (float("inf"), float("-inf"), float("nan"), 0, -3, 2.5, "abc", "5"):
+            with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+                CncConfig(1.0, 1.0, max_iter=max_iter)
+
     def test_replace_validates(self):
         cfg = CncConfig(1.0, 1.0)
         for max_iter in (0, 2.5):

@@ -1,5 +1,6 @@
-"""The argument checks of the compiled module's four entries (`tvd`,
-`penalty_map`, `mm_solve` and `all_finite`): a float32 array, a byte-swapped
+"""The argument checks of the compiled module's six entries (`tvd`,
+`penalty_map`, `mm_solve`, `all_finite`, `soft_threshold` and
+`shifted_input`): a float32 array, a byte-swapped
 one, a strided view, a length that does not fit, a non-array, an integer out
 of range and a wrong argument count each raise TypeError or ValueError, and
 the process goes on; none reads past a buffer."""
@@ -21,11 +22,14 @@ def good(entry):
         "penalty_map": [2, 0.7, Y.copy(), 0],
         "mm_solve": [Y.copy(), Y[::-1].copy(), 0.0, 0.1, 0.5, 0.3, 0.2, 2, 1, 3, 1e-9],
         "all_finite": [Y.copy()],
+        "soft_threshold": [Y.copy(), 0.25],
+        "shifted_input": [Y.copy(), 0.3, Y[::-1] / 9.0, 2.0, Y[1:] / 7.0],
     }[entry]
 
 
 # The positions of each entry's array arguments.
-ARRAYS = {"tvd": [0], "penalty_map": [2], "mm_solve": [0, 1], "all_finite": [0]}
+ARRAYS = {"tvd": [0], "penalty_map": [2], "mm_solve": [0, 1], "all_finite": [0],
+          "soft_threshold": [0], "shifted_input": [0, 2, 4]}
 
 
 def call(entry, args):
@@ -65,12 +69,23 @@ def test_a_wrong_array_raises(entry, position, bad, error):
     ("mm_solve", 1, np.append(Y, 1.0)),  # longer than y
     ("mm_solve", 0, np.empty(0)),
     ("mm_solve", 0, Y.reshape(2, 4).copy()),
+    ("soft_threshold", 1, -0.5),
+    ("soft_threshold", 1, float("nan")),
+    ("soft_threshold", 1, float("inf")),
+    ("shifted_input", 2, Y[:7].copy()),  # ds0 shorter than y
+    ("shifted_input", 2, np.append(Y, 1.0)),
+    ("shifted_input", 4, Y.copy()),  # ds1 as long as y
+    ("shifted_input", 4, Y[:6].copy()),
+    ("shifted_input", 0, np.empty(0)),
+    ("shifted_input", 0, Y.reshape(2, 4).copy()),
+    ("shifted_input", 2, Y.reshape(2, 4).copy()),
+    ("shifted_input", 4, Y[1:].reshape(1, 7).copy()),
 ])
 def test_a_length_or_shape_that_does_not_fit_raises(entry, position, value):
     args = good(entry)
     args[position] = value
-    if entry == "mm_solve" and position == 0:
-        args[1] = np.zeros(value.shape)
+    if entry in ("mm_solve", "shifted_input") and position == 0:
+        args[1 if entry == "mm_solve" else 2] = np.zeros(value.shape)
     with pytest.raises(ValueError):
         call(entry, args)
 
@@ -87,6 +102,9 @@ def test_a_length_or_shape_that_does_not_fit_raises(entry, position, value):
     ("mm_solve", 9, 0, ValueError),
     ("mm_solve", 9, -(2**70), ValueError),
     ("mm_solve", 9, 3.0, TypeError),
+    ("soft_threshold", 1, "0.25", TypeError),
+    ("shifted_input", 1, None, TypeError),
+    ("shifted_input", 3, "2.0", TypeError),
 ])
 def test_an_integer_out_of_range_raises(entry, position, value, error):
     args = good(entry)
@@ -144,3 +162,14 @@ def test_all_finite_is_exact_in_any_shape():
                 b.flat[i] = bad
                 assert call("all_finite", [b]) is False
     assert call("all_finite", [np.array([np.finfo(float).max, -np.finfo(float).max, 5e-324])])
+
+
+def test_soft_threshold_and_shifted_input_take_any_fitting_shape():
+    """soft_threshold keeps any shape, 0-d and empty included, and
+    shifted_input takes one sample with an empty ds1."""
+    for shape in [(), (0,), (1,), (3, 5), (2, 0, 4)]:
+        x = np.array(np.arange(float(np.prod(shape))).reshape(shape) - 2.0)
+        out = call("soft_threshold", [x, 1.0])
+        assert out.shape == shape and out.flags.owndata and out is not x
+    out = call("shifted_input", [np.array([2.0]), 0.5, np.array([-0.5]), 3.0, np.empty(0)])
+    assert out.tolist() == [2.25]

@@ -1,0 +1,178 @@
+"""The compiled module's `soft_threshold` and `shifted_input` entries, which
+`prox.soft_threshold` and `cnc.majorized_input` call, against their numpy
+references: the same bytes on inputs of any shape, layout and size; one
+call into the module per public step of a solve's start; and the fallback
+to Python when the module lacks either entry."""
+
+import shutil
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cncflsa import KINDS, CncConfig, PenaltySpec, majorized_input, objective, prox, solve
+from cncflsa.prox import _diff_adjoint, fused_lasso_l1, soft_threshold
+
+HAS_LIB = prox.TVD_BACKEND == "c"
+HAS_CC = shutil.which("cc") is not None or shutil.which("gcc") is not None
+
+lib_only = pytest.mark.skipif(not HAS_LIB, reason="no compiled library")
+
+# Magnitudes from subnormal to near the largest float, both zeros, and the
+# threshold's own value, so that |x| == lam and |x| - lam == 0 occur.
+specials = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.25, -0.25, 1e300,
+                            -1e300, 1.7e308, -1.7e308])
+values = st.lists(st.one_of(specials, st.floats(allow_nan=False, allow_infinity=False)),
+                  max_size=40)
+lams = st.one_of(st.sampled_from([0.0, 0.25, 1.0, 1e300, 5e-324]),
+                 st.floats(0.0, 1e308, allow_nan=False))
+
+
+def numpy_soft_threshold(x, lam):
+    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+
+
+def layouts(x):
+    """x as given, 0-d, in two dimensions, strided and transposed (the
+    numpy fallback), read-only and as a list."""
+    readonly = x.copy()
+    readonly.flags.writeable = False
+    grid = np.resize(x, (3, x.size))
+    out = [x, grid, x[::2], grid.T, readonly, x.tolist()]
+    if x.size:
+        out += [np.array(x[0]), float(x[0])]
+    return out
+
+
+def same_bytes(a, b):
+    return type(a) is type(b) and np.asarray(a).shape == np.asarray(b).shape and (
+        np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+@lib_only
+@settings(max_examples=300, deadline=None)
+@given(values, lams)
+@example([0.25, -0.25, 0.0, -0.0, 1.0], 0.25)
+@example([1e300, -1e300, 1.7e308, 5e-324, -0.0], 1e300)
+@example([0.0, -0.0, 3.0, -3.0], 0.0)
+@example([], 1.0)
+def test_soft_threshold_gives_the_reference_bytes(values, lam):
+    x = np.array(values, dtype=float)
+    assert prox._tvd_c.soft_threshold(x, lam).tobytes() == numpy_soft_threshold(x, lam).tobytes()
+    for arg in layouts(x):
+        compiled = soft_threshold(arg, lam)
+        with mock.patch.object(prox, "_tvd_c", None):
+            reference = soft_threshold(arg, lam)
+        assert same_bytes(compiled, reference), arg
+
+
+def numpy_shifted_input(y, lam0, ds0, lam1, ds1):
+    out = y - lam0 * ds0
+    if ds1.size:
+        out -= lam1 * _diff_adjoint(ds1)
+    return out
+
+
+sizes = st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 2000))
+weights = st.sampled_from([0.0, 0.3, 2.0, 1e300])
+
+
+@lib_only
+@settings(max_examples=200, deadline=None)
+@given(sizes, weights, weights, st.integers(0, 2**32 - 1))
+@example(1, 0.0, 2.0, 0)
+@example(2, 0.3, 0.0, 1)
+@example(3, 2.0, 2.0, 2)
+def test_shifted_input_gives_the_reference_bytes(n, lam0, lam1, seed):
+    """Random rows with -0.0, 0.0 and s' limits of +-1 mixed in."""
+    rng = np.random.default_rng(seed)
+    y, ds0, ds1 = rng.normal(0.0, 3.0, n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n - 1)
+    for row in (ds0, ds1):
+        row[rng.random(row.size) < 0.2] = rng.choice([0.0, -0.0, 1.0, -1.0])
+    with np.errstate(over="ignore"):
+        want = numpy_shifted_input(y, lam0, ds0, lam1, ds1)
+    assert prox._tvd_c.shifted_input(y, lam0, ds0, lam1, ds1).tobytes() == want.tobytes()
+
+
+@lib_only
+@settings(max_examples=100, deadline=None)
+@given(sizes, st.sampled_from(KINDS), st.sampled_from(KINDS), st.sampled_from([0.0, 0.3]),
+       st.sampled_from([0.0, 0.5, 3.0]), st.integers(0, 2**32 - 1))
+@example(1, "atan", "log", 0.3, 3.0, 0)
+@example(2, "rational", "atan", 0.0, 0.5, 1)
+@example(3, "log", "rational", 0.3, 0.0, 2)
+def test_majorized_input_gives_the_reference_bytes(n, kind0, kind1, lam0, lam1, seed):
+    """Through the public function, every kind, contiguous and strided y."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(0.0, 3.0, 2 * n)
+    y = v + rng.normal(0.0, 1.0, 2 * n)
+    cfg = CncConfig(lam0, lam1, PenaltySpec(kind0, 0.7), PenaltySpec(kind1, 0.05),
+                    allow_nonconvex=True)
+    for args in ((v[:n], y[:n]), (v[::2], y[::2]), (v[:n].tolist(), y[1::2])):
+        compiled = majorized_input(*args, cfg)
+        with mock.patch.object(prox, "_tvd_c", None):
+            reference = majorized_input(*args, cfg)
+        assert compiled.tobytes() == reference.tobytes()
+
+
+class Counting:
+    """The compiled module, recording the name of each entry called."""
+
+    def __init__(self, module):
+        self.module, self.calls = module, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.module, name)
+
+
+@lib_only
+def test_each_start_step_makes_one_compiled_call_after_its_checks(monkeypatch):
+    """Each public step of a solve's start calls the module once for its
+    work, after the finiteness checks of its inputs, and no numpy
+    fallback."""
+    counting = Counting(prox._tvd_c)
+    monkeypatch.setattr(prox, "_tvd_c", counting)
+    monkeypatch.setattr(PenaltySpec, "_finish", None)
+    rng = np.random.default_rng(4)
+    y = rng.normal(0.0, 1.0, 300)
+    cfg = CncConfig(0.1, 1.0, PenaltySpec("atan", 5.0), PenaltySpec("log", 0.1))
+    steps = [
+        (lambda: soft_threshold(y, 0.5), ["all_finite", "soft_threshold"]),
+        (lambda: cfg.penalty0.value(y), ["penalty_map"]),
+        (lambda: fused_lasso_l1(y, 0.1, 1.0), ["all_finite", "tvd", "all_finite",
+                                               "soft_threshold"]),
+        (lambda: objective(y, y, cfg), ["all_finite", "all_finite", "penalty_map",
+                                        "penalty_map"]),
+        (lambda: majorized_input(y, y, cfg), ["all_finite", "all_finite", "penalty_map",
+                                              "penalty_map", "shifted_input"]),
+    ]
+    for step, calls in steps:
+        counting.calls.clear()
+        step()
+        assert counting.calls == calls
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler")
+@pytest.mark.parametrize("entry", ["soft_threshold", "shifted_input"])
+def test_fallback_when_the_library_lacks_the_entry(entry, monkeypatch, tmp_path):
+    source = Path(prox._C_SOURCE).read_text()
+    older = tmp_path / "_kernels.c"
+    older.write_text(source.replace(f'{{"{entry}",', '{"other_name",'))
+    assert older.read_text() != source
+    y = np.random.default_rng(6).normal(0.0, 1.0, 300)
+    cfg = CncConfig(0.3, 2.0, PenaltySpec("atan", 1.0), PenaltySpec("log", 0.05))
+
+    def run():
+        result = solve(y, cfg)
+        return [v.tobytes() for v in (result.x, result.objective_history,
+                                      soft_threshold(y, 0.3), majorized_input(y, y, cfg))]
+
+    expected = run()
+    monkeypatch.setattr(prox, "_C_SOURCE", str(older))
+    assert prox._select_backend() == (None, "python")
+    monkeypatch.setattr(prox, "_tvd_c", None)
+    assert run() == expected

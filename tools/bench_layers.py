@@ -6,6 +6,7 @@ repeats, in milliseconds per call:
 - ``prox.tvd`` at N = 300, 3,000, 30,000 and 300,000;
 - ``prox.as_signal``, the validation of every public function's input, at
   N = 300 and 30,000;
+- ``prox.soft_threshold`` at N = 300 and 30,000;
 - ``prox.fused_lasso_l1`` on the 300-sample fixture;
 - a solve's starting point, ``fused_lasso_l1`` + ``cnc.objective`` +
   ``cnc.majorized_input``, at N = 300 and 30,000, and its penalty pieces
@@ -20,7 +21,8 @@ repeats, in milliseconds per call:
   ``tvd`` kernel (the module's ``tvd`` on the update's input) and the rest
   of the update (the update minus the kernel, both timed in the same
   repeat);
-- ``cnc.solve`` on the 300-sample fixture;
+- ``cnc.solve`` on the 300-sample fixture, and ``signalgen.rmse`` of its
+  result;
 - the criterion-7 sweep (3 sigma x 3 methods x 20 lambda0 x 15 trials);
 - ``python -m cncflsa.cli denoise`` on the 300-sample fixture, in a fresh
   interpreter.
@@ -47,7 +49,10 @@ gauge_ms``: milliseconds at the speed where the gauge takes its nominal
 time.  Alternate the labels over several runs; once both labels are present
 the script prints, per layer, the median over each label's runs of their
 medians, the raw ratio and the calibrated ratio (from the runs that carry
-gauge readings).  BLAS and OpenMP are pinned to one thread.
+gauge readings), and marks the layer "unresolved" where the two ratios
+point opposite ways (one above 1, the other below): the gauge's drift then
+outweighs the change, and neither ratio can be cited.  BLAS and OpenMP are
+pinned to one thread.
 """
 
 from __future__ import annotations
@@ -82,8 +87,10 @@ from cncflsa import (
     lambda1_heuristic,
     majorized_input,
     objective,
+    rmse,
     select_a1,
     solve,
+    soft_threshold,
     tvd,
 )
 from cncflsa import prox
@@ -184,6 +191,10 @@ def layers(workdir):
         y = signal(n)
         out.append((f"prox.as_signal N={n}", REPEATS,
                     lambda y=y, inner=inner: timed(lambda: prox.as_signal(y), inner)))
+    for n, inner in ((300, 2000), (30000, 200)):
+        x = tvd(signal(n), lam1)
+        out.append((f"prox.soft_threshold N={n}", REPEATS, lambda x=x, inner=inner: timed(
+            lambda: soft_threshold(x, cfg.lambda0), inner)))
     out.append(("prox.fused_lasso_l1 N=300", REPEATS,
                 lambda: timed(lambda: fused_lasso_l1(y300, cfg.lambda0, lam1), 200)))
     y30k = signal(30000)
@@ -209,6 +220,8 @@ def layers(workdir):
             out.append((f"MM update compiled rest N={n}", REPEATS, lambda update=update,
                         kernel=kernel, inner=inner: timed(update, inner) - timed(kernel, inner)))
     out.append(("cnc.solve N=300", REPEATS, lambda: timed(lambda: solve(y300, cfg), 40)))
+    x300 = solve(y300, cfg).x
+    out.append(("signalgen.rmse N=300", REPEATS, lambda: timed(lambda: rmse(x300, y300), 2000)))
     out.append(("criterion-7 sweep", 5, lambda: timed(
         lambda: cli.sweep_sigma(SWEEP_SIGMAS, 15, 0, 0.25, "atan", ["l1", "mdfl", "cnc"]), 1)))
     out.append(("cli denoise N=300", REPEATS, lambda: cli_denoise_ms(workdir)))
@@ -267,11 +280,18 @@ def main(argv=None):
     if "parent" in runs and "change" in runs:
         print(f"\n{'layer':32s} {'parent ms':>12s} {'change ms':>12s} {'ratio':>7s} {'calibrated':>10s}"
               f"   ({len(runs['parent'])} parent and {len(runs['change'])} change runs)")
-        for name in runs["parent"][-1]["layers"]:
+        for name in runs["change"][-1]["layers"]:
             before, after = (label_ms(runs[label], name, False) for label in ("parent", "change"))
+            if before is None:  # a layer the parent's script does not time
+                print(f"{name:32s} {'-':>12s} {after:12.4f}")
+                continue
             cal = [label_ms(runs[label], name, True) for label in ("parent", "change")]
-            ratio = f"{cal[0] / cal[1]:10.2f}" if None not in cal else f"{'-':>10s}"
-            print(f"{name:32s} {before:12.4f} {after:12.4f} {before / after:7.2f} {ratio}")
+            ratio, note = f"{'-':>10s}", ""
+            if None not in cal:
+                ratio = f"{cal[0] / cal[1]:10.2f}"
+                if (before - after) * (cal[0] - cal[1]) < 0:
+                    note = "   unresolved"
+            print(f"{name:32s} {before:12.4f} {after:12.4f} {before / after:7.2f} {ratio}{note}")
     print(f"wrote {path}")
 
 
