@@ -21,19 +21,15 @@
  * pairwise sum and BLAS ddot) is done by calling numpy's own float64 inner
  * loops, which the module's import finds and probes.
  *
- * The module has six entries, at the end of this file, each called by one
- * public function of cncflsa after that function's own input checks: tvd
- * by prox.tvd, soft_threshold by prox.soft_threshold, all_finite by
- * prox.as_signal and every other finiteness check, penalty_map by
- * PenaltySpec.value (which it also finishes, as mm_solve does) and
- * PenaltySpec.residual_deriv, shifted_input by cnc.majorized_input, and
- * mm_solve by cnc.solve for every update after the start.  Each entry
- * takes numpy arrays, checks their dtype, layout, lengths and integer
- * ranges, raising TypeError or ValueError rather than reading past a
- * buffer, and allocates its outputs and scratch itself.  Each releases
- * the GIL around its N-sized loops.  Where an entry and the MM step share
- * a loop, it is written once: shrink, subtract_adjoint and algebra as
- * INLINE functions, finish as a plain one.
+ * The module's entries, at the end of this file, take aligned,
+ * C-contiguous float64 arrays and return new ones (mm_solve also
+ * overwrites its shifted argument); cncflsa.prox's docstring names the
+ * public function that calls each.  Each checks its arguments' dtype,
+ * layout, lengths and integer ranges, raising TypeError or ValueError
+ * rather than reading past a buffer, allocates its outputs and scratch
+ * itself, and releases the GIL around its N-sized loops.  Where an entry
+ * and the MM step share a loop, it is written once: shrink,
+ * subtract_adjoint and algebra as INLINE functions, finish as a plain one.
  *
  * Each kernel is built twice, for x86-64-v3 (AVX2, 4-lane maps) and for
  * the baseline x86-64 (SSE2), and the loader's ifunc resolver picks the

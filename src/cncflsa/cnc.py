@@ -26,7 +26,7 @@ import numpy as np
 
 from . import prox as _prox
 from .penalties import KINDS, PenaltySpec
-from .prox import _as_pair, _check_nonneg, _diff_adjoint, as_signal, fused_lasso_l1
+from .prox import _as_pair, _check_nonneg, _diff_adjoint, _whole, as_signal, fused_lasso_l1
 
 # Roundoff tolerance when enforcing margin >= 0 on the convexity boundary.
 MARGIN_TOL = 1e-12
@@ -66,11 +66,8 @@ class CncConfig:
         object.__setattr__(self, "lambda1", _check_nonneg(self.lambda1, "lambda1"))
         if not isinstance(self.penalty0, PenaltySpec) or not isinstance(self.penalty1, PenaltySpec):
             raise ValueError("penalty0 and penalty1 must be PenaltySpec instances")
-        try:
-            max_iter = int(self.max_iter)
-        except (OverflowError, ValueError):  # inf, NaN or a string that is no integer
-            max_iter = None
-        if max_iter is None or max_iter != self.max_iter or max_iter < 1:
+        max_iter = _whole(self.max_iter)
+        if max_iter is None or max_iter < 1:
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
         object.__setattr__(self, "max_iter", max_iter)
         object.__setattr__(self, "tol", float(self.tol))
@@ -164,15 +161,15 @@ def majorized_input(v, y, cfg: CncConfig):
 
     Returns y - lambda0*s0'(v) - lambda1*diff_adjoint(s1'(diff(v))), the
     input for which the L1 fused lasso minimizes the tangent-line majorizer
-    of the objective at v.  With the compiled module and a C-contiguous y,
-    the two ``residual_deriv`` rows are combined in one call of its
-    ``shifted_input``, which gives the bits of the numpy expression below.
+    of the objective at v.  With the compiled module the two
+    ``residual_deriv`` rows are combined in one call of its
+    ``shifted_input``, which gives the bits of its reference below.
     """
     v, y = _as_pair(v, y, "v", "y")
     ds0 = cfg.penalty0.residual_deriv(v)
     ds1 = cfg.penalty1.residual_deriv(v[1:] - v[:-1])
     lib = _prox._tvd_c
-    if lib is not None and y.flags.c_contiguous:
+    if lib is not None:
         return lib.shifted_input(y, cfg.lambda0, ds0, cfg.lambda1, ds1)
     out = y - cfg.lambda0 * ds0
     if ds1.size:
@@ -224,7 +221,7 @@ def _mm_updates(y, shifted, f0, cfg):
     lib = _prox._tvd_c
     if lib is None:
         return _mm_loop_python(y, shifted, f0, cfg)
-    return lib.mm_solve(np.ascontiguousarray(y), shifted, f0, cfg.lambda0, cfg.lambda1,
+    return lib.mm_solve(y, shifted, f0, cfg.lambda0, cfg.lambda1,
                         cfg.penalty0.a, cfg.penalty1.a, KINDS.index(cfg.penalty0.kind),
                         KINDS.index(cfg.penalty1.kind), cfg.max_iter, cfg.tol)
 

@@ -115,10 +115,12 @@ class PenaltySpec:
 
     def _map(self, x, slope):
         """phi (slope 0), :meth:`_finish` of :meth:`_phi`, or s' (slope 1),
-        :meth:`_slope`, of x as a float array of at least one dimension:
-        with the compiled module one call of its ``penalty_map``, which
-        gives the same bits, and without it the references."""
+        :meth:`_slope`, of x as an aligned, C-contiguous float array of at
+        least one dimension: with the compiled module one call of its
+        ``penalty_map``, which gives the bits of those references."""
         x = np.ascontiguousarray(x, dtype=float)
+        if not x.flags.carray:
+            x = x.copy()
         lib = _prox._tvd_c
         if lib is None:
             return self._slope(x) if slope else self._finish(self._phi(x))

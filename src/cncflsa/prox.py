@@ -10,10 +10,13 @@ module built on first import and cached in ``__pycache__``) and a
 pure-Python reference that it matches bit for bit and falls back to;
 ``TVD_BACKEND`` names the one in use.  The module has six entries, each
 called by one public step after its own input checks and each matching
-its Python reference bit for bit; all follow the one switch ``_tvd_c``:
+its Python reference bit for bit; all follow the one switch ``_tvd_c``
+and read only aligned, C-contiguous float64 arrays, which
+:func:`as_signal`, :func:`soft_threshold` and ``PenaltySpec._map`` make
+of any input, copying it unless it is one already:
 
 - ``tvd``, by :func:`tvd`;
-- ``soft_threshold``, by :func:`soft_threshold` on C-contiguous input;
+- ``soft_threshold``, by :func:`soft_threshold`;
 - ``all_finite``, by :func:`as_signal` and every other finiteness check;
 - ``penalty_map``, by ``PenaltySpec.value`` (finished with numpy's own
   ``arctan``/``log1p`` loops, found and probed by the module's import) and
@@ -46,22 +49,25 @@ _C_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-trapping-math"
 
 
 def as_signal(x, name="signal"):
-    """Validate and return a 1-D float array with finite entries."""
+    """Validate and return x as a 1-D float array with finite entries,
+    copied unless it is aligned, C-contiguous and writeable."""
     out = np.asarray(x, dtype=float)
     if out.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {out.shape}")
     if out.size < 1:
         raise ValueError(f"{name} must contain at least one sample")
+    if not out.flags.carray:
+        out = out.copy()
     if not _all_finite(out):
         raise ValueError(f"{name} contains non-finite samples")
     return out
 
 
 def _all_finite(a):
-    """Whether every entry of the float64 array a is finite: the compiled
-    module's exact per-element check when a is C-contiguous, and
-    ``np.isfinite`` otherwise."""
-    if _tvd_c is not None and a.flags.c_contiguous:
+    """Whether every entry of the aligned, C-contiguous float64 array a is
+    finite: the compiled module's exact per-element check, or
+    ``np.isfinite`` on the Python backend."""
+    if _tvd_c is not None:
         return _tvd_c.all_finite(a)
     return bool(np.isfinite(a).all())
 
@@ -72,6 +78,14 @@ def _as_pair(a, b, name_a, name_b):
     if a.size != b.size:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
     return a, b
+
+
+def _whole(value):
+    """int(value) for a whole number, else None (a fraction, inf, NaN, a string)."""
+    try:
+        return int(value) if int(value) == value else None
+    except (OverflowError, ValueError):
+        return None
 
 
 def _check_nonneg(value, name):
@@ -85,20 +99,20 @@ def _check_nonneg(value, name):
 def soft_threshold(x, lam):
     """Shrink toward zero by lam, flattening the band |x| <= lam to exactly 0.
 
-    A C-contiguous x goes through the compiled module's ``soft_threshold``
-    when it is loaded, which gives the bits of the numpy expression that
-    handles every other layout and the Python backend."""
+    x of any shape goes through the compiled module's ``soft_threshold``
+    when it is loaded, which gives the bits of the numpy expression, its
+    reference on the Python backend."""
     lam = _check_nonneg(lam, "lam")
     xa = np.asarray(x, dtype=float)
+    if not xa.flags.carray:
+        xa = xa.copy()
     if not _all_finite(xa):
         raise ValueError("x contains non-finite samples")
-    if _tvd_c is not None and xa.flags.c_contiguous:
+    if _tvd_c is not None:
         out = _tvd_c.soft_threshold(xa, lam)
     else:
         out = np.sign(xa) * np.maximum(np.abs(xa) - lam, 0.0)
-    if xa.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if xa.ndim == 0 else out
 
 
 def diff(x):
@@ -133,24 +147,12 @@ def tvd(y, lam):
     """Exact minimizer of 0.5*||y - x||^2 + lam * sum |x[n+1] - x[n]|.
 
     Direct non-iterative solve in worst-case linear time (see
-    :func:`_tvd_python`).  Runs the compiled kernel when
-    ``TVD_BACKEND == "c"`` and the pure-Python reference otherwise; both
-    return the same bits.
-
-    Parameters
-    ----------
-    y : array_like
-        Input samples (1-D, finite).
-    lam : float
-        Regularization weight, >= 0.  lam = 0 returns a copy of y; for
-        lam large enough the output is the constant mean of y.
-
-    Returns
-    -------
-    numpy.ndarray
-        The unique minimizer, same length as y.
+    :func:`_tvd_python`) of finite 1-D samples y for a weight lam >= 0:
+    lam = 0 returns a copy of y, and a lam large enough the constant mean
+    of y.  Runs the compiled kernel when ``TVD_BACKEND == "c"`` and the
+    pure-Python reference otherwise; both return the same bits.
     """
-    y = np.ascontiguousarray(as_signal(y, "y"))
+    y = as_signal(y, "y")
     lam = _check_nonneg(lam, "lam")
     if y.size == 1 or lam == 0.0:
         return y.copy()

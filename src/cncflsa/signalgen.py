@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import _all_finite, _as_pair, _check_nonneg, as_signal
+from .prox import _all_finite, _as_pair, _check_nonneg, _whole, as_signal
 
 _U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -42,15 +42,16 @@ class PulseSpec:
     pulses: tuple = ()
 
     def __post_init__(self):
-        if int(self.length) != self.length or self.length < 1:
+        length = _whole(self.length)
+        if length is None or length < 1:
             raise ValueError(f"length must be a positive integer, got {self.length!r}")
-        object.__setattr__(self, "length", int(self.length))
+        object.__setattr__(self, "length", length)
         norm = []
         for p in self.pulses:
             start, width, amp = p
-            if int(start) != start or int(width) != width:
+            start, width, amp = _whole(start), _whole(width), float(amp)
+            if start is None or width is None:
                 raise ValueError(f"pulse start/width must be integers, got {p!r}")
-            start, width, amp = int(start), int(width), float(amp)
             if width < 1:
                 raise ValueError(f"pulse width must be >= 1, got {p!r}")
             if start < 0 or start + width > self.length:
@@ -75,9 +76,10 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", _check_nonneg(self.sigma, "sigma"))
-        if int(self.seed) != self.seed or not (0 <= self.seed < 2**64):
+        seed = _whole(self.seed)
+        if seed is None or not 0 <= seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
 
 def default_pulse_spec() -> PulseSpec:
@@ -112,12 +114,10 @@ def _uniforms(seed, count):
 
 def standard_normal(n, seed):
     """n standard-normal draws from the pinned SplitMix64 + Box-Muller chain."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return np.zeros(0)
-    npairs = (n + 1) // 2
+    count = _whole(n)
+    if count is None or count < 0:
+        raise ValueError(f"n must be an integer >= 0, got {n!r}")
+    npairs = (count + 1) // 2
     u = _uniforms(seed, 2 * npairs)
     # A zero u1 (probability 2**-53 per pair) is skipped: the words after it
     # are re-paired and the next word of the stream is appended.
@@ -133,7 +133,7 @@ def standard_normal(n, seed):
     out = np.empty(2 * npairs)
     out[0::2] = radius * np.cos(angle)
     out[1::2] = radius * np.sin(angle)
-    return out[:n]
+    return out[:count]
 
 
 def add_awgn(x, noise: NoiseSpec):
@@ -153,14 +153,14 @@ def add_awgn(x, noise: NoiseSpec):
 
 def lambda1_heuristic(n, sigma, beta=0.25):
     """Difference-penalty weight beta * sqrt(n) * sigma (beta usually 1/4)."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    count = _whole(n)
+    if count is None or count < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     sigma = _check_nonneg(sigma, "sigma")
     beta = float(beta)
     if not np.isfinite(beta) or beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")
-    return beta * np.sqrt(n) * sigma
+    return beta * np.sqrt(count) * sigma
 
 
 def lambda0_grid(n, sigma, beta=0.25):

@@ -2,7 +2,8 @@
 acceptance gate.  Everything here checks the penalty contracts through
 independent numerics (central differences, random probes), never through the
 closed forms under test.  Also the edge samples that the byte tests of the
-compiled maps share."""
+compiled maps share, and the unaligned and strided layouts of the layout
+tests."""
 
 import numpy as np
 
@@ -21,6 +22,20 @@ H2 = 1e-4  # second-derivative step
 EDGE = [0.4, 60.0, -0.7, 0.2, 0.5, 40.0, 40.5, 39.8, -0.3, 0.9, -60.0, 0.6, -0.2, 0.8, 0.0,
         -0.9, 50.0, 0.7, -45.0, 45.5, -0.1, 0.3, 70.0, -0.6, -0.0, 55.0, 0.2, -0.5, 30.0,
         30.2, -0.8, 0.1, -70.0]
+
+
+def unaligned(a):
+    """A copy of the float64 array a at an odd address, which numpy marks
+    unaligned."""
+    out = np.frombuffer(bytearray(a.nbytes + 1), offset=1)
+    out[:] = a
+    assert not out.flags.aligned
+    return out
+
+
+def strided(a):
+    """A copy of the float64 array a as a view with stride 2."""
+    return np.repeat(a, 2)[::2]
 
 
 def second_diff(f, x, h):

@@ -2,12 +2,9 @@
 update at a time: the module's `mm_solve` capped at one update gives the
 byte-identical iterate (`fused_lasso_l1`), residual, F (`objective`, whose
 penalty terms are `PenaltySpec.value`) and next shifted input
-(`majorized_input`).  Also the build flags that this rests on, the one
-entry point of the loop, and the fallback to the Python loop when the
-module lacks it."""
+(`majorized_input`).  Also the build flags that this rests on and the one
+entry point of the loop."""
 
-import shutil
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,8 +16,6 @@ from cncflsa import (KINDS, CncConfig, PenaltySpec, cnc, fused_lasso_l1, majoriz
                      objective, prox, solve)
 
 from suites import EDGE
-
-HAS_CC = shutil.which("cc") is not None or shutil.which("gcc") is not None
 
 signals = st.one_of(
     st.lists(st.sampled_from([-0.0, 0.0, 0.5, -1.0, 3.0]), min_size=1, max_size=3),
@@ -125,21 +120,3 @@ def test_solution_is_not_a_loop_buffer():
 def test_the_loop_is_the_one_mm_entry_point():
     assert hasattr(prox._tvd_c, "mm_solve")
     assert not hasattr(prox._tvd_c, "mm_step")
-
-
-@pytest.mark.skipif(not HAS_CC, reason="no C compiler")
-def test_fallback_when_the_library_lacks_the_loop(monkeypatch, tmp_path):
-    source = Path(prox._C_SOURCE).read_text()
-    older = tmp_path / "_kernels.c"
-    older.write_text(source.replace('{"mm_solve",', '{"other_name",'))
-    assert older.read_text() != source
-    monkeypatch.setattr(prox, "_C_SOURCE", str(older))
-    assert prox._select_backend() == (None, "python")
-
-    y = np.random.default_rng(6).normal(0.0, 1.0, 300)
-    cfg = CncConfig(0.3, 2.0, PenaltySpec("atan", 1.0), PenaltySpec("atan", 0.05))
-    expected = solve(y, cfg)
-    monkeypatch.setattr(prox, "_tvd_c", None)
-    result = solve(y, cfg)
-    assert result.x.tobytes() == expected.x.tobytes()
-    assert result.objective_history.tobytes() == expected.objective_history.tobytes()

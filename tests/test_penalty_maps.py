@@ -2,13 +2,11 @@
 (the module's `penalty_map`) against their Python references `_phi` and
 `_slope`: the same bytes through the public methods, and through
 `objective` and `majorized_input`, on inputs of any shape and layout; no
-call of the references with the module; the boundary check that every
-start calls; and the fallback to Python when the module lacks the map."""
+call of the references with the module; and the boundary check that every
+start calls."""
 
 import math
-import shutil
 import warnings
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,7 +19,6 @@ from cncflsa import KINDS, CncConfig, PenaltySpec, majorized_input, objective, p
 from suites import EDGE
 
 HAS_LIB = prox.TVD_BACKEND == "c"
-HAS_CC = shutil.which("cc") is not None or shutil.which("gcc") is not None
 
 # a = 2**52 and 2**55 put a*|x| on both sides of the 2**56 past which s' is
 # -sign(x); from 1e160 on, the atan and rational squares overflow, and at
@@ -191,30 +188,3 @@ def test_check_nonneg_accepts_and_rejects_as_before(value):
         return type(result), result.hex()
 
     assert outcome(prox._check_nonneg) == outcome(parent_check_nonneg)
-
-
-def check_fallback(monkeypatch, change):
-    """After change(), the backend selection falls back to Python, and the
-    whole package then gives the bits it gave before."""
-    y = np.random.default_rng(6).normal(0.0, 1.0, 300)
-    cfg = CncConfig(0.3, 2.0, PenaltySpec("atan", 1.0), PenaltySpec("log", 0.05))
-
-    def run():
-        result = solve(y, cfg)
-        return [v.tobytes() for v in (result.x, result.objective_history,
-                                      cfg.penalty0.value(y), cfg.penalty1.residual_deriv(y))]
-
-    expected = run()
-    change()
-    assert prox._select_backend() == (None, "python")
-    monkeypatch.setattr(prox, "_tvd_c", None)
-    assert run() == expected
-
-
-@pytest.mark.skipif(not HAS_CC, reason="no C compiler")
-def test_fallback_when_the_library_lacks_the_map(monkeypatch, tmp_path):
-    source = Path(prox._C_SOURCE).read_text()
-    older = tmp_path / "_kernels.c"
-    older.write_text(source.replace('{"penalty_map",', '{"other_name",'))
-    assert older.read_text() != source
-    check_fallback(monkeypatch, lambda: monkeypatch.setattr(prox, "_C_SOURCE", str(older)))

@@ -66,9 +66,10 @@ class TestSoftThreshold:
 
 
 class TestAllFinite:
-    """The finiteness check of every public function: exact on C-contiguous
-    and other layouts, and quiet on finite input whose sum of squares
-    overflows (which an earlier check through np.vdot had to allow for)."""
+    """The finiteness check of every public function: exact in any shape,
+    in any layout through the copies of as_signal and soft_threshold, and
+    quiet on finite input whose sum of squares overflows (which an earlier
+    check through np.vdot had to allow for)."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 128, 129, 300])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -83,6 +84,8 @@ class TestAllFinite:
             a[i] = bad
             assert not _all_finite(a)
             assert not _all_finite(a.reshape(1, n))
+            with pytest.raises(ValueError, match="non-finite"):
+                soft_threshold(a[::-1], 0.0)
         with pytest.raises(ValueError, match="non-finite"):
             as_signal(a)
 
@@ -92,9 +95,11 @@ class TestAllFinite:
         a = np.array(values)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _all_finite(a) and _all_finite(a.reshape(1, -1)) and _all_finite(a[::-1])
+            assert _all_finite(a) and _all_finite(a.reshape(1, -1))
             assert as_signal(values).tobytes() == a.tobytes()
+            assert as_signal(a[::-1]).tobytes() == a[::-1].tobytes()
             assert soft_threshold(a, 0.0).tobytes() == a.tobytes()
+            assert soft_threshold(a[::-1], 0.0).tobytes() == a[::-1].tobytes()
 
     def test_empty_and_zero_dimensional(self):
         assert _all_finite(np.empty(0)) and _all_finite(np.empty((0, 3)))

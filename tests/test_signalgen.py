@@ -139,6 +139,18 @@ class TestNoise:
             NoiseSpec(1.0, 2**64)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), 2.5])
+def test_an_integer_argument_that_is_no_whole_number_raises_value_error(bad):
+    """inf raised OverflowError from int() before, and a fraction was
+    truncated where a count was asked for."""
+    calls = [lambda: PulseSpec(bad), lambda: PulseSpec(10, ((bad, 2, 1.0),)),
+             lambda: PulseSpec(10, ((0, bad, 1.0),)), lambda: NoiseSpec(0.1, bad),
+             lambda: lambda1_heuristic(bad, 1.0), lambda: standard_normal(bad, 1)]
+    for call in calls:
+        with pytest.raises(ValueError, match="integer"):
+            call()
+
+
 class TestMetrics:
     def test_lambda1_heuristic(self):
         assert lambda1_heuristic(100, 0.5, 0.25) == pytest.approx(1.25, abs=1e-15)

@@ -1,11 +1,11 @@
 """The compiled module's `soft_threshold` and `shifted_input` entries, which
 `prox.soft_threshold` and `cnc.majorized_input` call, against their numpy
 references: the same bytes on inputs of any shape, layout and size; one
-call into the module per public step of a solve's start; and the fallback
-to Python when the module lacks either entry."""
+call into the module per public step of a solve's start, whatever the
+input's layout; and the fallback to Python when the module lacks any of
+its entries."""
 
-import shutil
-from pathlib import Path
+import types
 from unittest import mock
 
 import numpy as np
@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from cncflsa import KINDS, CncConfig, PenaltySpec, majorized_input, objective, prox, solve
 from cncflsa.prox import _diff_adjoint, fused_lasso_l1, soft_threshold
 
+from suites import strided, unaligned
+
 HAS_LIB = prox.TVD_BACKEND == "c"
-HAS_CC = shutil.which("cc") is not None or shutil.which("gcc") is not None
 
 lib_only = pytest.mark.skipif(not HAS_LIB, reason="no compiled library")
 
@@ -36,8 +37,9 @@ def numpy_soft_threshold(x, lam):
 
 
 def layouts(x):
-    """x as given, 0-d, in two dimensions, strided and transposed (the
-    numpy fallback), read-only and as a list."""
+    """x as given, 0-d, in two dimensions, strided and transposed (which
+    soft_threshold copies before the module reads them), read-only and as
+    a list."""
     readonly = x.copy()
     readonly.flags.writeable = False
     grid = np.resize(x, (3, x.size))
@@ -133,13 +135,17 @@ class Counting:
 def test_each_start_step_makes_one_compiled_call_after_its_checks(monkeypatch):
     """Each public step of a solve's start calls the module once for its
     work, after the finiteness checks of its inputs, and no numpy
-    fallback."""
+    expression, on contiguous, strided and unaligned input alike."""
     counting = Counting(prox._tvd_c)
     monkeypatch.setattr(prox, "_tvd_c", counting)
     monkeypatch.setattr(PenaltySpec, "_finish", None)
-    rng = np.random.default_rng(4)
-    y = rng.normal(0.0, 1.0, 300)
+    base = np.random.default_rng(4).normal(0.0, 1.0, 300)
     cfg = CncConfig(0.1, 1.0, PenaltySpec("atan", 5.0), PenaltySpec("log", 0.1))
+    for y in (base, strided(base), unaligned(base)):
+        check_start_calls(counting, y, cfg)
+
+
+def check_start_calls(counting, y, cfg):
     steps = [
         (lambda: soft_threshold(y, 0.5), ["all_finite", "soft_threshold"]),
         (lambda: cfg.penalty0.value(y), ["penalty_map"]),
@@ -156,23 +162,32 @@ def test_each_start_step_makes_one_compiled_call_after_its_checks(monkeypatch):
         assert counting.calls == calls
 
 
-@pytest.mark.skipif(not HAS_CC, reason="no C compiler")
-@pytest.mark.parametrize("entry", ["soft_threshold", "shifted_input"])
-def test_fallback_when_the_library_lacks_the_entry(entry, monkeypatch, tmp_path):
-    source = Path(prox._C_SOURCE).read_text()
-    older = tmp_path / "_kernels.c"
-    older.write_text(source.replace(f'{{"{entry}",', '{"other_name",'))
-    assert older.read_text() != source
+@lib_only
+@pytest.mark.parametrize("entry", prox._ENTRIES)
+def test_fallback_when_the_library_lacks_the_entry(entry, monkeypatch):
+    """A module without any one of the entries leaves the package on its
+    Python backend."""
+    names = [name for name in prox._ENTRIES if name != entry]
+    lacking = types.SimpleNamespace(**{name: getattr(prox._tvd_c, name) for name in names})
+    monkeypatch.setattr(prox, "_load", lambda path: lacking)
+    assert prox._select_backend() == (None, "python")
+    setattr(lacking, entry, getattr(prox._tvd_c, entry))
+    assert prox._select_backend() == (lacking, "c")
+
+
+@lib_only
+def test_the_python_backend_gives_the_bits_of_the_module(monkeypatch):
+    """After a fallback, every public step gives the bits it gave with the
+    module."""
     y = np.random.default_rng(6).normal(0.0, 1.0, 300)
     cfg = CncConfig(0.3, 2.0, PenaltySpec("atan", 1.0), PenaltySpec("log", 0.05))
 
     def run():
         result = solve(y, cfg)
         return [v.tobytes() for v in (result.x, result.objective_history,
+                                      cfg.penalty0.value(y), cfg.penalty1.residual_deriv(y),
                                       soft_threshold(y, 0.3), majorized_input(y, y, cfg))]
 
     expected = run()
-    monkeypatch.setattr(prox, "_C_SOURCE", str(older))
-    assert prox._select_backend() == (None, "python")
     monkeypatch.setattr(prox, "_tvd_c", None)
     assert run() == expected
