@@ -43,8 +43,8 @@
  * cncflsa_tvd: exact 1-D total variation denoising, a line-for-line port of
  * cncflsa.prox._tvd_python (its docstring and comments describe the
  * algorithm).  Requires n >= 2 and lam > 0; the caller owns x (n doubles)
- * and work (8 n doubles), whose rows are the knots' pos, d_a and d_b
- * (2 n doubles each, from work, work + 2 n and work + 4 n) and the clamps
+ * and work, TVD_ROWS rows of n doubles: the knots' pos, d_a and d_b (2 n
+ * doubles each, from work, work + 2 n and work + 4 n) and the clamps
  * lo_clamp and hi_clamp (n - 1 doubles each, from work + 6 n and
  * work + 7 n).  Every index it forms stays within those rows whatever the
  * values: head only falls from n and tail only rises from n - 1, each by at
@@ -59,6 +59,8 @@
 #else
 #define CLONES
 #endif
+
+#define TVD_ROWS 8
 
 CLONES static void cncflsa_tvd(const double *y, npy_intp n, double lam, double *x,
                                double *work)
@@ -106,17 +108,29 @@ CLONES static void cncflsa_tvd(const double *y, npy_intp n, double lam, double *
     }
 }
 
-/* The state of one solve's updates: cncflsa_mm_solve fills it from its
- * arguments and the rows of its scratch, and cncflsa_mm_step reads it. */
+/* One solve: the mm_solve entry fills it and carves its scratch rows (the
+ * comment there is their layout's one home), cncflsa_mm_solve runs it and
+ * cncflsa_mm_step reads it.  f, of size doubles, is the objective history. */
 struct mm_step {
     npy_intp n;
     const double *y;
     double *shifted, *x, *r, *phi0, *phi1, *work;
-    double lam0, lam1, a0, a1;
+    double lam0, lam1, a0, a1, tol;
     int kind0, kind1; /* index into KINDS; PenaltySpec makes a = 0 "l1" */
+    long long max_iter, size;
+    double *f;
 };
 
 enum { KIND_L1, KIND_LOG, KIND_ATAN, KIND_RATIONAL };
+
+/* fn(KIND, ...) with kind as a constant: each kind inlines its own copy of fn. */
+#define BY_KIND(kind, fn, ...)                          \
+    switch (kind) {                                     \
+    case KIND_L1: fn(KIND_L1, __VA_ARGS__); break;      \
+    case KIND_LOG: fn(KIND_LOG, __VA_ARGS__); break;    \
+    case KIND_ATAN: fn(KIND_ATAN, __VA_ARGS__); break;  \
+    default: fn(KIND_RATIONAL, __VA_ARGS__);            \
+    }
 
 /* cncflsa.penalties._U_LIMIT, 2^56: past a|z| of it every kind's s'(z) is
  * taken as its limit -sign(z), which it rounds to there, so that it stays
@@ -214,12 +228,7 @@ INLINE void map_penalty(int kind, int slope, double a, const double *restrict x,
 CLONES static void cncflsa_penalty_map(int kind, double a, const double *x, npy_intp n,
                                        double *out, int slope)
 {
-    switch (kind) {
-    case KIND_L1: map_penalty(KIND_L1, slope, a, x, out, n); break;
-    case KIND_LOG: map_penalty(KIND_LOG, slope, a, x, out, n); break;
-    case KIND_ATAN: map_penalty(KIND_ATAN, slope, a, x, out, n); break;
-    default: map_penalty(KIND_RATIONAL, slope, a, x, out, n);
-    }
+    BY_KIND(kind, map_penalty, slope, a, x, out, n);
 }
 
 /* numpy's sign(t) * maximum(|t| - lam, 0) of the n values t from in, into
@@ -277,20 +286,10 @@ INLINE void cncflsa_mm_step(const struct mm_step *m)
         cncflsa_tvd(shifted, n, lam1, x, m->work);
     }
     shrink(x, x, n, m->lam0);
-    switch (m->kind0) {
-    case KIND_L1: map_x(KIND_L1, m); break;
-    case KIND_LOG: map_x(KIND_LOG, m); break;
-    case KIND_ATAN: map_x(KIND_ATAN, m); break;
-    default: map_x(KIND_RATIONAL, m);
-    }
+    BY_KIND(m->kind0, map_x, m);
     if (n == 1)
         return;
-    switch (m->kind1) {
-    case KIND_L1: map_diff(KIND_L1, m, ds1); break;
-    case KIND_LOG: map_diff(KIND_LOG, m, ds1); break;
-    case KIND_ATAN: map_diff(KIND_ATAN, m, ds1); break;
-    default: map_diff(KIND_RATIONAL, m, ds1);
-    }
+    BY_KIND(m->kind1, map_diff, m, ds1);
     subtract_adjoint(shifted, ds1, lam1, n);
 }
 
@@ -389,62 +388,42 @@ static double dot(const struct numpy_loops *np, double *r, npy_intp n)
     return out;
 }
 
-/* The objective history of a solve, grown as its updates run. */
-struct history {
-    double *f;
-    long long size;
-};
-
 /* The MM updates of cncflsa.cnc._mm_updates, bit-identical to its Python
  * reference cncflsa.cnc._mm_loop_python, the chain of the public functions:
- * up to max_iter calls of cncflsa_mm_step, each followed by F of the new
+ * up to m->max_iter calls of cncflsa_mm_step, each followed by F of the new
  * iterate (cncflsa.cnc.objective, in its order of evaluation), stored in
- * h->f[k] after h->f[0], and the stopping rule
+ * m->f[k] after m->f[0], and the stopping rule
  * |prev - F| <= tol * max(1, |prev|), false on NaN as in Python.  Returns
  * the number of updates, negated when the rule fired, or 0 when the
- * history could not grow.
- *
- * Each update reads its input from shifted (n doubles) and writes over it
- * the input of the next, and writes its iterate into x (n doubles).  The
- * caller owns block, 11 n doubles:
- *   block           r = y - x (n);
- *   block + n       phi0 (n);
- *   block + 2 n     phi1 (n - 1, in a row of n);
- *   block + 3 n     work, the 8 n doubles of tvd scratch, whose lo_clamp
- *                   row cncflsa_mm_step reuses for s1';
- * and h, whose f holds h->size doubles, the start's F first; its size
- * doubles whenever an update needs more room.  Runs without the GIL, so it
- * grows h with PyMem_RawRealloc. */
-CLONES static long long cncflsa_mm_solve(const double *y, npy_intp n, double *x, double *shifted,
-                                         double *block, double lam0, double lam1, double a0,
-                                         double a1, int kind0, int kind1, long long max_iter,
-                                         double tol, struct history *h,
-                                         const struct numpy_loops *np)
+ * history could not grow.  Each update reads its input from m->shifted and
+ * writes over it the input of the next, and writes its iterate into m->x.
+ * m->f doubles in size whenever an update needs more room; the solve runs
+ * without the GIL, so it grows with PyMem_RawRealloc. */
+CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_loops *np)
 {
-    struct mm_step m = {n, y, shifted, x, block, block + n, block + 2 * n, block + 3 * n,
-                        lam0, lam1, a0, a1, kind0, kind1};
+    npy_intp n = m->n;
     long long k;
     double f, prev, scale, *grown;
 
-    for (k = 1; k <= max_iter; k++) {
-        cncflsa_mm_step(&m);
-        finish(np, kind0, a0, m.phi0, n);
-        finish(np, kind1, a1, m.phi1, n - 1);
-        f = 0.5 * dot(np, m.r, n) + lam0 * total(np, m.phi0, n)
-            + lam1 * total(np, m.phi1, n - 1);
-        if (k == h->size) {
-            grown = PyMem_RawRealloc(h->f, 2 * h->size * sizeof(double));
+    for (k = 1; k <= m->max_iter; k++) {
+        cncflsa_mm_step(m);
+        finish(np, m->kind0, m->a0, m->phi0, n);
+        finish(np, m->kind1, m->a1, m->phi1, n - 1);
+        f = 0.5 * dot(np, m->r, n) + m->lam0 * total(np, m->phi0, n)
+            + m->lam1 * total(np, m->phi1, n - 1);
+        if (k == m->size) {
+            grown = PyMem_RawRealloc(m->f, 2 * m->size * sizeof(double));
             if (grown == NULL)
                 return 0;
-            h->f = grown, h->size *= 2;
+            m->f = grown, m->size *= 2;
         }
-        prev = h->f[k - 1];
-        h->f[k] = f;
+        prev = m->f[k - 1];
+        m->f[k] = f;
         scale = fabs(prev) > 1.0 ? fabs(prev) : 1.0;
-        if (fabs(prev - f) <= tol * scale)
+        if (fabs(prev - f) <= m->tol * scale)
             return -k;
     }
-    return max_iter;
+    return m->max_iter;
 }
 
 /* The values of the byte probe: arange(1000) * 0.37, odd places times
@@ -497,32 +476,29 @@ static int same_bytes(PyObject *result, const double *want, npy_intp n)
     return same;
 }
 
-/* 1 when each loop, called as cncflsa_mm_solve calls it, gives the bytes of
- * numpy's own call (ufuncs[i] of arctan, log1p and add, and numpy_dot for
- * vecdot) on the n values of v and of mag, 0 when one does not, -1 on
- * error. */
+/* 1 when finish (of atan and log), total and dot, the calls of numpy's
+ * loops that cncflsa_mm_solve makes, give the bytes of numpy's own call
+ * (ufuncs[i] of arctan, log1p and add, and numpy_dot) on the n values of v
+ * and of mag, 0 when one does not, -1 on error.  At these a finish's scale,
+ * 2 / (a sqrt(3)) for atan and 1 / a for log, is exactly 1.0. */
 static int loops_match_numpy_at(const struct numpy_loops *np, PyObject *const *ufuncs,
                                 PyObject *numpy_dot, PyObject *v, PyObject *mag, npy_intp n)
 {
-    const struct numpy_loop *unary[2] = {&np->arctan, &np->log1p};
-    double out[PROBE_MAX], acc = 0.0, product;
-    char *values = PyArray_DATA((PyArrayObject *)v), *args[3];
-    npy_intp dims[2] = {1, n};
+    static const int kinds[2] = {KIND_ATAN, KIND_LOG};
+    static const double a[2] = {2.0 / 1.7320508075688772, 1.0};
+    double out[PROBE_MAX], *values = PyArray_DATA((PyArrayObject *)v), sum, product;
     int j, same;
 
     for (j = 0; j < 2; j++) {
         memcpy(out, PyArray_DATA((PyArrayObject *)mag), n * sizeof(double));
-        args[0] = args[1] = (char *)out;
-        unary[j]->call(args, &n, (npy_intp[2]){8, 8}, unary[j]->data);
+        finish(np, kinds[j], a[j], out, n);
         if ((same = same_bytes(PyObject_CallOneArg(ufuncs[j], mag), out, n)) != 1)
             return same;
     }
-    args[0] = args[2] = (char *)&acc, args[1] = values;
-    np->add.call(args, &n, (npy_intp[3]){0, 8, 0}, np->add.data);
-    if ((same = same_bytes(PyObject_CallMethod(ufuncs[2], "reduce", "O", v), &acc, 1)) != 1)
+    sum = total(np, values, n);
+    if ((same = same_bytes(PyObject_CallMethod(ufuncs[2], "reduce", "O", v), &sum, 1)) != 1)
         return same;
-    args[0] = args[1] = values, args[2] = (char *)&product;
-    np->vecdot.call(args, dims, (npy_intp[5]){0, 0, 0, 8, 8}, np->vecdot.data);
+    product = dot(np, values, n);
     return same_bytes(PyObject_CallFunctionObjArgs(numpy_dot, v, v, NULL), &product, 1);
 }
 
@@ -701,7 +677,7 @@ static PyObject *tvd(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     if ((x = PyArray_SimpleNew(1, &n, NPY_DOUBLE)) == NULL)
         return NULL;
-    if ((work = scratch(n, 8)) == NULL) {
+    if ((work = scratch(n, TVD_ROWS)) == NULL) {
         Py_DECREF(x);
         return NULL;
     }
@@ -815,38 +791,37 @@ PyDoc_STRVAR(mm_solve_doc, "mm_solve(y, shifted, f0, lam0, lam1, a0, a1, kind0, 
 
 static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
+    const struct numpy_loops *loops = PyModule_GetState(self);
+    struct mm_step m;
     PyArrayObject *y, *shifted;
     PyObject *x, *history;
-    const struct numpy_loops *loops = PyModule_GetState(self);
-    const double *in;
-    double f0, lam0, lam1, a0, a1, tol, *block, *out, *next;
-    struct history h = {NULL, 0};
-    long long max_iter, updates;
-    int kind0, kind1, overflow;
-    npy_intp n, size;
+    double f0;
+    long long updates;
+    int overflow;
+    npy_intp size;
     char *lo, *hi;
 
     if (check_nargs("mm_solve", nargs, 11) < 0 || (y = as_array(args[0], "y", 1)) == NULL
         || (shifted = as_array(args[1], "shifted", 1)) == NULL || as_double(args[2], &f0) < 0
-        || as_double(args[3], &lam0) < 0 || as_double(args[4], &lam1) < 0
-        || as_double(args[5], &a0) < 0 || as_double(args[6], &a1) < 0
-        || as_int(args[7], "kind0", 0, 3, &kind0) < 0 || as_int(args[8], "kind1", 0, 3, &kind1) < 0
-        || as_double(args[10], &tol) < 0)
+        || as_double(args[3], &m.lam0) < 0 || as_double(args[4], &m.lam1) < 0
+        || as_double(args[5], &m.a0) < 0 || as_double(args[6], &m.a1) < 0
+        || as_int(args[7], "kind0", 0, 3, &m.kind0) < 0
+        || as_int(args[8], "kind1", 0, 3, &m.kind1) < 0 || as_double(args[10], &m.tol) < 0)
         return NULL;
-    max_iter = PyLong_AsLongLongAndOverflow(args[9], &overflow);
-    if (max_iter == -1 && PyErr_Occurred())
+    m.max_iter = PyLong_AsLongLongAndOverflow(args[9], &overflow);
+    if (m.max_iter == -1 && PyErr_Occurred())
         return NULL;
     if (overflow > 0)
-        max_iter = LLONG_MAX;
-    else if (overflow < 0 || max_iter < 1) {
+        m.max_iter = LLONG_MAX;
+    else if (overflow < 0 || m.max_iter < 1) {
         PyErr_SetString(PyExc_ValueError, "max_iter must be >= 1");
         return NULL;
     }
-    n = PyArray_DIM(y, 0);
+    m.n = PyArray_DIM(y, 0);
     lo = PyArray_BYTES(y), hi = PyArray_BYTES(shifted);
     if (lo > hi)
         lo = PyArray_BYTES(shifted), hi = PyArray_BYTES(y);
-    if (n < 1 || PyArray_DIM(shifted, 0) != n || hi - lo < n * (npy_intp)sizeof(double)
+    if (m.n < 1 || PyArray_DIM(shifted, 0) != m.n || hi - lo < m.n * (npy_intp)sizeof(double)
         || !PyArray_ISWRITEABLE(shifted)) {
         PyErr_SetString(PyExc_ValueError, "y and shifted must have one length >= 1 and share no "
                                           "memory, and shifted must be writeable");
@@ -854,26 +829,31 @@ static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t narg
     }
     /* The result before the scratch, so that freeing the scratch leaves no
      * hole below it: a sweep keeps thousands of results. */
-    if ((x = PyArray_SimpleNew(1, &n, NPY_DOUBLE)) == NULL)
+    if ((x = PyArray_SimpleNew(1, &m.n, NPY_DOUBLE)) == NULL)
         return NULL;
-    h.size = max_iter < 64 ? max_iter + 1 : 64;
-    if ((block = scratch(n, 11)) == NULL || (h.f = scratch(h.size, 1)) == NULL) {
-        PyMem_RawFree(block);
+    /* The solve's scratch: one block of 3 + TVD_ROWS rows of n doubles,
+     * r = y - x, phi0, phi1 (n - 1 of its row) and cncflsa_tvd's work,
+     * whose lo_clamp row cncflsa_mm_step reuses for s1'; and the history f,
+     * f0 first, at 64 doubles or max_iter + 1 if fewer. */
+    m.size = m.max_iter < 64 ? m.max_iter + 1 : 64;
+    if ((m.r = scratch(m.n, 3 + TVD_ROWS)) == NULL || (m.f = scratch(m.size, 1)) == NULL) {
+        PyMem_RawFree(m.r);
         Py_DECREF(x);
         return NULL;
     }
-    h.f[0] = f0;
-    in = PyArray_DATA(y), out = PyArray_DATA((PyArrayObject *)x), next = PyArray_DATA(shifted);
+    m.phi0 = m.r + m.n, m.phi1 = m.r + 2 * m.n, m.work = m.r + 3 * m.n;
+    m.f[0] = f0;
+    m.y = PyArray_DATA(y), m.x = PyArray_DATA((PyArrayObject *)x);
+    m.shifted = PyArray_DATA(shifted);
     Py_BEGIN_ALLOW_THREADS
-    updates = cncflsa_mm_solve(in, n, out, next, block, lam0, lam1, a0, a1, kind0, kind1,
-                               max_iter, tol, &h, loops);
+    updates = cncflsa_mm_solve(&m, loops);
     Py_END_ALLOW_THREADS
-    PyMem_RawFree(block);
+    PyMem_RawFree(m.r);
     size = (npy_intp)(updates < 0 ? -updates : updates) + 1;
     history = updates == 0 ? PyErr_NoMemory() : PyArray_SimpleNew(1, &size, NPY_DOUBLE);
     if (history != NULL)
-        memcpy(PyArray_DATA((PyArrayObject *)history), h.f, size * sizeof(double));
-    PyMem_RawFree(h.f);
+        memcpy(PyArray_DATA((PyArrayObject *)history), m.f, size * sizeof(double));
+    PyMem_RawFree(m.f);
     if (history == NULL) {
         Py_DECREF(x);
         return NULL;

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prox as _prox
-from .prox import _check_nonneg
+from .prox import _as_float, _check_nonneg
 
 KINDS = ("l1", "log", "atan", "rational")
 
@@ -84,7 +84,7 @@ class PenaltySpec:
         difference, which would cancel catastrophically near 0.  Where a*|x|
         overflows, phi < 1420/a is below half an ulp of |x|, so s is -|x|.
         """
-        xa = np.asarray(x, dtype=float)
+        xa = _as_float(x, "x")
         a = self.a
         if self.kind == "l1":
             return _match(np.zeros_like(xa), x)
@@ -118,9 +118,9 @@ class PenaltySpec:
         :meth:`_slope`, of x as an aligned, C-contiguous float array of at
         least one dimension: with the compiled module one call of its
         ``penalty_map``, which gives the bits of those references."""
-        x = np.ascontiguousarray(x, dtype=float)
-        if not x.flags.carray:
-            x = x.copy()
+        x = _as_float(x, "x")
+        if x.ndim == 0 or not x.flags.carray:
+            x = np.array(x, order="C", ndmin=1)
         lib = _prox._tvd_c
         if lib is None:
             return self._slope(x) if slope else self._finish(self._phi(x))
@@ -185,6 +185,6 @@ class PenaltySpec:
         Dominates phi everywhere and touches it at x = v, because the tangent
         line to the concave residual s at v lies above s.
         """
-        x = np.asarray(x, dtype=float)
+        x = _as_float(x, "x")
         out = np.abs(x) + self.residual_deriv(v) * (x - v) + self.residual(v)
         return _match(out, x)

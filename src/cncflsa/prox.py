@@ -47,11 +47,25 @@ _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c
 # itself, and the loader picks the one this CPU runs.
 _C_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-trapping-math")
 
+_FLOAT64 = np.dtype(float)
+
+
+def _as_float(x, name):
+    """x as a float64 array: x itself when it is a native one, else
+    converted, rejecting complex input, which ``np.asarray`` would make
+    real with only a ComplexWarning."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
+        return x
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got dtype {x.dtype}")
+    return np.asarray(x, dtype=float)
+
 
 def as_signal(x, name="signal"):
     """Validate and return x as a 1-D float array with finite entries,
     copied unless it is aligned, C-contiguous and writeable."""
-    out = np.asarray(x, dtype=float)
+    out = _as_float(x, name)
     if out.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {out.shape}")
     if out.size < 1:
@@ -103,7 +117,7 @@ def soft_threshold(x, lam):
     when it is loaded, which gives the bits of the numpy expression, its
     reference on the Python backend."""
     lam = _check_nonneg(lam, "lam")
-    xa = np.asarray(x, dtype=float)
+    xa = _as_float(x, "x")
     if not xa.flags.carray:
         xa = xa.copy()
     if not _all_finite(xa):

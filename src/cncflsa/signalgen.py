@@ -76,10 +76,15 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", _check_nonneg(self.sigma, "sigma"))
-        seed = _whole(self.seed)
-        if seed is None or not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _seed(self.seed))
+
+
+def _seed(value):
+    """value as a seed of the generator: a whole number in [0, 2**64)."""
+    seed = _whole(value)
+    if seed is None or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {value!r}")
+    return seed
 
 
 def default_pulse_spec() -> PulseSpec:
@@ -117,6 +122,7 @@ def standard_normal(n, seed):
     count = _whole(n)
     if count is None or count < 0:
         raise ValueError(f"n must be an integer >= 0, got {n!r}")
+    seed = _seed(seed)
     npairs = (count + 1) // 2
     u = _uniforms(seed, 2 * npairs)
     # A zero u1 (probability 2**-53 per pair) is skipped: the words after it

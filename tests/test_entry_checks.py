@@ -102,6 +102,12 @@ def test_a_length_or_shape_that_does_not_fit_raises(entry, position, value):
     ("mm_solve", 9, 0, ValueError),
     ("mm_solve", 9, -(2**70), ValueError),
     ("mm_solve", 9, 3.0, TypeError),
+    ("mm_solve", 2, "0.0", TypeError),
+    ("mm_solve", 3, None, TypeError),
+    ("mm_solve", 4, "0.5", TypeError),
+    ("mm_solve", 5, None, TypeError),
+    ("mm_solve", 6, "0.2", TypeError),
+    ("mm_solve", 10, None, TypeError),
     ("soft_threshold", 1, "0.25", TypeError),
     ("shifted_input", 1, None, TypeError),
     ("shifted_input", 3, "2.0", TypeError),

@@ -2,7 +2,8 @@
 layout: a finite unaligned or strided float64 array gives the bytes of the
 same call on an aligned, C-contiguous copy, on both backends.  The module's
 entries read only aligned, C-contiguous arrays, so this holds because
-`as_signal`, `soft_threshold` and `PenaltySpec._map` copy any other."""
+`as_signal`, `soft_threshold` and `PenaltySpec._map` copy any other.  Each
+rejects a complex signal."""
 
 import numpy as np
 import pytest
@@ -47,17 +48,32 @@ def as_bytes(out):
     return type(out), np.asarray(out).shape, np.asarray(out).tobytes()
 
 
-@pytest.mark.parametrize("backend", ["c", "python"])
-@pytest.mark.parametrize("layout", [unaligned, strided])
-@pytest.mark.parametrize("name", CALLS)
-def test_any_layout_gives_the_bytes_of_an_aligned_copy(name, layout, backend, monkeypatch):
+def use(backend, monkeypatch):
     if backend == "python":
         monkeypatch.setattr(prox, "_tvd_c", None)
     elif prox.TVD_BACKEND != "c":
         pytest.skip("no compiled library")
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("layout", [unaligned, strided])
+@pytest.mark.parametrize("name", CALLS)
+def test_any_layout_gives_the_bytes_of_an_aligned_copy(name, layout, backend, monkeypatch):
+    use(backend, monkeypatch)
     rng = np.random.default_rng(8)
     y = np.repeat(rng.normal(0.0, 2.0, 12), 5) + rng.normal(0.0, 0.5, 60)
     v = fused_lasso_l1(y, 0.3, 1.0)
     a, b = layout(y), layout(v)
     assert not (a.flags.aligned and a.flags.c_contiguous)
     assert as_bytes(CALLS[name](a, b)) == as_bytes(CALLS[name](a.copy(), b.copy()))
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+@pytest.mark.parametrize("name", CALLS)
+def test_a_complex_signal_raises_value_error(name, backend, monkeypatch):
+    """np.asarray(x, dtype=float) made a complex array real with only a
+    ComplexWarning."""
+    use(backend, monkeypatch)
+    a = np.linspace(-1.0, 1.0, 60) + 0.5j
+    with pytest.raises(ValueError, match="must be real"):
+        CALLS[name](a, a)

@@ -151,6 +151,16 @@ def test_an_integer_argument_that_is_no_whole_number_raises_value_error(bad):
             call()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_standard_normal_takes_the_seed_rule_of_noise_spec(seed):
+    """standard_normal raised OverflowError for -1 and 2**64, and drew seed
+    1's numbers for 1.5."""
+    for call in (lambda: NoiseSpec(0.1, seed), lambda: standard_normal(3, seed)):
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            call()
+    assert standard_normal(3, 7.0).tobytes() == standard_normal(3, 7).tobytes()
+
+
 class TestMetrics:
     def test_lambda1_heuristic(self):
         assert lambda1_heuristic(100, 0.5, 0.25) == pytest.approx(1.25, abs=1e-15)
