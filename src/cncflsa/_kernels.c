@@ -19,7 +19,7 @@
  * no bit: each lane runs the same operations as one scalar would.  What
  * plain C cannot round as numpy does (its SIMD arctan and log1p, its
  * pairwise sum and BLAS ddot) is done by calling numpy's own float64 inner
- * loops, which the module's import finds and probes.
+ * loops, which the module's import finds; cncflsa.prox._load probes them.
  *
  * The module's entries, at the end of this file, take aligned,
  * C-contiguous float64 arrays and return new ones (mm_solve also
@@ -138,6 +138,8 @@ enum { KIND_L1, KIND_LOG, KIND_ATAN, KIND_RATIONAL };
  * and where a|z| itself does. */
 #define U_LIMIT 72057594037927936.0
 
+#define SQRT3 1.7320508075688772
+
 #define INLINE static inline __attribute__((always_inline))
 
 /* cncflsa.penalties.PenaltySpec._phi and ._slope at one sample z: stores
@@ -165,8 +167,8 @@ INLINE double algebra(int kind, double a, double z, double *phi)
         *phi = u;
         slope = -a * z / (1.0 + u);
     } else if (kind == KIND_ATAN) {
-        v = 1.7320508075688772 * u; /* sqrt(3) */
-        *phi = v > DBL_MAX ? 1.7320508075688772 : v / (2.0 + u);
+        v = SQRT3 * u;
+        *phi = v > DBL_MAX ? SQRT3 : v / (2.0 + u);
         v = 1.0 + 2.0 * u;
         slope = -4.0 * a * z * (1.0 + u) / (3.0 + v * v);
     } else {
@@ -337,8 +339,9 @@ struct numpy_loop {
 };
 
 /* numpy's loops of arctan and log1p (d->d), add (dd->d) and the vecdot
- * gufunc (dd->d), the module's state: module_exec finds and probes them.
- * Each is called with the arguments numpy itself passes. */
+ * gufunc (dd->d), the module's state: module_exec finds them, and
+ * cncflsa.prox._load probes them through the loops entry.  Each is called
+ * with the arguments numpy itself passes. */
 struct numpy_loops {
     struct numpy_loop arctan, log1p, add, vecdot;
 };
@@ -359,7 +362,7 @@ static void finish(const struct numpy_loops *np, int kind, double a, double *phi
             phi[i] /= a;
     } else if (kind == KIND_ATAN) {
         np->arctan.call(args, &len, steps, np->arctan.data);
-        scale = 2.0 / (a * 1.7320508075688772);
+        scale = 2.0 / (a * SQRT3);
         for (i = 0; i < len; i++)
             phi[i] *= scale;
     }
@@ -426,159 +429,53 @@ CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_l
     return m->max_iter;
 }
 
-/* The values of the byte probe: arange(1000) * 0.37, odd places times
- * -1.7, with 0.0 at every seventh place from 0 and -0.0 from 3; and
- * magnitudes, their absolute values but with the -0.0 kept, in the domain
- * of log1p. */
-#define PROBE_MAX 1000
-
-static void probe_values(double *values, double *magnitudes)
+/* numpy.<name>'s float64 loop, the first whose types are all NPY_DOUBLE.
+ * The module keeps no reference to the ufunc: numpy's own module holds it.
+ * -1 with ImportError when numpy has no <name>, or it is not a ufunc or
+ * has no such loop. */
+static int find_loop(PyObject *numpy, const char *name, struct numpy_loop *loop)
 {
-    int i;
-
-    for (i = 0; i < PROBE_MAX; i++) {
-        values[i] = i * 0.37;
-        if (i % 2)
-            values[i] *= -1.7;
-        if (i % 7 == 0)
-            values[i] = 0.0;
-        if (i % 7 == 3)
-            values[i] = -0.0;
-        magnitudes[i] = i % 7 == 3 ? -0.0 : fabs(values[i]);
-    }
-}
-
-/* A new float64 array holding the n doubles from v. */
-static PyObject *array_of(const double *v, npy_intp n)
-{
-    PyObject *out = PyArray_SimpleNew(1, &n, NPY_DOUBLE);
-
-    if (out != NULL)
-        memcpy(PyArray_DATA((PyArrayObject *)out), v, n * sizeof(double));
-    return out;
-}
-
-/* 1 when numpy's result (stolen; an array or a scalar) holds the n doubles
- * from want byte for byte, 0 when not, -1 on error. */
-static int same_bytes(PyObject *result, const double *want, npy_intp n)
-{
-    PyArrayObject *got;
-    int same;
-
-    if (result == NULL)
-        return -1;
-    got = (PyArrayObject *)PyArray_FROM_OTF(result, NPY_DOUBLE, NPY_ARRAY_IN_ARRAY);
-    Py_DECREF(result);
-    if (got == NULL)
-        return -1;
-    same = PyArray_SIZE(got) == n && memcmp(PyArray_DATA(got), want, n * sizeof(double)) == 0;
-    Py_DECREF(got);
-    return same;
-}
-
-/* 1 when finish (of atan and log), total and dot, the calls of numpy's
- * loops that cncflsa_mm_solve makes, give the bytes of numpy's own call
- * (ufuncs[i] of arctan, log1p and add, and numpy_dot) on the n values of v
- * and of mag, 0 when one does not, -1 on error.  At these a finish's scale,
- * 2 / (a sqrt(3)) for atan and 1 / a for log, is exactly 1.0. */
-static int loops_match_numpy_at(const struct numpy_loops *np, PyObject *const *ufuncs,
-                                PyObject *numpy_dot, PyObject *v, PyObject *mag, npy_intp n)
-{
-    static const int kinds[2] = {KIND_ATAN, KIND_LOG};
-    static const double a[2] = {2.0 / 1.7320508075688772, 1.0};
-    double out[PROBE_MAX], *values = PyArray_DATA((PyArrayObject *)v), sum, product;
-    int j, same;
-
-    for (j = 0; j < 2; j++) {
-        memcpy(out, PyArray_DATA((PyArrayObject *)mag), n * sizeof(double));
-        finish(np, kinds[j], a[j], out, n);
-        if ((same = same_bytes(PyObject_CallOneArg(ufuncs[j], mag), out, n)) != 1)
-            return same;
-    }
-    sum = total(np, values, n);
-    if ((same = same_bytes(PyObject_CallMethod(ufuncs[2], "reduce", "O", v), &sum, 1)) != 1)
-        return same;
-    product = dot(np, values, n);
-    return same_bytes(PyObject_CallFunctionObjArgs(numpy_dot, v, v, NULL), &product, 1);
-}
-
-/* loops_match_numpy_at on the probe's values at lengths within and beyond
- * numpy's pairwise-sum blocks of 8 and 128. */
-static int loops_match_numpy(const struct numpy_loops *np, PyObject *const *ufuncs,
-                             PyObject *numpy_dot)
-{
-    static const npy_intp lengths[] = {0, 1, 3, 7, 8, 9, 100, 128, 129, PROBE_MAX};
-    double values[PROBE_MAX], magnitudes[PROBE_MAX];
-    PyObject *v, *mag;
-    size_t i;
-    int same = 1;
-
-    probe_values(values, magnitudes);
-    for (i = 0; same == 1 && i < sizeof(lengths) / sizeof(lengths[0]); i++) {
-        v = array_of(values, lengths[i]), mag = array_of(magnitudes, lengths[i]);
-        same = v == NULL || mag == NULL
-            ? -1 : loops_match_numpy_at(np, ufuncs, numpy_dot, v, mag, lengths[i]);
-        Py_XDECREF(v);
-        Py_XDECREF(mag);
-    }
-    return same;
-}
-
-/* numpy.<name>'s float64 loop, the first whose types are all NPY_DOUBLE;
- * stores the ufunc (a new reference, or NULL) into *ufunc.  -1 with
- * ImportError when numpy has no <name>, or it is not a ufunc or has no
- * such loop. */
-static int find_loop(PyObject *numpy, const char *name, struct numpy_loop *loop,
-                     PyObject **ufunc)
-{
-    PyUFuncObject *uf;
+    PyObject *ufunc = PyObject_GetAttrString(numpy, name);
+    PyUFuncObject *uf = (PyUFuncObject *)ufunc;
     int i, j;
 
-    *ufunc = PyObject_GetAttrString(numpy, name);
-    if (*ufunc != NULL && PyObject_TypeCheck(*ufunc, &PyUFunc_Type)) {
-        uf = (PyUFuncObject *)*ufunc;
+    if (ufunc != NULL && PyObject_TypeCheck(ufunc, &PyUFunc_Type)) {
         for (i = 0; i < uf->ntypes; i++) {
             for (j = 0; j < uf->nargs && uf->types[i * uf->nargs + j] == NPY_DOUBLE; j++)
                 ;
             if (j == uf->nargs && uf->functions[i] != NULL) {
                 loop->call = uf->functions[i];
                 loop->data = uf->data == NULL ? NULL : uf->data[i];
+                Py_DECREF(ufunc);
                 return 0;
             }
         }
     }
+    Py_XDECREF(ufunc);
     PyErr_Format(PyExc_ImportError, "numpy.%s is not a ufunc with a float64 loop", name);
     return -1;
 }
 
 /* The module's import: numpy's C API, then its four loops, found in
- * numpy's ufuncs and probed against numpy's own calls; ImportError when a
- * loop is missing or does not give numpy's bytes. */
+ * numpy's ufuncs; ImportError when one is missing.  cncflsa.prox._load
+ * probes them through the loops entry before the module is used. */
 static int module_exec(PyObject *module)
 {
     static const char *names[4] = {"arctan", "log1p", "add", "vecdot"};
     struct numpy_loops *np = PyModule_GetState(module);
     struct numpy_loop *loops[4] = {&np->arctan, &np->log1p, &np->add, &np->vecdot};
-    PyObject *numpy, *ufuncs[4] = {NULL, NULL, NULL, NULL}, *numpy_dot = NULL;
-    int i, ok = -1;
+    PyObject *numpy;
+    int i;
 
     if (PyArray_ImportNumPyAPI() < 0 || PyUFunc_ImportUFuncAPI() < 0)
         return -1;
     numpy = PyImport_ImportModule("numpy");
     if (numpy == NULL)
         return -1;
-    for (i = 0; i < 4 && find_loop(numpy, names[i], loops[i], &ufuncs[i]) == 0; i++)
+    for (i = 0; i < 4 && find_loop(numpy, names[i], loops[i]) == 0; i++)
         ;
-    if (i == 4 && (numpy_dot = PyObject_GetAttrString(numpy, "dot")) != NULL) {
-        ok = loops_match_numpy(np, ufuncs, numpy_dot);
-        if (ok == 0)
-            PyErr_SetString(PyExc_ImportError, "numpy's float64 loops do not give numpy's bytes");
-    }
-    for (i = 0; i < 4; i++)
-        Py_XDECREF(ufuncs[i]);
-    Py_XDECREF(numpy_dot);
     Py_DECREF(numpy);
-    return ok == 1 ? 0 : -1;
+    return i == 4 ? 0 : -1;
 }
 
 /* The argument checks of the entries. */
@@ -880,6 +777,41 @@ static PyObject *all_finite(PyObject *self, PyObject *const *args, Py_ssize_t na
     return PyBool_FromLong(finite);
 }
 
+PyDoc_STRVAR(loops_doc, "loops(values, magnitudes) -> (arctan, log1p, sum, dot)\n\n"
+"What the calls of numpy's loops that mm_solve makes give, for\n"
+"cncflsa.prox._load to compare with numpy's own calls: PenaltySpec._finish of\n"
+"the C-contiguous float64 vector magnitudes for atan at a = 2/sqrt(3) and for\n"
+"log at a = 1, where its scale is exactly 1.0, so np.arctan and np.log1p of\n"
+"them; and np.add.reduce(values) and np.dot(values, values) of the\n"
+"C-contiguous float64 vector values.");
+
+static PyObject *loops(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    const struct numpy_loops *np = PyModule_GetState(self);
+    PyArrayObject *values, *magnitudes;
+    PyObject *arctan, *log1p;
+    double *v, sum, product;
+    npy_intp n, len;
+
+    if (check_nargs("loops", nargs, 2) < 0 || (values = as_array(args[0], "values", 1)) == NULL
+        || (magnitudes = as_array(args[1], "magnitudes", 1)) == NULL)
+        return NULL;
+    if ((arctan = PyArray_NewCopy(magnitudes, NPY_CORDER)) == NULL)
+        return NULL;
+    if ((log1p = PyArray_NewCopy(magnitudes, NPY_CORDER)) == NULL) {
+        Py_DECREF(arctan);
+        return NULL;
+    }
+    v = PyArray_DATA(values), n = PyArray_DIM(values, 0), len = PyArray_DIM(magnitudes, 0);
+    Py_BEGIN_ALLOW_THREADS
+    finish(np, KIND_ATAN, 2.0 / SQRT3, PyArray_DATA((PyArrayObject *)arctan), len);
+    finish(np, KIND_LOG, 1.0, PyArray_DATA((PyArrayObject *)log1p), len);
+    sum = total(np, v, n);
+    product = dot(np, v, n);
+    Py_END_ALLOW_THREADS
+    return Py_BuildValue("(NNdd)", arctan, log1p, sum, product);
+}
+
 static PyMethodDef methods[] = {
     {"tvd", (PyCFunction)(void (*)(void))tvd, METH_FASTCALL, tvd_doc},
     {"penalty_map", (PyCFunction)(void (*)(void))penalty_map, METH_FASTCALL, penalty_map_doc},
@@ -889,6 +821,7 @@ static PyMethodDef methods[] = {
      soft_threshold_doc},
     {"shifted_input", (PyCFunction)(void (*)(void))shifted_input, METH_FASTCALL,
      shifted_input_doc},
+    {"loops", (PyCFunction)(void (*)(void))loops, METH_FASTCALL, loops_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -98,8 +98,11 @@ def read_signal(path):
 
 
 def write_signal(path, x):
+    """Write x one sample per line, only once :func:`read_signal` would
+    take it back: ValueError from ``prox.as_signal`` leaves path as it was."""
+    x = _prox.as_signal(x)
     with open(path, "w", encoding="ascii") as fh:
-        for v in np.asarray(x, dtype=float):
+        for v in x:
             fh.write(f"{v:.17g}\n")
 
 

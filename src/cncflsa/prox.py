@@ -8,7 +8,7 @@ certify solutions independently of the solvers.
 The TV kernel has a compiled backend (``_kernels.c``, a CPython extension
 module built on first import and cached in ``__pycache__``) and a
 pure-Python reference that it matches bit for bit and falls back to;
-``TVD_BACKEND`` names the one in use.  The module has six entries, each
+``TVD_BACKEND`` names the one in use.  The module has seven entries, six
 called by one public step after its own input checks and each matching
 its Python reference bit for bit; all follow the one switch ``_tvd_c``
 and read only aligned, C-contiguous float64 arrays, which
@@ -19,11 +19,13 @@ of any input, copying it unless it is one already:
 - ``soft_threshold``, by :func:`soft_threshold`;
 - ``all_finite``, by :func:`as_signal` and every other finiteness check;
 - ``penalty_map``, by ``PenaltySpec.value`` (finished with numpy's own
-  ``arctan``/``log1p`` loops, found and probed by the module's import) and
+  ``arctan``/``log1p`` loops, which the module's import finds) and
   ``PenaltySpec.residual_deriv``;
 - ``shifted_input``, by :func:`cncflsa.cnc.majorized_input`;
 - ``mm_solve``, by :func:`cncflsa.cnc.solve` for every update after its
-  start; without the module the loop chains the public functions.
+  start; without the module the loop chains the public functions;
+- ``loops``, by the probe in ``_load``, which compares what the module's
+  calls of numpy's loops give with numpy's own calls before it is used.
 """
 
 from __future__ import annotations
@@ -304,26 +306,45 @@ def _build():
 
 
 def _load(path):
-    """A fresh ``cncflsa._kernels`` module from the file at path; its
-    import finds and probes numpy's loops.  Raises ImportError when it
-    cannot be loaded or a loop is missing or fails its probe."""
+    """A fresh ``cncflsa._kernels`` module from the file at path, whose
+    import finds numpy's loops, probed here: its ``loops`` must give the
+    bytes of numpy's own calls.  Raises ImportError when the module cannot
+    be loaded, lacks ``loops``, or a loop is missing or fails the probe."""
     loader = importlib.machinery.ExtensionFileLoader("cncflsa._kernels", path)
     module = importlib.util.module_from_spec(
         importlib.util.spec_from_file_location(loader.name, path, loader=loader))
     loader.exec_module(module)
+    if not hasattr(module, "loops"):
+        raise ImportError(f"{path} has no loops entry")
+    # +-0.0 among the values, -0.0 kept among the magnitudes (log1p's
+    # domain), at lengths within and beyond numpy's pairwise-sum blocks of
+    # 8 and 128.
+    values = np.arange(1000.0) * 0.37
+    values[1::2] *= -1.7
+    values[::7] = 0.0
+    values[3::7] = -0.0
+    magnitudes = np.abs(values)
+    magnitudes[3::7] = -0.0
+    for n in (0, 1, 3, 7, 8, 9, 100, 128, 129, 1000):
+        v, m = values[:n], magnitudes[:n]
+        want = (np.arctan(m), np.log1p(m), np.add.reduce(v), np.dot(v, v))
+        if any(np.asarray(got, dtype=float).tobytes() != np.asarray(w).tobytes()
+               for got, w in zip(module.loops(v, m), want)):
+            raise ImportError("numpy's float64 loops do not give numpy's bytes")
     return module
 
 
-# The compiled module's entries; this module's docstring names the public
-# function that calls each and falls back to its Python reference.
-_ENTRIES = ("tvd", "penalty_map", "mm_solve", "all_finite", "soft_threshold", "shifted_input")
+# The compiled module's entries; this module's docstring names the caller
+# of each.
+_ENTRIES = ("tvd", "penalty_map", "mm_solve", "all_finite", "soft_threshold", "shifted_input",
+            "loops")
 
 
 def _select_backend():
     """The compiled module and ``"c"``, or ``(None, "python")`` when it
     cannot be built or loaded, lacks one of its ``_ENTRIES``, or one of
     numpy's loops that its ``mm_solve`` calls cannot be found or does not
-    give numpy's own bytes."""
+    give numpy's own bytes in ``_load``'s probe."""
     try:
         module = _load(_build())
     except (OSError, ImportError):

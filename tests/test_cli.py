@@ -56,6 +56,15 @@ class TestSignalIO:
         write_signal(path, x)
         np.testing.assert_array_equal(read_signal(path), x)
 
+    @pytest.mark.parametrize("x", [np.array([1 + 2j]), np.array([1.0, np.inf]), np.array([]),
+                                   np.ones((2, 3))], ids=["complex", "inf", "empty", "2-d"])
+    def test_a_signal_that_read_signal_rejects_is_not_written(self, tmp_path, x):
+        path = tmp_path / "sig.txt"
+        path.write_text("1.5\n")
+        with pytest.raises(ValueError):
+            write_signal(path, x)
+        assert path.read_text() == "1.5\n"
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1.5\nnot-a-number\n")

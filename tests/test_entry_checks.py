@@ -1,6 +1,6 @@
-"""The argument checks of the compiled module's six entries (`tvd`,
-`penalty_map`, `mm_solve`, `all_finite`, `soft_threshold` and
-`shifted_input`): a float32 array, a byte-swapped
+"""The argument checks of the compiled module's seven entries (`tvd`,
+`penalty_map`, `mm_solve`, `all_finite`, `soft_threshold`, `shifted_input`
+and `loops`): a float32 array, a byte-swapped
 one, a strided view, a length that does not fit, a non-array, an integer out
 of range and a wrong argument count each raise TypeError or ValueError, and
 the process goes on; none reads past a buffer."""
@@ -24,12 +24,13 @@ def good(entry):
         "all_finite": [Y.copy()],
         "soft_threshold": [Y.copy(), 0.25],
         "shifted_input": [Y.copy(), 0.3, Y[::-1] / 9.0, 2.0, Y[1:] / 7.0],
+        "loops": [Y.copy(), np.abs(Y)],
     }[entry]
 
 
 # The positions of each entry's array arguments.
 ARRAYS = {"tvd": [0], "penalty_map": [2], "mm_solve": [0, 1], "all_finite": [0],
-          "soft_threshold": [0], "shifted_input": [0, 2, 4]}
+          "soft_threshold": [0], "shifted_input": [0, 2, 4], "loops": [0, 1]}
 
 
 def call(entry, args):

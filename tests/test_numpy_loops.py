@@ -1,13 +1,16 @@
 """The numpy loops that the compiled MM loop (the module's `mm_solve`)
-calls: the fallback to the Python loop when their lookup or probe at the
-module's import fails, and a guard that the compiled loop runs no Python
-per update.  The loop's bytes are checked against the Python loop in
-`tests/test_mm_loop.py`."""
+calls: the bytes of its calls of them (the module's `loops`) against
+numpy's own calls, the fallback to the Python loop when their lookup at the
+module's import or their probe in `prox._load` fails, and a guard that the
+compiled loop runs no Python per update.  The loop's bytes are checked
+against the Python loop in `tests/test_mm_loop.py`."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cncflsa import CncConfig, PenaltySpec, cnc, prox, solve
 
@@ -75,6 +78,41 @@ def test_fallback_when_a_loop_is_not_numpys(monkeypatch, tmp_path):
     with pytest.raises(ImportError, match="bytes"):
         prox._load(prox._build())
     check_fallback(monkeypatch)
+
+
+def test_fallback_when_the_module_lacks_loops(monkeypatch, tmp_path):
+    """A module without the `loops` entry, which the probe calls, fails
+    `_load` with ImportError, not AttributeError."""
+    source = Path(prox._C_SOURCE).read_text()
+    entry = '    {"loops", (PyCFunction)(void (*)(void))loops, METH_FASTCALL, loops_doc},\n'
+    lacking = tmp_path / "_kernels.c"
+    lacking.write_text(source.replace(entry, ""))
+    assert lacking.read_text() != source
+    monkeypatch.setattr(prox, "_C_SOURCE", str(lacking))
+    with pytest.raises(ImportError, match="loops"):
+        prox._load(prox._build())
+    check_fallback(monkeypatch)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2000), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, np.inf, -np.inf]),
+                max_size=20))
+def test_loops_give_the_bytes_of_numpys_calls(n, seed, specials):
+    """The module's calls of numpy's loops give the bytes of `np.arctan`,
+    `np.log1p`, `np.add.reduce` and `np.dot` at any length up to 2,000,
+    beyond the probe's ten, with +-0.0, 1e+-300 and inf among finite
+    values and -0.0 kept among the magnitudes."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 10.0 ** rng.integers(-5, 6), n)
+    if n:
+        values[rng.integers(0, n, len(specials))] = specials
+    magnitudes = np.where(values == 0.0, values, np.abs(values))
+    got = prox._tvd_c.loops(values, magnitudes)
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e300**2, inf - inf
+        want = (np.arctan(magnitudes), np.log1p(magnitudes), np.add.reduce(values),
+                np.dot(values, values))
+    assert [np.asarray(g, dtype=float).tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 def test_lookup_rejects_a_ufunc_without_the_float64_loop(monkeypatch):
