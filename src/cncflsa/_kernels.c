@@ -395,18 +395,18 @@ static double dot(const struct numpy_loops *np, double *r, npy_intp n)
  * reference cncflsa.cnc._mm_loop_python, the chain of the public functions:
  * up to m->max_iter calls of cncflsa_mm_step, each followed by F of the new
  * iterate (cncflsa.cnc.objective, in its order of evaluation), stored in
- * m->f[k] after m->f[0], and the stopping rule
- * |prev - F| <= tol * max(1, |prev|), false on NaN as in Python.  Returns
- * the number of updates, negated when the rule fired, or 0 when the
- * history could not grow.  Each update reads its input from m->shifted and
- * writes over it the input of the next, and writes its iterate into m->x.
- * m->f doubles in size whenever an update needs more room; the solve runs
- * without the GIL, so it grows with PyMem_RawRealloc. */
+ * m->f[k] after m->f[0], and the stopping rule |prev - F| <= tol * |prev|,
+ * relative to F alone (no unit of the signal enters it) and false on NaN as
+ * in Python.  Returns the number of updates, negated when the rule fired, or
+ * 0 when the history could not grow.  Each update reads its input from
+ * m->shifted and writes over it the input of the next, and its iterate into
+ * m->x.  m->f doubles in size whenever an update needs more room; the solve
+ * runs without the GIL, so it grows with PyMem_RawRealloc. */
 CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_loops *np)
 {
     npy_intp n = m->n;
     long long k;
-    double f, prev, scale, *grown;
+    double f, prev, *grown;
 
     for (k = 1; k <= m->max_iter; k++) {
         cncflsa_mm_step(m);
@@ -422,8 +422,7 @@ CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_l
         }
         prev = m->f[k - 1];
         m->f[k] = f;
-        scale = fabs(prev) > 1.0 ? fabs(prev) : 1.0;
-        if (fabs(prev - f) <= m->tol * scale)
+        if (fabs(prev - f) <= m->tol * fabs(prev))
             return -k;
     }
     return m->max_iter;

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import prox as _prox
 from .penalties import KINDS, PenaltySpec
-from .prox import _as_pair, _check_nonneg, _diff_adjoint, _whole, as_signal, fused_lasso_l1
+from .prox import (_as_pair, _check_nonneg, _check_pos, _diff_adjoint, _whole, as_signal,
+                   fused_lasso_l1)
 
 # Roundoff tolerance when enforcing margin >= 0 on the convexity boundary.
 MARGIN_TOL = 1e-12
@@ -48,9 +49,10 @@ class CncConfig:
     or pure soft thresholding (lambda1 = 0).  allow_nonconvex disables the
     convexity-margin precondition for experiments outside the certified
     region.  max_iter (a positive integer) caps the MM updates of a solve,
-    and tol (positive) is its stopping tolerance on the change of F; see
-    :func:`solve`.  Frozen, so that construction validates every field that
-    a solve reads; ``dataclasses.replace`` makes a changed copy.
+    and tol (finite and > 0) is its stopping tolerance on the change of F
+    relative to F; see :func:`solve`.  Frozen, so that construction
+    validates every field that a solve reads; ``dataclasses.replace`` makes
+    a changed copy.
     """
 
     lambda0: float
@@ -70,9 +72,7 @@ class CncConfig:
         if max_iter is None or max_iter < 1:
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter!r}")
         object.__setattr__(self, "max_iter", max_iter)
-        object.__setattr__(self, "tol", float(self.tol))
-        if not np.isfinite(self.tol) or self.tol <= 0.0:
-            raise ValueError(f"tol must be a positive real, got {self.tol!r}")
+        object.__setattr__(self, "tol", _check_pos(self.tol, "tol"))
 
 
 @dataclass
@@ -107,10 +107,8 @@ def select_a1(lambda0, lambda1, a0):
     Returns (1 - a0*lambda0) / (4*lambda1), placing the parameters exactly on
     the convexity boundary so sparsity is induced as strongly as possible.
     """
-    lambda0 = float(lambda0)
-    lambda1 = float(lambda1)
-    if not (np.isfinite(lambda0) and lambda0 > 0.0) or not (np.isfinite(lambda1) and lambda1 > 0.0):
-        raise ValueError("lambda0 and lambda1 must be positive")
+    lambda0 = _check_pos(lambda0, "lambda0")
+    lambda1 = _check_pos(lambda1, "lambda1")
     a0 = _check_nonneg(a0, "a0")
     budget = a0 * lambda0
     if budget > 1.0 + MARGIN_TOL:
@@ -183,9 +181,11 @@ def solve(y, cfg: CncConfig) -> SolveResult:
     Starts from the L1 fused-lasso solution, then repeats: shift the
     observation via :func:`majorized_input`, solve one exact L1 fused lasso
     on it.  Each update decreases the objective.  Stops, converged, after
-    the first update that changes F by at most cfg.tol * max(1, |prev|),
-    prev being F before it: a relative test where |prev| > 1 and an
-    absolute one below; otherwise stops after cfg.max_iter updates.
+    the first update that changes F by at most cfg.tol * |prev|, prev being
+    F before it, otherwise after cfg.max_iter updates.  The test is
+    relative to F alone, so scaling y and the weights by a power of two c
+    and the degrees by 1/c scales x by c and F by c**2 exactly, unless a
+    value overflows or turns subnormal.
 
     Raises ConvexityError when the margin is negative and cfg.allow_nonconvex
     is not set.
@@ -236,7 +236,7 @@ def _mm_loop_python(y, shifted, f0, cfg):
         x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
         prev, f = history[-1], objective(x, y, cfg)
         history.append(f)
-        if abs(prev - f) <= cfg.tol * max(1.0, abs(prev)):
+        if abs(prev - f) <= cfg.tol * abs(prev):
             return x, np.array(history), True
         shifted = majorized_input(x, y, cfg)
     return x, np.array(history), False

@@ -119,8 +119,8 @@ class PenaltySpec:
         least one dimension: with the compiled module one call of its
         ``penalty_map``, which gives the bits of those references."""
         x = _as_float(x, "x")
-        if x.ndim == 0 or not x.flags.carray:
-            x = np.array(x, order="C", ndmin=1)
+        if x.ndim == 0:
+            x = x.reshape(1)
         lib = _prox._tvd_c
         if lib is None:
             return self._slope(x) if slope else self._finish(self._phi(x))

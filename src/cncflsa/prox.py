@@ -11,9 +11,8 @@ pure-Python reference that it matches bit for bit and falls back to;
 ``TVD_BACKEND`` names the one in use.  The module has seven entries, six
 called by one public step after its own input checks and each matching
 its Python reference bit for bit; all follow the one switch ``_tvd_c``
-and read only aligned, C-contiguous float64 arrays, which
-:func:`as_signal`, :func:`soft_threshold` and ``PenaltySpec._map`` make
-of any input, copying it unless it is one already:
+and read only aligned, C-contiguous float64 arrays, which ``_as_float``
+makes of any input, copying it unless it is one already:
 
 - ``tvd``, by :func:`tvd`;
 - ``soft_threshold``, by :func:`soft_threshold`;
@@ -53,27 +52,25 @@ _FLOAT64 = np.dtype(float)
 
 
 def _as_float(x, name):
-    """x as a float64 array: x itself when it is a native one, else
-    converted, rejecting complex input, which ``np.asarray`` would make
-    real with only a ComplexWarning."""
-    if type(x) is np.ndarray and x.dtype is _FLOAT64:
-        return x
-    x = np.asarray(x)
-    if x.dtype.kind == "c":
-        raise ValueError(f"{name} must be real, got dtype {x.dtype}")
-    return np.asarray(x, dtype=float)
+    """x as a native float64 array, copied unless it is aligned,
+    C-contiguous and writeable, rejecting complex input, which
+    ``np.asarray`` would make real with only a ComplexWarning."""
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+        x = np.asarray(x)
+        if x.dtype.kind == "c":
+            raise ValueError(f"{name} must be real, got dtype {x.dtype}")
+        x = np.asarray(x, dtype=float)
+    return x if x.flags.carray else x.copy()
 
 
 def as_signal(x, name="signal"):
-    """Validate and return x as a 1-D float array with finite entries,
-    copied unless it is aligned, C-contiguous and writeable."""
+    """Validate and return x as a 1-D float array with finite entries, as
+    :func:`_as_float` gives it."""
     out = _as_float(x, name)
     if out.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {out.shape}")
     if out.size < 1:
         raise ValueError(f"{name} must contain at least one sample")
-    if not out.flags.carray:
-        out = out.copy()
     if not _all_finite(out):
         raise ValueError(f"{name} contains non-finite samples")
     return out
@@ -112,6 +109,14 @@ def _check_nonneg(value, name):
     return value
 
 
+def _check_pos(value, name):
+    """Return float(value), rejected unless finite and > 0."""
+    value = float(value)
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
 def soft_threshold(x, lam):
     """Shrink toward zero by lam, flattening the band |x| <= lam to exactly 0.
 
@@ -120,8 +125,6 @@ def soft_threshold(x, lam):
     reference on the Python backend."""
     lam = _check_nonneg(lam, "lam")
     xa = _as_float(x, "x")
-    if not xa.flags.carray:
-        xa = xa.copy()
     if not _all_finite(xa):
         raise ValueError("x contains non-finite samples")
     if _tvd_c is not None:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import _all_finite, _as_pair, _check_nonneg, _whole, as_signal
+from .prox import _all_finite, _as_pair, _check_nonneg, _check_pos, _whole, as_signal
 
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -95,8 +94,6 @@ def default_pulse_spec() -> PulseSpec:
 def generate_pulses(spec: PulseSpec):
     """Render a PulseSpec: zero baseline with each pulse's amplitude written
     over [start, start + width)."""
-    if not isinstance(spec, PulseSpec):
-        spec = PulseSpec(*spec)
     x = np.zeros(spec.length)
     for start, width, amp in spec.pulses:
         x[start : start + width] = amp
@@ -104,11 +101,11 @@ def generate_pulses(spec: PulseSpec):
 
 
 def _splitmix64(seed, count):
-    """First `count` words of the SplitMix64 stream for `seed`."""
+    """First `count` words of the SplitMix64 stream for `seed` (uint64 wraps mod 2**64)."""
     idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = (np.uint64(seed) + idx * _GOLDEN) & _U64
-    z = ((z ^ (z >> np.uint64(30))) * _MIX1) & _U64
-    z = ((z ^ (z >> np.uint64(27))) * _MIX2) & _U64
+    z = np.uint64(seed) + idx * _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
     return z ^ (z >> np.uint64(31))
 
 
@@ -163,9 +160,7 @@ def lambda1_heuristic(n, sigma, beta=0.25):
     if count is None or count < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     sigma = _check_nonneg(sigma, "sigma")
-    beta = float(beta)
-    if not np.isfinite(beta) or beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    beta = _check_pos(beta, "beta")
     return beta * np.sqrt(count) * sigma
 
 

@@ -165,7 +165,7 @@ def mm_reference(y, cfg):
         prev = history[-1]
         history.append(f)
         iterations += 1
-        if abs(prev - f) <= cfg.tol * max(1.0, abs(prev)):
+        if abs(prev - f) <= cfg.tol * abs(prev):
             converged = True
             break
     return SolveResult(x=x, objective_history=np.asarray(history),

@@ -340,6 +340,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             CncConfig(-1.0, 1.0, PenaltySpec(), PenaltySpec())
 
+    @pytest.mark.parametrize("penalty0, penalty1", [
+        ("atan", PenaltySpec()), (PenaltySpec(), ("log", 0.5)), (None, PenaltySpec())])
+    def test_a_penalty_that_is_no_penalty_spec_is_rejected(self, penalty0, penalty1):
+        with pytest.raises(ValueError, match="PenaltySpec instances"):
+            CncConfig(1.0, 1.0, penalty0, penalty1)
+
     def test_config_is_frozen(self):
         """A field set after construction would skip its check: max_iter = 0
         returned the start from the compiled loop and raised in the Python

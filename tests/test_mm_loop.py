@@ -4,8 +4,10 @@ byte-identical iterates, objective histories, update counts and stopping
 flags, with either backend, and over every solve of the criterion-7 sweep;
 the compiled loop (the module's `mm_solve`) against the Python loop
 (`cnc._mm_loop_python`, the chain of the public `fused_lasso_l1`,
-`objective` and `majorized_input`) solve by solve; and the public
-`objective` and `majorized_input` against the same per-step functions."""
+`objective` and `majorized_input`) solve by solve; the public
+`objective` and `majorized_input` against the same per-step functions;
+and solves of a signal scaled by powers of two against the unscaled
+solve."""
 
 import contextlib
 from unittest import mock
@@ -15,7 +17,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cncflsa import KINDS, CncConfig, PenaltySpec, cli, majorized_input, objective, prox, solve
+from cncflsa import (
+    KINDS,
+    CncConfig,
+    NoiseSpec,
+    PenaltySpec,
+    add_awgn,
+    cli,
+    default_pulse_spec,
+    generate_pulses,
+    lambda1_heuristic,
+    majorized_input,
+    objective,
+    prox,
+    select_a1,
+    solve,
+)
 
 from refsolvers import mm_objective, mm_reference, mm_shifted_input
 
@@ -181,3 +198,59 @@ def test_sweep_solves_match_mm_reference(monkeypatch):
     assert len(results) == len(ref_results) == 1800
     assert all(same_bytes(r, ref) for r, ref in zip(results, ref_results))
     assert rows == ref_rows
+
+
+def criterion_4_instance():
+    """The fixture at sigma = 0.5, noise seed 42, the log penalty on the
+    convexity boundary, as in criterion 4, with tol 1e-9 and a cap of 50."""
+    clean = generate_pulses(default_pulse_spec())
+    y = add_awgn(clean, NoiseSpec(0.5, 42))
+    lam1 = lambda1_heuristic(clean.size, 0.5)
+    lam0 = 0.1 * lam1
+    a0 = 0.5 / lam0
+    return y, (lam0, lam1, "log", a0, "log", select_a1(lam0, lam1, a0))
+
+
+def random_instance(kind0, kind1):
+    """A noisy step signal with random weights and degrees inside the
+    convexity budget, seeded by kind0."""
+    rng = np.random.default_rng(KINDS.index(kind0))
+    y = np.repeat(rng.normal(0.0, 2.0, 12) * (rng.random(12) < 0.7), 25)
+    y += rng.normal(0.0, 0.5, y.size)
+    lam0, lam1 = float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.5, 3.0))
+    a0, a1 = float(rng.uniform(0.0, 0.5)) / lam0, float(rng.uniform(0.0, 0.5)) / (4.0 * lam1)
+    return y, (lam0, lam1, kind0, a0, kind1, a1)
+
+
+def scaled_solve(y, params, k):
+    """The solve of y and the weights times 2**k, with the degrees times
+    2**-k."""
+    lam0, lam1, kind0, a0, kind1, a1 = params
+    c = 2.0**k
+    cfg = CncConfig(lam0 * c, lam1 * c, PenaltySpec(kind0, a0 / c), PenaltySpec(kind1, a1 / c),
+                    max_iter=50, tol=1e-9)
+    return solve(y * c, cfg)
+
+
+@pytest.mark.parametrize("tvd_backend", ["c", "python"])
+@pytest.mark.parametrize("instance", ["criterion 4", *(
+    f"{k0}/{k1}" for k0, k1 in zip(KINDS, KINDS[1:] + KINDS[:1]))])
+def test_a_power_of_two_scales_the_solve_exactly(tvd_backend, instance):
+    """The stop is relative to F alone, so scaling y and the weights by 2**k
+    and the degrees by 2**-k scales x by 2**k and F by 4**k bit for bit and
+    stops after the same updates.  The rule tol * max(1, |prev|) was
+    absolute where F < 1: criterion 4's instance stopped after 1 update at
+    k = -30 and after 4 at k = -8, where the unscaled solve runs 7."""
+    if instance == "criterion 4":
+        y, params = criterion_4_instance()
+    else:
+        y, params = random_instance(*instance.split("/"))
+    with backend(tvd_backend):
+        base = scaled_solve(y, params, 0)
+        assert base.converged and base.iterations > 1
+        for k in (-60, -30, -8, 8, 30, 60):
+            result = scaled_solve(y, params, k)
+            assert (result.iterations, result.converged) == (base.iterations, base.converged), k
+            assert (result.x * 2.0**-k).tobytes() == base.x.tobytes(), k
+            assert (result.objective_history * 4.0**-k).tobytes() == \
+                base.objective_history.tobytes(), k

@@ -215,6 +215,14 @@ class TestTvdResidualOracle:
         with pytest.raises(ValueError):
             tvd_optimality_residual([1.0, 2.0], [1.0], 1.0)
 
+    def test_zero_lambda_certifies_y_alone(self):
+        """With lam = 0 the minimizer is y, and the violation is |y - x|."""
+        y = np.random.default_rng(17).normal(0.0, 2.0, 300)
+        assert tvd_optimality_residual(y, y.copy(), 0.0) <= 1e-12
+        x = y.copy()
+        x[40] += 0.25
+        assert tvd_optimality_residual(y, x, 0.0) == pytest.approx(0.25, abs=1e-12)
+
 
 class TestFusedLasso:
     def test_both_off_identity(self):
@@ -259,6 +267,32 @@ class TestFusedLasso:
         assert fused_lasso_optimality_residual(y, y, 0.5, 0.5) > 0.1
         x_wrong = fused_lasso_l1(y, 0.05, 0.05)
         assert fused_lasso_optimality_residual(y, x_wrong, 0.5, 0.5) > 1e-3
+
+    @pytest.mark.parametrize("lam0, lam1, exact", [
+        (0.7, 0.0, lambda y: soft_threshold(y, 0.7)),
+        (0.0, 1.3, lambda y: tvd(y, 1.3)),
+        (0.0, 0.0, np.copy),
+    ])
+    def test_oracle_certifies_the_exact_solution_when_a_weight_is_zero(self, lam0, lam1, exact):
+        y = np.random.default_rng(18).normal(0.0, 2.0, 300)
+        assert fused_lasso_optimality_residual(y, exact(y), lam0, lam1) <= 1e-12
+
+    @pytest.mark.parametrize("y, x, lam0, lam1, violation", [
+        # lam1 = 0, where the exact x is [2.0, 0.5, -1.0]: a nonzero sample
+        # whose g = 0.5 / 1 misses its sign by 0.5, then a zero sample whose
+        # |g| = 1.5 exceeds 1 by 0.5.
+        ([3.0, 1.5, -2.0], [2.5, 0.5, -1.0], 1.0, 0.0, 0.5),
+        ([3.0, 1.5, -2.0], [2.0, 0.0, -1.0], 1.0, 0.0, 0.5),
+        # lam0 = 0, where the exact x is [0.5, 1.5]: the residuals sum to
+        # 0.25, which is 0.5 in units of lam1.
+        ([0.0, 2.0], [0.5, 1.75], 0.0, 0.5, 0.5),
+        # Both zero, where the exact x is y: one sample off by 0.25.
+        ([3.0, 1.5, -2.0], [3.0, 1.25, -2.0], 0.0, 0.0, 0.25),
+    ])
+    def test_oracle_measures_a_perturbed_sample_when_a_weight_is_zero(self, y, x, lam0, lam1,
+                                                                       violation):
+        residual = fused_lasso_optimality_residual(y, x, lam0, lam1)
+        assert residual == pytest.approx(violation, abs=1e-12)
 
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValueError):

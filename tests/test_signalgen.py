@@ -40,6 +40,11 @@ class TestPulses:
         with pytest.raises(ValueError):
             PulseSpec(10, ((-1, 3, 1.0),))
 
+    @pytest.mark.parametrize("amp", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_amplitude_rejected(self, amp):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            PulseSpec(6, ((1, 2, amp),))
+
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError):
             PulseSpec(10, ((2, 0, 1.0),))
@@ -166,6 +171,13 @@ class TestMetrics:
         assert lambda1_heuristic(100, 0.5, 0.25) == pytest.approx(1.25, abs=1e-15)
         assert lambda1_heuristic(123, 0.0) == 0.0
         assert lambda1_heuristic(256, 0.4, 0.25) == pytest.approx(1.6, abs=1e-15)
+
+    @pytest.mark.parametrize("beta", [0.0, -0.25, float("inf"), float("nan")])
+    def test_lambda1_heuristic_rejects_a_beta_that_is_not_positive(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            lambda1_heuristic(100, 0.5, beta)
+        with pytest.raises(ValueError, match="beta"):
+            lambda0_grid(100, 0.5, beta)
 
     def test_lambda0_grid(self):
         grid = lambda0_grid(100, 0.5)

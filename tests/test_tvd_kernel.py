@@ -1,9 +1,11 @@
 """The compiled tvd kernel against the pure-Python reference: bit equality
-of the kernel and of whole solves, the build cache and its file names, and
-the fallback."""
+of the kernel and of whole solves, the build cache and its file names, the
+fallback, and the baseline bodies of the compiled entries against the
+bodies this CPU runs."""
 
 import importlib.machinery
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,17 +18,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cncflsa import (
+    KINDS,
     CncConfig,
     NoiseSpec,
     PenaltySpec,
     add_awgn,
     default_pulse_spec,
+    fused_lasso_l1,
     generate_pulses,
     lambda1_heuristic,
+    majorized_input,
+    objective,
     select_a1,
     solve,
 )
 from cncflsa import prox
+
+from suites import EDGE
 
 HAS_CC = shutil.which("cc") is not None or shutil.which("gcc") is not None
 
@@ -176,3 +184,96 @@ def test_concurrent_first_builds_agree(tmp_path):
     paths = {out.strip() for out, _ in outs}
     assert len(paths) == 1
     assert os.listdir(tmp_path / "__pycache__") == [Path(paths.pop()).name]
+
+
+# The line of _kernels.c that builds each entry twice; "#define CLONES"
+# in its place leaves the baseline body alone.
+CLONES_DEFINE = re.compile(r"^#define CLONES __attribute__\(\(target_clones\(.*\)\)\)$", re.M)
+# a*|z| on both sides of 2**56, past the overflow of the atan and rational
+# squares, and past that of a*|z| itself (not for atan, which rejects it).
+EDGE_DEGREES = (2.0**52, 2.0**55, 1e160, 1e308)
+
+
+@pytest.fixture(scope="module")
+def baseline_module(tmp_path_factory):
+    """The module built from a copy of _kernels.c without its clones, so
+    that every entry runs the body that a CPU without AVX2 would run."""
+    if prox._tvd_c is None:
+        pytest.skip("no compiled library")
+    source = Path(copy_source(tmp_path_factory.mktemp("baseline")))
+    text, found = CLONES_DEFINE.subn("#define CLONES", source.read_text())
+    if not found:
+        pytest.skip("_kernels.c builds no clones")
+    source.write_text(text)
+    with mock.patch.object(prox, "_C_SOURCE", str(source)):
+        return prox._load(prox._build())
+
+
+def degrees(kind, rng):
+    """A random degree and the edge degrees the kind accepts."""
+    if kind == "l1":
+        return [0.0]
+    return [float(rng.uniform(0.01, 3.0)), *EDGE_DEGREES[:3 if kind == "atan" else 4]]
+
+
+def entry_calls():
+    """(entry, args) of every entry on seeded signals: the prefixes of
+    suites.EDGE that end the vector maps in every kind of tail, and longer
+    random ones; each kind at a random degree and at the edge degrees."""
+    rng = np.random.default_rng(23)
+    edge = np.array(EDGE)
+    signals = [edge[:n] for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 33)]
+    signals += [rng.normal(0.0, 2.0, n) for n in (1, 2, 300, 1000)]
+    for y in signals:
+        lam0, lam1 = float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 3.0))
+        if y.size > 1:
+            yield "tvd", (y, lam1)
+        yield "soft_threshold", (y, lam0)
+        yield "loops", (y, np.abs(y))
+        yield "shifted_input", (y, lam0, rng.normal(0.0, 1.0, y.size), lam1,
+                                rng.normal(0.0, 1.0, y.size - 1))
+        yield "all_finite", (y,)
+        for bad in (np.inf, -np.inf, np.nan):
+            z = y.copy()
+            z[rng.integers(y.size)] = bad
+            yield "all_finite", (z,)
+        for kind in KINDS:
+            for a in degrees(kind, rng):
+                for z in (y, y[1:] - y[:-1]):
+                    yield "penalty_map", (KINDS.index(kind), a, z, 0)
+                    yield "penalty_map", (KINDS.index(kind), a, z, 1)
+                # mdfl on this kind at this degree, and cnc's share on the
+                # differences at a random degree of another kind.
+                other = KINDS[(KINDS.index(kind) + 1) % len(KINDS)]
+                weight = 1.0 / a if a else lam0
+                cfg = CncConfig(weight, lam1, PenaltySpec(kind, a),
+                                PenaltySpec(other, degrees(other, rng)[0]), allow_nonconvex=True)
+                with np.errstate(all="ignore"):
+                    x0 = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
+                    f0 = objective(x0, y, cfg)
+                    shifted = majorized_input(x0, y, cfg)
+                yield "mm_solve", (y, shifted, f0, cfg.lambda0, cfg.lambda1, cfg.penalty0.a,
+                                   cfg.penalty1.a, KINDS.index(cfg.penalty0.kind),
+                                   KINDS.index(cfg.penalty1.kind), 50, 1e-9)
+
+
+def result_bytes(out):
+    """The bytes of an entry's result, its tuples item by item."""
+    if isinstance(out, tuple):
+        return tuple(result_bytes(item) for item in out)
+    return np.asarray(out, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("entry", prox._ENTRIES)
+def test_baseline_bodies_give_the_bytes_of_the_loaded_ones(baseline_module, entry):
+    """On an AVX2 CPU the loaded module runs each entry's x86-64-v3 clone,
+    and no other test reaches the baseline bodies; built alone, they give
+    the same bytes, mm_solve's overwritten shifted input included."""
+    calls = [args for name, args in entry_calls() if name == entry]
+    assert calls
+    for args in calls:
+        mine, theirs = ([a.copy() if isinstance(a, np.ndarray) else a for a in args]
+                        for _ in range(2))
+        expected = result_bytes(getattr(prox._tvd_c, entry)(*mine))
+        assert result_bytes(getattr(baseline_module, entry)(*theirs)) == expected, args
+        assert [result_bytes(a) for a in theirs] == [result_bytes(a) for a in mine]

@@ -29,12 +29,14 @@ an older checkout with the script of its own tree:
     PYTHONPATH=<checkout>/src python tools/digest.py
 
 Two checkouts agree bit for bit on all of the above with a backend exactly
-when they print the same digest for it.  The metadata's ``tvd_backend``
-line names the backend, not a result, so it is left out, and both backends
-give one digest when their results agree.  The script exits 0 when both
-backends ran and gave one digest, and 1 when they differ or the library did
-not load.  On a 2-core VM the ``c`` digest takes about 1 s and the
-``python`` one about 12 s.
+when they print the same digest for it.  Below each backend's digest, one
+line per section gives the sha256 of that section's bytes alone, so two
+checkouts that differ show which sections moved.  The metadata's
+``tvd_backend`` line names the backend, not a result, so it is left out,
+and both backends give one digest when their results agree.  The script
+exits 0 when both backends ran and gave one digest, and 1 when they differ
+or the library did not load.  On a 2-core VM the ``c`` digest takes about
+1 s and the ``python`` one about 12 s.
 """
 
 from __future__ import annotations
@@ -161,21 +163,45 @@ def denoise_runs(h):
             h.update(b"".join(line for line in meta if b'"tvd_backend"' not in line))
 
 
+SECTIONS = (("random solves", random_solves), ("sweep table", sweep_table),
+            ("denoise runs", denoise_runs), ("penalty functions", penalty_functions))
+
+
+class Tee:
+    """Feeds each update to every one of its hashers."""
+
+    def __init__(self, *hashers):
+        self.hashers = hashers
+
+    def update(self, data):
+        for h in self.hashers:
+            h.update(data)
+
+
 def digest():
-    h = hashlib.sha256()
-    random_solves(h)
-    sweep_table(h)
-    denoise_runs(h)
-    penalty_functions(h)
-    return h.hexdigest()
+    """The sha256 of every section's bytes in turn, and one of each
+    section's own, in the order of SECTIONS."""
+    total, parts = hashlib.sha256(), []
+    for name, section in SECTIONS:
+        own = hashlib.sha256()
+        section(Tee(total, own))
+        parts.append((name, own.hexdigest()))
+    return total.hexdigest(), parts
+
+
+def report(backend, total, parts):
+    """The backend's digest, then one line per section."""
+    print(f"{backend:<8}{total}", flush=True)
+    for name, hexdigest in parts:
+        print(f"  {name:<18}{hexdigest}", flush=True)
 
 
 def main():
-    c = digest() if prox._tvd_c is not None else "unavailable: the library did not load"
-    print(f"c       {c}", flush=True)
+    c, parts = ("unavailable: the library did not load", []) if prox._tvd_c is None else digest()
+    report("c", c, parts)
     prox._tvd_c = None
-    python = digest()
-    print(f"python  {python}")
+    python, parts = digest()
+    report("python", python, parts)
     return 0 if c == python else 1
 
 
