@@ -22,12 +22,12 @@
  * loops, which the module's import finds; cncflsa.prox._load probes them.
  *
  * The module's entries, at the end of this file, take aligned,
- * C-contiguous float64 arrays and return new ones (mm_solve also
- * overwrites its shifted argument); cncflsa.prox's docstring names the
- * public function that calls each.  Each checks its arguments' dtype,
- * layout, lengths and integer ranges, raising TypeError or ValueError
- * rather than reading past a buffer, allocates its outputs and scratch
- * itself, and releases the GIL around its N-sized loops.  Where an entry
+ * C-contiguous float64 arrays, write none of them and return new ones;
+ * cncflsa.prox's docstring names the public function that calls each.
+ * Each checks its arguments' dtype, layout, lengths and integer ranges,
+ * raising TypeError or ValueError rather than reading past a buffer,
+ * allocates its outputs and scratch itself, and releases the GIL around
+ * its N-sized loops.  Where an entry
  * and the MM step share a loop, it is written once: shrink,
  * subtract_adjoint and algebra as INLINE functions, finish as a plain one.
  *
@@ -399,9 +399,10 @@ static double dot(const struct numpy_loops *np, double *r, npy_intp n)
  * relative to F alone (no unit of the signal enters it) and false on NaN as
  * in Python.  Returns the number of updates, negated when the rule fired, or
  * 0 when the history could not grow.  Each update reads its input from
- * m->shifted and writes over it the input of the next, and its iterate into
- * m->x.  m->f doubles in size whenever an update needs more room; the solve
- * runs without the GIL, so it grows with PyMem_RawRealloc. */
+ * m->shifted, the solve's own row, and writes over it the input of the
+ * next, and its iterate into m->x.  m->f doubles in size whenever an update
+ * needs more room; the solve runs without the GIL, so it grows with
+ * PyMem_RawRealloc. */
 CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_loops *np)
 {
     npy_intp n = m->n;
@@ -679,11 +680,9 @@ static PyObject *shifted_input(PyObject *self, PyObject *const *args, Py_ssize_t
 PyDoc_STRVAR(mm_solve_doc, "mm_solve(y, shifted, f0, lam0, lam1, a0, a1, kind0, kind1, max_iter,"
 " tol)\n    -> (x, history, converged)\n\n"
 "The MM updates of cncflsa.cnc._mm_updates from the shifted input of a start\n"
-"whose F is f0, on C-contiguous float64 vectors y and shifted of one length\n"
-"that share no memory; kind0 and kind1 index KINDS, and max_iter >= 1 (any\n"
-"larger than a C long long runs as unbounded).  Overwrites shifted with the\n"
-"input of the update after the last.  history holds f0 and the F of each\n"
-"update run.");
+"whose F is f0, on C-contiguous float64 vectors y and shifted of one length;\n"
+"kind0 and kind1 index KINDS, and max_iter >= 1 (any larger than a C long\n"
+"long runs as unbounded).  history holds f0 and the F of each update run.");
 
 static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -695,7 +694,6 @@ static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t narg
     long long updates;
     int overflow;
     npy_intp size;
-    char *lo, *hi;
 
     if (check_nargs("mm_solve", nargs, 11) < 0 || (y = as_array(args[0], "y", 1)) == NULL
         || (shifted = as_array(args[1], "shifted", 1)) == NULL || as_double(args[2], &f0) < 0
@@ -714,34 +712,30 @@ static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t narg
         return NULL;
     }
     m.n = PyArray_DIM(y, 0);
-    lo = PyArray_BYTES(y), hi = PyArray_BYTES(shifted);
-    if (lo > hi)
-        lo = PyArray_BYTES(shifted), hi = PyArray_BYTES(y);
-    if (m.n < 1 || PyArray_DIM(shifted, 0) != m.n || hi - lo < m.n * (npy_intp)sizeof(double)
-        || !PyArray_ISWRITEABLE(shifted)) {
-        PyErr_SetString(PyExc_ValueError, "y and shifted must have one length >= 1 and share no "
-                                          "memory, and shifted must be writeable");
+    if (m.n < 1 || PyArray_DIM(shifted, 0) != m.n) {
+        PyErr_SetString(PyExc_ValueError, "y and shifted must have one length >= 1");
         return NULL;
     }
     /* The result before the scratch, so that freeing the scratch leaves no
      * hole below it: a sweep keeps thousands of results. */
     if ((x = PyArray_SimpleNew(1, &m.n, NPY_DOUBLE)) == NULL)
         return NULL;
-    /* The solve's scratch: one block of 3 + TVD_ROWS rows of n doubles,
-     * r = y - x, phi0, phi1 (n - 1 of its row) and cncflsa_tvd's work,
-     * whose lo_clamp row cncflsa_mm_step reuses for s1'; and the history f,
-     * f0 first, at 64 doubles or max_iter + 1 if fewer. */
+    /* The solve's scratch: one block of 4 + TVD_ROWS rows of n doubles,
+     * r = y - x, phi0, phi1 (n - 1 of its row), the shifted input, a copy of
+     * the caller's, and cncflsa_tvd's work, whose lo_clamp row
+     * cncflsa_mm_step reuses for s1'; and the history f, f0 first, at 64
+     * doubles or max_iter + 1 if fewer. */
     m.size = m.max_iter < 64 ? m.max_iter + 1 : 64;
-    if ((m.r = scratch(m.n, 3 + TVD_ROWS)) == NULL || (m.f = scratch(m.size, 1)) == NULL) {
+    if ((m.r = scratch(m.n, 4 + TVD_ROWS)) == NULL || (m.f = scratch(m.size, 1)) == NULL) {
         PyMem_RawFree(m.r);
         Py_DECREF(x);
         return NULL;
     }
-    m.phi0 = m.r + m.n, m.phi1 = m.r + 2 * m.n, m.work = m.r + 3 * m.n;
+    m.phi0 = m.r + m.n, m.phi1 = m.r + 2 * m.n, m.shifted = m.r + 3 * m.n, m.work = m.r + 4 * m.n;
     m.f[0] = f0;
     m.y = PyArray_DATA(y), m.x = PyArray_DATA((PyArrayObject *)x);
-    m.shifted = PyArray_DATA(shifted);
     Py_BEGIN_ALLOW_THREADS
+    memcpy(m.shifted, PyArray_DATA(shifted), m.n * sizeof(double));
     updates = cncflsa_mm_solve(&m, loops);
     Py_END_ALLOW_THREADS
     PyMem_RawFree(m.r);

@@ -36,6 +36,7 @@ from .cnc import (
 from .penalties import KINDS, PenaltySpec
 from .prox import _all_finite, _check_nonneg, soft_threshold, tvd
 from .signalgen import (
+    DEFAULT_BETA,
     NoiseSpec,
     PulseSpec,
     add_awgn,
@@ -250,14 +251,15 @@ def _noisy(clean, sigma, trials, base_seed):
 def _tune_lambda0(method, noisy, clean, sigma, beta, kind, base_seed, a0=None, **options):
     """Records of the lambda0 on the grid with the lowest mean RMSE over the
     noisy realizations.  With a0 given, only the lambda0 with
-    a0*lambda0 <= 1 are candidates.  lambda1 is fixed, so the "l1" trials
-    of every lambda0 share one tvd per realization."""
+    a0*lambda0 <= 1 + MARGIN_TOL, which select_a1 accepts, are candidates.
+    lambda1 is fixed, so the "l1" trials of every lambda0 share one tvd per
+    realization."""
     n = clean.size
     lam1 = lambda1_heuristic(n, sigma, beta)
     denoised = [tvd(y, lam1) for y in noisy] if method == "l1" else None
     best = None
     for lam0 in lambda0_grid(n, sigma, beta):
-        if a0 is not None and a0 * lam0 > 1.0:
+        if a0 is not None and a0 * lam0 > 1.0 + MARGIN_TOL:
             continue
         records = collect_run_records(
             method, noisy, clean, lam0, lam1, kind, sigma, base_seed, a0, denoised=denoised,
@@ -369,7 +371,7 @@ def build_parser():
     p.add_argument("--methods", default="l1,mdfl,cnc")
     p.add_argument("--sigma", type=float, default=0.5,
                    help="noise level for the a0 axis")
-    p.add_argument("--beta", type=float, default=0.25)
+    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--penalty", choices=KINDS, default="atan")
     p.add_argument("--tol", type=float, default=CncConfig.tol)

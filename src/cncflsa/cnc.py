@@ -214,9 +214,10 @@ def _mm_updates(y, shifted, f0, cfg):
 
     Returns the last iterate, the objective history from f0 on, and whether
     the stopping rule fired.  With the compiled module the updates run in
-    one call of its ``mm_solve``, which allocates its scratch and the
-    history itself and overwrites shifted; without it they run in
-    :func:`_mm_loop_python`, its reference.  Both give the same bits.
+    one call of its ``mm_solve``, which allocates its scratch, its copy of
+    shifted and the history itself; without it they run in
+    :func:`_mm_loop_python`, its reference.  Both give the same bits, and
+    neither writes y or shifted.
     """
     lib = _prox._tvd_c
     if lib is None:

@@ -152,21 +152,22 @@ class PenaltySpec:
 
     @np.errstate(over="ignore", invalid="ignore")
     def _slope(self, x):
-        """s'(x; a) of a float array x of at least one dimension."""
+        """s'(x; a) of a float array x of at least one dimension.  Past
+        _U_LIMIT the formula's value is computed and discarded, as in the
+        select of ``algebra`` in ``_kernels.c``."""
         a = self.a
         if self.kind == "l1":
             return np.zeros_like(x)
         u = a * np.abs(x)
-        fits = u <= _U_LIMIT
-        if not fits.all():
-            return np.where(fits, self._slope(np.where(fits, x, 0.0)), -np.sign(x))
         if self.kind == "log":
-            return -a * x / (1.0 + u)
-        if self.kind == "atan":
+            slope = -a * x / (1.0 + u)
+        elif self.kind == "atan":
             # Difference of two arctangents folded into one; avoids
             # cancellation for small a*|x|.
-            return -4.0 * a * x * (1.0 + u) / (3.0 + (1.0 + 2.0 * u) ** 2)
-        return -a * x * (1.0 + 0.25 * u) / (1.0 + 0.5 * u) ** 2  # rational
+            slope = -4.0 * a * x * (1.0 + u) / (3.0 + (1.0 + 2.0 * u) ** 2)
+        else:  # rational
+            slope = -a * x * (1.0 + 0.25 * u) / (1.0 + 0.5 * u) ** 2
+        return np.where(u > _U_LIMIT, -np.sign(x), slope)
 
     def _finish(self, phi):
         """phi from :meth:`_phi`, computed in place."""

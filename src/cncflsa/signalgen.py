@@ -31,6 +31,10 @@ DEFAULT_PULSES = (
     (250, 20, -2.0),
 )
 
+#: Default beta of :func:`lambda1_heuristic` and :func:`lambda0_grid`, and
+#: of the CLI's --beta.
+DEFAULT_BETA = 0.25
+
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -154,8 +158,8 @@ def add_awgn(x, noise: NoiseSpec):
     return out
 
 
-def lambda1_heuristic(n, sigma, beta=0.25):
-    """Difference-penalty weight beta * sqrt(n) * sigma (beta usually 1/4)."""
+def lambda1_heuristic(n, sigma, beta=DEFAULT_BETA):
+    """Difference-penalty weight beta * sqrt(n) * sigma."""
     count = _whole(n)
     if count is None or count < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -164,7 +168,7 @@ def lambda1_heuristic(n, sigma, beta=0.25):
     return beta * np.sqrt(count) * sigma
 
 
-def lambda0_grid(n, sigma, beta=0.25):
+def lambda0_grid(n, sigma, beta=DEFAULT_BETA):
     """Candidate lambda0 values {0.05, 0.10, ..., 1.0} * beta*sqrt(n)*sigma
     used to tune lambda0 for lowest RMSE."""
     scale = lambda1_heuristic(n, sigma, beta)

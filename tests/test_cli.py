@@ -11,9 +11,11 @@ from cncflsa import (
     PenaltySpec,
     add_awgn,
     cli,
+    cnc,
     default_pulse_spec,
     fused_lasso_l1,
     generate_pulses,
+    lambda0_grid,
     prox,
     rmse,
     solve,
@@ -448,6 +450,24 @@ class TestSweep:
                 assert np.float64(record.rmse).tobytes() == np.float64(rmse(x, clean)).tobytes()
                 assert record.seed == 7 + t
         assert best in [records for _, _, records in cells]
+
+    def test_a0_tuning_keeps_a_lambda0_that_select_a1_accepts(self, monkeypatch):
+        """The 10th grid point at sigma 0.5 puts a0*lambda0 one ulp above 1,
+        within MARGIN_TOL, where method_params gives a1 = 0; the tuning
+        tries it, so 10 lambda0 are candidates, not 9."""
+        clean = generate_pulses(default_pulse_spec())
+        noisy = cli._noisy(clean, 0.5, 1, 0)
+        a0 = 0.9237604307034013
+        assert 0.0 < a0 * lambda0_grid(300, 0.5)[9] - 1.0 <= cnc.MARGIN_TOL
+        tried = []
+
+        def collect(*args, **kwargs):
+            tried.append(args[3])
+            return collect_run_records(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "collect_run_records", collect)
+        cli._tune_lambda0("cnc", noisy, clean, 0.5, 0.25, "atan", 0, a0)
+        assert len(tried) == 10
 
     @pytest.mark.parametrize("methods", ["l1", "cnc"])
     @pytest.mark.parametrize("option", [("--tol", "-1"), ("--max-iter", "0")])

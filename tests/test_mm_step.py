@@ -1,9 +1,11 @@
 """The compiled MM update against the public functions it fuses, one
-update at a time: the module's `mm_solve` capped at one update gives the
-byte-identical iterate (`fused_lasso_l1`), residual, F (`objective`, whose
-penalty terms are `PenaltySpec.value`) and next shifted input
-(`majorized_input`).  Also the build flags that this rests on and the one
-entry point of the loop."""
+update at a time: the module's `mm_solve` capped at 1, 2 and 3 updates
+from one shifted input gives, after each update, the byte-identical
+iterate (`fused_lasso_l1`), residual and F (`objective`, whose penalty
+terms are `PenaltySpec.value`).  Its next shifted input, no longer an
+output, is pinned through the next update's iterate, which the chain
+solves on `majorized_input`.  Also the build flags that this rests on and
+the one entry point of the loop."""
 
 from unittest import mock
 
@@ -29,26 +31,25 @@ WIDE = np.random.default_rng(9).normal(0.0, 3.0, 60).tolist()
 
 
 def run_steps(y, shifted, cfg, compiled, calls=3):
-    """Rows (shifted, x, r) and F after each of `calls` updates, from the
-    module's ``mm_solve`` capped at one update per call, which overwrites
-    its shifted argument with the input of the next update, or from the
-    public functions on the Python kernel."""
+    """Rows (x, r) and F after each of `calls` updates, from the module's
+    ``mm_solve`` capped at 1, ..., `calls` updates, each from `shifted`, or
+    from the public functions on the Python kernel.  tol is NaN, which the
+    stopping rule never meets, so each call runs to its cap."""
     y = np.ascontiguousarray(y)
     states = []
     if compiled:
-        shifted = shifted.copy()
-        for _ in range(calls):
+        for cap in range(1, calls + 1):
             x, history, _ = prox._tvd_c.mm_solve(
                 y, shifted, 0.0, cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
-                KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind), 1, cfg.tol)
-            states.append([v.tobytes() for v in (shifted, x, y - x)] + [history[1].hex()])
+                KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind), cap, np.nan)
+            states.append([v.tobytes() for v in (x, y - x)] + [history[cap].hex()])
         return states
     with mock.patch.object(prox, "_tvd_c", None):
         for _ in range(calls):
             x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
             f = objective(x, y, cfg)
             shifted = majorized_input(x, y, cfg)
-            states.append([v.tobytes() for v in (shifted, x, y - x)] + [f.hex()])
+            states.append([v.tobytes() for v in (x, y - x)] + [f.hex()])
     return states
 
 

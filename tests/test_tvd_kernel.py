@@ -268,12 +268,11 @@ def result_bytes(out):
 def test_baseline_bodies_give_the_bytes_of_the_loaded_ones(baseline_module, entry):
     """On an AVX2 CPU the loaded module runs each entry's x86-64-v3 clone,
     and no other test reaches the baseline bodies; built alone, they give
-    the same bytes, mm_solve's overwritten shifted input included."""
+    the same bytes, and neither body writes its arguments."""
     calls = [args for name, args in entry_calls() if name == entry]
     assert calls
     for args in calls:
-        mine, theirs = ([a.copy() if isinstance(a, np.ndarray) else a for a in args]
-                        for _ in range(2))
-        expected = result_bytes(getattr(prox._tvd_c, entry)(*mine))
-        assert result_bytes(getattr(baseline_module, entry)(*theirs)) == expected, args
-        assert [result_bytes(a) for a in theirs] == [result_bytes(a) for a in mine]
+        before = [result_bytes(a) for a in args]
+        expected = result_bytes(getattr(prox._tvd_c, entry)(*args))
+        assert result_bytes(getattr(baseline_module, entry)(*args)) == expected, args
+        assert [result_bytes(a) for a in args] == before

@@ -17,10 +17,10 @@ repeats, in milliseconds per call:
   solve capped at 11 updates and one capped at 1, divided by 10 (the
   tolerance is so tight that neither stops early);
 - with the compiled module, one compiled MM update at N = 300 and 30,000,
-  a call of its ``mm_solve`` entry capped at one update, split into its
-  ``tvd`` kernel (the module's ``tvd`` on the update's input) and the rest
-  of the update (the update minus the kernel, both timed in the same
-  repeat);
+  a call of its ``mm_solve`` entry capped at one update on the input of a
+  solve's 11th update, split into its ``tvd`` kernel (the module's ``tvd``
+  on the update's input) and the rest of the update (the update minus the
+  kernel, both timed in the same repeat);
 - ``cnc.solve`` on the 300-sample fixture, and ``signalgen.rmse`` of its
   result;
 - the criterion-7 sweep (3 sigma x 3 methods x 20 lambda0 x 15 trials);
@@ -150,22 +150,25 @@ def mm_update_ms(y, inner):
 def compiled_update(n):
     """Zero-argument callables of one compiled MM update on signal(n), a
     call of the module's ``mm_solve`` capped at one update, and of its
-    ``tvd`` on that update's input; None without the module.  ``mm_solve``
-    overwrites its shifted argument with the input of the next update, so
-    each call runs the update after the last.  Ten updates first bring the
-    iterate near its fixed point, where a solve spends most of its updates,
-    so that later updates change the input little."""
+    ``tvd`` on that update's input; None without the module.  Each call
+    runs the 11th update of a solve: its input is derived once, from the
+    iterate of a solve capped at 10 updates (the tolerance is so tight that
+    it does not stop early).  Ten updates bring the iterate near its fixed
+    point, where a solve spends most of its updates, and every repeat times
+    the same update."""
     lib = prox._tvd_c
     if lib is None:
         return None
     y, cfg = signal(n), cnc_config(max_iter=1)
-    shifted = majorized_input(fused_lasso_l1(y, cfg.lambda0, cfg.lambda1), y, cfg)
-    args = (y, shifted, 0.0, cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
-            KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind), 1, cfg.tol)
-    for _ in range(10):
-        lib.mm_solve(*args)
-    kernel_input = shifted.copy()
-    return lambda: lib.mm_solve(*args), lambda: lib.tvd(kernel_input, cfg.lambda1)
+    params = (cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
+              KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind))
+    start = majorized_input(fused_lasso_l1(y, cfg.lambda0, cfg.lambda1), y, cfg)
+    x, history, _ = lib.mm_solve(y, start, 0.0, *params, 10, 1e-300)
+    if history.size != 11:
+        raise RuntimeError("the 10-update solve stopped early")
+    shifted = majorized_input(x, y, cfg)
+    return (lambda: lib.mm_solve(y, shifted, 0.0, *params, 1, cfg.tol),
+            lambda: lib.tvd(shifted, cfg.lambda1))
 
 
 def cli_denoise_ms(workdir):
