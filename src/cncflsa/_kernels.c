@@ -17,9 +17,9 @@
  * its reference's expressions in their order.  -O3 with
  * -fno-trapping-math vectorizes the maps of cncflsa_mm_step, which changes
  * no bit: each lane runs the same operations as one scalar would.  What
- * plain C cannot round as numpy does (its SIMD arctan and log1p, its
- * pairwise sum and BLAS ddot) is done by calling numpy's own float64 inner
- * loops, which the module's import finds; cncflsa.prox._load probes them.
+ * plain C cannot round as numpy does (its SIMD arctan and log1p, and its
+ * pairwise sum) is done by calling numpy's own float64 inner loops, not
+ * BLAS, which the module's import finds; cncflsa.prox._load probes them.
  *
  * The module's entries, at the end of this file, take aligned,
  * C-contiguous float64 arrays, write none of them and return new ones;
@@ -180,8 +180,8 @@ INLINE double algebra(int kind, double a, double z, double *phi)
     return u > U_LIMIT ? (z > 0.0 ? -1.0 : 1.0) : slope;
 }
 
-/* The map over x: r = y - x, phi0, and y - lam0 s0'(x), the first term of
- * majorized_input, written into shifted. */
+/* The map over x: r = (y - x)^2, phi0, and y - lam0 s0'(x), the first term
+ * of majorized_input, written into shifted. */
 INLINE void map_x(int kind, const struct mm_step *m)
 {
     const double *restrict y = m->y, *restrict x = m->x;
@@ -190,7 +190,7 @@ INLINE void map_x(int kind, const struct mm_step *m)
     npy_intp i;
 
     for (i = 0; i < m->n; i++) {
-        r[i] = y[i] - x[i];
+        r[i] = (y[i] - x[i]) * (y[i] - x[i]);
         shifted[i] = y[i] - lam0 * algebra(kind, a, x[i], &phi0[i]);
     }
 }
@@ -265,9 +265,9 @@ INLINE void subtract_adjoint(double *restrict shifted, const double *restrict ds
 
 /* One MM update, the public functions of the Python chain
  * cncflsa.cnc._mm_loop_python: x = fused_lasso_l1(shifted, lam0, lam1),
- * that is soft_threshold(tvd(shifted, lam1), lam0), r = y - x, phi0 from x
- * and phi1 from diff(x) (PenaltySpec._phi, the per-sample half of
- * objective), and the next shifted input majorized_input(x, y),
+ * that is soft_threshold(tvd(shifted, lam1), lam0), r = (y - x)^2, phi0
+ * from x and phi1 from diff(x) (PenaltySpec._phi; with r, the per-sample
+ * half of objective), and the next shifted input majorized_input(x, y),
  * y - lam0 s0'(x) - lam1 D^T s1'(diff(x)), written over the one just used.
  * After the kernel and the soft threshold, three branch-free loops: the map
  * over x, the map over diff(x), and the D^T pass.  s1' (n - 1 doubles)
@@ -338,12 +338,12 @@ struct numpy_loop {
     void *data;
 };
 
-/* numpy's loops of arctan and log1p (d->d), add (dd->d) and the vecdot
- * gufunc (dd->d), the module's state: module_exec finds them, and
- * cncflsa.prox._load probes them through the loops entry.  Each is called
- * with the arguments numpy itself passes. */
+/* numpy's loops of arctan and log1p (d->d) and add (dd->d), the module's
+ * state: module_exec finds them, and cncflsa.prox._load probes them
+ * through the loops entry.  Each is called with the arguments numpy itself
+ * passes. */
 struct numpy_loops {
-    struct numpy_loop arctan, log1p, add, vecdot;
+    struct numpy_loop arctan, log1p, add;
 };
 
 /* cncflsa.penalties.PenaltySpec._finish of len values in place: numpy's
@@ -380,17 +380,6 @@ static double total(const struct numpy_loops *np, double *v, npy_intp len)
     return acc;
 }
 
-/* np.dot(r, r) of n values: one outer iteration of the vecdot loop. */
-static double dot(const struct numpy_loops *np, double *r, npy_intp n)
-{
-    double out;
-    char *args[3] = {(char *)r, (char *)r, (char *)&out};
-    npy_intp dims[2] = {1, n}, steps[5] = {0, 0, 0, 8, 8};
-
-    np->vecdot.call(args, dims, steps, np->vecdot.data);
-    return out;
-}
-
 /* The MM updates of cncflsa.cnc._mm_updates, bit-identical to its Python
  * reference cncflsa.cnc._mm_loop_python, the chain of the public functions:
  * up to m->max_iter calls of cncflsa_mm_step, each followed by F of the new
@@ -413,7 +402,7 @@ CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_l
         cncflsa_mm_step(m);
         finish(np, m->kind0, m->a0, m->phi0, n);
         finish(np, m->kind1, m->a1, m->phi1, n - 1);
-        f = 0.5 * dot(np, m->r, n) + m->lam0 * total(np, m->phi0, n)
+        f = 0.5 * total(np, m->r, n) + m->lam0 * total(np, m->phi0, n)
             + m->lam1 * total(np, m->phi1, n - 1);
         if (k == m->size) {
             grown = PyMem_RawRealloc(m->f, 2 * m->size * sizeof(double));
@@ -456,14 +445,14 @@ static int find_loop(PyObject *numpy, const char *name, struct numpy_loop *loop)
     return -1;
 }
 
-/* The module's import: numpy's C API, then its four loops, found in
+/* The module's import: numpy's C API, then its three loops, found in
  * numpy's ufuncs; ImportError when one is missing.  cncflsa.prox._load
  * probes them through the loops entry before the module is used. */
 static int module_exec(PyObject *module)
 {
-    static const char *names[4] = {"arctan", "log1p", "add", "vecdot"};
+    static const char *names[3] = {"arctan", "log1p", "add"};
     struct numpy_loops *np = PyModule_GetState(module);
-    struct numpy_loop *loops[4] = {&np->arctan, &np->log1p, &np->add, &np->vecdot};
+    struct numpy_loop *loops[3] = {&np->arctan, &np->log1p, &np->add};
     PyObject *numpy;
     int i;
 
@@ -472,10 +461,10 @@ static int module_exec(PyObject *module)
     numpy = PyImport_ImportModule("numpy");
     if (numpy == NULL)
         return -1;
-    for (i = 0; i < 4 && find_loop(numpy, names[i], loops[i]) == 0; i++)
+    for (i = 0; i < 3 && find_loop(numpy, names[i], loops[i]) == 0; i++)
         ;
     Py_DECREF(numpy);
-    return i == 4 ? 0 : -1;
+    return i == 3 ? 0 : -1;
 }
 
 /* The argument checks of the entries. */
@@ -721,8 +710,8 @@ static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t narg
     if ((x = PyArray_SimpleNew(1, &m.n, NPY_DOUBLE)) == NULL)
         return NULL;
     /* The solve's scratch: one block of 4 + TVD_ROWS rows of n doubles,
-     * r = y - x, phi0, phi1 (n - 1 of its row), the shifted input, a copy of
-     * the caller's, and cncflsa_tvd's work, whose lo_clamp row
+     * r = (y - x)^2, phi0, phi1 (n - 1 of its row), the shifted input, a
+     * copy of the caller's, and cncflsa_tvd's work, whose lo_clamp row
      * cncflsa_mm_step reuses for s1'; and the history f, f0 first, at 64
      * doubles or max_iter + 1 if fewer. */
     m.size = m.max_iter < 64 ? m.max_iter + 1 : 64;
@@ -770,20 +759,19 @@ static PyObject *all_finite(PyObject *self, PyObject *const *args, Py_ssize_t na
     return PyBool_FromLong(finite);
 }
 
-PyDoc_STRVAR(loops_doc, "loops(values, magnitudes) -> (arctan, log1p, sum, dot)\n\n"
+PyDoc_STRVAR(loops_doc, "loops(values, magnitudes) -> (arctan, log1p, sum)\n\n"
 "What the calls of numpy's loops that mm_solve makes give, for\n"
 "cncflsa.prox._load to compare with numpy's own calls: PenaltySpec._finish of\n"
 "the C-contiguous float64 vector magnitudes for atan at a = 2/sqrt(3) and for\n"
 "log at a = 1, where its scale is exactly 1.0, so np.arctan and np.log1p of\n"
-"them; and np.add.reduce(values) and np.dot(values, values) of the\n"
-"C-contiguous float64 vector values.");
+"them; and np.add.reduce(values) of the C-contiguous float64 vector values.");
 
 static PyObject *loops(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     const struct numpy_loops *np = PyModule_GetState(self);
     PyArrayObject *values, *magnitudes;
     PyObject *arctan, *log1p;
-    double *v, sum, product;
+    double *v, sum;
     npy_intp n, len;
 
     if (check_nargs("loops", nargs, 2) < 0 || (values = as_array(args[0], "values", 1)) == NULL
@@ -800,9 +788,8 @@ static PyObject *loops(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     finish(np, KIND_ATAN, 2.0 / SQRT3, PyArray_DATA((PyArrayObject *)arctan), len);
     finish(np, KIND_LOG, 1.0, PyArray_DATA((PyArrayObject *)log1p), len);
     sum = total(np, v, n);
-    product = dot(np, v, n);
     Py_END_ALLOW_THREADS
-    return Py_BuildValue("(NNdd)", arctan, log1p, sum, product);
+    return Py_BuildValue("(NNd)", arctan, log1p, sum);
 }
 
 static PyMethodDef methods[] = {

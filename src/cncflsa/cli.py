@@ -299,10 +299,20 @@ def cmd_sweep(args):
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("--values must list at least one axis value")
-    methods = [mth.strip() for mth in args.methods.split(",") if mth.strip()]
+    # None, the default, is every method on the sigma axis and cnc, the
+    # only one that sweep_a0 runs, on the a0 axis.
+    methods = list(METHODS) if args.axis == "sigma" else ["cnc"]
+    if args.methods is not None:
+        methods = [mth.strip() for mth in args.methods.split(",") if mth.strip()]
+    if not methods:
+        raise ValueError("--methods must list at least one method")
+    if len(set(methods)) < len(methods):
+        raise ValueError("--methods must list each method once")
     for mth in methods:
         if mth not in METHODS:
             raise ValueError(f"unknown method {mth!r}; expected subset of {METHODS}")
+    if args.axis == "a0" and methods != ["cnc"]:
+        raise ValueError("the a0 axis sweeps cnc alone; --methods must be cnc or omitted")
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     fields = ["method", "axis", "value", "lambda0", "a0", "a1",
@@ -368,7 +378,9 @@ def build_parser():
     p.add_argument("--axis", choices=("sigma", "a0"), required=True)
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--trials", type=int, default=15)
-    p.add_argument("--methods", default="l1,mdfl,cnc")
+    p.add_argument("--methods", default=None,
+                   help="comma-separated subset of l1,mdfl,cnc (default: all three; "
+                        "the a0 axis takes cnc alone)")
     p.add_argument("--sigma", type=float, default=0.5,
                    help="noise level for the a0 axis")
     p.add_argument("--beta", type=float, default=DEFAULT_BETA)

@@ -143,14 +143,19 @@ def method_params(method, lambda0, lambda1, a0=None, a1=None):
 def objective(x, y, cfg: CncConfig) -> float:
     """Penalized objective F(x) for observation y under cfg.
 
-    Each penalty's terms are reduced with numpy's pairwise sum and dropped
-    before the next are evaluated.  With one sample the difference sum is
-    the 0.0 of an empty sum, and adding it changes no bit, because the
-    first two terms never sum to -0.0.
+    All three terms, the squares (y - x)**2 and each penalty's values, are
+    reduced with numpy's pairwise sum, each dropped before the next is
+    evaluated.  ``np.dot`` would call BLAS, whose sum follows the BLAS
+    build and its thread count; numpy's own ``add`` loop adds in one fixed
+    order, which the compiled ``mm_solve`` calls too.  With one sample the
+    difference sum is the 0.0 of an empty sum, and adding it changes no
+    bit, because the first two terms never sum to -0.0.
     """
     x, y = _as_pair(x, y, "x", "y")
     r = y - x
-    return (0.5 * float(np.dot(r, r)) + cfg.lambda0 * float(np.add.reduce(cfg.penalty0.value(x)))
+    r *= r
+    return (0.5 * float(np.add.reduce(r))
+            + cfg.lambda0 * float(np.add.reduce(cfg.penalty0.value(x)))
             + cfg.lambda1 * float(np.add.reduce(cfg.penalty1.value(x[1:] - x[:-1]))))
 
 

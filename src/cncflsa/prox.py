@@ -330,7 +330,7 @@ def _load(path):
     magnitudes[3::7] = -0.0
     for n in (0, 1, 3, 7, 8, 9, 100, 128, 129, 1000):
         v, m = values[:n], magnitudes[:n]
-        want = (np.arctan(m), np.log1p(m), np.add.reduce(v), np.dot(v, v))
+        want = (np.arctan(m), np.log1p(m), np.add.reduce(v))
         if any(np.asarray(got, dtype=float).tobytes() != np.asarray(w).tobytes()
                for got, w in zip(module.loops(v, m), want)):
             raise ImportError("numpy's float64 loops do not give numpy's bytes")

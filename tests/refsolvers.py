@@ -132,9 +132,12 @@ def fused_lasso_reference(y, lam0, lam1, tol=1e-14, max_iter=400000):
 
 
 def mm_objective(x, y, cfg):
-    """F(x), summed in the order and grouping that `cnc.solve` must keep."""
+    """F(x), summed in the order and grouping that `cnc.solve` must keep:
+    each of its three terms is numpy's pairwise sum, the data term of the
+    squares (y - x)**2, not `np.dot`, whose BLAS sum follows the BLAS
+    settings."""
     r = y - x
-    val = 0.5 * float(np.dot(r, r))
+    val = 0.5 * float(np.sum(r * r))
     val += cfg.lambda0 * float(np.sum(cfg.penalty0.value(x)))
     if x.size > 1:
         val += cfg.lambda1 * float(np.sum(cfg.penalty1.value(np.diff(x))))

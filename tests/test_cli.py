@@ -483,6 +483,25 @@ class TestSweep:
                        "--trials", "2", "--output", str(tmp_path / "s.csv"))
         assert proc.returncode == 4
 
+    @pytest.mark.parametrize("methods", [",", "cnc,cnc"])
+    def test_empty_or_repeated_methods_exit_code(self, tmp_path, methods):
+        """An empty --methods, or one that names a method twice, is
+        rejected before the output is opened, as an empty --values is, not
+        written as a header-only CSV or with repeated rows."""
+        proc = run_cli("sweep", "--axis", "sigma", "--values", "0.5", "--methods", methods,
+                       "--trials", "1", "--output", str(tmp_path / "s.csv"))
+        assert proc.returncode == 4
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("methods", ["l1", "mdfl,cnc", "cnc,l1"])
+    def test_a0_axis_rejects_methods_other_than_cnc(self, tmp_path, methods):
+        """The a0 axis sweeps cnc alone, so any other --methods is rejected
+        rather than written as cnc rows."""
+        proc = run_cli("sweep", "--axis", "a0", "--values", "0.5", "--methods", methods,
+                       "--trials", "1", "--output", str(tmp_path / "s.csv"))
+        assert proc.returncode == 4
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output_exit_code(self, tmp_path):
         assert_write_error(run_cli("sweep", "--axis", "sigma", "--values", "0.5", "--trials", "1",
                                    "--methods", "l1", "--output", str(tmp_path / "absent" / "s.csv")))

@@ -1,15 +1,16 @@
 """The numpy loops that the compiled MM loop (the module's `mm_solve`)
-calls: the bytes of its calls of them (the module's `loops`) against
-numpy's own calls, the fallback to the Python loop when their lookup at the
-module's import or their probe in `prox._load` fails, and a guard that the
-compiled loop runs no Python per update.  The loop's bytes are checked
+calls, `arctan`, `log1p` and `add` (no gufunc and no BLAS): the bytes of
+its calls of them (the module's `loops`) against numpy's own calls, the
+fallback to the Python loop when their lookup at the module's import or
+their probe in `prox._load` fails, and a guard that the compiled loop
+runs no Python per update.  The loop's bytes are checked
 against the Python loop in `tests/test_mm_loop.py`."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cncflsa import CncConfig, PenaltySpec, cnc, prox, solve
@@ -60,8 +61,8 @@ def check_fallback(monkeypatch):
 
 
 def test_fallback_when_a_loop_cannot_be_found(monkeypatch):
-    monkeypatch.delattr(np, "vecdot")
-    with pytest.raises(ImportError, match="vecdot"):
+    monkeypatch.delattr(np, "log1p")
+    with pytest.raises(ImportError, match="log1p"):
         prox._load(prox._build())
     check_fallback(monkeypatch)
 
@@ -94,24 +95,33 @@ def test_fallback_when_the_module_lacks_loops(monkeypatch, tmp_path):
     check_fallback(monkeypatch)
 
 
+# Past numpy's 8,192-element buffer (np.getbufsize()), up to denoise_long's
+# 30,000 samples: `total` is one call of the add loop, which is what
+# np.add.reduce of a contiguous array runs at any length.
+LONG = (8191, 8192, 8193, 30000)
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.integers(0, 2000), st.integers(0, 2**32 - 1),
+@given(st.one_of(st.integers(0, 2000), st.sampled_from(LONG)), st.integers(0, 2**32 - 1),
        st.lists(st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, np.inf, -np.inf]),
                 max_size=20))
+@example(LONG[0], 0, [])
+@example(LONG[1], 1, [])
+@example(LONG[2], 2, [-0.0, 1e300])
+@example(LONG[3], 3, [])
 def test_loops_give_the_bytes_of_numpys_calls(n, seed, specials):
     """The module's calls of numpy's loops give the bytes of `np.arctan`,
-    `np.log1p`, `np.add.reduce` and `np.dot` at any length up to 2,000,
-    beyond the probe's ten, with +-0.0, 1e+-300 and inf among finite
-    values and -0.0 kept among the magnitudes."""
+    `np.log1p` and `np.add.reduce` at any length up to 2,000, beyond the
+    probe's ten, and at the lengths `LONG`, with +-0.0, 1e+-300 and inf
+    among finite values and -0.0 kept among the magnitudes."""
     rng = np.random.default_rng(seed)
     values = rng.normal(0.0, 10.0 ** rng.integers(-5, 6), n)
     if n:
         values[rng.integers(0, n, len(specials))] = specials
     magnitudes = np.where(values == 0.0, values, np.abs(values))
     got = prox._tvd_c.loops(values, magnitudes)
-    with np.errstate(over="ignore", invalid="ignore"):  # 1e300**2, inf - inf
-        want = (np.arctan(magnitudes), np.log1p(magnitudes), np.add.reduce(values),
-                np.dot(values, values))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        want = (np.arctan(magnitudes), np.log1p(magnitudes), np.add.reduce(values))
     assert [np.asarray(g, dtype=float).tobytes() for g in got] == [w.tobytes() for w in want]
 
 

@@ -28,15 +28,29 @@ an older checkout with the script of its own tree:
 
     PYTHONPATH=<checkout>/src python tools/digest.py
 
-Two checkouts agree bit for bit on all of the above with a backend exactly
-when they print the same digest for it.  Below each backend's digest, one
-line per section gives the sha256 of that section's bytes alone, so two
-checkouts that differ show which sections moved.  The metadata's
-``tvd_backend`` line names the backend, not a result, so it is left out,
-and both backends give one digest when their results agree.  The script
-exits 0 when both backends ran and gave one digest, and 1 when they differ
-or the library did not load.  On a 2-core VM the ``c`` digest takes about
-1 s and the ``python`` one about 12 s.
+On one machine, with one numpy and one BLAS library, two checkouts agree
+bit for bit on all of the above with a backend exactly when they print the
+same digest for it.  Across machines the digest also follows what numpy
+and BLAS pick for the CPU, not only the code:
+
+- numpy dispatches ``arctan`` and ``log1p`` by CPU feature, so hiding
+  features (``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL
+  AVX512_SPR"`` on an AVX-512 x86-64) changes their bytes, and with them
+  the random-solve, sweep-table and penalty-function sections;
+- F and every solve add without BLAS, but ``rmse`` sums with ``np.vdot``,
+  BLAS ``ddot``: forcing another OpenBLAS kernel
+  (``OPENBLAS_CORETYPE=Sandybridge``) moves the sweep-table and denoise
+  sections, not the random-solve or penalty-function ones.  The inputs
+  here are too short for OpenBLAS to use threads, so its thread count
+  moves nothing.
+
+Below each backend's digest, one line per section gives the sha256 of that
+section's bytes alone, so two checkouts that differ show which sections
+moved.  The metadata's ``tvd_backend`` line names the backend, not a
+result, so it is left out, and both backends give one digest when their
+results agree.  The script exits 0 when both backends ran and gave one
+digest, and 1 when they differ or the library did not load.  On a 2-core
+VM the ``c`` digest takes about 1 s and the ``python`` one about 12 s.
 """
 
 from __future__ import annotations
