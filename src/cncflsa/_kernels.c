@@ -15,7 +15,7 @@
  * -ffp-contract=off and without -ffast-math, every operation rounds on its
  * own exactly as the same operation does in numpy, so each function keeps
  * its reference's expressions in their order.  -O3 with
- * -fno-trapping-math vectorizes the maps of cncflsa_mm_step, which changes
+ * -fno-trapping-math vectorizes the maps of majorize, which changes
  * no bit: each lane runs the same operations as one scalar would.  What
  * plain C cannot round as numpy does (its SIMD arctan and log1p, and its
  * pairwise sum) is done by calling numpy's own float64 inner loops, not
@@ -27,9 +27,15 @@
  * Each checks its arguments' dtype, layout, lengths and integer ranges,
  * raising TypeError or ValueError rather than reading past a buffer,
  * allocates its outputs and scratch itself, and releases the GIL around
- * its N-sized loops.  Where an entry
- * and the MM step share a loop, it is written once: shrink,
- * subtract_adjoint and algebra as INLINE functions, finish as a plain one.
+ * its N-sized loops.  Where an entry and the MM loop share a loop, it is
+ * written once: shrink, subtract_adjoint and algebra as INLINE functions,
+ * finish as a plain one.
+ *
+ * The MM loop, cncflsa_mm_solve, is the one compiled solve: its updates,
+ * the certificate it stops on and the Newton polish between updates, a
+ * byte-for-byte twin of cncflsa.cnc._mm_loop_python.  The polish is the
+ * one place that needs s'' (curvature, beside algebra) and a Thomas sweep
+ * (thomas).
  *
  * Each kernel is built twice, for x86-64-v3 (AVX2, 4-lane maps) and for
  * the baseline x86-64 (SSE2), and the loader's ifunc resolver picks the
@@ -61,6 +67,10 @@
 #endif
 
 #define TVD_ROWS 8
+
+/* cncflsa.cnc.POLISH_STEPS: the polish's cap on Newton steps, and on the
+ * halvings of each step. */
+#define POLISH_STEPS 60
 
 CLONES static void cncflsa_tvd(const double *y, npy_intp n, double lam, double *x,
                                double *work)
@@ -110,11 +120,13 @@ CLONES static void cncflsa_tvd(const double *y, npy_intp n, double lam, double *
 
 /* One solve: the mm_solve entry fills it and carves its scratch rows (the
  * comment there is their layout's one home), cncflsa_mm_solve runs it and
- * cncflsa_mm_step reads it.  f, of size doubles, is the objective history. */
+ * its parts read it.  Each update solves on in and writes the next
+ * shifted input into shifted; the solve swaps the two rows between
+ * updates.  f, of size doubles, is the objective history. */
 struct mm_step {
     npy_intp n;
     const double *y;
-    double *shifted, *x, *r, *phi0, *phi1, *work;
+    double *in, *shifted, *x, *r, *phi0, *phi1, *work;
     double lam0, lam1, a0, a1, tol;
     int kind0, kind1; /* index into KINDS; PenaltySpec makes a = 0 "l1" */
     long long max_iter, size;
@@ -144,7 +156,7 @@ enum { KIND_L1, KIND_LOG, KIND_ATAN, KIND_RATIONAL };
 
 /* cncflsa.penalties.PenaltySpec._phi and ._slope at one sample z: stores
  * phi(z), or for log and atan the argument of their transcendental, and
- * returns s'(z).  Its callers are the maps of cncflsa_mm_step and
+ * returns s'(z).  Its callers are the maps of majorize and
  * cncflsa_penalty_map, the map of PenaltySpec.value and
  * PenaltySpec.residual_deriv.  Each loop that inlines it passes a constant
  * kind, so the kind costs no branch, and the limit is a select between two
@@ -178,6 +190,28 @@ INLINE double algebra(int kind, double a, double z, double *phi)
         slope = -a * z * (1.0 + 0.25 * u) / (v * v);
     }
     return u > U_LIMIT ? (z > 0.0 ? -1.0 : 1.0) : slope;
+}
+
+/* cncflsa.penalties.PenaltySpec.residual_deriv2 at one sample z: s''(z),
+ * the curvature of polish, taken as its limit 0 past U_LIMIT. */
+INLINE double curvature(int kind, double a, double z)
+{
+    double u = a * fabs(z), v, w, curv;
+
+    if (kind == KIND_L1)
+        return 0.0;
+    if (kind == KIND_LOG) {
+        v = 1.0 + u;
+        curv = -a / (v * v);
+    } else if (kind == KIND_ATAN) {
+        v = 1.0 + 2.0 * u;
+        w = 3.0 + v * v;
+        curv = -16.0 * a * v / (w * w);
+    } else {
+        v = 1.0 + 0.5 * u;
+        curv = -a / (v * v * v);
+    }
+    return u > U_LIMIT ? 0.0 : curv;
 }
 
 /* The map over x: r = (y - x)^2, phi0, and y - lam0 s0'(x), the first term
@@ -235,7 +269,7 @@ CLONES static void cncflsa_penalty_map(int kind, double a, const double *x, npy_
 
 /* numpy's sign(t) * maximum(|t| - lam, 0) of the n values t from in, into
  * out, which may be in: cncflsa.prox.soft_threshold, whose expression it
- * rounds as, and the soft threshold of cncflsa_mm_step. */
+ * rounds as, and the soft threshold of fused_lasso. */
 INLINE void shrink(const double *in, double *out, npy_intp n, double lam)
 {
     double t, v, sign;
@@ -251,7 +285,7 @@ INLINE void shrink(const double *in, double *out, npy_intp n, double lam)
 
 /* shifted - lam1 (D^T ds1) over n >= 2 samples, in place, as
  * cncflsa.cnc.majorized_input forms it with cncflsa.prox._diff_adjoint:
- * the pass of cncflsa_mm_step and cncflsa_shifted_input. */
+ * the pass of majorize and cncflsa_shifted_input. */
 INLINE void subtract_adjoint(double *restrict shifted, const double *restrict ds1, double lam1,
                              npy_intp n)
 {
@@ -263,36 +297,41 @@ INLINE void subtract_adjoint(double *restrict shifted, const double *restrict ds
     shifted[n - 1] = shifted[n - 1] - lam1 * ds1[n - 2];
 }
 
-/* One MM update, the public functions of the Python chain
- * cncflsa.cnc._mm_loop_python: x = fused_lasso_l1(shifted, lam0, lam1),
- * that is soft_threshold(tvd(shifted, lam1), lam0), r = (y - x)^2, phi0
- * from x and phi1 from diff(x) (PenaltySpec._phi; with r, the per-sample
- * half of objective), and the next shifted input majorized_input(x, y),
- * y - lam0 s0'(x) - lam1 D^T s1'(diff(x)), written over the one just used.
- * After the kernel and the soft threshold, three branch-free loops: the map
- * over x, the map over diff(x), and the D^T pass.  s1' (n - 1 doubles)
- * lives in the kernel's lo_clamp row at work + 6 n: dead once the kernel
- * has returned, and memory each update already touches, so the scratch
- * costs no new pages.  Inlined into each clone of cncflsa_mm_solve, so that
- * its maps are built at that clone's vector width. */
-INLINE void cncflsa_mm_step(const struct mm_step *m)
+/* x = fused_lasso_l1(in, lam0, lam1), that is soft_threshold(tvd(in, lam1),
+ * lam0), into m->x: the first half of an MM update of the Python chain
+ * cncflsa.cnc._mm_loop_python. */
+INLINE void fused_lasso(const struct mm_step *m)
 {
     npy_intp n = m->n, i;
-    double *shifted = m->shifted, *x = m->x, *ds1 = m->work + 6 * n;
-    double lam1 = m->lam1;
 
-    if (n == 1 || lam1 == 0.0) {
+    if (n == 1 || m->lam1 == 0.0) {
         for (i = 0; i < n; i++)
-            x[i] = shifted[i];
+            m->x[i] = m->in[i];
     } else {
-        cncflsa_tvd(shifted, n, lam1, x, m->work);
+        cncflsa_tvd(m->in, n, m->lam1, m->x, m->work);
     }
-    shrink(x, x, n, m->lam0);
+    shrink(m->x, m->x, n, m->lam0);
+}
+
+/* The second half: r = (y - x)^2, phi0 from x and phi1 from diff(x)
+ * (PenaltySpec._phi; with r, the per-sample half of objective), and the
+ * next shifted input majorized_input(x, y), y - lam0 s0'(x) - lam1 D^T
+ * s1'(diff(x)), into m->shifted.  Three branch-free loops: the map over x,
+ * the map over diff(x), and the D^T pass.  s1' (n - 1 doubles) lives in the
+ * kernel's lo_clamp row at work + 6 n: dead once the kernel has returned,
+ * and memory each update already touches, so the scratch costs no new
+ * pages.  Inlined into each clone of cncflsa_mm_solve, so that its maps are
+ * built at that clone's vector width. */
+INLINE void majorize(const struct mm_step *m)
+{
+    npy_intp n = m->n;
+    double *ds1 = m->work + 6 * n;
+
     BY_KIND(m->kind0, map_x, m);
     if (n == 1)
         return;
     BY_KIND(m->kind1, map_diff, m, ds1);
-    subtract_adjoint(shifted, ds1, lam1, n);
+    subtract_adjoint(m->shifted, ds1, m->lam1, n);
 }
 
 /* cncflsa.cnc.majorized_input from its two residual_deriv rows, into out
@@ -380,26 +419,272 @@ static double total(const struct numpy_loops *np, double *v, npy_intp len)
     return acc;
 }
 
+/* cncflsa.cnc._certificate of the update that solved on m->in and formed
+ * m->shifted: ||in - shifted||_1 / lam1, or its largest entry / lam0 where
+ * lam1 = 0, NaN where an entry is NaN as in np.max, or 0 where both weights
+ * are 0.  |in - shifted| is written over in, dead once the kernel has
+ * returned, and summed by total as numpy's add.reduce sums it. */
+static double certificate(const struct mm_step *m, const struct numpy_loops *np)
+{
+    double *e = m->in, largest = 0.0;
+    npy_intp i;
+
+    for (i = 0; i < m->n; i++)
+        e[i] = fabs(e[i] - m->shifted[i]);
+    if (m->lam1 > 0.0)
+        return total(np, e, m->n) / m->lam1;
+    if (m->lam0 == 0.0)
+        return 0.0;
+    for (i = 0; i < m->n; i++)
+        largest = e[i] > largest || e[i] != e[i] ? e[i] : largest;
+    return largest / m->lam0;
+}
+
+/* cncflsa.cnc._same_structure: whether x and prev have the same positive
+ * samples, the same negative ones and the same breaks.  One branch-free
+ * pass, inlined into each clone of cncflsa_mm_solve, which gcc vectorizes
+ * at that clone's width. */
+INLINE int same_structure(const double *x, const double *prev, npy_intp n)
+{
+    int differ = (x[0] > 0.0) != (prev[0] > 0.0) || (x[0] < 0.0) != (prev[0] < 0.0);
+    npy_intp i;
+
+    for (i = 1; i < n; i++)
+        differ |= ((x[i] > 0.0) ^ (prev[i] > 0.0)) | ((x[i] < 0.0) ^ (prev[i] < 0.0))
+                  | ((x[i] != x[i - 1]) ^ (prev[i] != prev[i - 1]));
+    return !differ;
+}
+
+/* The rows of polish over G segments, carved from m->work (TVD_ROWS rows of
+ * n >= G doubles, dead once the kernel has returned, as s1' already reuses
+ * lo_clamp), so the polish touches no new pages: the sizes n_g, the means
+ * m_g of y, the values v and a trial (first the terms g.step of the Newton
+ * decrement), the gradient (which the Thomas sweep turns into the step),
+ * the Hessian's diagonal and off-diagonal and the sweep's c'.
+ * segment_objective reuses the last three for its three terms once the
+ * step is solved. */
+struct segments {
+    npy_intp g;
+    double *cnt, *mean, *v, *trial, *grad, *diag, *off, *cp;
+};
+
+/* cncflsa.cnc._segment_objective of the values v, the quadratic terms of
+ * the segments where free is nonzero. */
+static double segment_objective(const struct mm_step *m, const struct numpy_loops *np,
+                                const struct segments *s, const double *v, const double *free)
+{
+    double *q = s->diag, *p = s->cp, *ph = s->off, r;
+    npy_intp g, G = s->g;
+
+    for (g = 0; g < G; g++) {
+        r = v[g] - s->mean[g];
+        q[g] = free[g] != 0.0 ? 0.5 * s->cnt[g] * (r * r) : 0.0;
+        algebra(m->kind0, m->a0, v[g], &p[g]);
+    }
+    finish(np, m->kind0, m->a0, p, G);
+    for (g = 0; g < G; g++)
+        p[g] = s->cnt[g] * p[g];
+    for (g = 0; g < G - 1; g++)
+        algebra(m->kind1, m->a1, v[g + 1] - v[g], &ph[g]);
+    finish(np, m->kind1, m->a1, ph, G - 1);
+    return total(np, q, G) + m->lam0 * total(np, p, G) + m->lam1 * total(np, ph, G - 1);
+}
+
+/* cncflsa.cnc._thomas: the Newton step into s->grad, from the Hessian in
+ * s->diag and s->off; 0 where a pivot is not positive. */
+static int thomas(const struct segments *s)
+{
+    double *b = s->diag, *c = s->off, *d = s->grad, *cp = s->cp, den;
+    npy_intp i, G = s->g;
+
+    for (i = 0; i < G; i++) {
+        den = i ? b[i] - c[i - 1] * cp[i - 1] : b[0];
+        if (!(den > 0.0))
+            return 0;
+        d[i] = i ? (d[i] - c[i - 1] * d[i - 1]) / den : d[0] / den;
+        if (i < G - 1)
+            cp[i] = c[i] / den;
+    }
+    for (i = G - 2; i >= 0; i--)
+        d[i] = d[i] - cp[i] * d[i + 1];
+    return 1;
+}
+
+/* cncflsa.cnc._snap: the step to the ratio test's limit, where the value
+ * or jump hit reaches exactly 0, into s->v with its f where it keeps every
+ * other sign and strictly lowers segment_objective; 0 and no change
+ * otherwise. */
+static int snap(const struct mm_step *m, const struct numpy_loops *np, struct segments *s,
+                double limit, npy_intp hit, double *f)
+{
+    npy_intp g, G = s->g, zero = hit < G ? hit : -1, jump = hit < G ? -1 : hit - G;
+    double ft, d, dt, *swap;
+    int keeps = 1;
+
+    for (g = 0; g < G; g++)
+        s->trial[g] = s->v[g] - limit * s->grad[g];
+    if (jump >= 0 && (s->v[jump] == 0.0 || s->v[jump + 1] == 0.0))
+        zero = s->v[jump] == 0.0 ? jump + 1 : jump, jump = -1;
+    if (zero >= 0)
+        s->trial[zero] = 0.0;
+    else
+        s->trial[jump + 1] = s->trial[jump];
+    for (g = 0; g < G; g++)
+        keeps &= g == zero || ((s->trial[g] > 0.0) == (s->v[g] > 0.0)
+                               && (s->trial[g] < 0.0) == (s->v[g] < 0.0));
+    for (g = 0; g < G - 1; g++) {
+        d = s->v[g + 1] - s->v[g], dt = s->trial[g + 1] - s->trial[g];
+        keeps &= g == jump || g == zero || g + 1 == zero
+                 || ((dt > 0.0) == (d > 0.0) && (dt < 0.0) == (d < 0.0));
+    }
+    if (!keeps || !((ft = segment_objective(m, np, s, s->trial, s->v)) < *f))
+        return 0;
+    swap = s->v, s->v = s->trial, s->trial = swap, *f = ft;
+    return 1;
+}
+
+/* cncflsa.cnc._polish of m->x, whose docstring gives the rules: Newton
+ * steps on the values of its nonzero segments, the gradient from algebra's
+ * s' and the Hessian from curvature, each step snapped to the ratio
+ * test's limit (snap) or started below it and halved until it keeps every
+ * sign and strictly lowers segment_objective, in the reference's
+ * operations and order.  Returns -1
+ * where x has no nonzero segment, else the number of steps taken, and where
+ * it took one, writes the polished iterate into xhat (n doubles). */
+static long long polish(const struct mm_step *m, const struct numpy_loops *np, double *xhat)
+{
+    const double *x = m->x;
+    double *w = m->work, f, ft, t, d, dt, slope1, curv1, phi, limit, ratio;
+    npy_intp n = m->n, g, i, start = 0, G = 0, K = 0;
+    struct segments s = {0, w, w + n, w + 2 * n, w + 3 * n, w + 4 * n, w + 5 * n, w + 6 * n,
+                         w + 7 * n};
+    long long steps, h;
+    int moved, keeps, accepted, last, e;
+    npy_intp hit;
+
+    for (i = 1; i <= n; i++) {
+        if (i < n && x[i] == x[i - 1])
+            continue;
+        s.v[G] = x[start], s.cnt[G] = (double)(i - start), s.mean[G] = 0.0;
+        if (x[start] != 0.0)
+            s.mean[G] = total(np, (double *)m->y + start, i - start) / s.cnt[G], K++;
+        G++, start = i;
+    }
+    if (K == 0)
+        return -1;
+    s.g = G;
+    f = segment_objective(m, np, &s, s.v, s.v);
+    for (steps = 0; steps < POLISH_STEPS; steps++) {
+        for (g = 0; g < G; g++) {
+            if (s.v[g] == 0.0) {
+                s.grad[g] = 0.0, s.diag[g] = 1.0;
+                continue;
+            }
+            s.grad[g] = s.cnt[g] * (s.v[g] - s.mean[g])
+                        + m->lam0 * s.cnt[g] * ((s.v[g] > 0.0 ? 1.0 : -1.0)
+                                                + algebra(m->kind0, m->a0, s.v[g], &phi));
+            s.diag[g] = s.cnt[g] * (1.0 + m->lam0 * curvature(m->kind0, m->a0, s.v[g]));
+        }
+        for (g = 0; g < G - 1; g++) {
+            d = s.v[g + 1] - s.v[g];
+            slope1 = m->lam1 * ((d > 0.0 ? 1.0 : -1.0) + algebra(m->kind1, m->a1, d, &phi));
+            curv1 = m->lam1 * curvature(m->kind1, m->a1, d);
+            if (s.v[g + 1] != 0.0)
+                s.grad[g + 1] += slope1, s.diag[g + 1] += curv1;
+            if (s.v[g] != 0.0)
+                s.grad[g] -= slope1, s.diag[g] += curv1;
+            s.off[g] = s.v[g] != 0.0 && s.v[g + 1] != 0.0 ? -curv1 : 0.0;
+        }
+        memcpy(s.trial, s.grad, G * sizeof(double));
+        if (!thomas(&s))
+            break;
+        limit = INFINITY, hit = -1;
+        for (g = 0; g < G; g++) {
+            s.grad[g] = s.v[g] != 0.0 ? s.grad[g] : 0.0;
+            s.trial[g] = s.trial[g] * s.grad[g];
+            ratio = s.v[g] / s.grad[g];
+            if (ratio > 0.0 && ratio < limit)
+                limit = ratio, hit = g;
+        }
+        last = 0.5 * total(np, s.trial, G) <= DBL_EPSILON * f;
+        for (g = 0; g < G - 1; g++) {
+            ratio = (s.v[g + 1] - s.v[g]) / (s.grad[g + 1] - s.grad[g]);
+            if (ratio > 0.0 && ratio < limit)
+                limit = ratio, hit = G + g;
+        }
+        if (limit <= 1.0 && snap(m, np, &s, limit, hit, &f)) {
+            steps++;
+            break;
+        }
+        t = limit > 1.0 ? 1.0 : ldexp(1.0, (frexp(limit, &e), e - 1));
+        last = last || limit <= 1.0;
+        accepted = 0;
+        for (h = 0; h < (last ? 1 : POLISH_STEPS); h++, t *= 0.5) {
+            moved = 0, keeps = 1;
+            for (g = 0; g < G; g++) {
+                s.trial[g] = s.v[g] - t * s.grad[g];
+                moved |= s.trial[g] != s.v[g];
+                keeps &= (s.trial[g] > 0.0) == (s.v[g] > 0.0)
+                         && (s.trial[g] < 0.0) == (s.v[g] < 0.0);
+            }
+            if (!moved)
+                break;
+            for (g = 0; g < G - 1; g++) {
+                d = s.v[g + 1] - s.v[g], dt = s.trial[g + 1] - s.trial[g];
+                keeps &= (dt > 0.0) == (d > 0.0) && (dt < 0.0) == (d < 0.0);
+            }
+            if (keeps && ((ft = segment_objective(m, np, &s, s.trial, s.v)) < f
+                          || (last && ft - f <= DBL_EPSILON * f))) {
+                double *swap = s.v;
+                s.v = s.trial, s.trial = swap, f = ft, accepted = 1;
+                break;
+            }
+        }
+        if (!accepted)
+            break;
+        if (last) {
+            steps++;
+            break;
+        }
+    }
+    if (steps > 0) {
+        for (g = 0, i = 0; g < G; g++)
+            for (start = i; i < start + (npy_intp)s.cnt[g]; i++)
+                xhat[i] = s.v[g];
+    }
+    return steps;
+}
+
 /* The MM updates of cncflsa.cnc._mm_updates, bit-identical to its Python
- * reference cncflsa.cnc._mm_loop_python, the chain of the public functions:
- * up to m->max_iter calls of cncflsa_mm_step, each followed by F of the new
- * iterate (cncflsa.cnc.objective, in its order of evaluation), stored in
- * m->f[k] after m->f[0], and the stopping rule |prev - F| <= tol * |prev|,
- * relative to F alone (no unit of the signal enters it) and false on NaN as
- * in Python.  Returns the number of updates, negated when the rule fired, or
- * 0 when the history could not grow.  Each update reads its input from
- * m->shifted, the solve's own row, and writes over it the input of the
- * next, and its iterate into m->x.  m->f doubles in size whenever an update
+ * reference cncflsa.cnc._mm_loop_python, the chain of the public functions.
+ * Update k runs fused_lasso on m->in, stores F of the new iterate
+ * (cncflsa.cnc.objective, in its order of evaluation) in m->f[k] after
+ * m->f[0], forms the next shifted input in m->shifted by majorize and the
+ * certificate; it stops, converged, where the certificate is <= tol (false
+ * on NaN as in Python), or after m->max_iter updates.  Otherwise, where the
+ * iterate kept the structure of the point its input was formed at (m->r
+ * holds that point from the update's start to its majorize), it is
+ * polished, and where the polish took a step, majorize of the polished
+ * iterate, kept in m->in, replaces the next input, and the polished
+ * iterate is the next point.  Then the rows in and shifted swap.  Returns
+ * the number of updates, negated when the certificate met tol, or 0 when
+ * the history could not grow; certificate, polishes and Newton steps come
+ * back through their pointers.  m->f doubles in size whenever an update
  * needs more room; the solve runs without the GIL, so it grows with
  * PyMem_RawRealloc. */
-CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_loops *np)
+CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_loops *np,
+                                         double *cert, long long *polishes, long long *steps)
 {
     npy_intp n = m->n;
-    long long k;
-    double f, prev, *grown;
+    long long k, taken;
+    double f, *grown, *swap;
+    struct mm_step polished;
+    int same;
 
-    for (k = 1; k <= m->max_iter; k++) {
-        cncflsa_mm_step(m);
+    for (k = 1;; k++) {
+        fused_lasso(m);
+        same = same_structure(m->x, m->r, n);
+        majorize(m);
         finish(np, m->kind0, m->a0, m->phi0, n);
         finish(np, m->kind1, m->a1, m->phi1, n - 1);
         f = 0.5 * total(np, m->r, n) + m->lam0 * total(np, m->phi0, n)
@@ -410,12 +695,21 @@ CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_l
                 return 0;
             m->f = grown, m->size *= 2;
         }
-        prev = m->f[k - 1];
         m->f[k] = f;
-        if (fabs(prev - f) <= m->tol * fabs(prev))
+        *cert = certificate(m, np);
+        if (*cert <= m->tol)
             return -k;
+        if (k == m->max_iter)
+            return k;
+        taken = same ? polish(m, np, m->in) : -1;
+        *polishes += taken >= 0, *steps += taken > 0 ? taken : 0;
+        if (taken > 0) {
+            polished = *m, polished.x = m->in;
+            majorize(&polished);
+        }
+        memcpy(m->r, taken > 0 ? m->in : m->x, n * sizeof(double));
+        swap = m->in, m->in = m->shifted, m->shifted = swap;
     }
-    return m->max_iter;
 }
 
 /* numpy.<name>'s float64 loop, the first whose types are all NPY_DOUBLE.
@@ -667,29 +961,32 @@ static PyObject *shifted_input(PyObject *self, PyObject *const *args, Py_ssize_t
 }
 
 PyDoc_STRVAR(mm_solve_doc, "mm_solve(y, shifted, f0, lam0, lam1, a0, a1, kind0, kind1, max_iter,"
-" tol)\n    -> (x, history, converged)\n\n"
-"The MM updates of cncflsa.cnc._mm_updates from the shifted input of a start\n"
-"whose F is f0, on C-contiguous float64 vectors y and shifted of one length;\n"
-"kind0 and kind1 index KINDS, and max_iter >= 1 (any larger than a C long\n"
-"long runs as unbounded).  history holds f0 and the F of each update run.");
+" tol, x0)\n    -> (x, history, converged, certificate, polishes, newton_steps)\n\n"
+"The MM updates of cncflsa.cnc._mm_updates from a start x0 whose shifted input\n"
+"is shifted and whose F is f0, on C-contiguous float64 vectors y, shifted and\n"
+"x0 of one length; kind0 and kind1 index KINDS, and max_iter >= 1 (any larger\n"
+"than a C long long runs as unbounded).  history holds f0 and the F of each\n"
+"update run, certificate is the last update's, and polishes and newton_steps\n"
+"count the polishes run between updates and the steps they took.");
 
 static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     const struct numpy_loops *loops = PyModule_GetState(self);
     struct mm_step m;
-    PyArrayObject *y, *shifted;
+    PyArrayObject *y, *shifted, *x0;
     PyObject *x, *history;
-    double f0;
-    long long updates;
+    double f0, cert = 0.0;
+    long long updates, polishes = 0, steps = 0;
     int overflow;
     npy_intp size;
 
-    if (check_nargs("mm_solve", nargs, 11) < 0 || (y = as_array(args[0], "y", 1)) == NULL
+    if (check_nargs("mm_solve", nargs, 12) < 0 || (y = as_array(args[0], "y", 1)) == NULL
         || (shifted = as_array(args[1], "shifted", 1)) == NULL || as_double(args[2], &f0) < 0
         || as_double(args[3], &m.lam0) < 0 || as_double(args[4], &m.lam1) < 0
         || as_double(args[5], &m.a0) < 0 || as_double(args[6], &m.a1) < 0
         || as_int(args[7], "kind0", 0, 3, &m.kind0) < 0
-        || as_int(args[8], "kind1", 0, 3, &m.kind1) < 0 || as_double(args[10], &m.tol) < 0)
+        || as_int(args[8], "kind1", 0, 3, &m.kind1) < 0 || as_double(args[10], &m.tol) < 0
+        || (x0 = as_array(args[11], "x0", 1)) == NULL)
         return NULL;
     m.max_iter = PyLong_AsLongLongAndOverflow(args[9], &overflow);
     if (m.max_iter == -1 && PyErr_Occurred())
@@ -701,31 +998,37 @@ static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t narg
         return NULL;
     }
     m.n = PyArray_DIM(y, 0);
-    if (m.n < 1 || PyArray_DIM(shifted, 0) != m.n) {
-        PyErr_SetString(PyExc_ValueError, "y and shifted must have one length >= 1");
+    if (m.n < 1 || PyArray_DIM(shifted, 0) != m.n || PyArray_DIM(x0, 0) != m.n) {
+        PyErr_SetString(PyExc_ValueError, "y, shifted and x0 must have one length >= 1");
         return NULL;
     }
     /* The result before the scratch, so that freeing the scratch leaves no
      * hole below it: a sweep keeps thousands of results. */
     if ((x = PyArray_SimpleNew(1, &m.n, NPY_DOUBLE)) == NULL)
         return NULL;
-    /* The solve's scratch: one block of 4 + TVD_ROWS rows of n doubles,
-     * r = (y - x)^2, phi0, phi1 (n - 1 of its row), the shifted input, a
-     * copy of the caller's, and cncflsa_tvd's work, whose lo_clamp row
-     * cncflsa_mm_step reuses for s1'; and the history f, f0 first, at 64
-     * doubles or max_iter + 1 if fewer. */
+    /* The solve's scratch: one block of 5 + TVD_ROWS rows of n doubles,
+     * r = (y - x)^2, which between updates holds the point the next input
+     * is formed at (x0 first) for the structure test; phi0, phi1 (n - 1 of its row); the two
+     * shifted rows in and shifted, in a copy of the caller's, which swap
+     * after each update, and of which in takes |e| for the certificate and
+     * then the polished iterate; and cncflsa_tvd's work, whose lo_clamp row
+     * majorize reuses for s1' and all of whose rows polish reuses for its
+     * own, of at most n doubles each (struct segments).  And the history
+     * f, f0 first, at 64 doubles or max_iter + 1 if fewer. */
     m.size = m.max_iter < 64 ? m.max_iter + 1 : 64;
-    if ((m.r = scratch(m.n, 4 + TVD_ROWS)) == NULL || (m.f = scratch(m.size, 1)) == NULL) {
+    if ((m.r = scratch(m.n, 5 + TVD_ROWS)) == NULL || (m.f = scratch(m.size, 1)) == NULL) {
         PyMem_RawFree(m.r);
         Py_DECREF(x);
         return NULL;
     }
-    m.phi0 = m.r + m.n, m.phi1 = m.r + 2 * m.n, m.shifted = m.r + 3 * m.n, m.work = m.r + 4 * m.n;
+    m.phi0 = m.r + m.n, m.phi1 = m.r + 2 * m.n, m.in = m.r + 3 * m.n;
+    m.shifted = m.r + 4 * m.n, m.work = m.r + 5 * m.n;
     m.f[0] = f0;
     m.y = PyArray_DATA(y), m.x = PyArray_DATA((PyArrayObject *)x);
     Py_BEGIN_ALLOW_THREADS
-    memcpy(m.shifted, PyArray_DATA(shifted), m.n * sizeof(double));
-    updates = cncflsa_mm_solve(&m, loops);
+    memcpy(m.in, PyArray_DATA(shifted), m.n * sizeof(double));
+    memcpy(m.r, PyArray_DATA(x0), m.n * sizeof(double));
+    updates = cncflsa_mm_solve(&m, loops, &cert, &polishes, &steps);
     Py_END_ALLOW_THREADS
     PyMem_RawFree(m.r);
     size = (npy_intp)(updates < 0 ? -updates : updates) + 1;
@@ -737,7 +1040,8 @@ static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t narg
         Py_DECREF(x);
         return NULL;
     }
-    return Py_BuildValue("(NNO)", x, history, updates < 0 ? Py_True : Py_False);
+    return Py_BuildValue("(NNOdLL)", x, history, updates < 0 ? Py_True : Py_False, cert,
+                         polishes, steps);
 }
 
 PyDoc_STRVAR(all_finite_doc, "all_finite(a) -> bool\n\n"

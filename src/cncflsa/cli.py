@@ -158,6 +158,8 @@ def cmd_denoise(args):
         "convexity_margin": convexity_margin(cfg),
         "iterations": result.iterations,
         "converged": result.converged,
+        "certificate": result.certificate,
+        "polishes": result.polishes,
         # The backend that ran, read at the call: the switch is prox._tvd_c.
         "tvd_backend": "python" if _prox._tvd_c is None else "c",
         "objective_history": list(result.objective_history),
@@ -356,7 +358,9 @@ def build_parser():
     p.add_argument("--a1", type=float, default=None)
     p.add_argument("--penalty", choices=KINDS, default="atan")
     p.add_argument("--method", choices=METHODS, default="cnc")
-    p.add_argument("--tol", type=float, default=CncConfig.tol)
+    p.add_argument("--tol", type=float, default=CncConfig.tol,
+                   help="stop a solve once its certificate, a unit-free bound on the "
+                        "optimality residual, is at most this")
     p.add_argument("--max-iter", type=int, default=CncConfig.max_iter)
     p.add_argument("--allow-nonconvex", action="store_true")
     p.add_argument("--reference", default=None,
@@ -386,7 +390,9 @@ def build_parser():
     p.add_argument("--beta", type=float, default=DEFAULT_BETA)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--penalty", choices=KINDS, default="atan")
-    p.add_argument("--tol", type=float, default=CncConfig.tol)
+    p.add_argument("--tol", type=float, default=CncConfig.tol,
+                   help="stop a solve once its certificate, a unit-free bound on the "
+                        "optimality residual, is at most this")
     p.add_argument("--max-iter", type=int, default=CncConfig.max_iter)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_sweep)

@@ -20,6 +20,7 @@ its ``mm_solve``, which gives the same bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +50,9 @@ class CncConfig:
     or pure soft thresholding (lambda1 = 0).  allow_nonconvex disables the
     convexity-margin precondition for experiments outside the certified
     region.  max_iter (a positive integer) caps the MM updates of a solve,
-    and tol (finite and > 0) is its stopping tolerance on the change of F
-    relative to F; see :func:`solve`.  Frozen, so that construction
+    and tol (finite and > 0) is its stopping tolerance on the certificate,
+    a dimensionless bound on the iterate's optimality residual; see
+    :func:`solve`.  Frozen, so that construction
     validates every field that a solve reads; ``dataclasses.replace`` makes
     a changed copy.
     """
@@ -77,17 +79,24 @@ class CncConfig:
 
 @dataclass
 class SolveResult:
-    """Solution plus the recorded objective trajectory.
+    """Solution plus the recorded objective trajectory and what the solve did.
 
     objective_history[0] is the objective at the initializer and one more
     entry is appended per majorization-minimization update, so its length is
-    iterations + 1 and it never increases along the way.
+    iterations + 1.  It falls along the way, except that once the iterate
+    sits at its optimum, where an update after a polish finds the same
+    point, it may move by an ulp or two of F.  converged says that the last
+    update's certificate met tol, and certificate is that value: a bound on
+    the subgradient-optimality residual of x (see :func:`solve`).  polishes
+    counts the Newton polishes run between updates.
     """
 
     x: np.ndarray
     objective_history: np.ndarray
     iterations: int
     converged: bool
+    certificate: float
+    polishes: int
 
 
 def convexity_margin_params(lambda0, lambda1, a0, a1):
@@ -183,14 +192,28 @@ def majorized_input(v, y, cfg: CncConfig):
 def solve(y, cfg: CncConfig) -> SolveResult:
     """Minimize the penalized objective by majorization-minimization.
 
-    Starts from the L1 fused-lasso solution, then repeats: shift the
-    observation via :func:`majorized_input`, solve one exact L1 fused lasso
-    on it.  Each update decreases the objective.  Stops, converged, after
-    the first update that changes F by at most cfg.tol * |prev|, prev being
-    F before it, otherwise after cfg.max_iter updates.  The test is
-    relative to F alone, so scaling y and the weights by a power of two c
-    and the degrees by 1/c scales x by c and F by c**2 exactly, unless a
-    value overflows or turns subnormal.
+    Starts from the L1 fused-lasso solution x_0, then runs updates: update
+    k solves one exact L1 fused lasso x_k = FLSA(s_{k-1}) on the shifted
+    input s_{k-1}, s_0 being :func:`majorized_input` at x_0, appends F(x_k)
+    to the history and forms s_k = :func:`majorized_input` at x_k.  Then e
+    = s_{k-1} - s_k is a subgradient of F at x_k, and the certificate c_k
+    is ||e||_1 / lambda1 (||e||_inf / lambda0 where lambda1 = 0, and 0
+    where both weights are), a bound on the subgradient-optimality residual
+    of x_k in the units of the dual variables.  The solve stops, converged,
+    at the first c_k <= cfg.tol, otherwise after cfg.max_iter updates.
+
+    Between updates the iterate is polished once its segment structure has
+    settled: where x_k has the breaks, zero segments and signs of the point
+    s_{k-1} was formed at (x_{k-1}, or its polished iterate), Newton steps
+    on the values of its nonzero segments lower F with that structure held
+    (see :func:`_polish`), and the shifted input of the polished iterate
+    replaces s_k.  The returned x is always an update's
+    output, so its segments are exact fused-lasso segments.
+
+    The certificate is unit-free, so scaling y and the weights by a power of
+    two c and the degrees by 1/c scales x by c and F by c**2 exactly, unless
+    a value overflows or turns subnormal; and where F overflows, the solve
+    still stops on it.
 
     Raises ConvexityError when the margin is negative and cfg.allow_nonconvex
     is not set.
@@ -204,45 +227,240 @@ def solve(y, cfg: CncConfig) -> SolveResult:
         )
     x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
     f0 = objective(x, y, cfg)
-    x, history, converged = _mm_updates(y, majorized_input(x, y, cfg), f0, cfg)
+    x, history, converged, certificate, polishes, _ = _mm_updates(
+        y, x, majorized_input(x, y, cfg), f0, cfg)
     return SolveResult(
         x=x,
         objective_history=history,
         iterations=history.size - 1,
         converged=converged,
+        certificate=certificate,
+        polishes=polishes,
     )
 
 
-def _mm_updates(y, shifted, f0, cfg):
-    """The MM updates of :func:`solve` from the shifted input and the F of
-    its start.
+def _mm_updates(y, x0, shifted, f0, cfg):
+    """The MM updates of :func:`solve` from the start x0, its shifted input
+    and its F.
 
-    Returns the last iterate, the objective history from f0 on, and whether
-    the stopping rule fired.  With the compiled module the updates run in
-    one call of its ``mm_solve``, which allocates its scratch, its copy of
-    shifted and the history itself; without it they run in
+    Returns the last iterate, the objective history from f0 on, whether the
+    certificate met cfg.tol, the last certificate, the number of polishes
+    and their Newton steps in all.  With the compiled module the updates run
+    in one call of its ``mm_solve``, which allocates its scratch, its copies
+    of shifted and x0 and the history itself; without it they run in
     :func:`_mm_loop_python`, its reference.  Both give the same bits, and
-    neither writes y or shifted.
+    neither writes y, x0 or shifted.
     """
     lib = _prox._tvd_c
     if lib is None:
-        return _mm_loop_python(y, shifted, f0, cfg)
+        return _mm_loop_python(y, x0, shifted, f0, cfg)
     return lib.mm_solve(y, shifted, f0, cfg.lambda0, cfg.lambda1,
                         cfg.penalty0.a, cfg.penalty1.a, KINDS.index(cfg.penalty0.kind),
-                        KINDS.index(cfg.penalty1.kind), cfg.max_iter, cfg.tol)
+                        KINDS.index(cfg.penalty1.kind), cfg.max_iter, cfg.tol, x0)
 
 
-def _mm_loop_python(y, shifted, f0, cfg):
+def _mm_loop_python(y, x, shifted, f0, cfg):
     """The MM updates as the chain of the public functions, the reference
     of ``cncflsa_mm_solve``: each update is :func:`fused_lasso_l1` on the
-    shifted input, :func:`objective` of the new iterate and the stopping
-    rule, then, unless it fired, :func:`majorized_input` at that iterate."""
-    history = [f0]
-    for _ in range(cfg.max_iter):
-        x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
-        prev, f = history[-1], objective(x, y, cfg)
-        history.append(f)
-        if abs(prev - f) <= cfg.tol * abs(prev):
-            return x, np.array(history), True
-        shifted = majorized_input(x, y, cfg)
-    return x, np.array(history), False
+    shifted input, :func:`objective` of the new iterate,
+    :func:`majorized_input` at it and the certificate; then, unless the
+    certificate met tol or the cap is reached, :func:`_polish` where the
+    iterate kept the structure of the point its input was formed at (x,
+    the start, for the first update), and the polished iterate's
+    :func:`majorized_input` where the polish took a step."""
+    history, polishes, steps = [f0], 0, 0
+    for k in range(1, cfg.max_iter + 1):
+        base, x = x if k == 1 else base, fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
+        history.append(objective(x, y, cfg))
+        nxt = majorized_input(x, y, cfg)
+        certificate = _certificate(shifted, nxt, cfg)
+        if certificate <= cfg.tol or k == cfg.max_iter:
+            break
+        polished = _polish(x, y, cfg) if _same_structure(x, base) else None
+        base = x
+        if polished is not None:
+            polishes += 1
+            xhat, taken = polished
+            steps += taken
+            if taken:
+                nxt, base = majorized_input(xhat, y, cfg), xhat
+        shifted = nxt
+    return x, np.array(history), certificate <= cfg.tol, certificate, polishes, steps
+
+
+def _certificate(shifted, nxt, cfg):
+    """||shifted - nxt||_1 / lambda1, or its largest entry / lambda0 where
+    lambda1 = 0, or 0 where both weights are 0; NaN where e holds NaN."""
+    e = np.abs(shifted - nxt)
+    if cfg.lambda1 > 0.0:
+        return float(np.add.reduce(e)) / cfg.lambda1
+    if cfg.lambda0 > 0.0:
+        return float(np.max(e)) / cfg.lambda0
+    return 0.0
+
+
+def _same_structure(x, prev):
+    """Whether x and prev have the same positive samples, the same negative
+    ones and the same breaks between neighbours."""
+    return bool(np.array_equal(x > 0.0, prev > 0.0) and np.array_equal(x < 0.0, prev < 0.0)
+                and np.array_equal(x[1:] != x[:-1], prev[1:] != prev[:-1]))
+
+
+# The polish's cap on Newton steps, and on the halvings of each step.
+POLISH_STEPS = 60
+
+# A Newton step whose predicted fall of the segment objective f, half the
+# decrement g.H^-1.g, is at most _EPS * f, about an ulp of f, cannot show a
+# strict fall: rounding hides it (see _polish).
+_EPS = float(np.finfo(float).eps)
+
+
+def _polish(x, y, cfg):
+    """Newton steps on the values v of the nonzero segments of x, the
+    segments held at 0 staying there: None where x has no nonzero segment,
+    else the polished iterate and the number of steps taken.
+
+    With the structure of x fixed, F is smooth in v; up to a constant it is
+    :func:`_segment_objective`, f.  Its gradient takes phi' = sign + s' and
+    its Hessian, tridiagonal, s'' (``residual_deriv2``).  Each step solves
+    the Newton system in one Thomas sweep (:func:`_thomas`), starts from the
+    largest power of two t <= 1 below the first t at which a nonzero segment
+    or a jump would reach 0 (the ratio test), and halves t until every
+    nonzero segment and every jump keeps its sign and f strictly falls.
+    A step that the ratio test cuts short first goes to the limit itself,
+    its value or jump set to exactly 0 (:func:`_snap`): the structure is
+    then not the optimum's, and the next update starts from the one the
+    step reached.  Where that fails, the step is tried once at the power
+    of two.  Either ends the polish, as does a step whose predicted fall,
+    half the Newton decrement, is at most _EPS * f, which rounding hides,
+    so it is tried once and taken where f rises by no more than that.  The
+    polish also ends when no step is accepted, because none moves v, none
+    passes within POLISH_STEPS halvings or a pivot of the sweep is not
+    positive, or after POLISH_STEPS steps.  ``polish`` in ``_kernels.c``
+    runs the same operations in the same order."""
+    fresh = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    v = x[fresh]
+    free = v != 0.0
+    if not free.any():
+        return None
+    sizes = np.diff(np.append(fresh, x.size))
+    cnt = sizes.astype(float)
+    mean = np.zeros(v.size)
+    for g in np.flatnonzero(free):
+        mean[g] = float(np.add.reduce(y[fresh[g]:fresh[g] + sizes[g]])) / cnt[g]
+    lam0, lam1, p0, p1 = cfg.lambda0, cfg.lambda1, cfg.penalty0, cfg.penalty1
+    f = _segment_objective(v, cnt, mean, free, cfg)
+    steps = 0
+    with np.errstate(all="ignore"):
+        while steps < POLISH_STEPS:
+            d = v[1:] - v[:-1]
+            slope1 = lam1 * (np.where(d > 0.0, 1.0, -1.0) + p1.residual_deriv(d))
+            grad = cnt * (v - mean) + lam0 * cnt * (np.where(v > 0.0, 1.0, -1.0)
+                                                    + p0.residual_deriv(v))
+            grad[1:] += slope1
+            grad[:-1] -= slope1
+            curv1 = lam1 * p1.residual_deriv2(d)
+            diag = cnt * (1.0 + lam0 * p0.residual_deriv2(v))
+            diag[1:] += curv1
+            diag[:-1] += curv1
+            off = np.where(free[1:] & free[:-1], -curv1, 0.0)
+            diag[~free], grad[~free] = 1.0, 0.0
+            delta = _thomas(diag, off, grad)
+            if delta is None:
+                break
+            delta[~free] = 0.0
+            last = 0.5 * float(np.add.reduce(grad * delta)) <= _EPS * f
+            ratios = np.concatenate((v / delta, d / (delta[1:] - delta[:-1])))
+            ratios[~(ratios > 0.0)] = np.inf
+            hit = int(np.argmin(ratios))
+            limit = float(ratios[hit])
+            if limit <= 1.0:
+                snapped = _snap(v, delta, limit, hit, cnt, mean, free, f, cfg)
+                if snapped is not None:
+                    v, f = snapped
+                    steps += 1
+                    break
+            t, accepted = 1.0 if limit > 1.0 else math.ldexp(1.0, math.frexp(limit)[1] - 1), False
+            last = last or limit <= 1.0
+            for _ in range(1 if last else POLISH_STEPS):
+                trial = v - t * delta
+                if not np.any(trial != v):
+                    break
+                keeps, kept = _signs_kept(trial, v)
+                if keeps.all() and kept.all():
+                    ft = _segment_objective(trial, cnt, mean, free, cfg)
+                    if ft < f or (last and ft - f <= _EPS * f):
+                        v, f, accepted = trial, ft, True
+                        break
+                t *= 0.5
+            if not accepted:
+                break
+            steps += 1
+            if last:
+                break
+    return np.repeat(v, sizes), steps
+
+
+def _snap(v, delta, limit, hit, cnt, mean, free, f, cfg):
+    """The step of :func:`_polish` to the ratio test's limit, with the
+    value or jump `hit` (a segment's index, or the number of segments plus
+    a jump's) set to exactly 0, and its segment objective: where it keeps
+    every other sign and strictly lowers f, else None.  A jump beside a
+    zero segment sets the other segment to 0; a jump between two nonzero
+    ones takes the left value for both."""
+    g_count = v.size
+    trial = v - limit * delta
+    zero, jump = (hit, -1) if hit < g_count else (-1, hit - g_count)
+    if jump >= 0 and (v[jump] == 0.0 or v[jump + 1] == 0.0):
+        zero, jump = (jump + 1 if v[jump] == 0.0 else jump), -1
+    if zero >= 0:
+        trial[zero] = 0.0
+    else:
+        trial[jump + 1] = trial[jump]
+    keeps, kept = _signs_kept(trial, v)
+    if zero >= 0:
+        keeps[zero] = True
+        kept[max(zero - 1, 0):zero + 1] = True
+    else:
+        kept[jump] = True
+    if not (keeps.all() and kept.all()):
+        return None
+    ft = _segment_objective(trial, cnt, mean, free, cfg)
+    return (trial, ft) if ft < f else None
+
+
+def _signs_kept(trial, v):
+    """Which segment values of trial keep the sign of v's, and which jumps
+    keep the sign of v's jumps (0 counting as a sign of its own)."""
+    d, dt = v[1:] - v[:-1], trial[1:] - trial[:-1]
+    return (((trial > 0.0) == (v > 0.0)) & ((trial < 0.0) == (v < 0.0)),
+            ((dt > 0.0) == (d > 0.0)) & ((dt < 0.0) == (d < 0.0)))
+
+
+def _segment_objective(v, cnt, mean, free, cfg):
+    """F restricted to a structure, less a constant: the sum over nonzero
+    segments of 0.5*n_g*(v_g - m_g)**2, m_g the segment's mean of y, plus
+    the penalties of the segment values (n_g each) and of their jumps."""
+    r = v - mean
+    q = np.where(free, 0.5 * cnt * (r * r), 0.0)
+    return (float(np.add.reduce(q)) + cfg.lambda0 * float(np.add.reduce(cnt * cfg.penalty0.value(v)))
+            + cfg.lambda1 * float(np.add.reduce(cfg.penalty1.value(v[1:] - v[:-1]))))
+
+
+def _thomas(diag, off, rhs):
+    """The solution of the symmetric tridiagonal system with diagonal diag,
+    off-diagonal off and right-hand side rhs by one Thomas sweep, or None
+    where a pivot is not positive (the matrix is not positive definite)."""
+    b, c, d = diag.tolist(), off.tolist(), rhs.tolist()
+    n = len(b)
+    cp = [0.0] * n
+    for i in range(n):
+        den = b[i] - c[i - 1] * cp[i - 1] if i else b[0]
+        if not den > 0.0:
+            return None
+        d[i] = (d[i] - c[i - 1] * d[i - 1]) / den if i else d[0] / den
+        if i < n - 1:
+            cp[i] = c[i] / den
+    for i in range(n - 2, -1, -1):
+        d[i] = d[i] - cp[i] * d[i + 1]
+    return np.array(d)

@@ -169,6 +169,31 @@ class PenaltySpec:
             slope = -a * x * (1.0 + 0.25 * u) / (1.0 + 0.5 * u) ** 2
         return np.where(u > _U_LIMIT, -np.sign(x), slope)
 
+    @np.errstate(over="ignore", invalid="ignore")
+    def residual_deriv2(self, x):
+        """Second derivative s''(x; a), even, in [-a, 0]: the curvature of
+        the polish in :func:`cncflsa.cnc.solve`, whose compiled twin is
+        ``curvature`` in ``_kernels.c``.  Past _U_LIMIT it is taken as its
+        limit 0; from there on |s''| < a*2**-112."""
+        x = _as_float(x, "x")
+        a = self.a
+        if self.kind == "l1":
+            return _match(np.zeros_like(x), x)
+        u = a * np.abs(x)
+        if self.kind == "log":
+            v = 1.0 + u
+            curv = -a / (v * v)
+        elif self.kind == "atan":
+            # -a*(1 + 2u)/(1 + u + u**2)**2, with 4*(1 + u + u**2) = 3 + (1 + 2u)**2
+            # as in the slope.
+            v = 1.0 + 2.0 * u
+            w = 3.0 + v * v
+            curv = -16.0 * a * v / (w * w)
+        else:  # rational
+            v = 1.0 + 0.5 * u
+            curv = -a / (v * v * v)
+        return _match(np.where(u > _U_LIMIT, 0.0, curv), x)
+
     def _finish(self, phi):
         """phi from :meth:`_phi`, computed in place."""
         a = self.a

@@ -8,15 +8,19 @@ as a plain chain of per-step functions, the reference that the solver's
 fused loop must match bit for bit.  Its objective and shifted input are
 written here from the penalty methods, `np.diff` and `diff_adjoint`, not
 taken from `cnc`, so a fault in the formulas the solver shares with the
-public `objective` and `majorized_input` cannot pass unseen.  The penalty
-methods are pinned in turn to `penalty_terms`, each kind's phi and s'
-written out here in one expression each."""
+public `objective` and `majorized_input` cannot pass unseen.  So are its
+certificate and its polish (`polish_reference`), segment by segment, from
+the penalty methods and `curvature_terms`.  The penalty methods are pinned
+in turn to `penalty_terms`, each kind's phi and s' written out here in one
+expression each, and `PenaltySpec.residual_deriv2` to `curvature_terms`."""
 
 import numpy as np
 
 from cncflsa import SolveResult, diff_adjoint, fused_lasso_l1
 
 SQRT3 = np.sqrt(3.0)
+U_LIMIT = 2.0**56
+EPS = float(np.finfo(float).eps)
 
 
 def penalty_terms(kind, a, x):
@@ -48,6 +52,28 @@ def penalty_terms(kind, a, x):
         else:
             raise ValueError(kind)
     return phi, np.where(np.isinf(big), -np.sign(x), ds)
+
+
+def curvature_terms(kind, a, x):
+    """s''(x; a) of a float array x, with the operations of
+    `PenaltySpec.residual_deriv2` in the same order: -a/(1 + u)**2 for log,
+    -a*(1 + 2u)/(1 + u + u**2)**2 for atan, written with 4*(1 + u + u**2) =
+    3 + (1 + 2u)**2, and -a/(1 + u/2)**3 for rational, u = a*|x|; past
+    u = 2**56 its limit 0."""
+    if kind == "l1" or a == 0.0:
+        return np.zeros_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = a * np.abs(x)
+        if kind == "log":
+            c = -a / ((1.0 + u) * (1.0 + u))
+        elif kind == "atan":
+            w = 3.0 + (1.0 + 2.0 * u) * (1.0 + 2.0 * u)
+            c = -16.0 * a * (1.0 + 2.0 * u) / (w * w)
+        elif kind == "rational":
+            c = -a / ((1.0 + 0.5 * u) * (1.0 + 0.5 * u) * (1.0 + 0.5 * u))
+        else:
+            raise ValueError(kind)
+    return np.where(u > U_LIMIT, 0.0, c)
 
 
 def d_apply(x):
@@ -153,23 +179,177 @@ def mm_shifted_input(v, y, cfg):
     return out
 
 
+def mm_certificate(e, cfg):
+    """||e||_1/lambda1, or max|e|/lambda0 where lambda1 = 0, or 0."""
+    if cfg.lambda1 > 0.0:
+        return float(np.sum(np.abs(e))) / cfg.lambda1
+    if cfg.lambda0 > 0.0:
+        return float(np.max(np.abs(e))) / cfg.lambda0
+    return 0.0
+
+
+def segments(x):
+    """The maximal runs of equal samples of x, as (start, stop) pairs."""
+    bounds = [0] + [i for i in range(1, x.size) if x[i] != x[i - 1]] + [x.size]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def structure(x):
+    """The signs of x's samples, NaN and -0.0 counted as 0, and where its
+    breaks are."""
+    return ((np.sign(np.nan_to_num(x)) + 0.0).tobytes(), tuple(start for start, _ in segments(x)))
+
+
+def polish_reference(x, y, cfg):
+    """The polish of `cnc.solve`, segment by segment: Newton steps on the
+    values of the nonzero segments of x, zero segments held, each step
+    halved from the largest power of two that keeps every sign by the ratio
+    test, until signs hold and F restricted to the segments strictly falls;
+    a step the ratio test limits first tries the limit itself, its value or
+    jump set to 0.  None when x has no nonzero segment, else (polished x,
+    steps)."""
+    runs = segments(x)
+    v = [float(x[start]) for start, _ in runs]
+    if all(value == 0.0 for value in v):
+        return None
+    size = [float(stop - start) for start, stop in runs]
+    mean = [float(np.sum(y[start:stop])) / n if value != 0.0 else 0.0
+            for (start, stop), n, value in zip(runs, size, v)]
+    lam0, lam1, p0, p1 = cfg.lambda0, cfg.lambda1, cfg.penalty0, cfg.penalty1
+    free = [value != 0.0 for value in v]
+    g_count = len(v)
+
+    def restricted(w):
+        w = np.array(w)
+        q = np.array([0.5 * n * ((wi - m) * (wi - m)) if keep else 0.0
+                      for wi, n, m, keep in zip(w, size, mean, free)])
+        return (float(np.sum(q)) + lam0 * float(np.sum(np.array(size) * p0.value(w)))
+                + lam1 * float(np.sum(p1.value(np.diff(w)))))
+
+    def signs(w):
+        w = np.array(w)
+        return np.sign(w).tobytes() + np.sign(np.diff(w)).tobytes()
+
+    f, steps = restricted(v), 0
+    with np.errstate(all="ignore"):
+        while steps < 60:
+            w = np.array(v)
+            jump = np.diff(w)
+            s0, c0 = p0.residual_deriv(w), curvature_terms(p0.kind, p0.a, w)
+            s1, c1 = p1.residual_deriv(jump), curvature_terms(p1.kind, p1.a, jump)
+            grad, diag = [0.0] * g_count, [1.0] * g_count
+            for g in range(g_count):
+                if not free[g]:
+                    continue
+                sign = 1.0 if v[g] > 0.0 else -1.0
+                grad[g] = size[g] * (v[g] - mean[g]) + lam0 * size[g] * (sign + float(s0[g]))
+                diag[g] = size[g] * (1.0 + lam0 * float(c0[g]))
+                if g > 0:
+                    sign = 1.0 if jump[g - 1] > 0.0 else -1.0
+                    grad[g] += lam1 * (sign + float(s1[g - 1]))
+                    diag[g] += lam1 * float(c1[g - 1])
+                if g < g_count - 1:
+                    sign = 1.0 if jump[g] > 0.0 else -1.0
+                    grad[g] -= lam1 * (sign + float(s1[g]))
+                    diag[g] += lam1 * float(c1[g])
+            off = [-(lam1 * float(c1[g])) if free[g] and free[g + 1] else 0.0
+                   for g in range(g_count - 1)]
+            # Thomas: forward elimination, then back substitution.
+            cp, dp = [0.0] * g_count, [0.0] * g_count
+            ok = True
+            for g in range(g_count):
+                pivot = diag[g] - (off[g - 1] * cp[g - 1] if g else 0.0)
+                if not pivot > 0.0:
+                    ok = False
+                    break
+                dp[g] = (grad[g] - (off[g - 1] * dp[g - 1] if g else 0.0)) / pivot
+                if g < g_count - 1:
+                    cp[g] = off[g] / pivot
+            if not ok:
+                break
+            delta = [0.0] * g_count
+            for g in range(g_count - 1, -1, -1):
+                delta[g] = dp[g] - (cp[g] * delta[g + 1] if g < g_count - 1 else 0.0)
+            delta = [dg if keep else 0.0 for dg, keep in zip(delta, free)]
+            # A step whose predicted fall is below f's rounding is the last.
+            last = 0.5 * float(np.sum(np.array(grad) * np.array(delta))) <= EPS * f
+            ratios = [vg / dg if dg != 0.0 else np.inf for vg, dg in zip(v, delta)]
+            ratios += [float(jump[g]) / (delta[g + 1] - delta[g])
+                       if delta[g + 1] != delta[g] else np.inf for g in range(g_count - 1)]
+            ratios = [r if r > 0.0 else np.inf for r in ratios]
+            limit = min(ratios)
+            if limit <= 1.0:
+                # Step to the limit, the first value or jump to reach 0
+                # set to exactly 0, and end the polish where that keeps
+                # every other sign and lowers f.
+                hit = ratios.index(limit)
+                trial = [vg - limit * dg for vg, dg in zip(v, delta)]
+                if hit >= g_count and 0.0 in (v[hit - g_count], v[hit - g_count + 1]):
+                    hit = hit - g_count + (v[hit - g_count] == 0.0)
+                if hit < g_count:
+                    trial[hit] = 0.0
+                    skip = {hit, hit - 1}
+                else:
+                    trial[hit - g_count + 1] = trial[hit - g_count]
+                    skip = {hit - g_count}
+                w, t_arr = np.array(v), np.array(trial)
+                same = [g == hit or np.sign(t_arr[g]) == np.sign(w[g]) for g in range(g_count)]
+                same += [g in skip or np.sign(t_arr[g + 1] - t_arr[g]) == np.sign(jump[g])
+                         for g in range(g_count - 1)]
+                if all(same):
+                    ft = restricted(trial)
+                    if ft < f:
+                        v, f = trial, ft
+                        steps += 1
+                        break
+            t = 1.0 if limit > 1.0 else float(np.ldexp(1.0, np.frexp(limit)[1] - 1))
+            # So is a step that would take a sign past 0.
+            last = last or limit <= 1.0
+            accepted = False
+            for _ in range(1 if last else 60):
+                trial = [vg - t * dg for vg, dg in zip(v, delta)]
+                if trial == v:
+                    break
+                if signs(trial) == signs(v):
+                    ft = restricted(trial)
+                    if ft < f or (last and ft - f <= EPS * f):
+                        v, f, accepted = trial, ft, True
+                        break
+                t *= 0.5
+            if not accepted:
+                break
+            steps += 1
+            if last:
+                break
+    return np.repeat(v, [stop - start for start, stop in runs]), steps
+
+
 def mm_reference(y, cfg):
-    """MM solve of `cnc.solve` as a plain chain: one `mm_shifted_input`, one
-    `fused_lasso_l1` and one `mm_objective` per update."""
+    """MM solve of `cnc.solve` as a plain chain: one `fused_lasso_l1`, one
+    `mm_objective`, one `mm_shifted_input` and its `mm_certificate` per
+    update, and between updates where the iterate kept its structure,
+    `polish_reference` and the polished iterate's `mm_shifted_input`."""
     y = np.asarray(y, dtype=float)
     x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
     history = [mm_objective(x, y, cfg)]
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iter):
-        shifted = mm_shifted_input(x, y, cfg)
+    shifted = mm_shifted_input(x, y, cfg)
+    polishes = 0
+    base = x  # the point the next input is formed at
+    for k in range(1, cfg.max_iter + 1):
         x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
-        f = mm_objective(x, y, cfg)
-        prev = history[-1]
-        history.append(f)
-        iterations += 1
-        if abs(prev - f) <= cfg.tol * abs(prev):
-            converged = True
+        history.append(mm_objective(x, y, cfg))
+        nxt = mm_shifted_input(x, y, cfg)
+        certificate = mm_certificate(shifted - nxt, cfg)
+        if certificate <= cfg.tol or k == cfg.max_iter:
             break
-    return SolveResult(x=x, objective_history=np.asarray(history),
-                       iterations=iterations, converged=converged)
+        polished = polish_reference(x, y, cfg) if structure(x) == structure(base) else None
+        base = x
+        if polished is not None:
+            polishes += 1
+            if polished[1]:
+                base = polished[0]
+                nxt = mm_shifted_input(base, y, cfg)
+        shifted = nxt
+    return SolveResult(x=x, objective_history=np.asarray(history), iterations=len(history) - 1,
+                       converged=certificate <= cfg.tol, certificate=certificate,
+                       polishes=polishes)

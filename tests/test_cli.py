@@ -200,10 +200,12 @@ class TestDenoise:
         assert proc.returncode == 0
         meta = json.loads((tmp_path / "out.txt.json").read_text())
         for key in ("method", "lambda0", "lambda1", "a0", "a1", "penalty",
-                    "convexity_margin", "iterations", "converged",
-                    "objective_history", "rmse"):
+                    "convexity_margin", "iterations", "converged", "certificate",
+                    "polishes", "objective_history", "rmse"):
             assert key in meta
         assert len(meta["objective_history"]) == meta["iterations"] + 1
+        assert meta["converged"] and meta["certificate"] <= 1e-9
+        assert list(meta).index("certificate") == list(meta).index("converged") + 1
         assert meta["rmse"] > 0
 
     def test_metadata_reports_tvd_backend(self, tmp_path, noisy):

@@ -1,13 +1,14 @@
 """The MM loop of `cnc.solve` against `mm_reference`, the same loop
-chained from per-step functions written out in `tests/refsolvers.py`:
-byte-identical iterates, objective histories, update counts and stopping
-flags, with either backend, and over every solve of the criterion-7 sweep;
-the compiled loop (the module's `mm_solve`) against the Python loop
-(`cnc._mm_loop_python`, the chain of the public `fused_lasso_l1`,
-`objective` and `majorized_input`) solve by solve; the public
-`objective` and `majorized_input` against the same per-step functions;
-and solves of a signal scaled by powers of two against the unscaled
-solve."""
+chained from per-step functions written out in `tests/refsolvers.py`, its
+polish included: byte-identical iterates, objective histories, update
+counts, stopping flags, certificates and polish counts, with either
+backend, and over every solve of the criterion-7 sweep; the compiled loop
+(the module's `mm_solve`) against the Python loop (`cnc._mm_loop_python`,
+the chain of the public `fused_lasso_l1`, `objective` and
+`majorized_input`) solve by solve; the public `objective` and
+`majorized_input` against the same per-step functions; the certificate
+against the subgradient oracle; and solves of a signal scaled by powers of
+two, or by factors where F overflows, against the unscaled solve."""
 
 import contextlib
 from unittest import mock
@@ -24,6 +25,7 @@ from cncflsa import (
     PenaltySpec,
     add_awgn,
     cli,
+    fused_lasso_optimality_residual,
     default_pulse_spec,
     generate_pulses,
     lambda1_heuristic,
@@ -46,7 +48,9 @@ def backend(name):
 def same_bytes(result, reference):
     return (result.x.tobytes() == reference.x.tobytes()
             and result.objective_history.tobytes() == reference.objective_history.tobytes()
-            and (result.iterations, result.converged) == (reference.iterations, reference.converged))
+            and (result.iterations, result.converged, result.polishes)
+            == (reference.iterations, reference.converged, reference.polishes)
+            and np.float64(result.certificate).hex() == np.float64(reference.certificate).hex())
 
 
 def step_signal(args):
@@ -254,3 +258,74 @@ def test_a_power_of_two_scales_the_solve_exactly(tvd_backend, instance):
             assert (result.x * 2.0**-k).tobytes() == base.x.tobytes(), k
             assert (result.objective_history * 4.0**-k).tobytes() == \
                 base.objective_history.tobytes(), k
+
+
+# Every kind, margins from 0 to 1 with the budget split at random, and caps
+# from 1 to 50 updates.  Fractions below 1e-3 would make subnormal degrees.
+fractions = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 1.0))
+
+
+@pytest.mark.parametrize("tvd_backend", ["c", "python"])
+@settings(max_examples=120, deadline=None)
+@given(signals, st.sampled_from(KINDS), st.sampled_from(KINDS), degrees, degrees, fractions,
+       fractions, st.integers(1, 50))
+@example([-0.0], "atan", "log", 0.5, 1.0, 0.0, 0.5, 1)
+@example([1.0, -0.0, 3.0, 3.0], "rational", "atan", 0.4, 0.0, 0.0, 1.0, 50)
+def test_the_oracle_is_at_most_the_certificate(tvd_backend, values, kind0, kind1, lam0, lam1,
+                                               margin, share, max_iter):
+    """e = s_{k-1} - s_k is a subgradient of F at x_k, so ||e||_1 / lambda1
+    (max|e| / lambda0 where lambda1 = 0) bounds the subgradient oracle of
+    the returned x.  The slack is the oracle's own floor.  At an exact
+    solve of the criterion-7 table it reads up to about 8e-14, hence 1e-12.
+    At longer signals and smaller weights its rounding grows past that: it
+    reads up to 1.3e-11 at solves whose certificate is exactly 0, where
+    e = 0, of 2,000 samples.  That rounding is a few ulps of what its
+    running sums add, the partial sums P of s - x and the samples of s and
+    the weights, in units of the weight, and the floor allows 4 ulps of
+    each; over 3,000 seeded random solves the oracle's excess over the
+    certificate reached a third of it."""
+    budget = 1.0 - margin
+    a0 = share * budget / lam0 if lam0 > 0.0 else 0.0
+    a1 = (1.0 - share) * budget / (4.0 * lam1) if lam1 > 0.0 else 0.0
+    cfg = CncConfig(lam0, lam1, PenaltySpec(kind0, a0), PenaltySpec(kind1, a1), max_iter=max_iter)
+    y = np.array(values)
+    with backend(tvd_backend):
+        result = solve(y, cfg)
+        shifted = majorized_input(result.x, y, cfg)
+        oracle = fused_lasso_optimality_residual(shifted, result.x, lam0, lam1)
+    unit = lam1 or lam0 or 1.0
+    added = np.abs(np.cumsum(shifted - result.x)) + np.abs(shifted) + lam0 + lam1
+    floor = 1e-12 + 4.0 * np.finfo(float).eps * float(np.sum(added)) / unit
+    assert oracle <= result.certificate + floor
+    assert result.converged == (result.certificate <= cfg.tol)
+
+
+def readme_solve(c):
+    """The README parameterization (cnc, atan, lambda1 = 0.25*sqrt(300)*0.5,
+    lambda0 = lambda1/10) on the fixture at sigma = 0.5, noise seed 1, with
+    y and the weights times c and the degrees over c."""
+    clean = generate_pulses(default_pulse_spec())
+    y = add_awgn(clean, NoiseSpec(0.5, 1))
+    lam1 = 0.25 * np.sqrt(300.0) * 0.5
+    lam0 = 0.1 * lam1
+    a0 = 0.5 / lam0
+    cfg = CncConfig(lam0 * c, lam1 * c, PenaltySpec("atan", a0 / c),
+                    PenaltySpec("atan", select_a1(lam0, lam1, a0) / c))
+    with np.errstate(over="ignore", under="ignore"):
+        return solve(y * c, cfg)
+
+
+@pytest.mark.parametrize("tvd_backend", ["c", "python"])
+@pytest.mark.parametrize("c", [1e154, 1e160, 1e300, 1e-300])
+def test_a_solve_whose_f_overflows_stops_on_its_certificate(tvd_backend, c):
+    """From c = 1e154 on, 0.5*||y - x||**2 overflows and F reads inf, and at
+    c = 1e-300 it underflows to 0.  The rule on the change of F ran all 50
+    updates unconverged there; the certificate reads no F, and these solves
+    certify, after 32 updates from c = 1e154 on and after 6 at c = 1e-300
+    (4 at c = 1).  x/c then stays within 3.5e-9 of the c = 1 solve
+    (max|x| = 2.2); the bound is 1e-8."""
+    with backend(tvd_backend):
+        base, result = readme_solve(1.0), readme_solve(c)
+    assert base.converged and result.converged and result.iterations < 50
+    assert result.certificate <= 1e-9
+    assert np.max(np.abs(result.x / c - base.x)) <= 1e-8

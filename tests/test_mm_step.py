@@ -1,12 +1,13 @@
-"""The compiled MM update against the public functions it fuses, one
-update at a time: the module's `mm_solve` capped at 1, 2 and 3 updates
-from one shifted input gives, after each update, the byte-identical
-iterate (`fused_lasso_l1`), residual and F (`objective`, whose penalty
-terms are `PenaltySpec.value`).  Its next shifted input, no longer an
-output, is pinned through the next update's iterate, which the chain
-solves on `majorized_input`.  Also the build flags that this rests on and
-the one entry point of the loop."""
+"""The compiled MM loop against its Python twin, one update at a time: the
+module's `mm_solve` capped at 1, 2 and 3 updates from one start gives,
+after each update, the byte-identical iterate, residual, F, certificate,
+polish count and Newton step count of `cnc._mm_loop_python`, the chain of
+the public `fused_lasso_l1`, `objective` and `majorized_input` with the
+certificate and the polish between updates, on the Python kernel.  Also the
+build flags that this rests on and the one entry point of the loop."""
 
+import dataclasses
+import types
 from unittest import mock
 
 import numpy as np
@@ -14,8 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cncflsa import (KINDS, CncConfig, PenaltySpec, cnc, fused_lasso_l1, majorized_input,
-                     objective, prox, solve)
+from cncflsa import KINDS, CncConfig, PenaltySpec, cnc, prox, solve
 
 from suites import EDGE
 
@@ -30,26 +30,28 @@ degrees = st.one_of(st.just(0.0), st.floats(1e-3, 5.0))
 WIDE = np.random.default_rng(9).normal(0.0, 3.0, 60).tolist()
 
 
-def run_steps(y, shifted, cfg, compiled, calls=3):
-    """Rows (x, r) and F after each of `calls` updates, from the module's
-    ``mm_solve`` capped at 1, ..., `calls` updates, each from `shifted`, or
-    from the public functions on the Python kernel.  tol is NaN, which the
-    stopping rule never meets, so each call runs to its cap."""
+def run_steps(y, v, cfg, compiled, calls=3):
+    """Rows (x, r), F, certificate, polishes and Newton steps after each of
+    `calls` updates, from the module's ``mm_solve`` capped at 1, ...,
+    `calls` updates, each from the start v and its shifted input, or from
+    the Python twin on the Python kernel.  tol is NaN, which the
+    certificate never meets, so each call runs to its cap; CncConfig
+    rejects it, so the twin reads a copy of cfg's fields."""
     y = np.ascontiguousarray(y)
+    shifted = cnc.majorized_input(v, y, cfg)
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     states = []
-    if compiled:
-        for cap in range(1, calls + 1):
-            x, history, _ = prox._tvd_c.mm_solve(
+    for cap in range(1, calls + 1):
+        if compiled:
+            x, history, *counts = prox._tvd_c.mm_solve(
                 y, shifted, 0.0, cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
-                KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind), cap, np.nan)
-            states.append([v.tobytes() for v in (x, y - x)] + [history[cap].hex()])
-        return states
-    with mock.patch.object(prox, "_tvd_c", None):
-        for _ in range(calls):
-            x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
-            f = objective(x, y, cfg)
-            shifted = majorized_input(x, y, cfg)
-            states.append([v.tobytes() for v in (x, y - x)] + [f.hex()])
+                KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind), cap, np.nan, v)
+        else:
+            loop_cfg = types.SimpleNamespace(**{**fields, "max_iter": cap, "tol": np.nan})
+            with mock.patch.object(prox, "_tvd_c", None):
+                x, history, *counts = cnc._mm_loop_python(y, v, shifted, 0.0, loop_cfg)
+        states.append([x.tobytes(), (y - x).tobytes(), history[cap].hex(),
+                       np.float64(counts[1]).hex(), *counts[2:]])
     return states
 
 
@@ -90,8 +92,7 @@ def test_compiled_step_matches_python_twin_bytes(values, seed, kind0, kind1, lam
     v = np.random.default_rng(seed).normal(0.0, 2.0, y.size) * (np.arange(y.size) % 3 != 0)
     cfg = CncConfig(lam0, lam1, PenaltySpec(kind0, a0), PenaltySpec(kind1, a1),
                     allow_nonconvex=True)
-    shifted = cnc.majorized_input(v, y, cfg)
-    assert run_steps(y, shifted, cfg, compiled=True) == run_steps(y, shifted, cfg, compiled=False)
+    assert run_steps(y, v, cfg, compiled=True) == run_steps(y, v, cfg, compiled=False)
 
 
 def test_build_flags_round_every_operation_on_its_own():

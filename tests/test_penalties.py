@@ -5,7 +5,7 @@ import pytest
 
 from cncflsa import KINDS, PenaltySpec
 
-from refsolvers import penalty_terms
+from refsolvers import curvature_terms, penalty_terms
 from suites import A_VALUES, check_majorizer_domination, check_penalty_properties
 
 LN2 = np.log(2.0)
@@ -239,3 +239,29 @@ def test_slope_stays_finite_past_overflow(kind, a):
         ds, past = p.residual_deriv(huge), a * huge >= 2.0**56
     assert ds.tobytes() == penalty_terms(kind, a, huge)[1].tobytes()
     assert np.all(np.isfinite(ds)) and np.all(ds[past] == -1.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("a", [*A_VALUES, 1e160])
+def test_residual_deriv2_matches_its_closed_form_bytes(kind, a):
+    """s'' against `curvature_terms`, with no warning, on both sides of
+    a*|x| = 2**56, past which it is its limit 0, and past the overflow of
+    the squares and of a*|x| itself; even, in [-a, 0], -a at 0, and the
+    derivative of s' within rounding."""
+    u = np.concatenate([[0.0], np.logspace(-3.0, 300.0, 607), 2.0 ** np.arange(50.0, 62.0, 0.25)])
+    x = np.concatenate([PROBES, u / (a or 1.0), [np.finfo(float).max]])
+    p = PenaltySpec(kind, a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curv = p.residual_deriv2(x)
+        assert p.residual_deriv2(-x).tobytes() == curv.tobytes()
+    assert curv.tobytes() == curvature_terms(p.kind, p.a, x).tobytes()
+    assert np.all((curv <= 0.0) & (curv >= -p.a)) and p.residual_deriv2(0.0) == -p.a
+    with np.errstate(over="ignore"):
+        assert np.all(curv[p.a * np.abs(x) > 2.0**56] == 0.0)
+    assert type(p.residual_deriv2(0.5)) is float
+    if p.a:
+        z = np.linspace(-3.0, 3.0, 61) / p.a
+        h = 1e-6 / p.a
+        slope = (p.residual_deriv(z + h) - p.residual_deriv(z - h)) / (2.0 * h)
+        np.testing.assert_allclose(p.residual_deriv2(z), slope, rtol=1e-6, atol=1e-6 * p.a)

@@ -13,26 +13,26 @@ repeats, in milliseconds per call:
   at the start's iterate: ``PenaltySpec.value`` and
   ``PenaltySpec.residual_deriv`` (of penalty0), ``cnc.objective`` and
   ``cnc.majorized_input``;
-- one MM update at N = 300 and 30,000, taken as the difference between a
-  solve capped at 11 updates and one capped at 1, divided by 10 (the
-  tolerance is so tight that neither stops early);
-- with the compiled module, one compiled MM update at N = 300 and 30,000,
-  a call of its ``mm_solve`` entry capped at one update on the input of a
-  solve's 11th update, split into its ``tvd`` kernel (the module's ``tvd``
-  on the update's input) and the rest of the update (the update minus the
-  kernel, both timed in the same repeat);
-- ``cnc.solve`` on the 300-sample fixture, and ``signalgen.rmse`` of its
-  result;
+- ``cnc.solve`` at N = 300 (the fixture) and 30,000, and ``signalgen.rmse``
+  of the first's result;
+- with the compiled module, its whole MM loop at N = 300 and 30,000: a
+  call of its ``mm_solve`` entry with the arguments that ``cnc.solve``
+  passes it after the start;
+- one polish at N = 300: ``cnc._polish``, the Python twin of the compiled
+  polish (which has no entry of its own and shows in the loop rows), on the
+  iterate where the fixture's solve first polishes;
 - the criterion-7 sweep (3 sigma x 3 methods x 20 lambda0 x 15 trials);
 - ``python -m cncflsa.cli denoise`` on the 300-sample fixture, in a fresh
   interpreter.
 
-Apart from the compiled update's split, which calls the module's
-``mm_solve`` with the arguments that ``cnc.solve`` passes it, only public
-names are timed, so the script measures whichever version of the package
-is on the import path.  That entry's arguments are private to a version, so
-run each version's own script, each with its own label, to put both into
-one file:
+The solve, loop and polish rows also print, and keep, the work they time:
+kernel calls (a solve's start and its updates, a loop's updates), polishes
+and Newton steps.  Apart from the loop and the polish, which are private
+(``mm_solve`` and ``cnc._polish``, with the arguments of ``cnc.solve``),
+only public names are timed, so the script measures whichever version of
+the package is on the import path.  Those arguments are private to a
+version, so run each version's own script, each with its own label, to put
+both into one file:
 
     PYTHONPATH=<parent checkout>/src python <parent checkout>/tools/bench_layers.py \
         --tag T --label parent --out-dir .
@@ -93,7 +93,7 @@ from cncflsa import (
     soft_threshold,
     tvd,
 )
-from cncflsa import prox
+from cncflsa import cnc, prox
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from gauge import Gauge, in_process  # noqa: E402
@@ -133,42 +133,52 @@ def summary(samples):
 
 
 def solve_start(y, cfg):
-    """The public calls that make a solve's starting point."""
+    """The public calls that make a solve's starting point, and the
+    arguments of ``cnc._mm_updates`` that ``cnc.solve`` passes from it."""
     x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
-    objective(x, y, cfg)
-    majorized_input(x, y, cfg)
+    return y, x, majorized_input(x, y, cfg), objective(x, y, cfg), cfg
 
 
-def mm_update_ms(y, inner):
-    """Milliseconds per MM update: an 11-update solve minus a 1-update one."""
-    long_cfg, short_cfg = cnc_config(max_iter=11, tol=1e-300), cnc_config(max_iter=1, tol=1e-300)
-    if solve(y, long_cfg).iterations != 11:
-        raise RuntimeError("the 11-update solve stopped early")
-    return (timed(lambda: solve(y, long_cfg), inner) - timed(lambda: solve(y, short_cfg), inner)) / 10
+def loop_work(y, cfg):
+    """Kernel calls, polishes and Newton steps of the MM loop from the start
+    of a solve of y, which must converge."""
+    x, history, converged, _, polishes, steps = cnc._mm_updates(*solve_start(y, cfg))
+    if not converged:
+        raise RuntimeError("the solve ran to its cap")
+    return {"kernel_calls": history.size - 1, "polishes": polishes, "newton_steps": steps}
 
 
-def compiled_update(n):
-    """Zero-argument callables of one compiled MM update on signal(n), a
-    call of the module's ``mm_solve`` capped at one update, and of its
-    ``tvd`` on that update's input; None without the module.  Each call
-    runs the 11th update of a solve: its input is derived once, from the
-    iterate of a solve capped at 10 updates (the tolerance is so tight that
-    it does not stop early).  Ten updates bring the iterate near its fixed
-    point, where a solve spends most of its updates, and every repeat times
-    the same update."""
+def compiled_loop(y, cfg):
+    """A zero-argument call of the module's whole MM loop from the start of a
+    solve of y; None without the module."""
     lib = prox._tvd_c
     if lib is None:
         return None
-    y, cfg = signal(n), cnc_config(max_iter=1)
-    params = (cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
-              KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind))
-    start = majorized_input(fused_lasso_l1(y, cfg.lambda0, cfg.lambda1), y, cfg)
-    x, history, _ = lib.mm_solve(y, start, 0.0, *params, 10, 1e-300)
-    if history.size != 11:
-        raise RuntimeError("the 10-update solve stopped early")
-    shifted = majorized_input(x, y, cfg)
-    return (lambda: lib.mm_solve(y, shifted, 0.0, *params, 1, cfg.tol),
-            lambda: lib.tvd(shifted, cfg.lambda1))
+    y, x, shifted, f0, cfg = solve_start(y, cfg)
+    args = (y, shifted, f0, cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
+            KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind), cfg.max_iter, cfg.tol,
+            x)
+    return lambda: lib.mm_solve(*args)
+
+
+def first_polish(y, cfg):
+    """The iterate where the Python loop from the start of a solve of y
+    first polishes, and the work of that polish."""
+    seen = []
+    polish = cnc._polish
+
+    def recording(x, y, cfg):
+        out = polish(x, y, cfg)
+        seen.append((x, out))
+        return out
+
+    cnc._polish = recording
+    try:
+        cnc._mm_loop_python(*solve_start(y, cfg))
+    finally:
+        cnc._polish = polish
+    x, (_, steps) = next((x, out) for x, out in seen if out is not None)
+    return x, {"kernel_calls": 0, "polishes": 1, "newton_steps": steps}
 
 
 def cli_denoise_ms(workdir):
@@ -183,7 +193,8 @@ def cli_denoise_ms(workdir):
 
 
 def layers(workdir):
-    """(name, repeats, zero-argument function returning ms per call)."""
+    """(name, repeats, zero-argument function returning ms per call), and
+    for the solve, loop and polish rows the work of one call."""
     y300, cfg = signal(300), cnc_config()
     lam1 = cfg.lambda1
     out = []
@@ -210,19 +221,17 @@ def layers(workdir):
                          ("cnc.objective", lambda x=x, y=y: objective(x, y, cfg)),
                          ("cnc.majorized_input", lambda x=x, y=y: majorized_input(x, y, cfg))):
             out.append((f"{name} N={n}", REPEATS, lambda fn=fn, inner=inner: timed(fn, inner)))
-    out.append(("MM update N=300", REPEATS, lambda: mm_update_ms(y300, 40)))
-    out.append(("MM update N=30000", REPEATS, lambda: mm_update_ms(y30k, 2)))
-    for n, inner in ((300, 400), (30000, 4)):
-        split = compiled_update(n)
-        if split is not None:
-            update, kernel = split
-            out.append((f"MM update compiled N={n}", REPEATS,
-                        lambda update=update, inner=inner: timed(update, inner)))
-            out.append((f"MM update compiled tvd N={n}", REPEATS,
-                        lambda kernel=kernel, inner=inner: timed(kernel, inner)))
-            out.append((f"MM update compiled rest N={n}", REPEATS, lambda update=update,
-                        kernel=kernel, inner=inner: timed(update, inner) - timed(kernel, inner)))
-    out.append(("cnc.solve N=300", REPEATS, lambda: timed(lambda: solve(y300, cfg), 40)))
+    for n, y, inner in ((300, y300, 40), (30000, y30k, 1)):
+        work = loop_work(y, cfg)
+        out.append((f"cnc.solve N={n}", REPEATS, lambda y=y, inner=inner: timed(
+            lambda: solve(y, cfg), inner), {**work, "kernel_calls": work["kernel_calls"] + 1}))
+        loop = compiled_loop(y, cfg)
+        if loop is not None:
+            out.append((f"MM loop compiled N={n}", REPEATS,
+                        lambda loop=loop, inner=inner: timed(loop, inner), work))
+    x, work = first_polish(y300, cfg)
+    out.append(("cnc._polish N=300", REPEATS, lambda: timed(lambda: cnc._polish(x, y300, cfg), 40),
+                work))
     x300 = solve(y300, cfg).x
     out.append(("signalgen.rmse N=300", REPEATS, lambda: timed(lambda: rmse(x300, y300), 2000)))
     out.append(("criterion-7 sweep", 5, lambda: timed(
@@ -235,7 +244,7 @@ def measure():
     result = {}
     gauge = Gauge(in_process, GAUGE_NOMINAL_MS, 0.0)
     with tempfile.TemporaryDirectory() as workdir:
-        for name, count, fn in layers(Path(workdir)):
+        for name, count, fn, *work in layers(Path(workdir)):
             fn()  # warm caches and lazy set-up
             samples = []
             for _ in range(count):
@@ -243,8 +252,12 @@ def measure():
                 gauge.read()
             result[name] = summary(samples)
             result[name]["gauge_ms"] = round(float(np.median(gauge.ms[-count:])), 4)
+            counts = ""
+            if work:
+                result[name].update(work[0])
+                counts = "   " + ", ".join(f"{k.replace('_', ' ')} {v}" for k, v in work[0].items())
             print(f"{name:32s} {result[name]['median_ms']:12.4f} ms"
-                  f"   (gauge {result[name]['gauge_ms']:.2f} ms)", flush=True)
+                  f"   (gauge {result[name]['gauge_ms']:.2f} ms){counts}", flush=True)
     return result
 
 

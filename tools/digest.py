@@ -4,12 +4,14 @@ Each digest covers the bytes of
 
 - seeded random solves: N in {1, 2, 3, 17, 129, 300, 1000} with -0.0 and
   0.0 samples, each penalty's kind drawn on its own, lambda0 and lambda1
-  sometimes 0, update caps of 1, 3 and 50, and tol 1e-9 or 1e-300 (so that
-  many solves run to the cap); for each, the iterate, the objective
-  history, the update count and the stopping flag;
+  sometimes 0, update caps of 1, 3 and 50, and tol 1e-9 or 1e-300; tol
+  bounds the certificate, so 1e-300 stops a solve only where its
+  certificate reads exactly 0 (or a subnormal), and most of those solves
+  run to the cap; for each, the iterate, the objective history, the update
+  count, the stopping flag, the certificate and the polish count;
 - the criterion-7 table, ``cli.sweep_sigma`` over sigma = 0.25, 0.5 and 1
-  with 15 trials and all three methods: every row, and the iterate and
-  history of each of its MM solves;
+  with 15 trials and all three methods: every row, and the iterate,
+  history, certificate and polish count of each of its MM solves;
 - ``cli denoise`` on a noisy fixture for a few flag sets: the output file
   and its JSON metadata;
 - the public penalty functions on seeded random signals of the same sizes,
@@ -113,7 +115,8 @@ def random_solves(h):
         result = solve(y, cfg)
         h.update(result.x.tobytes())
         h.update(result.objective_history.tobytes())
-        h.update(repr((result.iterations, result.converged)).encode())
+        h.update(repr((result.iterations, result.converged, result.certificate.hex(),
+                       result.polishes)).encode())
 
 
 def penalty_spec(rng, lam):
@@ -151,6 +154,7 @@ def sweep_table(h):
         result = public(y, cfg)
         h.update(result.x.tobytes())
         h.update(result.objective_history.tobytes())
+        h.update(repr((result.certificate.hex(), result.polishes)).encode())
         return result
 
     cli.solve = recording
