@@ -32,10 +32,10 @@
  * finish as a plain one.
  *
  * The MM loop, cncflsa_mm_solve, is the one compiled solve: its updates,
- * the certificate it stops on and the Newton polish between updates, a
- * byte-for-byte twin of cncflsa.cnc._mm_loop_python.  The polish is the
- * one place that needs s'' (curvature, beside algebra) and a Thomas sweep
- * (thomas).
+ * the certificate it stops on and the Newton polish after each update that
+ * does not stop, a byte-for-byte twin of cncflsa.cnc._mm_loop_python.  The
+ * polish is the one place that needs s'' (curvature, beside algebra) and a
+ * Thomas sweep (thomas).
  *
  * Each kernel is built twice, for x86-64-v3 (AVX2, 4-lane maps) and for
  * the baseline x86-64 (SSE2), and the loader's ifunc resolver picks the
@@ -365,7 +365,7 @@ CLONES static int cncflsa_all_finite(const double *x, npy_intp n)
 
     for (i = 0; i < n; i++) {
         memcpy(&bits, x + i, sizeof(bits));
-        carry |= (bits & 0x7ff0000000000000ULL) + 0x0010000000000000ULL;
+        carry |= (bits & 0x7ff0000000000000ULL) + (1ULL << 52);
     }
     return !(carry >> 63);
 }
@@ -438,21 +438,6 @@ static double certificate(const struct mm_step *m, const struct numpy_loops *np)
     for (i = 0; i < m->n; i++)
         largest = e[i] > largest || e[i] != e[i] ? e[i] : largest;
     return largest / m->lam0;
-}
-
-/* cncflsa.cnc._same_structure: whether x and prev have the same positive
- * samples, the same negative ones and the same breaks.  One branch-free
- * pass, inlined into each clone of cncflsa_mm_solve, which gcc vectorizes
- * at that clone's width. */
-INLINE int same_structure(const double *x, const double *prev, npy_intp n)
-{
-    int differ = (x[0] > 0.0) != (prev[0] > 0.0) || (x[0] < 0.0) != (prev[0] < 0.0);
-    npy_intp i;
-
-    for (i = 1; i < n; i++)
-        differ |= ((x[i] > 0.0) ^ (prev[i] > 0.0)) | ((x[i] < 0.0) ^ (prev[i] < 0.0))
-                  | ((x[i] != x[i - 1]) ^ (prev[i] != prev[i - 1]));
-    return !differ;
 }
 
 /* The rows of polish over G segments, carved from m->work (TVD_ROWS rows of
@@ -661,15 +646,12 @@ static long long polish(const struct mm_step *m, const struct numpy_loops *np, d
  * (cncflsa.cnc.objective, in its order of evaluation) in m->f[k] after
  * m->f[0], forms the next shifted input in m->shifted by majorize and the
  * certificate; it stops, converged, where the certificate is <= tol (false
- * on NaN as in Python), or after m->max_iter updates.  Otherwise, where the
- * iterate kept the structure of the point its input was formed at (m->r
- * holds that point from the update's start to its majorize), it is
- * polished, and where the polish took a step, majorize of the polished
- * iterate, kept in m->in, replaces the next input, and the polished
- * iterate is the next point.  Then the rows in and shifted swap.  Returns
- * the number of updates, negated when the certificate met tol, or 0 when
- * the history could not grow; certificate, polishes and Newton steps come
- * back through their pointers.  m->f doubles in size whenever an update
+ * on NaN as in Python), or after m->max_iter updates.  Otherwise the
+ * iterate is polished, and where the polish took a step, majorize of the
+ * polished iterate, kept in m->in, replaces the next input.  Then the rows
+ * in and shifted swap.  Returns the number of updates, negated when the
+ * certificate met tol, or 0 when the history could not grow; certificate,
+ * polishes and Newton steps come back through their pointers.  m->f doubles in size whenever an update
  * needs more room; the solve runs without the GIL, so it grows with
  * PyMem_RawRealloc. */
 CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_loops *np,
@@ -679,11 +661,9 @@ CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_l
     long long k, taken;
     double f, *grown, *swap;
     struct mm_step polished;
-    int same;
 
     for (k = 1;; k++) {
         fused_lasso(m);
-        same = same_structure(m->x, m->r, n);
         majorize(m);
         finish(np, m->kind0, m->a0, m->phi0, n);
         finish(np, m->kind1, m->a1, m->phi1, n - 1);
@@ -701,13 +681,12 @@ CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_l
             return -k;
         if (k == m->max_iter)
             return k;
-        taken = same ? polish(m, np, m->in) : -1;
+        taken = polish(m, np, m->in);
         *polishes += taken >= 0, *steps += taken > 0 ? taken : 0;
         if (taken > 0) {
             polished = *m, polished.x = m->in;
             majorize(&polished);
         }
-        memcpy(m->r, taken > 0 ? m->in : m->x, n * sizeof(double));
         swap = m->in, m->in = m->shifted, m->shifted = swap;
     }
 }
@@ -961,32 +940,31 @@ static PyObject *shifted_input(PyObject *self, PyObject *const *args, Py_ssize_t
 }
 
 PyDoc_STRVAR(mm_solve_doc, "mm_solve(y, shifted, f0, lam0, lam1, a0, a1, kind0, kind1, max_iter,"
-" tol, x0)\n    -> (x, history, converged, certificate, polishes, newton_steps)\n\n"
-"The MM updates of cncflsa.cnc._mm_updates from a start x0 whose shifted input\n"
-"is shifted and whose F is f0, on C-contiguous float64 vectors y, shifted and\n"
-"x0 of one length; kind0 and kind1 index KINDS, and max_iter >= 1 (any larger\n"
-"than a C long long runs as unbounded).  history holds f0 and the F of each\n"
-"update run, certificate is the last update's, and polishes and newton_steps\n"
-"count the polishes run between updates and the steps they took.");
+" tol)\n    -> (x, history, converged, certificate, polishes, newton_steps)\n\n"
+"The MM updates of cncflsa.cnc._mm_updates from a start whose shifted input is\n"
+"shifted and whose F is f0, on C-contiguous float64 vectors y and shifted of\n"
+"one length; kind0 and kind1 index KINDS, and max_iter >= 1 (any larger than\n"
+"a C long long runs as unbounded).  history holds f0 and the F of each update\n"
+"run, certificate is the last update's, and polishes and newton_steps count\n"
+"the polishes run between updates and the steps they took.");
 
 static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     const struct numpy_loops *loops = PyModule_GetState(self);
     struct mm_step m;
-    PyArrayObject *y, *shifted, *x0;
+    PyArrayObject *y, *shifted;
     PyObject *x, *history;
     double f0, cert = 0.0;
     long long updates, polishes = 0, steps = 0;
     int overflow;
     npy_intp size;
 
-    if (check_nargs("mm_solve", nargs, 12) < 0 || (y = as_array(args[0], "y", 1)) == NULL
+    if (check_nargs("mm_solve", nargs, 11) < 0 || (y = as_array(args[0], "y", 1)) == NULL
         || (shifted = as_array(args[1], "shifted", 1)) == NULL || as_double(args[2], &f0) < 0
         || as_double(args[3], &m.lam0) < 0 || as_double(args[4], &m.lam1) < 0
         || as_double(args[5], &m.a0) < 0 || as_double(args[6], &m.a1) < 0
         || as_int(args[7], "kind0", 0, 3, &m.kind0) < 0
-        || as_int(args[8], "kind1", 0, 3, &m.kind1) < 0 || as_double(args[10], &m.tol) < 0
-        || (x0 = as_array(args[11], "x0", 1)) == NULL)
+        || as_int(args[8], "kind1", 0, 3, &m.kind1) < 0 || as_double(args[10], &m.tol) < 0)
         return NULL;
     m.max_iter = PyLong_AsLongLongAndOverflow(args[9], &overflow);
     if (m.max_iter == -1 && PyErr_Occurred())
@@ -998,8 +976,8 @@ static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t narg
         return NULL;
     }
     m.n = PyArray_DIM(y, 0);
-    if (m.n < 1 || PyArray_DIM(shifted, 0) != m.n || PyArray_DIM(x0, 0) != m.n) {
-        PyErr_SetString(PyExc_ValueError, "y, shifted and x0 must have one length >= 1");
+    if (m.n < 1 || PyArray_DIM(shifted, 0) != m.n) {
+        PyErr_SetString(PyExc_ValueError, "y and shifted must have one length >= 1");
         return NULL;
     }
     /* The result before the scratch, so that freeing the scratch leaves no
@@ -1007,14 +985,13 @@ static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t narg
     if ((x = PyArray_SimpleNew(1, &m.n, NPY_DOUBLE)) == NULL)
         return NULL;
     /* The solve's scratch: one block of 5 + TVD_ROWS rows of n doubles,
-     * r = (y - x)^2, which between updates holds the point the next input
-     * is formed at (x0 first) for the structure test; phi0, phi1 (n - 1 of its row); the two
-     * shifted rows in and shifted, in a copy of the caller's, which swap
-     * after each update, and of which in takes |e| for the certificate and
-     * then the polished iterate; and cncflsa_tvd's work, whose lo_clamp row
-     * majorize reuses for s1' and all of whose rows polish reuses for its
-     * own, of at most n doubles each (struct segments).  And the history
-     * f, f0 first, at 64 doubles or max_iter + 1 if fewer. */
+     * r = (y - x)^2, phi0, phi1 (n - 1 of its row); the two shifted rows in
+     * and shifted, in a copy of the caller's, which swap after each update,
+     * and of which in takes |e| for the certificate and then the polished
+     * iterate; and cncflsa_tvd's work, whose lo_clamp row majorize reuses
+     * for s1' and all of whose rows polish reuses for its own, of at most n
+     * doubles each (struct segments).  And the history f, f0 first, at 64
+     * doubles or max_iter + 1 if fewer. */
     m.size = m.max_iter < 64 ? m.max_iter + 1 : 64;
     if ((m.r = scratch(m.n, 5 + TVD_ROWS)) == NULL || (m.f = scratch(m.size, 1)) == NULL) {
         PyMem_RawFree(m.r);
@@ -1027,7 +1004,6 @@ static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t narg
     m.y = PyArray_DATA(y), m.x = PyArray_DATA((PyArrayObject *)x);
     Py_BEGIN_ALLOW_THREADS
     memcpy(m.in, PyArray_DATA(shifted), m.n * sizeof(double));
-    memcpy(m.r, PyArray_DATA(x0), m.n * sizeof(double));
     updates = cncflsa_mm_solve(&m, loops, &cert, &polishes, &steps);
     Py_END_ALLOW_THREADS
     PyMem_RawFree(m.r);

@@ -202,13 +202,13 @@ def solve(y, cfg: CncConfig) -> SolveResult:
     of x_k in the units of the dual variables.  The solve stops, converged,
     at the first c_k <= cfg.tol, otherwise after cfg.max_iter updates.
 
-    Between updates the iterate is polished once its segment structure has
-    settled: where x_k has the breaks, zero segments and signs of the point
-    s_{k-1} was formed at (x_{k-1}, or its polished iterate), Newton steps
-    on the values of its nonzero segments lower F with that structure held
-    (see :func:`_polish`), and the shifted input of the polished iterate
-    replaces s_k.  The returned x is always an update's
-    output, so its segments are exact fused-lasso segments.
+    After each update that does not stop, the iterate is polished: Newton
+    steps on the values of its nonzero segments lower F with its structure
+    held (see :func:`_polish`), and the shifted input of the polished
+    iterate replaces s_k.  Each update lowers F from any point, so the
+    polish needs no test that the structure has settled.  The returned x is
+    always an update's output, so its segments are exact fused-lasso
+    segments.
 
     The certificate is unit-free, so scaling y and the weights by a power of
     two c and the degrees by 1/c scales x by c and F by c**2 exactly, unless
@@ -228,7 +228,7 @@ def solve(y, cfg: CncConfig) -> SolveResult:
     x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
     f0 = objective(x, y, cfg)
     x, history, converged, certificate, polishes, _ = _mm_updates(
-        y, x, majorized_input(x, y, cfg), f0, cfg)
+        y, majorized_input(x, y, cfg), f0, cfg)
     return SolveResult(
         x=x,
         objective_history=history,
@@ -239,51 +239,49 @@ def solve(y, cfg: CncConfig) -> SolveResult:
     )
 
 
-def _mm_updates(y, x0, shifted, f0, cfg):
-    """The MM updates of :func:`solve` from the start x0, its shifted input
-    and its F.
+def _mm_updates(y, shifted, f0, cfg):
+    """The MM updates of :func:`solve` from a start's shifted input and its
+    F.
 
     Returns the last iterate, the objective history from f0 on, whether the
     certificate met cfg.tol, the last certificate, the number of polishes
     and their Newton steps in all.  With the compiled module the updates run
-    in one call of its ``mm_solve``, which allocates its scratch, its copies
-    of shifted and x0 and the history itself; without it they run in
+    in one call of its ``mm_solve``, which allocates its scratch, its copy
+    of shifted and the history itself; without it they run in
     :func:`_mm_loop_python`, its reference.  Both give the same bits, and
-    neither writes y, x0 or shifted.
+    neither writes y or shifted.
     """
     lib = _prox._tvd_c
     if lib is None:
-        return _mm_loop_python(y, x0, shifted, f0, cfg)
+        return _mm_loop_python(y, shifted, f0, cfg)
     return lib.mm_solve(y, shifted, f0, cfg.lambda0, cfg.lambda1,
                         cfg.penalty0.a, cfg.penalty1.a, KINDS.index(cfg.penalty0.kind),
-                        KINDS.index(cfg.penalty1.kind), cfg.max_iter, cfg.tol, x0)
+                        KINDS.index(cfg.penalty1.kind), cfg.max_iter, cfg.tol)
 
 
-def _mm_loop_python(y, x, shifted, f0, cfg):
+def _mm_loop_python(y, shifted, f0, cfg):
     """The MM updates as the chain of the public functions, the reference
     of ``cncflsa_mm_solve``: each update is :func:`fused_lasso_l1` on the
     shifted input, :func:`objective` of the new iterate,
     :func:`majorized_input` at it and the certificate; then, unless the
-    certificate met tol or the cap is reached, :func:`_polish` where the
-    iterate kept the structure of the point its input was formed at (x,
-    the start, for the first update), and the polished iterate's
-    :func:`majorized_input` where the polish took a step."""
+    certificate met tol or the cap is reached, :func:`_polish` of the
+    iterate, and the polished iterate's :func:`majorized_input` where the
+    polish took a step."""
     history, polishes, steps = [f0], 0, 0
     for k in range(1, cfg.max_iter + 1):
-        base, x = x if k == 1 else base, fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
+        x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
         history.append(objective(x, y, cfg))
         nxt = majorized_input(x, y, cfg)
         certificate = _certificate(shifted, nxt, cfg)
         if certificate <= cfg.tol or k == cfg.max_iter:
             break
-        polished = _polish(x, y, cfg) if _same_structure(x, base) else None
-        base = x
+        polished = _polish(x, y, cfg)
         if polished is not None:
             polishes += 1
             xhat, taken = polished
             steps += taken
             if taken:
-                nxt, base = majorized_input(xhat, y, cfg), xhat
+                nxt = majorized_input(xhat, y, cfg)
         shifted = nxt
     return x, np.array(history), certificate <= cfg.tol, certificate, polishes, steps
 
@@ -297,13 +295,6 @@ def _certificate(shifted, nxt, cfg):
     if cfg.lambda0 > 0.0:
         return float(np.max(e)) / cfg.lambda0
     return 0.0
-
-
-def _same_structure(x, prev):
-    """Whether x and prev have the same positive samples, the same negative
-    ones and the same breaks between neighbours."""
-    return bool(np.array_equal(x > 0.0, prev > 0.0) and np.array_equal(x < 0.0, prev < 0.0)
-                and np.array_equal(x[1:] != x[:-1], prev[1:] != prev[:-1]))
 
 
 # The polish's cap on Newton steps, and on the halvings of each step.

@@ -175,29 +175,26 @@ def lambda0_grid(n, sigma, beta=DEFAULT_BETA):
     return np.arange(1, 21) * 0.05 * scale
 
 
+@np.errstate(over="ignore")
 def rmse(x, reference):
     """Root mean squared error between two equal-length signals.
 
-    Where the sum of squares overflows, it is formed from the halved
-    differences scaled by their largest magnitude, so the result is finite
-    whenever the RMSE is (a difference past the largest float still warns,
-    as numpy's subtraction does); every other result is the plain
-    formula's.
+    Where the sum of squares overflows, or a difference does, it is formed
+    from the halved differences scaled by their largest magnitude, so the
+    result is finite whenever the RMSE is, and no overflow warns; every
+    other result is the plain formula's.
 
-    The sum of squares is ``np.vdot``, BLAS ``ddot``, unlike F's sums: its
-    order of addition follows the BLAS build, the kernel it picks for the
-    CPU and, from about 10,000 samples, its thread count, and so can the
-    last bits of the result; no solve reads it.  It stays because numpy's
-    pairwise sum warns where the squares overflow, so it would need an
-    ``np.errstate`` block on every call, which measured about 1 µs more
-    per call at N = 300 (2.4 against 3.4 µs on a 2-core x86-64 VM), about
-    2% of a criterion-7 table's 2,700 calls."""
+    Both sums of squares are numpy's pairwise ``add``, as F's are, not BLAS
+    ``ddot``, whose order of addition follows the BLAS build, the kernel it
+    picks for the CPU and its thread count."""
     x, reference = _as_pair(x, reference, "x", "reference")
     d = x - reference
-    total = float(np.vdot(d, d))  # np.dot's bits, without its overflow warning
+    d *= d
+    total = float(np.add.reduce(d))
     if math.isfinite(total):
         return math.sqrt(total / x.size)
     half = 0.5 * x - 0.5 * reference
     scale = float(np.max(np.abs(half)))
     half /= scale
-    return 2.0 * (scale * math.sqrt(float(np.vdot(half, half)) / x.size))
+    half *= half
+    return 2.0 * (scale * math.sqrt(float(np.add.reduce(half)) / x.size))

@@ -194,12 +194,6 @@ def segments(x):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def structure(x):
-    """The signs of x's samples, NaN and -0.0 counted as 0, and where its
-    breaks are."""
-    return ((np.sign(np.nan_to_num(x)) + 0.0).tobytes(), tuple(start for start, _ in segments(x)))
-
-
 def polish_reference(x, y, cfg):
     """The polish of `cnc.solve`, segment by segment: Newton steps on the
     values of the nonzero segments of x, zero segments held, each step
@@ -327,14 +321,13 @@ def polish_reference(x, y, cfg):
 def mm_reference(y, cfg):
     """MM solve of `cnc.solve` as a plain chain: one `fused_lasso_l1`, one
     `mm_objective`, one `mm_shifted_input` and its `mm_certificate` per
-    update, and between updates where the iterate kept its structure,
-    `polish_reference` and the polished iterate's `mm_shifted_input`."""
+    update, and after each update that does not stop, `polish_reference`
+    and the polished iterate's `mm_shifted_input`."""
     y = np.asarray(y, dtype=float)
     x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
     history = [mm_objective(x, y, cfg)]
     shifted = mm_shifted_input(x, y, cfg)
     polishes = 0
-    base = x  # the point the next input is formed at
     for k in range(1, cfg.max_iter + 1):
         x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
         history.append(mm_objective(x, y, cfg))
@@ -342,13 +335,11 @@ def mm_reference(y, cfg):
         certificate = mm_certificate(shifted - nxt, cfg)
         if certificate <= cfg.tol or k == cfg.max_iter:
             break
-        polished = polish_reference(x, y, cfg) if structure(x) == structure(base) else None
-        base = x
+        polished = polish_reference(x, y, cfg)
         if polished is not None:
             polishes += 1
             if polished[1]:
-                base = polished[0]
-                nxt = mm_shifted_input(base, y, cfg)
+                nxt = mm_shifted_input(polished[0], y, cfg)
         shifted = nxt
     return SolveResult(x=x, objective_history=np.asarray(history), iterations=len(history) - 1,
                        converged=certificate <= cfg.tol, certificate=certificate,

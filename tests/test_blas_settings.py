@@ -1,8 +1,9 @@
 """No bit of a solve follows the BLAS library's settings: child
 interpreters that differ only in OpenBLAS's thread count or in the kernel
-it picks for this CPU print one hash of the same solves.  F's three sums
-are numpy's pairwise `add`, never BLAS `ddot`, whose order of addition
-follows both settings once it splits a long vector between threads.
+it picks for this CPU print one hash of the same solves, RMSEs and
+criterion-7 row.  F's three sums and `rmse`'s are numpy's pairwise `add`,
+never BLAS `ddot`, whose order of addition follows both settings once it
+splits a long vector between threads.
 Where the variables name nothing (numpy on another BLAS), every child
 gets the same settings anyway, and the test still holds."""
 
@@ -13,13 +14,15 @@ from clirun import child_env
 
 # The benchmark's parameterization (perfbench's README parameterization at
 # sigma 0.5), solved on the 300-sample fixture and on the fixture tiled to
-# 30,000 samples, whose sums are long enough for OpenBLAS to use threads;
-# then objective at 30,000 samples, its data term alone nonzero.
+# 30,000 samples, whose sums are long enough for OpenBLAS to use threads,
+# and rmse of each solve against the clean signal; then objective at 30,000
+# samples, its data term alone nonzero, and the criterion-7 row of cnc at
+# sigma 0.5, whose mean_rmse and tuned lambda0 follow rmse's bits.
 CHILD = """
 import hashlib
 import numpy as np
-from cncflsa import (CncConfig, NoiseSpec, PenaltySpec, add_awgn, default_pulse_spec,
-                     generate_pulses, objective, select_a1, solve)
+from cncflsa import (CncConfig, NoiseSpec, PenaltySpec, add_awgn, cli, default_pulse_spec,
+                     generate_pulses, objective, rmse, select_a1, solve)
 
 lam1 = 0.25 * np.sqrt(300) * 0.5
 lam0 = 0.1 * lam1
@@ -32,7 +35,9 @@ for tiles in (1, 100):
     result = solve(y, cfg)
     h.update(result.x.tobytes() + result.objective_history.tobytes())
     h.update(repr((result.iterations, result.converged)).encode())
+    h.update(np.float64(rmse(result.x, np.tile(clean, tiles))).tobytes())
 h.update(np.float64(objective(np.zeros_like(y), y, cfg)).tobytes())
+h.update(repr(cli.sweep_sigma([0.5], 15, 0, 0.25, "atan", ["cnc"])).encode())
 print(h.hexdigest())
 """
 

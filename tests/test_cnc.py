@@ -305,8 +305,7 @@ class TestSolve:
         y = random_piecewise(rng, 40)
         cfg = dataclasses.replace(random_convex_cfg(rng), tol=1e-13, max_iter=200)
         zero = np.zeros_like(y)
-        x_a, *_ = cnc._mm_updates(y, zero, majorized_input(zero, y, cfg), objective(zero, y, cfg),
-                                  cfg)
+        x_a, *_ = cnc._mm_updates(y, majorized_input(zero, y, cfg), objective(zero, y, cfg), cfg)
         res_b = solve(y, cfg)
         assert np.max(np.abs(x_a - res_b.x)) <= 1e-6
 

@@ -20,8 +20,7 @@ def good(entry):
     return {
         "tvd": [Y.copy(), 0.5],
         "penalty_map": [2, 0.7, Y.copy(), 0],
-        "mm_solve": [Y.copy(), Y[::-1].copy(), 0.0, 0.1, 0.5, 0.3, 0.2, 2, 1, 3, 1e-9,
-                     Y[::-1] / 2.0],
+        "mm_solve": [Y.copy(), Y[::-1].copy(), 0.0, 0.1, 0.5, 0.3, 0.2, 2, 1, 3, 1e-9],
         "all_finite": [Y.copy()],
         "soft_threshold": [Y.copy(), 0.25],
         "shifted_input": [Y.copy(), 0.3, Y[::-1] / 9.0, 2.0, Y[1:] / 7.0],
@@ -30,7 +29,7 @@ def good(entry):
 
 
 # The positions of each entry's array arguments.
-ARRAYS = {"tvd": [0], "penalty_map": [2], "mm_solve": [0, 1, 11], "all_finite": [0],
+ARRAYS = {"tvd": [0], "penalty_map": [2], "mm_solve": [0, 1], "all_finite": [0],
           "soft_threshold": [0], "shifted_input": [0, 2, 4], "loops": [0, 1]}
 
 
@@ -82,14 +81,12 @@ def test_a_wrong_array_raises(entry, position, bad, error):
     ("shifted_input", 0, Y.reshape(2, 4).copy()),
     ("shifted_input", 2, Y.reshape(2, 4).copy()),
     ("shifted_input", 4, Y[1:].reshape(1, 7).copy()),
-    ("mm_solve", 11, Y[:7].copy()),  # x0 shorter than y
-    ("mm_solve", 11, np.append(Y, 1.0)),
 ])
 def test_a_length_or_shape_that_does_not_fit_raises(entry, position, value):
     args = good(entry)
     args[position] = value
     if entry == "mm_solve" and position == 0:
-        args[1] = args[11] = np.zeros(value.shape)
+        args[1] = np.zeros(value.shape)
     if entry == "shifted_input" and position == 0:
         args[2] = np.zeros(value.shape)
     with pytest.raises(ValueError):
@@ -139,17 +136,17 @@ def result_bytes(result):
 
 
 def test_mm_solve_reads_a_read_only_or_shared_shifted_and_writes_no_argument():
-    """mm_solve copies shifted and x0 into rows of its own scratch, so a
-    read-only shifted or x0, or y itself as either, gives the bytes of a
-    call on private copies, and every argument keeps its bytes."""
+    """mm_solve copies shifted into a row of its own scratch, so a
+    read-only shifted, or y itself as shifted, gives the bytes of a call on
+    a private copy, and every argument keeps its bytes."""
     readonly = good("mm_solve")
-    readonly[1].flags.writeable = readonly[11].flags.writeable = False
+    readonly[1].flags.writeable = False
     shared = good("mm_solve")
-    shared[1] = shared[11] = shared[0]
+    shared[1] = shared[0]
     for args in (readonly, shared):
         before = [args[i].tobytes() for i in ARRAYS["mm_solve"]]
         private = list(args)
-        private[1], private[11] = args[1].copy(), args[11].copy()
+        private[1] = args[1].copy()
         assert result_bytes(call("mm_solve", args)) == result_bytes(call("mm_solve", private))
         assert [args[i].tobytes() for i in ARRAYS["mm_solve"]] == before
 

@@ -2,7 +2,8 @@
 chained from per-step functions written out in `tests/refsolvers.py`, its
 polish included: byte-identical iterates, objective histories, update
 counts, stopping flags, certificates and polish counts, with either
-backend, and over every solve of the criterion-7 sweep; the compiled loop
+backend, and over every solve of the criterion-7 sweep, each update that
+does not stop followed by a polish; the compiled loop
 (the module's `mm_solve`) against the Python loop (`cnc._mm_loop_python`,
 the chain of the public `fused_lasso_l1`, `objective` and
 `majorized_input`) solve by solve; the public `objective` and
@@ -202,6 +203,26 @@ def test_sweep_solves_match_mm_reference(monkeypatch):
     assert len(results) == len(ref_results) == 1800
     assert all(same_bytes(r, ref) for r, ref in zip(results, ref_results))
     assert rows == ref_rows
+
+
+@pytest.mark.parametrize("tvd_backend", ["c", "python"])
+def test_every_update_that_does_not_stop_is_polished(monkeypatch, tvd_backend):
+    """Each update whose certificate misses tol, and which is not the last,
+    is followed by a polish: over the mdfl and cnc solves of the
+    criterion-7 table at seed 0, whose iterates all have a nonzero segment,
+    polishes == iterations - 1."""
+    counts = []
+
+    def recording(y, cfg):
+        result = solve(y, cfg)
+        counts.append((result.iterations, result.polishes))
+        return result
+
+    monkeypatch.setattr(cli, "solve", recording)
+    with backend(tvd_backend):
+        cli.sweep_sigma([0.25, 0.5, 1.0], 15, 0, 0.25, "atan", ["mdfl", "cnc"])
+    assert len(counts) == 1800
+    assert all(polishes == iterations - 1 for iterations, polishes in counts)
 
 
 def criterion_4_instance():

@@ -33,7 +33,7 @@ WIDE = np.random.default_rng(9).normal(0.0, 3.0, 60).tolist()
 def run_steps(y, v, cfg, compiled, calls=3):
     """Rows (x, r), F, certificate, polishes and Newton steps after each of
     `calls` updates, from the module's ``mm_solve`` capped at 1, ...,
-    `calls` updates, each from the start v and its shifted input, or from
+    `calls` updates, each from the shifted input of the start v, or from
     the Python twin on the Python kernel.  tol is NaN, which the
     certificate never meets, so each call runs to its cap; CncConfig
     rejects it, so the twin reads a copy of cfg's fields."""
@@ -45,11 +45,11 @@ def run_steps(y, v, cfg, compiled, calls=3):
         if compiled:
             x, history, *counts = prox._tvd_c.mm_solve(
                 y, shifted, 0.0, cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
-                KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind), cap, np.nan, v)
+                KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind), cap, np.nan)
         else:
             loop_cfg = types.SimpleNamespace(**{**fields, "max_iter": cap, "tol": np.nan})
             with mock.patch.object(prox, "_tvd_c", None):
-                x, history, *counts = cnc._mm_loop_python(y, v, shifted, 0.0, loop_cfg)
+                x, history, *counts = cnc._mm_loop_python(y, shifted, 0.0, loop_cfg)
         states.append([x.tobytes(), (y - x).tobytes(), history[cap].hex(),
                        np.float64(counts[1]).hex(), *counts[2:]])
     return states

@@ -254,7 +254,7 @@ def entry_calls():
                     shifted = majorized_input(x0, y, cfg)
                 yield "mm_solve", (y, shifted, f0, cfg.lambda0, cfg.lambda1, cfg.penalty0.a,
                                    cfg.penalty1.a, KINDS.index(cfg.penalty0.kind),
-                                   KINDS.index(cfg.penalty1.kind), 50, 1e-9, x0)
+                                   KINDS.index(cfg.penalty1.kind), 50, 1e-9)
 
 
 def result_bytes(out):

@@ -136,7 +136,7 @@ def solve_start(y, cfg):
     """The public calls that make a solve's starting point, and the
     arguments of ``cnc._mm_updates`` that ``cnc.solve`` passes from it."""
     x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
-    return y, x, majorized_input(x, y, cfg), objective(x, y, cfg), cfg
+    return y, majorized_input(x, y, cfg), objective(x, y, cfg), cfg
 
 
 def loop_work(y, cfg):
@@ -154,10 +154,9 @@ def compiled_loop(y, cfg):
     lib = prox._tvd_c
     if lib is None:
         return None
-    y, x, shifted, f0, cfg = solve_start(y, cfg)
+    y, shifted, f0, cfg = solve_start(y, cfg)
     args = (y, shifted, f0, cfg.lambda0, cfg.lambda1, cfg.penalty0.a, cfg.penalty1.a,
-            KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind), cfg.max_iter, cfg.tol,
-            x)
+            KINDS.index(cfg.penalty0.kind), KINDS.index(cfg.penalty1.kind), cfg.max_iter, cfg.tol)
     return lambda: lib.mm_solve(*args)
 
 

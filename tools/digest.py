@@ -39,12 +39,9 @@ and BLAS pick for the CPU, not only the code:
   features (``NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL
   AVX512_SPR"`` on an AVX-512 x86-64) changes their bytes, and with them
   the random-solve, sweep-table and penalty-function sections;
-- F and every solve add without BLAS, but ``rmse`` sums with ``np.vdot``,
-  BLAS ``ddot``: forcing another OpenBLAS kernel
-  (``OPENBLAS_CORETYPE=Sandybridge``) moves the sweep-table and denoise
-  sections, not the random-solve or penalty-function ones.  The inputs
-  here are too short for OpenBLAS to use threads, so its thread count
-  moves nothing.
+- F, every solve and ``rmse`` add without BLAS, so neither OpenBLAS's
+  kernel (``OPENBLAS_CORETYPE``) nor its thread count moves any section
+  (``tests/test_blas_settings.py``).
 
 Below each backend's digest, one line per section gives the sha256 of that
 section's bytes alone, so two checkouts that differ show which sections
