@@ -33,9 +33,9 @@
  *
  * The MM loop, cncflsa_mm_solve, is the one compiled solve: its updates,
  * the certificate it stops on and the Newton polish after each update that
- * does not stop, a byte-for-byte twin of cncflsa.cnc._mm_loop_python.  The
- * polish is the one place that needs s'' (curvature, beside algebra) and a
- * Thomas sweep (thomas).
+ * does not stop, its merge rounds included, a byte-for-byte twin of
+ * cncflsa.cnc._mm_loop_python.  The polish is the one place that needs s''
+ * (curvature, beside algebra) and a Thomas sweep (thomas).
  *
  * Each kernel is built twice, for x86-64-v3 (AVX2, 4-lane maps) and for
  * the baseline x86-64 (SSE2), and the loader's ifunc resolver picks the
@@ -444,10 +444,11 @@ static double certificate(const struct mm_step *m, const struct numpy_loops *np)
  * n >= G doubles, dead once the kernel has returned, as s1' already reuses
  * lo_clamp), so the polish touches no new pages: the sizes n_g, the means
  * m_g of y, the values v and a trial (first the terms g.step of the Newton
- * decrement), the gradient (which the Thomas sweep turns into the step),
- * the Hessian's diagonal and off-diagonal and the sweep's c'.
- * segment_objective reuses the last three for its three terms once the
- * step is solved. */
+ * decrement, then a merge round's values or a step's), the gradient (which
+ * the Thomas sweep turns into the step), the Hessian's diagonal and
+ * off-diagonal and the sweep's c'.  segment_objective reuses the last three
+ * for its three terms once the step is solved.  A merge round only lowers
+ * G, so fuse rebuilds the first rows in place and no row is added. */
 struct segments {
     npy_intp g;
     double *cnt, *mean, *v, *trial, *grad, *diag, *off, *cp;
@@ -495,57 +496,100 @@ static int thomas(const struct segments *s)
     return 1;
 }
 
-/* cncflsa.cnc._snap: the step to the ratio test's limit, where the value
- * or jump hit reaches exactly 0, into s->v with its f where it keeps every
- * other sign and strictly lowers segment_objective; 0 and no change
- * otherwise. */
-static int snap(const struct mm_step *m, const struct numpy_loops *np, struct segments *s,
-                double limit, npy_intp hit, double *f)
+/* Whether b keeps the sign of a, 0 counting as a sign of its own. */
+INLINE int same_sign(double a, double b)
 {
-    npy_intp g, G = s->g, zero = hit < G ? hit : -1, jump = hit < G ? -1 : hit - G;
-    double ft, d, dt, *swap;
-    int keeps = 1;
+    return (b > 0.0) == (a > 0.0) && (b < 0.0) == (a < 0.0);
+}
 
-    for (g = 0; g < G; g++)
-        s->trial[g] = s->v[g] - limit * s->grad[g];
-    if (jump >= 0 && (s->v[jump] == 0.0 || s->v[jump + 1] == 0.0))
-        zero = s->v[jump] == 0.0 ? jump + 1 : jump, jump = -1;
-    if (zero >= 0)
-        s->trial[zero] = 0.0;
-    else
-        s->trial[jump + 1] = s->trial[jump];
-    for (g = 0; g < G; g++)
-        keeps &= g == zero || ((s->trial[g] > 0.0) == (s->v[g] > 0.0)
-                               && (s->trial[g] < 0.0) == (s->v[g] < 0.0));
-    for (g = 0; g < G - 1; g++) {
-        d = s->v[g + 1] - s->v[g], dt = s->trial[g + 1] - s->trial[g];
-        keeps &= g == jump || g == zero || g + 1 == zero
-                 || ((dt > 0.0) == (d > 0.0) && (dt < 0.0) == (d < 0.0));
+/* cncflsa.cnc._run_mean of the entries a to b - 1: their count, the sum
+ * of s->cnt, into *count, and the s->cnt-weighted mean of values, each
+ * summed left to right. */
+static double run_mean(const struct segments *s, const double *values, npy_intp a, npy_intp b,
+                       double *count)
+{
+    double total = 0.0, acc = 0.0;
+    npy_intp g;
+
+    for (g = a; g < b; g++)
+        total += s->cnt[g], acc += s->cnt[g] * values[g];
+    *count = total;
+    return acc / total;
+}
+
+/* cncflsa.cnc._merged_step: the full Newton step s->v - s->grad into
+ * s->trial, each nonzero value that it takes to or across 0 set to 0, then
+ * each run of segments joined by jumps whose sign it changes set to 0 where
+ * a member is 0, else to the members' count-weighted mean.  Returns whether
+ * it set a value to 0 or joined segments.  A run's end is found before any
+ * of its values is set, so each jump is judged on the step's values. */
+static int merged_step(struct segments *s)
+{
+    npy_intp g, a, e, G = s->g;
+    double value, count;
+    int merged = 0, zero;
+
+    for (g = 0; g < G; g++) {
+        s->trial[g] = s->v[g] - s->grad[g];
+        if (!same_sign(s->v[g], s->trial[g]))
+            s->trial[g] = 0.0, merged = 1;
     }
-    if (!keeps || !((ft = segment_objective(m, np, s, s->trial, s->v)) < *f))
-        return 0;
-    swap = s->v, s->v = s->trial, s->trial = swap, *f = ft;
-    return 1;
+    for (a = 0; a < G; a = e + 1) {
+        for (e = a; e < G - 1 && !same_sign(s->v[e + 1] - s->v[e], s->trial[e + 1] - s->trial[e]);
+             e++)
+            ;
+        if (e == a)
+            continue;
+        for (g = a, zero = 0; g <= e; g++)
+            zero |= s->trial[g] == 0.0;
+        value = zero ? 0.0 : run_mean(s, s->trial, a, e + 1, &count);
+        for (g = a; g <= e; g++)
+            s->trial[g] = value;
+        merged = 1;
+    }
+    return merged;
+}
+
+/* cncflsa.cnc._fused: the segments after an accepted merge round, one per
+ * run of equal values of s->trial, rebuilt in place: a run's count and
+ * mean are written at or before its first member, once all its members are
+ * read. */
+static void fuse(struct segments *s)
+{
+    npy_intp g, a, k;
+    double count;
+
+    for (a = 0, k = 0; a < s->g; a = g, k++) {
+        for (g = a + 1; g < s->g && s->trial[g] == s->trial[a]; g++)
+            ;
+        s->v[k] = s->trial[a];
+        if (g - a > 1) {
+            s->mean[k] = run_mean(s, s->mean, a, g, &count);
+            s->cnt[k] = count;
+        } else {
+            s->mean[k] = s->mean[a], s->cnt[k] = s->cnt[a];
+        }
+    }
+    s->g = k;
 }
 
 /* cncflsa.cnc._polish of m->x, whose docstring gives the rules: Newton
  * steps on the values of its nonzero segments, the gradient from algebra's
- * s' and the Hessian from curvature, each step snapped to the ratio
- * test's limit (snap) or started below it and halved until it keeps every
- * sign and strictly lowers segment_objective, in the reference's
- * operations and order.  Returns -1
- * where x has no nonzero segment, else the number of steps taken, and where
- * it took one, writes the polished iterate into xhat (n doubles). */
+ * s' and the Hessian from curvature; merge rounds (merged_step, fuse)
+ * while one merges and strictly lowers segment_objective, then steps from
+ * the full length halved until they keep every sign and strictly lower
+ * it, in the reference's operations and order.  Returns -1 where x has no
+ * nonzero segment, else the number of steps taken, and where it took one,
+ * writes the polished iterate into xhat (n doubles). */
 static long long polish(const struct mm_step *m, const struct numpy_loops *np, double *xhat)
 {
     const double *x = m->x;
-    double *w = m->work, f, ft, t, d, dt, slope1, curv1, phi, limit, ratio;
+    double *w = m->work, f, ft, t, d, slope1, curv1, phi;
     npy_intp n = m->n, g, i, start = 0, G = 0, K = 0;
     struct segments s = {0, w, w + n, w + 2 * n, w + 3 * n, w + 4 * n, w + 5 * n, w + 6 * n,
                          w + 7 * n};
     long long steps, h;
-    int moved, keeps, accepted, last, e;
-    npy_intp hit;
+    int moved, keeps, accepted, last, merging = 1;
 
     for (i = 1; i <= n; i++) {
         if (i < n && x[i] == x[i - 1])
@@ -559,7 +603,8 @@ static long long polish(const struct mm_step *m, const struct numpy_loops *np, d
         return -1;
     s.g = G;
     f = segment_objective(m, np, &s, s.v, s.v);
-    for (steps = 0; steps < POLISH_STEPS; steps++) {
+    for (steps = 0; steps < POLISH_STEPS;) {
+        G = s.g;
         for (g = 0; g < G; g++) {
             if (s.v[g] == 0.0) {
                 s.grad[g] = 0.0, s.diag[g] = 1.0;
@@ -583,57 +628,53 @@ static long long polish(const struct mm_step *m, const struct numpy_loops *np, d
         memcpy(s.trial, s.grad, G * sizeof(double));
         if (!thomas(&s))
             break;
-        limit = INFINITY, hit = -1;
         for (g = 0; g < G; g++) {
             s.grad[g] = s.v[g] != 0.0 ? s.grad[g] : 0.0;
             s.trial[g] = s.trial[g] * s.grad[g];
-            ratio = s.v[g] / s.grad[g];
-            if (ratio > 0.0 && ratio < limit)
-                limit = ratio, hit = g;
         }
         last = 0.5 * total(np, s.trial, G) <= DBL_EPSILON * f;
-        for (g = 0; g < G - 1; g++) {
-            ratio = (s.v[g + 1] - s.v[g]) / (s.grad[g + 1] - s.grad[g]);
-            if (ratio > 0.0 && ratio < limit)
-                limit = ratio, hit = G + g;
+        if (merging) {
+            if (merged_step(&s) && segment_objective(m, np, &s, s.trial, s.v) < f) {
+                fuse(&s);
+                f = segment_objective(m, np, &s, s.v, s.v);
+                steps++;
+                continue;
+            }
+            merging = 0;
         }
-        if (limit <= 1.0 && snap(m, np, &s, limit, hit, &f)) {
-            steps++;
-            break;
-        }
-        t = limit > 1.0 ? 1.0 : ldexp(1.0, (frexp(limit, &e), e - 1));
-        last = last || limit <= 1.0;
-        accepted = 0;
-        for (h = 0; h < (last ? 1 : POLISH_STEPS); h++, t *= 0.5) {
+        t = 1.0, accepted = 0;
+        for (h = 0; h < POLISH_STEPS; h++, t *= 0.5) {
             moved = 0, keeps = 1;
             for (g = 0; g < G; g++) {
                 s.trial[g] = s.v[g] - t * s.grad[g];
                 moved |= s.trial[g] != s.v[g];
-                keeps &= (s.trial[g] > 0.0) == (s.v[g] > 0.0)
-                         && (s.trial[g] < 0.0) == (s.v[g] < 0.0);
+                keeps &= same_sign(s.v[g], s.trial[g]);
             }
             if (!moved)
                 break;
-            for (g = 0; g < G - 1; g++) {
-                d = s.v[g + 1] - s.v[g], dt = s.trial[g + 1] - s.trial[g];
-                keeps &= (dt > 0.0) == (d > 0.0) && (dt < 0.0) == (d < 0.0);
+            for (g = 0; g < G - 1; g++)
+                keeps &= same_sign(s.v[g + 1] - s.v[g], s.trial[g + 1] - s.trial[g]);
+            if (!keeps) {
+                last = 1;
+                continue;
             }
-            if (keeps && ((ft = segment_objective(m, np, &s, s.trial, s.v)) < f
-                          || (last && ft - f <= DBL_EPSILON * f))) {
+            if ((ft = segment_objective(m, np, &s, s.trial, s.v)) < f
+                || (last && ft - f <= DBL_EPSILON * f)) {
                 double *swap = s.v;
                 s.v = s.trial, s.trial = swap, f = ft, accepted = 1;
                 break;
             }
+            if (last)
+                break;
         }
         if (!accepted)
             break;
-        if (last) {
-            steps++;
+        steps++;
+        if (last)
             break;
-        }
     }
     if (steps > 0) {
-        for (g = 0, i = 0; g < G; g++)
+        for (g = 0, i = 0; g < s.g; g++)
             for (start = i; i < start + (npy_intp)s.cnt[g]; i++)
                 xhat[i] = s.v[g];
     }
@@ -990,7 +1031,8 @@ static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t narg
      * and of which in takes |e| for the certificate and then the polished
      * iterate; and cncflsa_tvd's work, whose lo_clamp row majorize reuses
      * for s1' and all of whose rows polish reuses for its own, of at most n
-     * doubles each (struct segments).  And the history f, f0 first, at 64
+     * doubles each (struct segments), its merge rounds rebuilding them in
+     * place.  And the history f, f0 first, at 64
      * doubles or max_iter + 1 if fewer. */
     m.size = m.max_iter < 64 ? m.max_iter + 1 : 64;
     if ((m.r = scratch(m.n, 5 + TVD_ROWS)) == NULL || (m.f = scratch(m.size, 1)) == NULL) {

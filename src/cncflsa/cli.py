@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -147,7 +148,10 @@ def cmd_denoise(args):
     cfg = CncConfig(args.lambda0, args.lambda1, PenaltySpec(args.penalty, a0),
                     PenaltySpec(args.penalty, a1), max_iter=args.max_iter, tol=args.tol,
                     allow_nonconvex=args.allow_nonconvex)
-    result = solve(y, cfg)
+    # Where F overflows, the solve still certifies; its history holds inf,
+    # written as null below, so numpy's overflow warning tells nothing.
+    with np.errstate(over="ignore"):
+        result = solve(y, cfg)
     meta = {
         "method": _method_name(cfg.penalty0.a, cfg.penalty1.a),
         "lambda0": cfg.lambda0,
@@ -162,7 +166,8 @@ def cmd_denoise(args):
         "polishes": result.polishes,
         # The backend that ran, read at the call: the switch is prox._tvd_c.
         "tvd_backend": "python" if _prox._tvd_c is None else "c",
-        "objective_history": list(result.objective_history),
+        "objective_history": [f if math.isfinite(f) else None
+                              for f in result.objective_history.tolist()],
     }
     if args.reference is not None:
         meta["rmse"] = rmse(result.x, read_signal(args.reference))
@@ -170,7 +175,7 @@ def cmd_denoise(args):
     with _replacing(args.output, args.output + ".json") as (signal_tmp, meta_tmp):
         write_signal(signal_tmp, result.x)
         with open(meta_tmp, "w", encoding="ascii") as fh:
-            json.dump(meta, fh, indent=2)
+            json.dump(meta, fh, indent=2, allow_nan=False)
             fh.write("\n")
     return EXIT_OK
 

@@ -20,7 +20,6 @@ its ``mm_solve``, which gives the same bits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,12 +202,14 @@ def solve(y, cfg: CncConfig) -> SolveResult:
     at the first c_k <= cfg.tol, otherwise after cfg.max_iter updates.
 
     After each update that does not stop, the iterate is polished: Newton
-    steps on the values of its nonzero segments lower F with its structure
-    held (see :func:`_polish`), and the shifted input of the polished
-    iterate replaces s_k.  Each update lowers F from any point, so the
-    polish needs no test that the structure has settled.  The returned x is
-    always an update's output, so its segments are exact fused-lasso
-    segments.
+    steps on the values of its nonzero segments lower F, first in merge
+    rounds, each of which may zero and fuse many segments at once, then
+    with the structure reached held (see :func:`_polish`), and the shifted
+    input of the polished iterate replaces s_k.  Each update lowers F from
+    any point, so the polish needs no test that the structure has settled,
+    and a wrong merge costs one update, not the result: only the
+    certificate stops a solve.  The returned x is always an update's
+    output, so its segments are exact fused-lasso segments.
 
     The certificate is unit-free, so scaling y and the weights by a power of
     two c and the degrees by 1/c scales x by c and F by c**2 exactly, unless
@@ -265,8 +266,10 @@ def _mm_loop_python(y, shifted, f0, cfg):
     shifted input, :func:`objective` of the new iterate,
     :func:`majorized_input` at it and the certificate; then, unless the
     certificate met tol or the cap is reached, :func:`_polish` of the
-    iterate, and the polished iterate's :func:`majorized_input` where the
-    polish took a step."""
+    iterate, its merge rounds included, and the polished iterate's
+    :func:`majorized_input` where the polish took a step.  Returns what
+    :func:`_mm_updates` returns; the polish's count of merge rounds is not
+    kept."""
     history, polishes, steps = [f0], 0, 0
     for k in range(1, cfg.max_iter + 1):
         x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
@@ -278,7 +281,7 @@ def _mm_loop_python(y, shifted, f0, cfg):
         polished = _polish(x, y, cfg)
         if polished is not None:
             polishes += 1
-            xhat, taken = polished
+            xhat, taken, _ = polished
             steps += taken
             if taken:
                 nxt = majorized_input(xhat, y, cfg)
@@ -309,41 +312,47 @@ _EPS = float(np.finfo(float).eps)
 def _polish(x, y, cfg):
     """Newton steps on the values v of the nonzero segments of x, the
     segments held at 0 staying there: None where x has no nonzero segment,
-    else the polished iterate and the number of steps taken.
+    else the polished iterate, the number of steps taken and how many of
+    them were merge rounds.
 
     With the structure of x fixed, F is smooth in v; up to a constant it is
     :func:`_segment_objective`, f.  Its gradient takes phi' = sign + s' and
     its Hessian, tridiagonal, s'' (``residual_deriv2``).  Each step solves
-    the Newton system in one Thomas sweep (:func:`_thomas`), starts from the
-    largest power of two t <= 1 below the first t at which a nonzero segment
-    or a jump would reach 0 (the ratio test), and halves t until every
-    nonzero segment and every jump keeps its sign and f strictly falls.
-    A step that the ratio test cuts short first goes to the limit itself,
-    its value or jump set to exactly 0 (:func:`_snap`): the structure is
-    then not the optimum's, and the next update starts from the one the
-    step reached.  Where that fails, the step is tried once at the power
-    of two.  Either ends the polish, as does a step whose predicted fall,
-    half the Newton decrement, is at most _EPS * f, which rounding hides,
-    so it is tried once and taken where f rises by no more than that.  The
-    polish also ends when no step is accepted, because none moves v, none
-    passes within POLISH_STEPS halvings or a pivot of the sweep is not
-    positive, or after POLISH_STEPS steps.  ``polish`` in ``_kernels.c``
-    runs the same operations in the same order."""
+    the Newton system in one Thomas sweep (:func:`_thomas`).  The polish
+    first runs merge rounds: the full step with every value that it would
+    take to or across 0 set to 0 and every run of segments joined by jumps
+    whose sign it would change set to one value (:func:`_merged_step`).  A
+    round is scored by f of the segments it started from, whose change is
+    F's, and is accepted where f strictly falls; the segments are then
+    rebuilt from their own counts and means (:func:`_fused`), so no round
+    reads y, and the iterate is expanded once, at the end.  Rounds repeat
+    while one merges and is accepted.  Then, on the structure reached,
+    ordinary steps start at the full step and halve until every nonzero
+    segment and every jump keeps its sign and f strictly falls.  A step
+    whose full length would turn a sign ends the polish, as does a step
+    whose predicted fall, half the Newton decrement, is at most _EPS * f,
+    which rounding hides; either is tried once, at the first length that
+    keeps every sign, and taken where f rises by no more than _EPS * f.
+    The polish also ends when no step is accepted, because none moves v,
+    none passes within POLISH_STEPS halvings or a pivot of the sweep is not
+    positive, or after POLISH_STEPS steps, merge rounds included.
+    ``polish`` in ``_kernels.c`` runs the same operations in the same
+    order."""
     fresh = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
     v = x[fresh]
-    free = v != 0.0
-    if not free.any():
+    if not v.any():
         return None
-    sizes = np.diff(np.append(fresh, x.size))
-    cnt = sizes.astype(float)
+    cnt = np.diff(np.append(fresh, x.size)).astype(float)
     mean = np.zeros(v.size)
-    for g in np.flatnonzero(free):
-        mean[g] = float(np.add.reduce(y[fresh[g]:fresh[g] + sizes[g]])) / cnt[g]
+    for g in np.flatnonzero(v):
+        mean[g] = float(np.add.reduce(y[fresh[g]:fresh[g] + int(cnt[g])])) / cnt[g]
     lam0, lam1, p0, p1 = cfg.lambda0, cfg.lambda1, cfg.penalty0, cfg.penalty1
-    f = _segment_objective(v, cnt, mean, free, cfg)
-    steps = 0
+    f = _segment_objective(v, cnt, mean, v != 0.0, cfg)
+    steps = rounds = 0
+    merging = True
     with np.errstate(all="ignore"):
         while steps < POLISH_STEPS:
+            free = v != 0.0
             d = v[1:] - v[:-1]
             slope1 = lam1 * (np.where(d > 0.0, 1.0, -1.0) + p1.residual_deriv(d))
             grad = cnt * (v - mean) + lam0 * cnt * (np.where(v > 0.0, 1.0, -1.0)
@@ -361,19 +370,16 @@ def _polish(x, y, cfg):
                 break
             delta[~free] = 0.0
             last = 0.5 * float(np.add.reduce(grad * delta)) <= _EPS * f
-            ratios = np.concatenate((v / delta, d / (delta[1:] - delta[:-1])))
-            ratios[~(ratios > 0.0)] = np.inf
-            hit = int(np.argmin(ratios))
-            limit = float(ratios[hit])
-            if limit <= 1.0:
-                snapped = _snap(v, delta, limit, hit, cnt, mean, free, f, cfg)
-                if snapped is not None:
-                    v, f = snapped
-                    steps += 1
-                    break
-            t, accepted = 1.0 if limit > 1.0 else math.ldexp(1.0, math.frexp(limit)[1] - 1), False
-            last = last or limit <= 1.0
-            for _ in range(1 if last else POLISH_STEPS):
+            if merging:
+                trial = _merged_step(v, delta, cnt)
+                if trial is not None and _segment_objective(trial, cnt, mean, free, cfg) < f:
+                    v, cnt, mean = _fused(trial, cnt, mean)
+                    f = _segment_objective(v, cnt, mean, v != 0.0, cfg)
+                    steps, rounds = steps + 1, rounds + 1
+                    continue
+                merging = False
+            t, accepted = 1.0, False
+            for _ in range(POLISH_STEPS):
                 trial = v - t * delta
                 if not np.any(trial != v):
                     break
@@ -383,41 +389,62 @@ def _polish(x, y, cfg):
                     if ft < f or (last and ft - f <= _EPS * f):
                         v, f, accepted = trial, ft, True
                         break
+                    if last:
+                        break
+                else:
+                    last = True
                 t *= 0.5
             if not accepted:
                 break
             steps += 1
             if last:
                 break
-    return np.repeat(v, sizes), steps
+    return np.repeat(v, cnt.astype(np.intp)), steps, rounds
 
 
-def _snap(v, delta, limit, hit, cnt, mean, free, f, cfg):
-    """The step of :func:`_polish` to the ratio test's limit, with the
-    value or jump `hit` (a segment's index, or the number of segments plus
-    a jump's) set to exactly 0, and its segment objective: where it keeps
-    every other sign and strictly lowers f, else None.  A jump beside a
-    zero segment sets the other segment to 0; a jump between two nonzero
-    ones takes the left value for both."""
-    g_count = v.size
-    trial = v - limit * delta
-    zero, jump = (hit, -1) if hit < g_count else (-1, hit - g_count)
-    if jump >= 0 and (v[jump] == 0.0 or v[jump + 1] == 0.0):
-        zero, jump = (jump + 1 if v[jump] == 0.0 else jump), -1
-    if zero >= 0:
-        trial[zero] = 0.0
-    else:
-        trial[jump + 1] = trial[jump]
-    keeps, kept = _signs_kept(trial, v)
-    if zero >= 0:
-        keeps[zero] = True
-        kept[max(zero - 1, 0):zero + 1] = True
-    else:
-        kept[jump] = True
-    if not (keeps.all() and kept.all()):
+def _merged_step(v, delta, cnt):
+    """The full Newton step v - delta of :func:`_polish` with every nonzero
+    value that it would take to or across 0 set to 0, then every run of
+    segments joined by jumps whose sign it would change (0 counting as a
+    sign of its own) set to one value: 0 where a member is 0, else the
+    members' count-weighted mean (:func:`_run_mean`).  None where it sets
+    no value to 0 and joins no segments."""
+    trial = v - delta
+    keeps, _ = _signs_kept(trial, v)
+    trial[~keeps] = 0.0
+    _, kept = _signs_kept(trial, v)
+    if keeps.all() and kept.all():
         return None
-    ft = _segment_objective(trial, cnt, mean, free, cfg)
-    return (trial, ft) if ft < f else None
+    starts = np.flatnonzero(np.concatenate(([True], kept)))
+    sizes = np.diff(np.append(starts, v.size))
+    for a, size in zip(starts[sizes > 1], sizes[sizes > 1]):
+        run = trial[a:a + size]
+        run[:] = _run_mean(run, cnt[a:a + size])[1] if run.all() else 0.0
+    return trial
+
+
+def _fused(v, cnt, mean):
+    """The segments of :func:`_polish` after a merge round v: one per run of
+    equal values, whose count is the sum of its members' counts and whose
+    mean of y the members' count-weighted mean, both summed left to right
+    (:func:`_run_mean`)."""
+    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    sizes = np.diff(np.append(starts, v.size))
+    cnt_new, mean_new = cnt[starts], mean[starts]
+    for i in np.flatnonzero(sizes > 1):
+        a, b = starts[i], starts[i] + sizes[i]
+        cnt_new[i], mean_new[i] = _run_mean(mean[a:b], cnt[a:b])
+    return v[starts], cnt_new, mean_new
+
+
+def _run_mean(values, cnt):
+    """The sum of cnt and the cnt-weighted mean of values, each summed left
+    to right, as the polish of ``_kernels.c`` sums them."""
+    total = acc = 0.0
+    for c, value in zip(cnt.tolist(), values.tolist()):
+        total += c
+        acc += c * value
+    return total, acc / total
 
 
 def _signs_kept(trial, v):

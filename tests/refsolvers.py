@@ -194,14 +194,28 @@ def segments(x):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def weighted_mean(values, counts):
+    """The sum of counts and the counts-weighted mean of values, each added
+    left to right."""
+    total = acc = 0.0
+    for value, n in zip(values, counts):
+        total += n
+        acc += n * value
+    return total, acc / total
+
+
 def polish_reference(x, y, cfg):
     """The polish of `cnc.solve`, segment by segment: Newton steps on the
-    values of the nonzero segments of x, zero segments held, each step
-    halved from the largest power of two that keeps every sign by the ratio
-    test, until signs hold and F restricted to the segments strictly falls;
-    a step the ratio test limits first tries the limit itself, its value or
-    jump set to 0.  None when x has no nonzero segment, else (polished x,
-    steps)."""
+    values of the nonzero segments of x, zero segments held.  First merge
+    rounds, while one merges and lowers F restricted to the segments: the
+    full step, each value it takes to or across 0 set to 0, each run of
+    segments joined by jumps whose sign it changes set to 0 where a member
+    is 0, else to their count-weighted mean, and the segments rebuilt from
+    the runs of equal values, their counts added and their means of y
+    count-weighted.  Then steps halved from the full one until signs hold
+    and the restricted F strictly falls; a step whose full length would
+    turn a sign, or whose predicted fall is below F's rounding, is the
+    last.  None when x has no nonzero segment, else (polished x, steps)."""
     runs = segments(x)
     v = [float(x[start]) for start, _ in runs]
     if all(value == 0.0 for value in v):
@@ -210,23 +224,22 @@ def polish_reference(x, y, cfg):
     mean = [float(np.sum(y[start:stop])) / n if value != 0.0 else 0.0
             for (start, stop), n, value in zip(runs, size, v)]
     lam0, lam1, p0, p1 = cfg.lambda0, cfg.lambda1, cfg.penalty0, cfg.penalty1
-    free = [value != 0.0 for value in v]
-    g_count = len(v)
 
-    def restricted(w):
+    def restricted(w, free):
         w = np.array(w)
         q = np.array([0.5 * n * ((wi - m) * (wi - m)) if keep else 0.0
                       for wi, n, m, keep in zip(w, size, mean, free)])
         return (float(np.sum(q)) + lam0 * float(np.sum(np.array(size) * p0.value(w)))
                 + lam1 * float(np.sum(p1.value(np.diff(w)))))
 
-    def signs(w):
-        w = np.array(w)
-        return np.sign(w).tobytes() + np.sign(np.diff(w)).tobytes()
+    def sign_bytes(w):
+        return np.sign(np.array(w)).tobytes()
 
-    f, steps = restricted(v), 0
+    f, steps, merging = restricted(v, [value != 0.0 for value in v]), 0, True
     with np.errstate(all="ignore"):
         while steps < 60:
+            free = [value != 0.0 for value in v]
+            g_count = len(v)
             w = np.array(v)
             jump = np.diff(w)
             s0, c0 = p0.residual_deriv(w), curvature_terms(p0.kind, p0.a, w)
@@ -267,55 +280,64 @@ def polish_reference(x, y, cfg):
             delta = [dg if keep else 0.0 for dg, keep in zip(delta, free)]
             # A step whose predicted fall is below f's rounding is the last.
             last = 0.5 * float(np.sum(np.array(grad) * np.array(delta))) <= EPS * f
-            ratios = [vg / dg if dg != 0.0 else np.inf for vg, dg in zip(v, delta)]
-            ratios += [float(jump[g]) / (delta[g + 1] - delta[g])
-                       if delta[g + 1] != delta[g] else np.inf for g in range(g_count - 1)]
-            ratios = [r if r > 0.0 else np.inf for r in ratios]
-            limit = min(ratios)
-            if limit <= 1.0:
-                # Step to the limit, the first value or jump to reach 0
-                # set to exactly 0, and end the polish where that keeps
-                # every other sign and lowers f.
-                hit = ratios.index(limit)
-                trial = [vg - limit * dg for vg, dg in zip(v, delta)]
-                if hit >= g_count and 0.0 in (v[hit - g_count], v[hit - g_count + 1]):
-                    hit = hit - g_count + (v[hit - g_count] == 0.0)
-                if hit < g_count:
-                    trial[hit] = 0.0
-                    skip = {hit, hit - 1}
-                else:
-                    trial[hit - g_count + 1] = trial[hit - g_count]
-                    skip = {hit - g_count}
-                w, t_arr = np.array(v), np.array(trial)
-                same = [g == hit or np.sign(t_arr[g]) == np.sign(w[g]) for g in range(g_count)]
-                same += [g in skip or np.sign(t_arr[g + 1] - t_arr[g]) == np.sign(jump[g])
-                         for g in range(g_count - 1)]
-                if all(same):
-                    ft = restricted(trial)
-                    if ft < f:
-                        v, f = trial, ft
+            if merging:
+                merging = False
+                trial = [vg - dg for vg, dg in zip(v, delta)]
+                trial = [0.0 if np.sign(tg) != np.sign(vg) else tg for tg, vg in zip(trial, v)]
+                joined = [np.sign(trial[g + 1] - trial[g]) != np.sign(jump[g])
+                          for g in range(g_count - 1)]
+                if any(joined) or trial != [vg - dg for vg, dg in zip(v, delta)]:
+                    groups = [[0]]
+                    for g in range(1, g_count):
+                        if joined[g - 1]:
+                            groups[-1].append(g)
+                        else:
+                            groups.append([g])
+                    for group in groups:
+                        if len(group) > 1:
+                            values = [trial[g] for g in group]
+                            value = (0.0 if 0.0 in values else
+                                     weighted_mean(values, [size[g] for g in group])[1])
+                            for g in group:
+                                trial[g] = value
+                    if restricted(trial, free) < f:
+                        # Rebuild the segments from the runs of equal values.
+                        bounds = [0] + [g for g in range(1, g_count)
+                                        if trial[g] != trial[g - 1]] + [g_count]
+                        pieces = list(zip(bounds[:-1], bounds[1:]))
+                        fused = [weighted_mean(mean[a:b], size[a:b]) if b - a > 1
+                                 else (size[a], mean[a]) for a, b in pieces]
+                        v = [trial[a] for a, _ in pieces]
+                        size = [n for n, _ in fused]
+                        mean = [m for _, m in fused]
+                        f = restricted(v, [value != 0.0 for value in v])
                         steps += 1
-                        break
-            t = 1.0 if limit > 1.0 else float(np.ldexp(1.0, np.frexp(limit)[1] - 1))
-            # So is a step that would take a sign past 0.
-            last = last or limit <= 1.0
-            accepted = False
-            for _ in range(1 if last else 60):
+                        merging = True
+                        continue
+            # Ordinary steps: the full one, halved until every sign holds
+            # and f falls; one whose full length turns a sign is the last.
+            t, accepted = 1.0, False
+            for _ in range(60):
                 trial = [vg - t * dg for vg, dg in zip(v, delta)]
                 if trial == v:
                     break
-                if signs(trial) == signs(v):
-                    ft = restricted(trial)
+                if (sign_bytes(trial) == sign_bytes(v)
+                        and sign_bytes(np.diff(trial)) == sign_bytes(jump)):
+                    ft = restricted(trial, free)
                     if ft < f or (last and ft - f <= EPS * f):
                         v, f, accepted = trial, ft, True
                         break
+                    if last:
+                        break
+                else:
+                    last = True
                 t *= 0.5
             if not accepted:
                 break
             steps += 1
             if last:
                 break
-    return np.repeat(v, [stop - start for start, stop in runs]), steps
+    return np.repeat(v, [int(n) for n in size]), steps
 
 
 def mm_reference(y, cfg):

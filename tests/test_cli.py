@@ -225,6 +225,28 @@ class TestDenoise:
         meta = json.loads((tmp_path / "out.txt.json").read_text())
         assert meta["tvd_backend"] == "python"
 
+    def test_an_overflowing_objective_writes_strict_json_quietly(self, tmp_path):
+        """The README parameterization (cnc, atan, lambda1 = 0.25*sqrt(300)*0.5,
+        lambda0 = lambda1/10) on the fixture at sigma = 0.5, noise seed 1, with
+        y and the weights times 1e154: F overflows, so the history was written
+        as Infinity, which strict JSON rejects, and numpy warned on stderr.
+        The solve certifies; each history entry is null, and stderr is
+        empty."""
+        noisy, scaled, out = tmp_path / "noisy.txt", tmp_path / "scaled.txt", tmp_path / "out.txt"
+        run_cli("generate", "--output", str(noisy), "--default", "--sigma", "0.5", "--seed", "1")
+        write_signal(scaled, read_signal(noisy) * 1e154)
+        lam1 = 0.25 * float(np.sqrt(300.0)) * 0.5
+        proc = run_cli("denoise", str(scaled), str(out), "--lambda0", repr(0.1 * lam1 * 1e154),
+                       "--lambda1", repr(lam1 * 1e154))
+        assert proc.returncode == 0 and proc.stderr == ""
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        meta = json.loads((tmp_path / "out.txt.json").read_text(), parse_constant=reject)
+        assert meta["converged"] and meta["certificate"] <= 1e-9
+        assert meta["objective_history"] == [None] * (meta["iterations"] + 1)
+
     def test_l1_denoise_of_own_output_converges_immediately(self, tmp_path, noisy):
         first = tmp_path / "first.txt"
         second = tmp_path / "second.txt"

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cncflsa import (
     CncConfig,
@@ -151,6 +153,44 @@ class TestObjectives:
         assert objective(np.array([1.0]), np.array([0.0]), cfg) == pytest.approx(
             0.5 + 2.0 * cfg.penalty0.value(1.0), rel=1e-14
         )
+
+
+class TestSegmentObjective:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS), st.booleans(), st.booleans())
+    def test_a_merge_changes_it_as_it_changes_objective(self, seed, kind, zero, fuse):
+        """The polish scores a merge round with `_segment_objective` on the
+        segments it had before: zeroing a nonzero segment and setting a run
+        of segments to one value (0 where a member is 0) must change it by
+        what they change the public `objective` of the expanded signals.
+        In exact arithmetic the two changes are equal; over 20,000 seeded
+        draws they differed by at most 5.6e-16 of F(x) + F(x'), hence 64
+        ulps of it."""
+        rng = np.random.default_rng(seed)
+        g_count = int(rng.integers(2, 30))
+        sizes = rng.integers(1, 20, g_count)
+        v = rng.normal(0.0, 3.0, g_count) * (rng.random(g_count) < 0.7)
+        x = np.repeat(v, sizes)
+        y = x + rng.normal(0.0, 1.0, x.size)
+        ends = np.cumsum(sizes)
+        mean = np.array([float(np.add.reduce(y[end - n:end])) / n if value != 0.0 else 0.0
+                         for end, n, value in zip(ends, sizes, v)])
+        u = float(rng.uniform(0.0, 1.0))
+        lam0, lam1 = (float(w) for w in rng.uniform(0.1, 3.0, 2))
+        cfg = make_cfg(lam0, lam1, u / lam0, float(rng.uniform(0.0, 1.0 - u)) / (4.0 * lam1), kind)
+        trial, free = v.copy(), v != 0.0
+        if zero and free.any():
+            trial[rng.choice(np.flatnonzero(free))] = 0.0
+        if fuse:
+            a = int(rng.integers(0, g_count - 1))
+            b = int(rng.integers(a + 2, g_count + 1))
+            trial[a:b] = 0.0 if np.any(trial[a:b] == 0.0) else rng.normal(0.0, 3.0)
+        xt = np.repeat(trial, sizes)
+        cnt = sizes.astype(float)
+        change = (cnc._segment_objective(trial, cnt, mean, free, cfg)
+                  - cnc._segment_objective(v, cnt, mean, free, cfg))
+        f, ft = objective(x, y, cfg), objective(xt, y, cfg)
+        assert abs(change - (ft - f)) <= 64 * np.finfo(float).eps * (f + ft)
 
 
 class TestMidpointConvexity:

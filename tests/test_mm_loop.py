@@ -342,11 +342,33 @@ def test_a_solve_whose_f_overflows_stops_on_its_certificate(tvd_backend, c):
     """From c = 1e154 on, 0.5*||y - x||**2 overflows and F reads inf, and at
     c = 1e-300 it underflows to 0.  The rule on the change of F ran all 50
     updates unconverged there; the certificate reads no F, and these solves
-    certify, after 32 updates from c = 1e154 on and after 6 at c = 1e-300
-    (4 at c = 1).  x/c then stays within 3.5e-9 of the c = 1 solve
-    (max|x| = 2.2); the bound is 1e-8."""
+    certify, after 32 updates from c = 1e154 on and after 5 at c = 1e-300
+    (2 at c = 1): the polish's segment objective overflows with F, so the
+    polish takes no step there.  x/c then stays within 3.5e-9 of the c = 1
+    solve (max|x| = 2.2); the bound is 1e-8."""
     with backend(tvd_backend):
         base, result = readme_solve(1.0), readme_solve(c)
     assert base.converged and result.converged and result.iterations < 50
     assert result.certificate <= 1e-9
     assert np.max(np.abs(result.x / c - base.x)) <= 1e-8
+
+
+@pytest.mark.parametrize("tvd_backend", ["c", "python"])
+@pytest.mark.parametrize("seed", [1000, 1001, 1002])
+def test_a_long_solve_certifies_in_four_updates(tvd_backend, seed):
+    """The README parameterization on the fixture tiled to 30,000 samples at
+    sigma = 0.5 (a denoise_long item of the benchmark).  Its iterates keep
+    about 2,000 segments, and a few of them are wrong after each update.
+    A polish that stopped at the first value or jump to reach 0 fixed one
+    per update, and these solves took 9 to 11 updates; the merge rounds
+    fuse and zero them all at once, and each solve certifies after 3."""
+    clean = np.tile(generate_pulses(default_pulse_spec()), 100)
+    y = add_awgn(clean, NoiseSpec(0.5, seed))
+    lam1 = 0.25 * np.sqrt(300.0) * 0.5
+    lam0 = 0.1 * lam1
+    a0 = 0.5 / lam0
+    cfg = CncConfig(lam0, lam1, PenaltySpec("atan", a0),
+                    PenaltySpec("atan", select_a1(lam0, lam1, a0)))
+    with backend(tvd_backend):
+        result = solve(y, cfg)
+    assert result.converged and result.iterations <= 4

@@ -18,16 +18,19 @@ repeats, in milliseconds per call:
 - with the compiled module, its whole MM loop at N = 300 and 30,000: a
   call of its ``mm_solve`` entry with the arguments that ``cnc.solve``
   passes it after the start;
-- one polish at N = 300: ``cnc._polish``, the Python twin of the compiled
-  polish (which has no entry of its own and shows in the loop rows), on the
-  iterate where the fixture's solve first polishes;
+- one polish at N = 300 and 30,000: ``cnc._polish``, the Python twin of
+  the compiled polish (which has no entry of its own and shows in the loop
+  rows), on the first iterate that the solve of the fixture, or of the
+  fixture tiled to 30,000 samples, polishes (its first update's, which
+  does not certify);
 - the criterion-7 sweep (3 sigma x 3 methods x 20 lambda0 x 15 trials);
 - ``python -m cncflsa.cli denoise`` on the 300-sample fixture, in a fresh
   interpreter.
 
 The solve, loop and polish rows also print, and keep, the work they time:
 kernel calls (a solve's start and its updates, a loop's updates), polishes
-and Newton steps.  Apart from the loop and the polish, which are private
+and Newton steps, and for a polish how many of its steps were merge
+rounds.  Apart from the loop and the polish, which are private
 (``mm_solve`` and ``cnc._polish``, with the arguments of ``cnc.solve``),
 only public names are timed, so the script measures whichever version of
 the package is on the import path.  Those arguments are private to a
@@ -176,8 +179,8 @@ def first_polish(y, cfg):
         cnc._mm_loop_python(*solve_start(y, cfg))
     finally:
         cnc._polish = polish
-    x, (_, steps) = next((x, out) for x, out in seen if out is not None)
-    return x, {"kernel_calls": 0, "polishes": 1, "newton_steps": steps}
+    x, (_, steps, rounds) = next((x, out) for x, out in seen if out is not None)
+    return x, {"kernel_calls": 0, "polishes": 1, "newton_steps": steps, "merge_rounds": rounds}
 
 
 def cli_denoise_ms(workdir):
@@ -228,9 +231,10 @@ def layers(workdir):
         if loop is not None:
             out.append((f"MM loop compiled N={n}", REPEATS,
                         lambda loop=loop, inner=inner: timed(loop, inner), work))
-    x, work = first_polish(y300, cfg)
-    out.append(("cnc._polish N=300", REPEATS, lambda: timed(lambda: cnc._polish(x, y300, cfg), 40),
-                work))
+    for n, y, inner in ((300, y300, 40), (30000, y30k, 1)):
+        x, work = first_polish(y, cfg)
+        out.append((f"cnc._polish N={n}", REPEATS, lambda x=x, y=y, inner=inner: timed(
+            lambda: cnc._polish(x, y, cfg), inner), work))
     x300 = solve(y300, cfg).x
     out.append(("signalgen.rmse N=300", REPEATS, lambda: timed(lambda: rmse(x300, y300), 2000)))
     out.append(("criterion-7 sweep", 5, lambda: timed(
