@@ -32,8 +32,10 @@
  * finish as a plain one.
  *
  * The MM loop, cncflsa_mm_solve, is the one compiled solve: its updates,
- * the certificate it stops on and the Newton polish after each update that
- * does not stop, its merge rounds included, a byte-for-byte twin of
+ * the certificate it stops on, the Newton polish after each update that
+ * does not stop, its merge rounds included, and the subgradient oracle
+ * (oracle, a port of cncflsa.prox.fused_lasso_optimality_residual) that
+ * stops a solve on a polished iterate, a byte-for-byte twin of
  * cncflsa.cnc._mm_loop_python.  The polish is the one place that needs s''
  * (curvature, beside algebra) and a Thomas sweep (thomas).
  *
@@ -440,6 +442,89 @@ static double certificate(const struct mm_step *m, const struct numpy_loops *np)
     return largest / m->lam0;
 }
 
+/* cncflsa.cnc.objective of the iterate whose rows r, phi0 and phi1
+ * majorize has just written: the penalties finished in place, then F's
+ * three sums in the reference's order of evaluation. */
+static double objective(const struct mm_step *m, const struct numpy_loops *np)
+{
+    finish(np, m->kind0, m->a0, m->phi0, m->n);
+    finish(np, m->kind1, m->a1, m->phi1, m->n - 1);
+    return 0.5 * total(np, m->r, m->n) + m->lam0 * total(np, m->phi0, m->n)
+           + m->lam1 * total(np, m->phi1, m->n - 1);
+}
+
+/* cncflsa.prox.fused_lasso_optimality_residual(shifted, x, lam0, lam1) of
+ * the iterate m->x and its shifted input m->shifted, in the reference's
+ * operations and order in each of its four weight cases (where lam0 = 0,
+ * cncflsa.prox.tvd_optimality_residual's, whose cumulative sum runs left to
+ * right as np.cumsum's does).  inf where a gap of the chain reads NaN, as
+ * in the reference.  The worst violation only grows, so the pass ends once
+ * it misses tol and returns it: a residual that misses tol stops nothing
+ * and is never reported.  A jump's sign is that of its ends' comparison. */
+static double oracle(const struct mm_step *m)
+{
+    const double *s = m->shifted, *x = m->x;
+    double lam0 = m->lam0, lam1 = m->lam1, total = 0.0, lo = 0.0, hi = 0.0, worst = 0.0;
+    double r, v, c_lo, c_hi, below, above, gap;
+    npy_intp n = m->n, k;
+
+    for (k = 0; k < n; k++) {
+        r = s[k] - x[k];
+        total += r;
+        if (lam1 == 0.0) {
+            /* |r_k|, or with g_k = r_k / lam0, |g_k - sign x_k| where
+             * x_k != 0 and max(0, |g_k| - 1) elsewhere */
+            if (lam0 == 0.0)
+                v = fabs(r);
+            else if (x[k] != 0.0)
+                v = fabs(r / lam0 - (x[k] > 0.0 ? 1.0 : -1.0));
+            else
+                v = fabs(r / lam0) - 1.0 > 0.0 ? fabs(r / lam0) - 1.0 : 0.0;
+        } else if (lam0 == 0.0) {
+            /* |p_k| / lam1 at the last sample, else |u_k - sign d_k| at a
+             * jump and max(0, |u_k| - 1) elsewhere, u_k = -p_k / lam1 */
+            v = -total / lam1;
+            if (k == n - 1)
+                v = fabs(total) / lam1;
+            else if (x[k + 1] != x[k])
+                v = fabs(v - (x[k + 1] > x[k] ? 1.0 : -1.0));
+            else
+                v = fabs(v) - 1.0 > 0.0 ? fabs(v) - 1.0 : 0.0;
+        } else {
+            /* the reachable interval [lo, hi] of lam0 (g_0 + ... + g_k) */
+            if (x[k] > 0.0)
+                lo += lam0, hi += lam0;
+            else if (x[k] < 0.0)
+                lo -= lam0, hi -= lam0;
+            else
+                lo -= lam0, hi += lam0;
+            if (k == n - 1)
+                c_lo = c_hi = total;
+            else if (x[k + 1] > x[k])
+                c_lo = c_hi = total + lam1;
+            else if (x[k + 1] < x[k])
+                c_lo = c_hi = total - lam1;
+            else
+                c_lo = total - lam1, c_hi = total + lam1;
+            below = c_lo - hi, above = lo - c_hi;
+            if (below != below || above != above)
+                return INFINITY;
+            gap = below > 0.0 ? below : 0.0;
+            gap = above > gap ? above : gap;
+            v = gap / lam1;
+            if (gap > 0.0) {
+                lo = hi = hi < c_lo ? c_lo : c_hi;
+            } else {
+                lo = c_lo > lo ? c_lo : lo;
+                hi = c_hi < hi ? c_hi : hi;
+            }
+        }
+        if (!(v <= worst) && !((worst = v) <= m->tol))
+            return worst;
+    }
+    return worst;
+}
+
 /* The rows of polish over G segments, carved from m->work (TVD_ROWS rows of
  * n >= G doubles, dead once the kernel has returned, as s1' already reuses
  * lo_clamp), so the polish touches no new pages: the sizes n_g, the means
@@ -689,27 +774,27 @@ static long long polish(const struct mm_step *m, const struct numpy_loops *np, d
  * certificate; it stops, converged, where the certificate is <= tol (false
  * on NaN as in Python), or after m->max_iter updates.  Otherwise the
  * iterate is polished, and where the polish took a step, majorize of the
- * polished iterate, kept in m->in, replaces the next input.  Then the rows
- * in and shifted swap.  Returns the number of updates, negated when the
- * certificate met tol, or 0 when the history could not grow; certificate,
- * polishes and Newton steps come back through their pointers.  m->f doubles in size whenever an update
- * needs more room; the solve runs without the GIL, so it grows with
- * PyMem_RawRealloc. */
+ * polished iterate, kept in m->in, replaces the next input, and the oracle
+ * of the two is evaluated: where it is <= tol, the solve stops, converged,
+ * on the polished iterate, copied into m->x, with the oracle as its
+ * certificate and its F, from the rows that majorize just wrote, as m->f[k].
+ * Otherwise the rows in and shifted swap.  Returns the number of updates,
+ * negated when a certificate met tol, or 0 when the history could not
+ * grow; certificate, polishes and Newton steps come back through their
+ * pointers.  m->f doubles in size whenever an update needs more room; the
+ * solve runs without the GIL, so it grows with PyMem_RawRealloc. */
 CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_loops *np,
                                          double *cert, long long *polishes, long long *steps)
 {
     npy_intp n = m->n;
     long long k, taken;
-    double f, *grown, *swap;
+    double f, residual, *grown, *swap;
     struct mm_step polished;
 
     for (k = 1;; k++) {
         fused_lasso(m);
         majorize(m);
-        finish(np, m->kind0, m->a0, m->phi0, n);
-        finish(np, m->kind1, m->a1, m->phi1, n - 1);
-        f = 0.5 * total(np, m->r, n) + m->lam0 * total(np, m->phi0, n)
-            + m->lam1 * total(np, m->phi1, n - 1);
+        f = objective(m, np);
         if (k == m->size) {
             grown = PyMem_RawRealloc(m->f, 2 * m->size * sizeof(double));
             if (grown == NULL)
@@ -727,6 +812,12 @@ CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_l
         if (taken > 0) {
             polished = *m, polished.x = m->in;
             majorize(&polished);
+            if ((residual = oracle(&polished)) <= m->tol) {
+                m->f[k] = objective(&polished, np);
+                memcpy(m->x, m->in, n * sizeof(double));
+                *cert = residual;
+                return -k;
+            }
         }
         swap = m->in, m->in = m->shifted, m->shifted = swap;
     }
@@ -986,8 +1077,9 @@ PyDoc_STRVAR(mm_solve_doc, "mm_solve(y, shifted, f0, lam0, lam1, a0, a1, kind0, 
 "shifted and whose F is f0, on C-contiguous float64 vectors y and shifted of\n"
 "one length; kind0 and kind1 index KINDS, and max_iter >= 1 (any larger than\n"
 "a C long long runs as unbounded).  history holds f0 and the F of each update\n"
-"run, certificate is the last update's, and polishes and newton_steps count\n"
-"the polishes run between updates and the steps they took.");
+"run, the last one replaced by F(x) where the solve stopped on a polished\n"
+"iterate; certificate is that of the stop, and polishes and newton_steps count\n"
+"the polishes run after updates and the steps they took.");
 
 static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {

@@ -27,7 +27,7 @@ import numpy as np
 from . import prox as _prox
 from .penalties import KINDS, PenaltySpec
 from .prox import (_as_pair, _check_nonneg, _check_pos, _diff_adjoint, _whole, as_signal,
-                   fused_lasso_l1)
+                   fused_lasso_l1, fused_lasso_optimality_residual)
 
 # Roundoff tolerance when enforcing margin >= 0 on the convexity boundary.
 MARGIN_TOL = 1e-12
@@ -82,12 +82,16 @@ class SolveResult:
 
     objective_history[0] is the objective at the initializer and one more
     entry is appended per majorization-minimization update, so its length is
-    iterations + 1.  It falls along the way, except that once the iterate
-    sits at its optimum, where an update after a polish finds the same
-    point, it may move by an ulp or two of F.  converged says that the last
-    update's certificate met tol, and certificate is that value: a bound on
-    the subgradient-optimality residual of x (see :func:`solve`).  polishes
-    counts the Newton polishes run between updates.
+    iterations + 1.  A solve stops on an update or on the polished iterate
+    after one, and either way the history's last entry is F(x),
+    objective(x, y, cfg) bit for bit.  It falls along the way, except that
+    once the iterate sits at its optimum it may move by an ulp or two of
+    F.  converged says that the stop's certificate met tol, and certificate
+    is that value: a bound on the subgradient-optimality residual of x
+    after an update, the residual itself (the subgradient oracle at x)
+    after a polish (see :func:`solve`).  polishes counts the Newton
+    polishes run after updates; it reaches iterations only where the solve
+    stopped on a polished iterate.
     """
 
     x: np.ndarray
@@ -205,11 +209,15 @@ def solve(y, cfg: CncConfig) -> SolveResult:
     steps on the values of its nonzero segments lower F, first in merge
     rounds, each of which may zero and fuse many segments at once, then
     with the structure reached held (see :func:`_polish`), and the shifted
-    input of the polished iterate replaces s_k.  Each update lowers F from
-    any point, so the polish needs no test that the structure has settled,
-    and a wrong merge costs one update, not the result: only the
-    certificate stops a solve.  The returned x is always an update's
-    output, so its segments are exact fused-lasso segments.
+    input s of the polished iterate x^ replaces s_k.  Where the polish took
+    a step, the subgradient oracle
+    ``fused_lasso_optimality_residual(s, x^, lambda0, lambda1)`` is
+    evaluated: where it is <= cfg.tol, the solve stops, converged, on x^,
+    with that residual as its certificate and F(x^) in place of F(x_k) as
+    the history's last entry.  That saves the update that would only
+    confirm x^.  Each update lowers F from any point, so the polish needs
+    no test that the structure has settled, and a wrong merge costs one
+    update, not the result: only a certificate stops a solve.
 
     The certificate is unit-free, so scaling y and the weights by a power of
     two c and the degrees by 1/c scales x by c and F by c**2 exactly, unless
@@ -244,11 +252,12 @@ def _mm_updates(y, shifted, f0, cfg):
     """The MM updates of :func:`solve` from a start's shifted input and its
     F.
 
-    Returns the last iterate, the objective history from f0 on, whether the
-    certificate met cfg.tol, the last certificate, the number of polishes
-    and their Newton steps in all.  With the compiled module the updates run
-    in one call of its ``mm_solve``, which allocates its scratch, its copy
-    of shifted and the history itself; without it they run in
+    Returns the last iterate (an update's or a polish's), the objective
+    history from f0 on, whether the certificate met cfg.tol, the last
+    certificate, the number of polishes and their Newton steps in all.
+    With the compiled module the updates run in one call of its
+    ``mm_solve``, which allocates its scratch, its copy of shifted and the
+    history itself; without it they run in
     :func:`_mm_loop_python`, its reference.  Both give the same bits, and
     neither writes y or shifted.
     """
@@ -266,10 +275,13 @@ def _mm_loop_python(y, shifted, f0, cfg):
     shifted input, :func:`objective` of the new iterate,
     :func:`majorized_input` at it and the certificate; then, unless the
     certificate met tol or the cap is reached, :func:`_polish` of the
-    iterate, its merge rounds included, and the polished iterate's
-    :func:`majorized_input` where the polish took a step.  Returns what
-    :func:`_mm_updates` returns; the polish's count of merge rounds is not
-    kept."""
+    iterate, its merge rounds included, and where the polish took a step,
+    the polished iterate's :func:`majorized_input` and the public
+    :func:`fused_lasso_optimality_residual` of the two, which stops the
+    solve on the polished iterate where it meets tol, replacing the
+    history's last entry by the polished iterate's :func:`objective`.
+    Returns what :func:`_mm_updates` returns; the polish's count of merge
+    rounds is not kept."""
     history, polishes, steps = [f0], 0, 0
     for k in range(1, cfg.max_iter + 1):
         x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
@@ -285,6 +297,10 @@ def _mm_loop_python(y, shifted, f0, cfg):
             steps += taken
             if taken:
                 nxt = majorized_input(xhat, y, cfg)
+                residual = fused_lasso_optimality_residual(nxt, xhat, cfg.lambda0, cfg.lambda1)
+                if residual <= cfg.tol:
+                    history[-1] = objective(xhat, y, cfg)
+                    return xhat, np.array(history), True, residual, polishes, steps
         shifted = nxt
     return x, np.array(history), certificate <= cfg.tol, certificate, polishes, steps
 

@@ -408,7 +408,12 @@ def fused_lasso_optimality_residual(y, x, lam0, lam1):
     ||diff(x)||_1.  Fixed components of g and u are pinned by the signs of
     nonzero entries; the free ones are chased by exact interval propagation
     along the chain of cumulative sums.  Violations are reported in the
-    dimensionless units of u (or of g when lam1 = 0).
+    dimensionless units of u (or of g when lam1 = 0).  Where an
+    intermediate overflows and a gap of the chain reads NaN (inf - inf),
+    nothing is certified and the residual is inf.  The chain runs on
+    Python floats, each operation rounding as numpy's own; ``oracle`` in
+    ``_kernels.c``, which stops the compiled MM loop on a polished iterate,
+    runs the same operations in the same order.
     """
     y, x = _as_pair(y, x, "y", "x")
     lam0 = _check_nonneg(lam0, "lam0")
@@ -429,29 +434,38 @@ def fused_lasso_optimality_residual(y, x, lam0, lam1):
     if lam0 == 0.0:
         return tvd_optimality_residual(y, x, lam1)
 
-    n = x.size
-    d = np.diff(x)
+    # memoryviews hand out Python floats without a list of N of them.
+    r, x = memoryview(r), memoryview(x)
+    n = len(x)
     # Reachable interval for the cumulative sum lam0 * (g_0 + ... + g_k).
     lo = hi = 0.0
     total = 0.0
     worst = 0.0
     for k in range(n):
         total += r[k]
-        if x[k] != 0.0:
-            step = lam0 * np.sign(x[k])
-            lo += step
-            hi += step
+        if x[k] > 0.0:
+            lo += lam0
+            hi += lam0
+        elif x[k] < 0.0:
+            lo -= lam0
+            hi -= lam0
         else:
             lo -= lam0
             hi += lam0
-        if k < n - 1:
-            if d[k] != 0.0:
-                c_lo = c_hi = total + lam1 * np.sign(d[k])
-            else:
-                c_lo, c_hi = total - lam1, total + lam1
-        else:
+        # x[k + 1] - x[k] has the sign of their comparison (subnormals
+        # included), so the jump's sign needs no difference.
+        if k == n - 1:
             c_lo = c_hi = total
-        gap = max(0.0, c_lo - hi, lo - c_hi)
+        elif x[k + 1] > x[k]:
+            c_lo = c_hi = total + lam1
+        elif x[k + 1] < x[k]:
+            c_lo = c_hi = total - lam1
+        else:
+            c_lo, c_hi = total - lam1, total + lam1
+        below, above = c_lo - hi, lo - c_hi
+        if below != below or above != above:
+            return math.inf
+        gap = max(0.0, below, above)
         worst = max(worst, gap / lam1)
         if gap > 0.0:
             point = c_lo if hi < c_lo else c_hi

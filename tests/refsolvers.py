@@ -10,13 +10,15 @@ written here from the penalty methods, `np.diff` and `diff_adjoint`, not
 taken from `cnc`, so a fault in the formulas the solver shares with the
 public `objective` and `majorized_input` cannot pass unseen.  So are its
 certificate and its polish (`polish_reference`), segment by segment, from
-the penalty methods and `curvature_terms`.  The penalty methods are pinned
-in turn to `penalty_terms`, each kind's phi and s' written out here in one
-expression each, and `PenaltySpec.residual_deriv2` to `curvature_terms`."""
+the penalty methods and `curvature_terms`; the subgradient oracle that
+stops a solve on a polished iterate is the public one.  The penalty
+methods are pinned in turn to `penalty_terms`, each kind's phi and s'
+written out here in one expression each, and `PenaltySpec.residual_deriv2`
+to `curvature_terms`."""
 
 import numpy as np
 
-from cncflsa import SolveResult, diff_adjoint, fused_lasso_l1
+from cncflsa import SolveResult, diff_adjoint, fused_lasso_l1, fused_lasso_optimality_residual
 
 SQRT3 = np.sqrt(3.0)
 U_LIMIT = 2.0**56
@@ -344,7 +346,11 @@ def mm_reference(y, cfg):
     """MM solve of `cnc.solve` as a plain chain: one `fused_lasso_l1`, one
     `mm_objective`, one `mm_shifted_input` and its `mm_certificate` per
     update, and after each update that does not stop, `polish_reference`
-    and the polished iterate's `mm_shifted_input`."""
+    and, where it took a step, the polished iterate's `mm_shifted_input`
+    and the public `fused_lasso_optimality_residual` of the two.  Where
+    that residual meets tol, the solve stops on the polished iterate: it is
+    the result, the residual its certificate and its `mm_objective` the
+    history's last entry."""
     y = np.asarray(y, dtype=float)
     x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
     history = [mm_objective(x, y, cfg)]
@@ -362,6 +368,12 @@ def mm_reference(y, cfg):
             polishes += 1
             if polished[1]:
                 nxt = mm_shifted_input(polished[0], y, cfg)
+                oracle = fused_lasso_optimality_residual(nxt, polished[0], cfg.lambda0,
+                                                         cfg.lambda1)
+                if oracle <= cfg.tol:
+                    x, certificate = polished[0], oracle
+                    history[-1] = mm_objective(x, y, cfg)
+                    break
         shifted = nxt
     return SolveResult(x=x, objective_history=np.asarray(history), iterations=len(history) - 1,
                        converged=certificate <= cfg.tol, certificate=certificate,

@@ -3,7 +3,9 @@ chained from per-step functions written out in `tests/refsolvers.py`, its
 polish included: byte-identical iterates, objective histories, update
 counts, stopping flags, certificates and polish counts, with either
 backend, and over every solve of the criterion-7 sweep, each update that
-does not stop followed by a polish; the compiled loop
+does not stop followed by a polish and a solve stopping on an update or on
+a polished iterate; the last history entry against the public `objective`
+and a polished stop's certificate against the public oracle; the compiled loop
 (the module's `mm_solve`) against the Python loop (`cnc._mm_loop_python`,
 the chain of the public `fused_lasso_l1`, `objective` and
 `majorized_input`) solve by solve; the public `objective` and
@@ -111,6 +113,36 @@ def test_compiled_loop_matches_python_loop_bytes(values, kind0, kind1, lam0, lam
         assert same_bytes(compiled, solve(y, cfg))
 
 
+@pytest.mark.skipif(prox.TVD_BACKEND != "c", reason="no compiled library")
+@pytest.mark.parametrize("lam0, lam1, kind1", [(0.0, 1.5, "log"), (0.4, 0.0, "log"),
+                                               (0.3, 1.5, "log"), (0.8, 1.5, "l1")])
+def test_compiled_oracle_stops_where_the_python_loop_does(lam0, lam1, kind1):
+    """The oracle's three weight cases that a polish reaches (both weights
+    0 certify after one update): on seeded step signals, every other one
+    rounded to 0.1, the compiled loop stops on the same polished iterates,
+    with the same certificates, as the Python loop, which calls the public
+    oracle.  A port that never passes would stop on updates instead, which
+    the stop agreement alone cannot see.  With an l1 difference penalty the
+    rounded signals give iterates whose chain has small positive gaps that
+    pass tol, after which the interval restarts from one of its ends."""
+    rng = np.random.default_rng(17)
+    stops = 0
+    for trial in range(40):
+        n = int(rng.integers(20, 300))
+        y = np.cumsum(2.0 * rng.standard_normal(n) * (rng.random(n) < 0.05))
+        y += rng.normal(0.0, 0.4, n)
+        if trial % 2:
+            y = np.round(y, 1)
+        cfg = CncConfig(lam0, lam1, PenaltySpec("atan", 0.5 / lam0 if lam0 else 0.0),
+                        PenaltySpec(kind1, 0.1 / lam1 if lam1 else 0.0))
+        compiled = solve(y, cfg)
+        with backend("python"):
+            reference = solve(y, cfg)
+        assert same_bytes(compiled, reference)
+        stops += reference.polishes == reference.iterations
+    assert stops >= 10
+
+
 @pytest.mark.parametrize("tvd_backend", ["c", "python"])
 @pytest.mark.parametrize("kind", ["atan", "rational"])
 def test_overflowing_slope_gives_a_finite_solve(tvd_backend, kind):
@@ -205,24 +237,75 @@ def test_sweep_solves_match_mm_reference(monkeypatch):
     assert rows == ref_rows
 
 
-@pytest.mark.parametrize("tvd_backend", ["c", "python"])
-def test_every_update_that_does_not_stop_is_polished(monkeypatch, tvd_backend):
-    """Each update whose certificate misses tol, and which is not the last,
-    is followed by a polish: over the mdfl and cnc solves of the
-    criterion-7 table at seed 0, whose iterates all have a nonzero segment,
-    polishes == iterations - 1."""
-    counts = []
+@pytest.fixture(scope="module", params=["c", "python"])
+def table(request):
+    """The backend's name and (y, cfg, result) of the 1,800 MM solves of the
+    criterion-7 table at seed 0 (mdfl and cnc; l1 never calls solve) on it,
+    run once per backend for the tests that read them."""
+    solves = []
 
     def recording(y, cfg):
-        result = solve(y, cfg)
-        counts.append((result.iterations, result.polishes))
-        return result
+        solves.append((y, cfg, solve(y, cfg)))
+        return solves[-1][2]
 
-    monkeypatch.setattr(cli, "solve", recording)
-    with backend(tvd_backend):
+    with mock.patch.object(cli, "solve", recording), backend(request.param):
         cli.sweep_sigma([0.25, 0.5, 1.0], 15, 0, 0.25, "atan", ["mdfl", "cnc"])
-    assert len(counts) == 1800
-    assert all(polishes == iterations - 1 for iterations, polishes in counts)
+    assert len(solves) == 1800
+    return request.param, solves
+
+
+def test_every_update_that_does_not_stop_is_polished(table):
+    """Each update whose certificate misses tol, and which is not the last,
+    is followed by a polish, and a solve stops on an update or on the
+    polished iterate after one: over the mdfl and cnc solves of the
+    criterion-7 table at seed 0, whose iterates all have a nonzero segment,
+    polishes == iterations - 1 where a solve stops on an update and
+    polishes == iterations where it stops on a polished iterate.  The table
+    has both kinds of stop."""
+    stops = [result.iterations - result.polishes for _, _, result in table[1]]
+    assert set(stops) == {0, 1}
+
+
+def stop_agrees_with_public_functions(y, cfg, result):
+    """The history's last entry is the public objective of x, and where
+    polishes == iterations, which only a solve that stopped on a polished
+    iterate reaches, the certificate is the public subgradient oracle at x,
+    bit for bit."""
+    last = np.float64(objective(result.x, y, cfg)).hex()
+    if np.float64(result.objective_history[-1]).hex() != last:
+        return False
+    if result.polishes < result.iterations:
+        return True
+    oracle = fused_lasso_optimality_residual(majorized_input(result.x, y, cfg), result.x,
+                                             cfg.lambda0, cfg.lambda1)
+    return result.converged and np.float64(result.certificate).hex() == np.float64(oracle).hex()
+
+
+def test_table_stops_agree_with_the_public_functions(table):
+    """stop_agrees_with_public_functions over the criterion-7 table's 1,800
+    solves at seed 0, which stop on updates and on polished iterates."""
+    tvd_backend, solves = table
+    with backend(tvd_backend):
+        assert all(stop_agrees_with_public_functions(*solved) for solved in solves)
+
+
+@pytest.mark.parametrize("tvd_backend", ["c", "python"])
+@settings(max_examples=150, deadline=None)
+@given(signals, st.sampled_from(KINDS), st.sampled_from(KINDS), weights, weights, degrees,
+       degrees, caps)
+@example([-0.0, 2.0, -0.0], "log", "log", 0.0, 1.0, 0.0, 0.2, (50, 1e-9))
+@example([1.0, -0.0, 3.0, 3.0], "rational", "atan", 0.4, 0.0, 1.0, 0.0, (50, 1e-9))
+def test_solve_stops_agree_with_the_public_functions(tvd_backend, values, kind0, kind1, lam0,
+                                                     lam1, a0, a1, cap):
+    """stop_agrees_with_public_functions over random solves of either
+    backend, each weight 0 included: with the compiled module this pins
+    its port of the oracle to the public function."""
+    max_iter, tol = cap
+    cfg = CncConfig(lam0, lam1, PenaltySpec(kind0, a0), PenaltySpec(kind1, a1),
+                    max_iter=max_iter, tol=tol, allow_nonconvex=True)
+    y = np.array(values)
+    with backend(tvd_backend):
+        assert stop_agrees_with_public_functions(y, cfg, solve(y, cfg))
 
 
 def criterion_4_instance():
@@ -265,14 +348,17 @@ def test_a_power_of_two_scales_the_solve_exactly(tvd_backend, instance):
     and the degrees by 2**-k scales x by 2**k and F by 4**k bit for bit and
     stops after the same updates.  The rule tol * max(1, |prev|) was
     absolute where F < 1: criterion 4's instance stopped after 1 update at
-    k = -30 and after 4 at k = -8, where the unscaled solve runs 7."""
+    k = -30 and after 4 at k = -8, where the unscaled solve ran 7.  Each
+    instance now stops on the polished iterate after its first update, so
+    the polish and the subgradient oracle that stops it must scale exactly
+    too."""
     if instance == "criterion 4":
         y, params = criterion_4_instance()
     else:
         y, params = random_instance(*instance.split("/"))
     with backend(tvd_backend):
         base = scaled_solve(y, params, 0)
-        assert base.converged and base.iterations > 1
+        assert base.converged and base.polishes == base.iterations
         for k in (-60, -30, -8, 8, 30, 60):
             result = scaled_solve(y, params, k)
             assert (result.iterations, result.converged) == (base.iterations, base.converged), k
@@ -342,9 +428,9 @@ def test_a_solve_whose_f_overflows_stops_on_its_certificate(tvd_backend, c):
     """From c = 1e154 on, 0.5*||y - x||**2 overflows and F reads inf, and at
     c = 1e-300 it underflows to 0.  The rule on the change of F ran all 50
     updates unconverged there; the certificate reads no F, and these solves
-    certify, after 32 updates from c = 1e154 on and after 5 at c = 1e-300
-    (2 at c = 1): the polish's segment objective overflows with F, so the
-    polish takes no step there.  x/c then stays within 3.5e-9 of the c = 1
+    certify, after 32 updates from c = 1e154 on and, on the polished
+    iterate, after 4 at c = 1e-300 (1 at c = 1): the polish's segment
+    objective overflows with F, so the polish takes no step there.  x/c then stays within 3.5e-9 of the c = 1
     solve (max|x| = 2.2); the bound is 1e-8."""
     with backend(tvd_backend):
         base, result = readme_solve(1.0), readme_solve(c)
@@ -361,7 +447,9 @@ def test_a_long_solve_certifies_in_four_updates(tvd_backend, seed):
     about 2,000 segments, and a few of them are wrong after each update.
     A polish that stopped at the first value or jump to reach 0 fixed one
     per update, and these solves took 9 to 11 updates; the merge rounds
-    fuse and zero them all at once, and each solve certifies after 3."""
+    fuse and zero them all at once: each solve took 3, and now stops on
+    the iterate polished after its second update, which the oracle
+    certifies."""
     clean = np.tile(generate_pulses(default_pulse_spec()), 100)
     y = add_awgn(clean, NoiseSpec(0.5, seed))
     lam1 = 0.25 * np.sqrt(300.0) * 0.5

@@ -268,6 +268,17 @@ class TestFusedLasso:
         x_wrong = fused_lasso_l1(y, 0.05, 0.05)
         assert fused_lasso_optimality_residual(y, x_wrong, 0.5, 0.5) > 1e-3
 
+    def test_oracle_reads_inf_where_a_gap_overflows(self):
+        """The running sum of y - x overflows at the second sample, and from
+        the third on the chain's gaps read inf - inf = NaN.  Python's max
+        dropped a NaN gap, so the oracle read 0.0, a pass, where
+        tvd_optimality_residual reads inf; it reads inf too.  A solve stops
+        on this oracle, so a NaN gap must never pass."""
+        y, x = [1.7e308, 1.7e308, 0.0], [0.0, 0.0, 0.0]
+        assert fused_lasso_optimality_residual(y, x, 1e308, 1e308) == np.inf
+        with np.errstate(over="ignore"):
+            assert tvd_optimality_residual(y, x, 1e308) == np.inf
+
     @pytest.mark.parametrize("lam0, lam1, exact", [
         (0.7, 0.0, lambda y: soft_threshold(y, 0.7)),
         (0.0, 1.3, lambda y: tvd(y, 1.3)),

@@ -29,7 +29,8 @@ repeats, in milliseconds per call:
 
 The solve, loop and polish rows also print, and keep, the work they time:
 kernel calls (a solve's start and its updates, a loop's updates), polishes
-and Newton steps, and for a polish how many of its steps were merge
+and Newton steps, for a solve or a loop how many solves stopped on a
+polished iterate, and for a polish how many of its steps were merge
 rounds.  Apart from the loop and the polish, which are private
 (``mm_solve`` and ``cnc._polish``, with the arguments of ``cnc.solve``),
 only public names are timed, so the script measures whichever version of
@@ -144,11 +145,14 @@ def solve_start(y, cfg):
 
 def loop_work(y, cfg):
     """Kernel calls, polishes and Newton steps of the MM loop from the start
-    of a solve of y, which must converge."""
+    of a solve of y, which must converge, and how many solves (0 or 1)
+    stopped on a polished iterate: those with a polish after every update."""
     x, history, converged, _, polishes, steps = cnc._mm_updates(*solve_start(y, cfg))
     if not converged:
         raise RuntimeError("the solve ran to its cap")
-    return {"kernel_calls": history.size - 1, "polishes": polishes, "newton_steps": steps}
+    updates = history.size - 1
+    return {"kernel_calls": updates, "polishes": polishes, "newton_steps": steps,
+            "polish_stops": int(polishes == updates)}
 
 
 def compiled_loop(y, cfg):

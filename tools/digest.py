@@ -8,7 +8,12 @@ Each digest covers the bytes of
   bounds the certificate, so 1e-300 stops a solve only where its
   certificate reads exactly 0 (or a subnormal), and most of those solves
   run to the cap; for each, the iterate, the objective history, the update
-  count, the stopping flag, the certificate and the polish count;
+  count, the stopping flag, the certificate and the polish count.  The
+  certificate of a solve that stopped on an update is ||e||_1 / lambda1
+  (max|e| / lambda0 where lambda1 = 0); that of a solve that stopped on the
+  polished iterate after its last update (as every solve with polishes ==
+  iterations did) is the subgradient oracle
+  ``fused_lasso_optimality_residual`` at that iterate;
 - the criterion-7 table, ``cli.sweep_sigma`` over sigma = 0.25, 0.5 and 1
   with 15 trials and all three methods: every row, and the iterate,
   history, certificate and polish count of each of its MM solves;
