@@ -356,6 +356,18 @@ CLONES static void cncflsa_soft_threshold(const double *x, npy_intp n, double la
     shrink(x, out, n, lam);
 }
 
+/* The squares (a - b)^2 of n pairs, into out, as numpy's d = a - b; d *= d
+ * forms them. */
+CLONES static void cncflsa_squares(const double *a, const double *b, npy_intp n, double *out)
+{
+    npy_intp i;
+
+    for (i = 0; i < n; i++) {
+        out[i] = a[i] - b[i];
+        out[i] *= out[i];
+    }
+}
+
 /* Whether the n doubles from x are all finite.  Adding 2^52 to a double's
  * exponent field, masked out of its bits, carries into the sign bit
  * exactly when the field is all ones, that is for inf and NaN; so the loop
@@ -1206,6 +1218,44 @@ static PyObject *loops(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return Py_BuildValue("(NNd)", arctan, log1p, sum);
 }
 
+PyDoc_STRVAR(total_doc, "total(a[, b]) -> float\n\n"
+"np.add.reduce(a) of the C-contiguous float64 vector a, summed by numpy's own\n"
+"add loop; given b, a vector of a's length, that of the squares d = a - b;\n"
+"d *= d, formed in scratch freed before the call returns.  Raises no numpy\n"
+"floating-point warning.");
+
+static PyObject *total_entry(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    const struct numpy_loops *np = PyModule_GetState(self);
+    PyArrayObject *a, *b = NULL;
+    double *v, *squares = NULL, sum;
+    npy_intp n;
+
+    if (nargs != 1 && nargs != 2) {
+        PyErr_Format(PyExc_TypeError, "total takes 1 or 2 arguments, got %zd", nargs);
+        return NULL;
+    }
+    if ((a = as_array(args[0], "a", 1)) == NULL
+        || (nargs == 2 && (b = as_array(args[1], "b", 1)) == NULL))
+        return NULL;
+    v = PyArray_DATA(a), n = PyArray_DIM(a, 0);
+    if (b != NULL) {
+        if (PyArray_DIM(b, 0) != n) {
+            PyErr_SetString(PyExc_ValueError, "a and b must have one length");
+            return NULL;
+        }
+        if ((squares = scratch(n, 1)) == NULL)
+            return NULL;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    if (squares != NULL)
+        cncflsa_squares(v, PyArray_DATA(b), n, squares), v = squares;
+    sum = total(np, v, n);
+    Py_END_ALLOW_THREADS
+    PyMem_RawFree(squares);
+    return PyFloat_FromDouble(sum);
+}
+
 static PyMethodDef methods[] = {
     {"tvd", (PyCFunction)(void (*)(void))tvd, METH_FASTCALL, tvd_doc},
     {"penalty_map", (PyCFunction)(void (*)(void))penalty_map, METH_FASTCALL, penalty_map_doc},
@@ -1216,6 +1266,7 @@ static PyMethodDef methods[] = {
     {"shifted_input", (PyCFunction)(void (*)(void))shifted_input, METH_FASTCALL,
      shifted_input_doc},
     {"loops", (PyCFunction)(void (*)(void))loops, METH_FASTCALL, loops_doc},
+    {"total", (PyCFunction)(void (*)(void))total_entry, METH_FASTCALL, total_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import prox as _prox
 from .penalties import KINDS, PenaltySpec
-from .prox import (_as_pair, _check_nonneg, _check_pos, _diff_adjoint, _whole, as_signal,
-                   fused_lasso_l1, fused_lasso_optimality_residual)
+from .prox import (_as_pair, _check_nonneg, _check_pos, _diff_adjoint, _total, _whole,
+                   as_signal, fused_lasso_l1, fused_lasso_optimality_residual)
 
 # Roundoff tolerance when enforcing margin >= 0 on the convexity boundary.
 MARGIN_TOL = 1e-12
@@ -156,19 +156,20 @@ def objective(x, y, cfg: CncConfig) -> float:
     """Penalized objective F(x) for observation y under cfg.
 
     All three terms, the squares (y - x)**2 and each penalty's values, are
-    reduced with numpy's pairwise sum, each dropped before the next is
-    evaluated.  ``np.dot`` would call BLAS, whose sum follows the BLAS
-    build and its thread count; numpy's own ``add`` loop adds in one fixed
-    order, which the compiled ``mm_solve`` calls too.  With one sample the
-    difference sum is the 0.0 of an empty sum, and adding it changes no
-    bit, because the first two terms never sum to -0.0.
+    reduced with numpy's pairwise sum by ``prox._total``, the compiled
+    module's ``total`` when it is loaded, which forms the squares in its
+    own scratch; each term is evaluated and summed before the next, and
+    where a sum overflows F reads inf with no warning.  ``np.dot`` would
+    call BLAS, whose sum follows the BLAS build and its thread count;
+    numpy's own ``add`` loop adds in one fixed order, which the compiled
+    ``mm_solve`` calls too.  With one sample the difference sum is the 0.0
+    of an empty sum, and adding it changes no bit, because the first two
+    terms never sum to -0.0.
     """
     x, y = _as_pair(x, y, "x", "y")
-    r = y - x
-    r *= r
-    return (0.5 * float(np.add.reduce(r))
-            + cfg.lambda0 * float(np.add.reduce(cfg.penalty0.value(x)))
-            + cfg.lambda1 * float(np.add.reduce(cfg.penalty1.value(x[1:] - x[:-1]))))
+    return (0.5 * _total(y, x)
+            + cfg.lambda0 * _total(cfg.penalty0.value(x))
+            + cfg.lambda1 * _total(cfg.penalty1.value(x[1:] - x[:-1])))
 
 
 def majorized_input(v, y, cfg: CncConfig):

@@ -8,7 +8,7 @@ certify solutions independently of the solvers.
 The TV kernel has a compiled backend (``_kernels.c``, a CPython extension
 module built on first import and cached in ``__pycache__``) and a
 pure-Python reference that it matches bit for bit and falls back to;
-``TVD_BACKEND`` names the one in use.  The module has seven entries, six
+``TVD_BACKEND`` names the one in use.  The module has eight entries, seven
 called by one public step after its own input checks and each matching
 its Python reference bit for bit; all follow the one switch ``_tvd_c``
 and read only aligned, C-contiguous float64 arrays, which ``_as_float``
@@ -23,6 +23,10 @@ makes of any input, copying it unless it is one already:
 - ``shifted_input``, by :func:`cncflsa.cnc.majorized_input`;
 - ``mm_solve``, by :func:`cncflsa.cnc.solve` for every update after its
   start; without the module the loop chains the public functions;
+- ``total``, numpy's pairwise sum of an array or of the squares of a
+  difference, by :func:`_total`, the one home of the public sums: the three
+  of :func:`cncflsa.cnc.objective` and that of
+  :func:`cncflsa.signalgen.rmse`;
 - ``loops``, by the probe in ``_load``, which compares what the module's
   calls of numpy's loops give with numpy's own calls before it is used.
 """
@@ -83,6 +87,22 @@ def _all_finite(a):
     if _tvd_c is not None:
         return _tvd_c.all_finite(a)
     return bool(np.isfinite(a).all())
+
+
+def _total(a, b=None):
+    """``np.add.reduce(a)`` of the aligned, C-contiguous float64 vector a,
+    or, given b, a vector of a's length, that of the squares ``d = a - b;
+    d *= d``, as a float: the compiled module's ``total``, or those numpy
+    expressions on the Python backend.  Neither raises a numpy warning,
+    where a value overflows or a sum reads inf - inf."""
+    lib = _tvd_c
+    if lib is not None:
+        return lib.total(a) if b is None else lib.total(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if b is not None:
+            a = a - b
+            a *= a
+        return float(np.add.reduce(a))
 
 
 def _as_pair(a, b, name_a, name_b):
@@ -340,7 +360,7 @@ def _load(path):
 # The compiled module's entries; this module's docstring names the caller
 # of each.
 _ENTRIES = ("tvd", "penalty_map", "mm_solve", "all_finite", "soft_threshold", "shifted_input",
-            "loops")
+            "loops", "total")
 
 
 def _select_backend():

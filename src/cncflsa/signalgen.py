@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import _all_finite, _as_pair, _check_nonneg, _check_pos, _whole, as_signal
+from .prox import _all_finite, _as_pair, _check_nonneg, _check_pos, _total, _whole, as_signal
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -175,7 +175,6 @@ def lambda0_grid(n, sigma, beta=DEFAULT_BETA):
     return np.arange(1, 21) * 0.05 * scale
 
 
-@np.errstate(over="ignore")
 def rmse(x, reference):
     """Root mean squared error between two equal-length signals.
 
@@ -186,11 +185,13 @@ def rmse(x, reference):
 
     Both sums of squares are numpy's pairwise ``add``, as F's are, not BLAS
     ``ddot``, whose order of addition follows the BLAS build, the kernel it
-    picks for the CPU and its thread count."""
+    picks for the CPU and its thread count.  The first is ``prox._total``
+    of the pair, the compiled module's ``total`` when it is loaded, which
+    forms the squares in its own scratch and raises no overflow warning;
+    the scaled form cannot overflow: each halved difference is at most the
+    largest float, and its scaled square at most 1."""
     x, reference = _as_pair(x, reference, "x", "reference")
-    d = x - reference
-    d *= d
-    total = float(np.add.reduce(d))
+    total = _total(x, reference)
     if math.isfinite(total):
         return math.sqrt(total / x.size)
     half = 0.5 * x - 0.5 * reference

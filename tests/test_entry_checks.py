@@ -1,6 +1,6 @@
-"""The argument checks of the compiled module's seven entries (`tvd`,
-`penalty_map`, `mm_solve`, `all_finite`, `soft_threshold`, `shifted_input`
-and `loops`): a float32 array, a byte-swapped
+"""The argument checks of the compiled module's eight entries (`tvd`,
+`penalty_map`, `mm_solve`, `all_finite`, `soft_threshold`, `shifted_input`,
+`loops` and `total`): a float32 array, a byte-swapped
 one, a strided view, a length that does not fit, a non-array, an integer out
 of range and a wrong argument count each raise TypeError or ValueError, and
 the process goes on; none reads past a buffer."""
@@ -25,12 +25,13 @@ def good(entry):
         "soft_threshold": [Y.copy(), 0.25],
         "shifted_input": [Y.copy(), 0.3, Y[::-1] / 9.0, 2.0, Y[1:] / 7.0],
         "loops": [Y.copy(), np.abs(Y)],
+        "total": [Y.copy(), Y[::-1].copy()],
     }[entry]
 
 
 # The positions of each entry's array arguments.
 ARRAYS = {"tvd": [0], "penalty_map": [2], "mm_solve": [0, 1], "all_finite": [0],
-          "soft_threshold": [0], "shifted_input": [0, 2, 4], "loops": [0, 1]}
+          "soft_threshold": [0], "shifted_input": [0, 2, 4], "loops": [0, 1], "total": [0, 1]}
 
 
 def call(entry, args):
@@ -81,6 +82,10 @@ def test_a_wrong_array_raises(entry, position, bad, error):
     ("shifted_input", 0, Y.reshape(2, 4).copy()),
     ("shifted_input", 2, Y.reshape(2, 4).copy()),
     ("shifted_input", 4, Y[1:].reshape(1, 7).copy()),
+    ("total", 1, Y[:7].copy()),  # b shorter than a
+    ("total", 1, np.append(Y, 1.0)),
+    ("total", 0, Y.reshape(2, 4).copy()),
+    ("total", 1, Y.reshape(2, 4).copy()),
 ])
 def test_a_length_or_shape_that_does_not_fit_raises(entry, position, value):
     args = good(entry)
@@ -125,10 +130,24 @@ def test_an_integer_out_of_range_raises(entry, position, value, error):
 @pytest.mark.parametrize("entry", list(ARRAYS))
 def test_a_wrong_argument_count_raises(entry):
     args = good(entry)
+    # total(a) is total's one-argument form, so it is short only of both.
+    short = [] if entry == "total" else args[:-1]
     with pytest.raises(TypeError):
-        call(entry, args[:-1])
+        call(entry, short)
     with pytest.raises(TypeError):
         call(entry, args + [0])
+
+
+def test_total_takes_one_or_two_arrays_and_writes_neither():
+    """total(a) and total(a, b) return floats, b may be a itself or
+    read-only, and both arguments keep their bytes."""
+    a, b = good("total")
+    b.flags.writeable = False
+    before = a.tobytes(), b.tobytes()
+    assert call("total", [a]) == float(np.add.reduce(a))
+    assert call("total", [a, b]) == float(np.add.reduce((a - b) * (a - b)))
+    assert call("total", [a, a]) == 0.0
+    assert (a.tobytes(), b.tobytes()) == before
 
 
 def result_bytes(result):

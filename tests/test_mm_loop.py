@@ -14,6 +14,7 @@ against the subgradient oracle; and solves of a signal scaled by powers of
 two, or by factors where F overflows, against the unscaled solve."""
 
 import contextlib
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from cncflsa import (
     PenaltySpec,
     add_awgn,
     cli,
+    fused_lasso_l1,
     fused_lasso_optimality_residual,
     default_pulse_spec,
     generate_pulses,
@@ -35,6 +37,7 @@ from cncflsa import (
     majorized_input,
     objective,
     prox,
+    rmse,
     select_a1,
     solve,
 )
@@ -407,10 +410,10 @@ def test_the_oracle_is_at_most_the_certificate(tvd_backend, values, kind0, kind1
     assert result.converged == (result.certificate <= cfg.tol)
 
 
-def readme_solve(c):
+def readme_problem(c):
     """The README parameterization (cnc, atan, lambda1 = 0.25*sqrt(300)*0.5,
     lambda0 = lambda1/10) on the fixture at sigma = 0.5, noise seed 1, with
-    y and the weights times c and the degrees over c."""
+    y and the weights times c and the degrees over c: y and the config."""
     clean = generate_pulses(default_pulse_spec())
     y = add_awgn(clean, NoiseSpec(0.5, 1))
     lam1 = 0.25 * np.sqrt(300.0) * 0.5
@@ -418,8 +421,31 @@ def readme_solve(c):
     a0 = 0.5 / lam0
     cfg = CncConfig(lam0 * c, lam1 * c, PenaltySpec("atan", a0 / c),
                     PenaltySpec("atan", select_a1(lam0, lam1, a0) / c))
+    return y * c, cfg
+
+
+def readme_solve(c):
+    """:func:`solve` of :func:`readme_problem`."""
     with np.errstate(over="ignore", under="ignore"):
-        return solve(y * c, cfg)
+        return solve(*readme_problem(c))
+
+
+def test_f_and_rmse_past_overflow_are_one_result_and_quiet():
+    """At the l1 start of the README case times 1e154, ||y - x||**2 passes
+    the largest float: objective reads inf on both backends, and rmse of
+    the same pair, whose squares sum to inf too, the finite RMSE of the
+    scaled form, both with no warning."""
+    y, cfg = readme_problem(1e154)
+    x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
+    results = []
+    for name in ("c", "python"):
+        with backend(name), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results.append((objective(x, y, cfg), rmse(x, y)))
+    assert results[0] == results[1]
+    f, err = results[0]
+    assert f == np.inf
+    assert err == pytest.approx(1e154 * rmse(x / 1e154, y / 1e154), rel=1e-14)
 
 
 @pytest.mark.parametrize("tvd_backend", ["c", "python"])

@@ -1,11 +1,13 @@
-"""The compiled module's `soft_threshold` and `shifted_input` entries, which
-`prox.soft_threshold` and `cnc.majorized_input` call, against their numpy
-references: the same bytes on inputs of any shape, layout and size; one
-call into the module per public step of a solve's start, whatever the
-input's layout; and the fallback to Python when the module lacks any of
-its entries."""
+"""The compiled module's `soft_threshold`, `shifted_input` and `total`
+entries, which `prox.soft_threshold`, `cnc.majorized_input` and
+`prox._total` (the sums of `cnc.objective` and `signalgen.rmse`) call,
+against their numpy references: the same bytes on inputs of any shape,
+layout and size; one call into the module per public step of a solve's
+start, whatever the input's layout; and the fallback to Python when the
+module lacks any of its entries."""
 
 import types
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -120,6 +122,38 @@ def test_majorized_input_gives_the_reference_bytes(n, kind0, kind1, lam0, lam1, 
         assert compiled.tobytes() == reference.tobytes()
 
 
+# Both zeros, subnormals, and magnitudes whose squares, or whose sums,
+# overflow to inf.
+SUM_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e200, -1e200, 1.7e308,
+                      -1.7e308])
+
+
+@lib_only
+@pytest.mark.parametrize("share", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 127, 128, 129, 1000, 30000])
+def test_total_gives_numpys_bytes_on_both_backends_quietly(n, share):
+    """prox._total(a) and prox._total(a, b) give the bytes of np.add.reduce(a)
+    and of d = a - b; d *= d; np.add.reduce(d), within and beyond numpy's
+    pairwise blocks of 8 and 128, with a share of the samples drawn from
+    SUM_EDGES; on the compiled backend and the Python one alike, neither
+    warns."""
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(0.0, 3.0, (2, n))
+    for row in (a, b):
+        pick = rng.random(n) < share
+        row[pick] = rng.choice(SUM_EDGES, int(pick.sum()))
+    with np.errstate(all="ignore"):
+        d = a - b
+        d *= d
+        want = [np.add.reduce(a).tobytes(), np.add.reduce(d).tobytes()]
+    for lib in (prox._tvd_c, None):
+        with mock.patch.object(prox, "_tvd_c", lib), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [prox._total(a), prox._total(a, b)]
+        assert all(type(v) is float for v in got)
+        assert [np.float64(v).tobytes() for v in got] == want
+
+
 class Counting:
     """The compiled module, recording the name of each entry called."""
 
@@ -151,8 +185,8 @@ def check_start_calls(counting, y, cfg):
         (lambda: cfg.penalty0.value(y), ["penalty_map"]),
         (lambda: fused_lasso_l1(y, 0.1, 1.0), ["all_finite", "tvd", "all_finite",
                                                "soft_threshold"]),
-        (lambda: objective(y, y, cfg), ["all_finite", "all_finite", "penalty_map",
-                                        "penalty_map"]),
+        (lambda: objective(y, y, cfg), ["all_finite", "all_finite", "total", "penalty_map",
+                                        "total", "penalty_map", "total"]),
         (lambda: majorized_input(y, y, cfg), ["all_finite", "all_finite", "penalty_map",
                                               "penalty_map", "shifted_input"]),
     ]

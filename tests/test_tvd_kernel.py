@@ -230,6 +230,8 @@ def entry_calls():
             yield "tvd", (y, lam1)
         yield "soft_threshold", (y, lam0)
         yield "loops", (y, np.abs(y))
+        yield "total", (y,)
+        yield "total", (y, y[::-1].copy())
         yield "shifted_input", (y, lam0, rng.normal(0.0, 1.0, y.size), lam1,
                                 rng.normal(0.0, 1.0, y.size - 1))
         yield "all_finite", (y,)

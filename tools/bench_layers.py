@@ -14,7 +14,7 @@ repeats, in milliseconds per call:
   ``PenaltySpec.residual_deriv`` (of penalty0), ``cnc.objective`` and
   ``cnc.majorized_input``;
 - ``cnc.solve`` at N = 300 (the fixture) and 30,000, and ``signalgen.rmse``
-  of the first's result;
+  of each one's result against its input;
 - with the compiled module, its whole MM loop at N = 300 and 30,000: a
   call of its ``mm_solve`` entry with the arguments that ``cnc.solve``
   passes it after the start;
@@ -239,8 +239,10 @@ def layers(workdir):
         x, work = first_polish(y, cfg)
         out.append((f"cnc._polish N={n}", REPEATS, lambda x=x, y=y, inner=inner: timed(
             lambda: cnc._polish(x, y, cfg), inner), work))
-    x300 = solve(y300, cfg).x
-    out.append(("signalgen.rmse N=300", REPEATS, lambda: timed(lambda: rmse(x300, y300), 2000)))
+    for n, y, inner in ((300, y300, 2000), (30000, y30k, 200)):
+        x = solve(y, cfg).x
+        out.append((f"signalgen.rmse N={n}", REPEATS, lambda x=x, y=y, inner=inner: timed(
+            lambda: rmse(x, y), inner)))
     out.append(("criterion-7 sweep", 5, lambda: timed(
         lambda: cli.sweep_sigma(SWEEP_SIGMAS, 15, 0, 0.25, "atan", ["l1", "mdfl", "cnc"]), 1)))
     out.append(("cli denoise N=300", REPEATS, lambda: cli_denoise_ms(workdir)))
