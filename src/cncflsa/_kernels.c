@@ -32,10 +32,10 @@
  * finish as a plain one.
  *
  * The MM loop, cncflsa_mm_solve, is the one compiled solve: its updates,
- * the certificate it stops on, the Newton polish after each update that
- * does not stop, its merge rounds included, and the subgradient oracle
- * (oracle, a port of cncflsa.prox.fused_lasso_optimality_residual) that
- * stops a solve on a polished iterate, a byte-for-byte twin of
+ * the Newton polish after each update that does not stop, its merge rounds
+ * included, and the subgradient oracle (oracle, a port of
+ * cncflsa.prox.fused_lasso_optimality_residual) of each update's and each
+ * polished iterate, on which alone a solve stops, a byte-for-byte twin of
  * cncflsa.cnc._mm_loop_python.  The polish is the one place that needs s''
  * (curvature, beside algebra) and a Thomas sweep (thomas).
  *
@@ -433,27 +433,6 @@ static double total(const struct numpy_loops *np, double *v, npy_intp len)
     return acc;
 }
 
-/* cncflsa.cnc._certificate of the update that solved on m->in and formed
- * m->shifted: ||in - shifted||_1 / lam1, or its largest entry / lam0 where
- * lam1 = 0, NaN where an entry is NaN as in np.max, or 0 where both weights
- * are 0.  |in - shifted| is written over in, dead once the kernel has
- * returned, and summed by total as numpy's add.reduce sums it. */
-static double certificate(const struct mm_step *m, const struct numpy_loops *np)
-{
-    double *e = m->in, largest = 0.0;
-    npy_intp i;
-
-    for (i = 0; i < m->n; i++)
-        e[i] = fabs(e[i] - m->shifted[i]);
-    if (m->lam1 > 0.0)
-        return total(np, e, m->n) / m->lam1;
-    if (m->lam0 == 0.0)
-        return 0.0;
-    for (i = 0; i < m->n; i++)
-        largest = e[i] > largest || e[i] != e[i] ? e[i] : largest;
-    return largest / m->lam0;
-}
-
 /* cncflsa.cnc.objective of the iterate whose rows r, phi0 and phi1
  * majorize has just written: the penalties finished in place, then F's
  * three sums in the reference's order of evaluation. */
@@ -471,9 +450,11 @@ static double objective(const struct mm_step *m, const struct numpy_loops *np)
  * cncflsa.prox.tvd_optimality_residual's, whose cumulative sum runs left to
  * right as np.cumsum's does).  inf where a gap of the chain reads NaN, as
  * in the reference.  The worst violation only grows, so the pass ends once
- * it misses tol and returns it: a residual that misses tol stops nothing
- * and is never reported.  A jump's sign is that of its ends' comparison. */
-static double oracle(const struct mm_step *m)
+ * it exceeds stop and returns it: the solve passes m->tol, where a residual
+ * that misses tol stops nothing and is never reported, and INFINITY on its
+ * last update, whose residual it reports whole.  A jump's sign is that of
+ * its ends' comparison. */
+static double oracle(const struct mm_step *m, double stop)
 {
     const double *s = m->shifted, *x = m->x;
     double lam0 = m->lam0, lam1 = m->lam1, total = 0.0, lo = 0.0, hi = 0.0, worst = 0.0;
@@ -531,7 +512,7 @@ static double oracle(const struct mm_step *m)
                 hi = c_hi < hi ? c_hi : hi;
             }
         }
-        if (!(v <= worst) && !((worst = v) <= m->tol))
+        if (!(v <= worst) && !((worst = v) <= stop))
             return worst;
     }
     return worst;
@@ -782,17 +763,17 @@ static long long polish(const struct mm_step *m, const struct numpy_loops *np, d
  * reference cncflsa.cnc._mm_loop_python, the chain of the public functions.
  * Update k runs fused_lasso on m->in, stores F of the new iterate
  * (cncflsa.cnc.objective, in its order of evaluation) in m->f[k] after
- * m->f[0], forms the next shifted input in m->shifted by majorize and the
- * certificate; it stops, converged, where the certificate is <= tol (false
- * on NaN as in Python), or after m->max_iter updates.  Otherwise the
+ * m->f[0], forms its shifted input in m->shifted by majorize and evaluates
+ * the oracle of the two; it stops, converged, where the oracle is <= tol
+ * (false on NaN as in Python), or after m->max_iter updates.  Otherwise the
  * iterate is polished, and where the polish took a step, majorize of the
  * polished iterate, kept in m->in, replaces the next input, and the oracle
  * of the two is evaluated: where it is <= tol, the solve stops, converged,
- * on the polished iterate, copied into m->x, with the oracle as its
- * certificate and its F, from the rows that majorize just wrote, as m->f[k].
- * Otherwise the rows in and shifted swap.  Returns the number of updates,
- * negated when a certificate met tol, or 0 when the history could not
- * grow; certificate, polishes and Newton steps come back through their
+ * on the polished iterate, copied into m->x, with its F, from the rows that
+ * majorize just wrote, as m->f[k].  Otherwise the rows in and shifted swap.
+ * Returns the number of updates, negated when the oracle met tol, or 0 when
+ * the history could not grow; the last oracle evaluated, the certificate,
+ * and the counts of polishes and Newton steps come back through their
  * pointers.  m->f doubles in size whenever an update needs more room; the
  * solve runs without the GIL, so it grows with PyMem_RawRealloc. */
 CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_loops *np,
@@ -800,7 +781,7 @@ CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_l
 {
     npy_intp n = m->n;
     long long k, taken;
-    double f, residual, *grown, *swap;
+    double f, *grown, *swap;
     struct mm_step polished;
 
     for (k = 1;; k++) {
@@ -814,8 +795,7 @@ CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_l
             m->f = grown, m->size *= 2;
         }
         m->f[k] = f;
-        *cert = certificate(m, np);
-        if (*cert <= m->tol)
+        if ((*cert = oracle(m, k == m->max_iter ? INFINITY : m->tol)) <= m->tol)
             return -k;
         if (k == m->max_iter)
             return k;
@@ -824,10 +804,9 @@ CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_l
         if (taken > 0) {
             polished = *m, polished.x = m->in;
             majorize(&polished);
-            if ((residual = oracle(&polished)) <= m->tol) {
+            if ((*cert = oracle(&polished, m->tol)) <= m->tol) {
                 m->f[k] = objective(&polished, np);
                 memcpy(m->x, m->in, n * sizeof(double));
-                *cert = residual;
                 return -k;
             }
         }
@@ -1090,8 +1069,8 @@ PyDoc_STRVAR(mm_solve_doc, "mm_solve(y, shifted, f0, lam0, lam1, a0, a1, kind0, 
 "one length; kind0 and kind1 index KINDS, and max_iter >= 1 (any larger than\n"
 "a C long long runs as unbounded).  history holds f0 and the F of each update\n"
 "run, the last one replaced by F(x) where the solve stopped on a polished\n"
-"iterate; certificate is that of the stop, and polishes and newton_steps count\n"
-"the polishes run after updates and the steps they took.");
+"iterate; certificate is the subgradient oracle of x, and polishes and\n"
+"newton_steps count the polishes run after updates and the steps they took.");
 
 static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1132,12 +1111,12 @@ static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t narg
     /* The solve's scratch: one block of 5 + TVD_ROWS rows of n doubles,
      * r = (y - x)^2, phi0, phi1 (n - 1 of its row); the two shifted rows in
      * and shifted, in a copy of the caller's, which swap after each update,
-     * and of which in takes |e| for the certificate and then the polished
-     * iterate; and cncflsa_tvd's work, whose lo_clamp row majorize reuses
-     * for s1' and all of whose rows polish reuses for its own, of at most n
+     * and of which in takes the polished iterate once the kernel has read
+     * it; and cncflsa_tvd's work, whose lo_clamp row majorize reuses for
+     * s1' and all of whose rows polish reuses for its own, of at most n
      * doubles each (struct segments), its merge rounds rebuilding them in
-     * place.  And the history f, f0 first, at 64
-     * doubles or max_iter + 1 if fewer. */
+     * place.  And the history f, f0 first, at 64 doubles or max_iter + 1 if
+     * fewer. */
     m.size = m.max_iter < 64 ? m.max_iter + 1 : 64;
     if ((m.r = scratch(m.n, 5 + TVD_ROWS)) == NULL || (m.f = scratch(m.size, 1)) == NULL) {
         PyMem_RawFree(m.r);

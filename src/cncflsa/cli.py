@@ -364,8 +364,8 @@ def build_parser():
     p.add_argument("--penalty", choices=KINDS, default="atan")
     p.add_argument("--method", choices=METHODS, default="cnc")
     p.add_argument("--tol", type=float, default=CncConfig.tol,
-                   help="stop a solve once its certificate, a unit-free bound on the "
-                        "optimality residual, is at most this")
+                   help="stop a solve once its certificate, the subgradient oracle of "
+                        "the returned iterate, is at most this")
     p.add_argument("--max-iter", type=int, default=CncConfig.max_iter)
     p.add_argument("--allow-nonconvex", action="store_true")
     p.add_argument("--reference", default=None,
@@ -396,8 +396,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--penalty", choices=KINDS, default="atan")
     p.add_argument("--tol", type=float, default=CncConfig.tol,
-                   help="stop a solve once its certificate, a unit-free bound on the "
-                        "optimality residual, is at most this")
+                   help="stop a solve once its certificate, the subgradient oracle of "
+                        "the returned iterate, is at most this")
     p.add_argument("--max-iter", type=int, default=CncConfig.max_iter)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_sweep)

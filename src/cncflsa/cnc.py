@@ -13,9 +13,10 @@ never overcomes the unit curvature of the data term.  The solver majorizes
 each penalty by the absolute value plus the tangent line of its smooth
 residual, which turns every update into one exact L1 fused-lasso solve on a
 shifted input.  There are no matrix inversions anywhere.  The loop is the
-chain of the public :func:`fused_lasso_l1`, :func:`objective` and
-:func:`majorized_input`; with the compiled module it runs as one call of
-its ``mm_solve``, which gives the same bits.
+chain of the public :func:`fused_lasso_l1`, :func:`objective`,
+:func:`majorized_input` and :func:`fused_lasso_optimality_residual`, the
+subgradient oracle on which every solve stops; with the compiled module it
+runs as one call of its ``mm_solve``, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -50,10 +51,9 @@ class CncConfig:
     convexity-margin precondition for experiments outside the certified
     region.  max_iter (a positive integer) caps the MM updates of a solve,
     and tol (finite and > 0) is its stopping tolerance on the certificate,
-    a dimensionless bound on the iterate's optimality residual; see
-    :func:`solve`.  Frozen, so that construction
-    validates every field that a solve reads; ``dataclasses.replace`` makes
-    a changed copy.
+    the subgradient oracle of the returned iterate; see :func:`solve`.
+    Frozen, so that construction validates every field that a solve reads;
+    ``dataclasses.replace`` makes a changed copy.
     """
 
     lambda0: float
@@ -86,12 +86,12 @@ class SolveResult:
     after one, and either way the history's last entry is F(x),
     objective(x, y, cfg) bit for bit.  It falls along the way, except that
     once the iterate sits at its optimum it may move by an ulp or two of
-    F.  converged says that the stop's certificate met tol, and certificate
-    is that value: a bound on the subgradient-optimality residual of x
-    after an update, the residual itself (the subgradient oracle at x)
-    after a polish (see :func:`solve`).  polishes counts the Newton
-    polishes run after updates; it reaches iterations only where the solve
-    stopped on a polished iterate.
+    F.  certificate is the subgradient oracle of x,
+    ``fused_lasso_optimality_residual(majorized_input(x, y, cfg), x,
+    lambda0, lambda1)`` bit for bit, and converged says that it met tol
+    (see :func:`solve`).  polishes counts the Newton polishes run after
+    updates; it reaches iterations only where the solve stopped on a
+    polished iterate.
     """
 
     x: np.ndarray
@@ -199,31 +199,33 @@ def solve(y, cfg: CncConfig) -> SolveResult:
     Starts from the L1 fused-lasso solution x_0, then runs updates: update
     k solves one exact L1 fused lasso x_k = FLSA(s_{k-1}) on the shifted
     input s_{k-1}, s_0 being :func:`majorized_input` at x_0, appends F(x_k)
-    to the history and forms s_k = :func:`majorized_input` at x_k.  Then e
-    = s_{k-1} - s_k is a subgradient of F at x_k, and the certificate c_k
-    is ||e||_1 / lambda1 (||e||_inf / lambda0 where lambda1 = 0, and 0
-    where both weights are), a bound on the subgradient-optimality residual
-    of x_k in the units of the dual variables.  The solve stops, converged,
-    at the first c_k <= cfg.tol, otherwise after cfg.max_iter updates.
+    to the history and forms s_k = :func:`majorized_input` at x_k.
+
+    One rule stops a solve: it stops, converged, where the subgradient
+    oracle of its iterate, ``fused_lasso_optimality_residual(s, x,
+    lambda0, lambda1)`` with s the iterate's shifted input, is <= cfg.tol,
+    otherwise after cfg.max_iter updates, and it reports the oracle of the
+    iterate it returns as its certificate.  The oracle measures how far x
+    is from the fused-lasso optimum of s, in the units of the dual
+    variables.  The majorizer at x has F's subgradients at x, so in exact
+    arithmetic the oracle reads 0 exactly where x minimizes F.
 
     After each update that does not stop, the iterate is polished: Newton
     steps on the values of its nonzero segments lower F, first in merge
     rounds, each of which may zero and fuse many segments at once, then
     with the structure reached held (see :func:`_polish`), and the shifted
-    input s of the polished iterate x^ replaces s_k.  Where the polish took
-    a step, the subgradient oracle
-    ``fused_lasso_optimality_residual(s, x^, lambda0, lambda1)`` is
-    evaluated: where it is <= cfg.tol, the solve stops, converged, on x^,
-    with that residual as its certificate and F(x^) in place of F(x_k) as
-    the history's last entry.  That saves the update that would only
-    confirm x^.  Each update lowers F from any point, so the polish needs
-    no test that the structure has settled, and a wrong merge costs one
-    update, not the result: only a certificate stops a solve.
+    input of the polished iterate x^ replaces s_k.  Where the polish took a
+    step, the oracle of x^ is evaluated: where it is <= cfg.tol, the solve
+    stops, converged, on x^, with F(x^) in place of F(x_k) as the history's
+    last entry.  That saves the update that would only confirm x^.  Each
+    update lowers F from any point, so the polish needs no test that the
+    structure has settled, and a wrong merge costs one update, not the
+    result: only the oracle stops a solve.
 
-    The certificate is unit-free, so scaling y and the weights by a power of
+    The oracle is unit-free, so scaling y and the weights by a power of
     two c and the degrees by 1/c scales x by c and F by c**2 exactly, unless
     a value overflows or turns subnormal; and where F overflows, the solve
-    still stops on it.
+    still stops on the oracle.
 
     Raises ConvexityError when the margin is negative and cfg.allow_nonconvex
     is not set.
@@ -253,12 +255,12 @@ def _mm_updates(y, shifted, f0, cfg):
     """The MM updates of :func:`solve` from a start's shifted input and its
     F.
 
-    Returns the last iterate (an update's or a polish's), the objective
-    history from f0 on, whether the certificate met cfg.tol, the last
-    certificate, the number of polishes and their Newton steps in all.
-    With the compiled module the updates run in one call of its
-    ``mm_solve``, which allocates its scratch, its copy of shifted and the
-    history itself; without it they run in
+    Returns the iterate the solve stopped on (an update's or a polish's),
+    the objective history from f0 on, whether its subgradient oracle, the
+    certificate, met cfg.tol, that certificate, the number of polishes and
+    their Newton steps in all.  With the compiled module the updates run in
+    one call of its ``mm_solve``, which allocates its scratch, its copy of
+    shifted and the history itself; without it they run in
     :func:`_mm_loop_python`, its reference.  Both give the same bits, and
     neither writes y or shifted.
     """
@@ -274,21 +276,22 @@ def _mm_loop_python(y, shifted, f0, cfg):
     """The MM updates as the chain of the public functions, the reference
     of ``cncflsa_mm_solve``: each update is :func:`fused_lasso_l1` on the
     shifted input, :func:`objective` of the new iterate,
-    :func:`majorized_input` at it and the certificate; then, unless the
-    certificate met tol or the cap is reached, :func:`_polish` of the
-    iterate, its merge rounds included, and where the polish took a step,
-    the polished iterate's :func:`majorized_input` and the public
-    :func:`fused_lasso_optimality_residual` of the two, which stops the
+    :func:`majorized_input` at it and the public
+    :func:`fused_lasso_optimality_residual` of the two; then, unless that
+    oracle met tol or the cap is reached, :func:`_polish` of the iterate,
+    its merge rounds included, and where the polish took a step, the
+    polished iterate's :func:`majorized_input` and oracle, which stops the
     solve on the polished iterate where it meets tol, replacing the
     history's last entry by the polished iterate's :func:`objective`.
     Returns what :func:`_mm_updates` returns; the polish's count of merge
     rounds is not kept."""
     history, polishes, steps = [f0], 0, 0
+    lam0, lam1 = cfg.lambda0, cfg.lambda1
     for k in range(1, cfg.max_iter + 1):
-        x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
+        x = fused_lasso_l1(shifted, lam0, lam1)
         history.append(objective(x, y, cfg))
-        nxt = majorized_input(x, y, cfg)
-        certificate = _certificate(shifted, nxt, cfg)
+        shifted = majorized_input(x, y, cfg)
+        certificate = fused_lasso_optimality_residual(shifted, x, lam0, lam1)
         if certificate <= cfg.tol or k == cfg.max_iter:
             break
         polished = _polish(x, y, cfg)
@@ -297,24 +300,13 @@ def _mm_loop_python(y, shifted, f0, cfg):
             xhat, taken, _ = polished
             steps += taken
             if taken:
-                nxt = majorized_input(xhat, y, cfg)
-                residual = fused_lasso_optimality_residual(nxt, xhat, cfg.lambda0, cfg.lambda1)
-                if residual <= cfg.tol:
-                    history[-1] = objective(xhat, y, cfg)
-                    return xhat, np.array(history), True, residual, polishes, steps
-        shifted = nxt
+                shifted = majorized_input(xhat, y, cfg)
+                certificate = fused_lasso_optimality_residual(shifted, xhat, lam0, lam1)
+                if certificate <= cfg.tol:
+                    x = xhat
+                    history[-1] = objective(x, y, cfg)
+                    break
     return x, np.array(history), certificate <= cfg.tol, certificate, polishes, steps
-
-
-def _certificate(shifted, nxt, cfg):
-    """||shifted - nxt||_1 / lambda1, or its largest entry / lambda0 where
-    lambda1 = 0, or 0 where both weights are 0; NaN where e holds NaN."""
-    e = np.abs(shifted - nxt)
-    if cfg.lambda1 > 0.0:
-        return float(np.add.reduce(e)) / cfg.lambda1
-    if cfg.lambda0 > 0.0:
-        return float(np.max(e)) / cfg.lambda0
-    return 0.0
 
 
 # The polish's cap on Newton steps, and on the halvings of each step.
@@ -326,6 +318,7 @@ POLISH_STEPS = 60
 _EPS = float(np.finfo(float).eps)
 
 
+@np.errstate(all="ignore")
 def _polish(x, y, cfg):
     """Newton steps on the values v of the nonzero segments of x, the
     segments held at 0 staying there: None where x has no nonzero segment,
@@ -352,7 +345,9 @@ def _polish(x, y, cfg):
     keeps every sign, and taken where f rises by no more than _EPS * f.
     The polish also ends when no step is accepted, because none moves v,
     none passes within POLISH_STEPS halvings or a pivot of the sweep is not
-    positive, or after POLISH_STEPS steps, merge rounds included.
+    positive, or after POLISH_STEPS steps, merge rounds included.  numpy's
+    floating-point warnings are off for the whole polish, whose segment
+    means and sums may overflow, as the compiled one raises none.
     ``polish`` in ``_kernels.c`` runs the same operations in the same
     order."""
     fresh = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
@@ -367,55 +362,54 @@ def _polish(x, y, cfg):
     f = _segment_objective(v, cnt, mean, v != 0.0, cfg)
     steps = rounds = 0
     merging = True
-    with np.errstate(all="ignore"):
-        while steps < POLISH_STEPS:
-            free = v != 0.0
-            d = v[1:] - v[:-1]
-            slope1 = lam1 * (np.where(d > 0.0, 1.0, -1.0) + p1.residual_deriv(d))
-            grad = cnt * (v - mean) + lam0 * cnt * (np.where(v > 0.0, 1.0, -1.0)
-                                                    + p0.residual_deriv(v))
-            grad[1:] += slope1
-            grad[:-1] -= slope1
-            curv1 = lam1 * p1.residual_deriv2(d)
-            diag = cnt * (1.0 + lam0 * p0.residual_deriv2(v))
-            diag[1:] += curv1
-            diag[:-1] += curv1
-            off = np.where(free[1:] & free[:-1], -curv1, 0.0)
-            diag[~free], grad[~free] = 1.0, 0.0
-            delta = _thomas(diag, off, grad)
-            if delta is None:
+    while steps < POLISH_STEPS:
+        free = v != 0.0
+        d = v[1:] - v[:-1]
+        slope1 = lam1 * (np.where(d > 0.0, 1.0, -1.0) + p1.residual_deriv(d))
+        grad = cnt * (v - mean) + lam0 * cnt * (np.where(v > 0.0, 1.0, -1.0)
+                                                + p0.residual_deriv(v))
+        grad[1:] += slope1
+        grad[:-1] -= slope1
+        curv1 = lam1 * p1.residual_deriv2(d)
+        diag = cnt * (1.0 + lam0 * p0.residual_deriv2(v))
+        diag[1:] += curv1
+        diag[:-1] += curv1
+        off = np.where(free[1:] & free[:-1], -curv1, 0.0)
+        diag[~free], grad[~free] = 1.0, 0.0
+        delta = _thomas(diag, off, grad)
+        if delta is None:
+            break
+        delta[~free] = 0.0
+        last = 0.5 * float(np.add.reduce(grad * delta)) <= _EPS * f
+        if merging:
+            trial = _merged_step(v, delta, cnt)
+            if trial is not None and _segment_objective(trial, cnt, mean, free, cfg) < f:
+                v, cnt, mean = _fused(trial, cnt, mean)
+                f = _segment_objective(v, cnt, mean, v != 0.0, cfg)
+                steps, rounds = steps + 1, rounds + 1
+                continue
+            merging = False
+        t, accepted = 1.0, False
+        for _ in range(POLISH_STEPS):
+            trial = v - t * delta
+            if not np.any(trial != v):
                 break
-            delta[~free] = 0.0
-            last = 0.5 * float(np.add.reduce(grad * delta)) <= _EPS * f
-            if merging:
-                trial = _merged_step(v, delta, cnt)
-                if trial is not None and _segment_objective(trial, cnt, mean, free, cfg) < f:
-                    v, cnt, mean = _fused(trial, cnt, mean)
-                    f = _segment_objective(v, cnt, mean, v != 0.0, cfg)
-                    steps, rounds = steps + 1, rounds + 1
-                    continue
-                merging = False
-            t, accepted = 1.0, False
-            for _ in range(POLISH_STEPS):
-                trial = v - t * delta
-                if not np.any(trial != v):
+            keeps, kept = _signs_kept(trial, v)
+            if keeps.all() and kept.all():
+                ft = _segment_objective(trial, cnt, mean, free, cfg)
+                if ft < f or (last and ft - f <= _EPS * f):
+                    v, f, accepted = trial, ft, True
                     break
-                keeps, kept = _signs_kept(trial, v)
-                if keeps.all() and kept.all():
-                    ft = _segment_objective(trial, cnt, mean, free, cfg)
-                    if ft < f or (last and ft - f <= _EPS * f):
-                        v, f, accepted = trial, ft, True
-                        break
-                    if last:
-                        break
-                else:
-                    last = True
-                t *= 0.5
-            if not accepted:
-                break
-            steps += 1
-            if last:
-                break
+                if last:
+                    break
+            else:
+                last = True
+            t *= 0.5
+        if not accepted:
+            break
+        steps += 1
+        if last:
+            break
     return np.repeat(v, cnt.astype(np.intp)), steps, rounds
 
 

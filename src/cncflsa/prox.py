@@ -2,8 +2,9 @@
 
 Soft thresholding, the first-difference operator and its adjoint, exact 1-D
 total variation denoising in worst-case linear time, the two-step fused
-lasso solve built from them, and subgradient-optimality oracles used to
-certify solutions independently of the solvers.
+lasso solve built from them, and subgradient-optimality oracles, one of
+which, :func:`fused_lasso_optimality_residual`, stops and certifies every
+:func:`cncflsa.cnc.solve`.
 
 The TV kernel has a compiled backend (``_kernels.c``, a CPython extension
 module built on first import and cached in ``__pycache__``) and a
@@ -432,8 +433,8 @@ def fused_lasso_optimality_residual(y, x, lam0, lam1):
     intermediate overflows and a gap of the chain reads NaN (inf - inf),
     nothing is certified and the residual is inf.  The chain runs on
     Python floats, each operation rounding as numpy's own; ``oracle`` in
-    ``_kernels.c``, which stops the compiled MM loop on a polished iterate,
-    runs the same operations in the same order.
+    ``_kernels.c``, on which the compiled MM loop stops, runs the same
+    operations in the same order.
     """
     y, x = _as_pair(y, x, "y", "x")
     lam0 = _check_nonneg(lam0, "lam0")

@@ -8,10 +8,10 @@ as a plain chain of per-step functions, the reference that the solver's
 fused loop must match bit for bit.  Its objective and shifted input are
 written here from the penalty methods, `np.diff` and `diff_adjoint`, not
 taken from `cnc`, so a fault in the formulas the solver shares with the
-public `objective` and `majorized_input` cannot pass unseen.  So are its
-certificate and its polish (`polish_reference`), segment by segment, from
-the penalty methods and `curvature_terms`; the subgradient oracle that
-stops a solve on a polished iterate is the public one.  The penalty
+public `objective` and `majorized_input` cannot pass unseen.  So is its
+polish (`polish_reference`), segment by segment, from the penalty methods
+and `curvature_terms`; the subgradient oracle on which every solve stops
+is the public one.  The penalty
 methods are pinned in turn to `penalty_terms`, each kind's phi and s'
 written out here in one expression each, and `PenaltySpec.residual_deriv2`
 to `curvature_terms`."""
@@ -181,15 +181,6 @@ def mm_shifted_input(v, y, cfg):
     return out
 
 
-def mm_certificate(e, cfg):
-    """||e||_1/lambda1, or max|e|/lambda0 where lambda1 = 0, or 0."""
-    if cfg.lambda1 > 0.0:
-        return float(np.sum(np.abs(e))) / cfg.lambda1
-    if cfg.lambda0 > 0.0:
-        return float(np.max(np.abs(e))) / cfg.lambda0
-    return 0.0
-
-
 def segments(x):
     """The maximal runs of equal samples of x, as (start, stop) pairs."""
     bounds = [0] + [i for i in range(1, x.size) if x[i] != x[i - 1]] + [x.size]
@@ -344,13 +335,13 @@ def polish_reference(x, y, cfg):
 
 def mm_reference(y, cfg):
     """MM solve of `cnc.solve` as a plain chain: one `fused_lasso_l1`, one
-    `mm_objective`, one `mm_shifted_input` and its `mm_certificate` per
-    update, and after each update that does not stop, `polish_reference`
-    and, where it took a step, the polished iterate's `mm_shifted_input`
-    and the public `fused_lasso_optimality_residual` of the two.  Where
-    that residual meets tol, the solve stops on the polished iterate: it is
-    the result, the residual its certificate and its `mm_objective` the
-    history's last entry."""
+    `mm_objective`, one `mm_shifted_input` and the public subgradient oracle
+    `fused_lasso_optimality_residual` of the two per update, and after each
+    update whose oracle misses tol, `polish_reference` and, where it took a
+    step, the polished iterate's `mm_shifted_input` and oracle.  Where that
+    oracle meets tol, the solve stops on the polished iterate: it is the
+    result, the oracle its certificate and its `mm_objective` the history's
+    last entry."""
     y = np.asarray(y, dtype=float)
     x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
     history = [mm_objective(x, y, cfg)]
@@ -359,22 +350,21 @@ def mm_reference(y, cfg):
     for k in range(1, cfg.max_iter + 1):
         x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
         history.append(mm_objective(x, y, cfg))
-        nxt = mm_shifted_input(x, y, cfg)
-        certificate = mm_certificate(shifted - nxt, cfg)
+        shifted = mm_shifted_input(x, y, cfg)
+        certificate = fused_lasso_optimality_residual(shifted, x, cfg.lambda0, cfg.lambda1)
         if certificate <= cfg.tol or k == cfg.max_iter:
             break
         polished = polish_reference(x, y, cfg)
         if polished is not None:
             polishes += 1
             if polished[1]:
-                nxt = mm_shifted_input(polished[0], y, cfg)
-                oracle = fused_lasso_optimality_residual(nxt, polished[0], cfg.lambda0,
+                shifted = mm_shifted_input(polished[0], y, cfg)
+                oracle = fused_lasso_optimality_residual(shifted, polished[0], cfg.lambda0,
                                                          cfg.lambda1)
                 if oracle <= cfg.tol:
                     x, certificate = polished[0], oracle
                     history[-1] = mm_objective(x, y, cfg)
                     break
-        shifted = nxt
     return SolveResult(x=x, objective_history=np.asarray(history), iterations=len(history) - 1,
                        converged=certificate <= cfg.tol, certificate=certificate,
                        polishes=polishes)

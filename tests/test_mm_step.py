@@ -2,8 +2,9 @@
 module's `mm_solve` capped at 1, 2 and 3 updates from one start gives,
 after each update, the byte-identical iterate, residual, F, certificate,
 polish count and Newton step count of `cnc._mm_loop_python`, the chain of
-the public `fused_lasso_l1`, `objective` and `majorized_input` with the
-certificate and the polish between updates, on the Python kernel.  Also the
+the public `fused_lasso_l1`, `objective`, `majorized_input` and
+`fused_lasso_optimality_residual` with the polish between updates, on the
+Python kernel.  Also the
 build flags that this rests on and the one entry point of the loop."""
 
 import dataclasses
