@@ -31,12 +31,12 @@
  * written once: shrink, subtract_adjoint and algebra as INLINE functions,
  * finish as a plain one.
  *
- * The MM loop, cncflsa_mm_solve, is the one compiled solve: its updates,
- * the Newton polish after each update that does not stop, its merge rounds
+ * The MM loop, cncflsa_mm_solve, is the one compiled solve, a byte-for-byte
+ * twin of cncflsa.cnc._mm_loop_python: each update is one fused-lasso
+ * solve, the Newton polish of its iterate in place, its merge rounds
  * included, and the subgradient oracle (oracle, a port of
- * cncflsa.prox.fused_lasso_optimality_residual) of each update's and each
- * polished iterate, on which alone a solve stops, a byte-for-byte twin of
- * cncflsa.cnc._mm_loop_python.  The polish is the one place that needs s''
+ * cncflsa.prox.fused_lasso_optimality_residual) of that iterate, on which
+ * alone a solve stops.  The polish is the one place that needs s''
  * (curvature, beside algebra) and a Thomas sweep (thomas).
  *
  * Each kernel is built twice, for x86-64-v3 (AVX2, 4-lane maps) and for
@@ -452,8 +452,8 @@ static double objective(const struct mm_step *m, const struct numpy_loops *np)
  * in the reference.  The worst violation only grows, so the pass ends once
  * it exceeds stop and returns it: the solve passes m->tol, where a residual
  * that misses tol stops nothing and is never reported, and INFINITY on its
- * last update, whose residual it reports whole.  A jump's sign is that of
- * its ends' comparison. */
+ * last update (at its cap or a fixed point), whose residual it reports
+ * whole.  A jump's sign is that of its ends' comparison. */
 static double oracle(const struct mm_step *m, double stop)
 {
     const double *s = m->shifted, *x = m->x;
@@ -658,10 +658,10 @@ static void fuse(struct segments *s)
  * the full length halved until they keep every sign and strictly lower
  * it, in the reference's operations and order.  Returns -1 where x has no
  * nonzero segment, else the number of steps taken, and where it took one,
- * writes the polished iterate into xhat (n doubles). */
-static long long polish(const struct mm_step *m, const struct numpy_loops *np, double *xhat)
+ * writes the polished iterate over m->x. */
+static long long polish(const struct mm_step *m, const struct numpy_loops *np)
 {
-    const double *x = m->x;
+    double *x = m->x;
     double *w = m->work, f, ft, t, d, slope1, curv1, phi;
     npy_intp n = m->n, g, i, start = 0, G = 0, K = 0;
     struct segments s = {0, w, w + n, w + 2 * n, w + 3 * n, w + 4 * n, w + 5 * n, w + 6 * n,
@@ -754,38 +754,41 @@ static long long polish(const struct mm_step *m, const struct numpy_loops *np, d
     if (steps > 0) {
         for (g = 0, i = 0; g < s.g; g++)
             for (start = i; i < start + (npy_intp)s.cnt[g]; i++)
-                xhat[i] = s.v[g];
+                x[i] = s.v[g];
     }
     return steps;
 }
 
 /* The MM updates of cncflsa.cnc._mm_updates, bit-identical to its Python
  * reference cncflsa.cnc._mm_loop_python, the chain of the public functions.
- * Update k runs fused_lasso on m->in, stores F of the new iterate
- * (cncflsa.cnc.objective, in its order of evaluation) in m->f[k] after
- * m->f[0], forms its shifted input in m->shifted by majorize and evaluates
- * the oracle of the two; it stops, converged, where the oracle is <= tol
- * (false on NaN as in Python), or after m->max_iter updates.  Otherwise the
- * iterate is polished, and where the polish took a step, majorize of the
- * polished iterate, kept in m->in, replaces the next input, and the oracle
- * of the two is evaluated: where it is <= tol, the solve stops, converged,
- * on the polished iterate, copied into m->x, with its F, from the rows that
- * majorize just wrote, as m->f[k].  Otherwise the rows in and shifted swap.
- * Returns the number of updates, negated when the oracle met tol, or 0 when
- * the history could not grow; the last oracle evaluated, the certificate,
- * and the counts of polishes and Newton steps come back through their
- * pointers.  m->f doubles in size whenever an update needs more room; the
- * solve runs without the GIL, so it grows with PyMem_RawRealloc. */
+ * Update k runs fused_lasso on m->in and polishes the new iterate in place,
+ * except on the last update of a capped solve and where both penalties are
+ * l1, whose update is already exact; then it forms the iterate's shifted
+ * input in m->shifted by majorize, stores its F (cncflsa.cnc.objective, in
+ * its order of evaluation) in m->f[k] after m->f[0] and evaluates the
+ * oracle of the two.  It stops, converged, where the oracle is <= tol
+ * (false on NaN as in Python), and otherwise after m->max_iter updates or
+ * where the new shifted input equals m->in bit for bit, a fixed point of
+ * the MM map, from which every later update would repeat this one; else
+ * the rows in and shifted swap.  Returns the number of updates, negated
+ * when the oracle met tol, or 0 when the history could not grow; the last
+ * iterate's oracle, the certificate, and the counts of polishes and Newton
+ * steps come back through their pointers.  m->f doubles in size whenever an
+ * update needs more room; the solve runs without the GIL, so it grows with
+ * PyMem_RawRealloc. */
 CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_loops *np,
                                          double *cert, long long *polishes, long long *steps)
 {
-    npy_intp n = m->n;
     long long k, taken;
     double f, *grown, *swap;
-    struct mm_step polished;
+    int last, exact = m->kind0 == KIND_L1 && m->kind1 == KIND_L1;
 
     for (k = 1;; k++) {
         fused_lasso(m);
+        if (k < m->max_iter && !exact) {
+            taken = polish(m, np);
+            *polishes += taken >= 0, *steps += taken > 0 ? taken : 0;
+        }
         majorize(m);
         f = objective(m, np);
         if (k == m->size) {
@@ -795,21 +798,11 @@ CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_l
             m->f = grown, m->size *= 2;
         }
         m->f[k] = f;
-        if ((*cert = oracle(m, k == m->max_iter ? INFINITY : m->tol)) <= m->tol)
+        last = k == m->max_iter || memcmp(m->shifted, m->in, m->n * sizeof(double)) == 0;
+        if ((*cert = oracle(m, last ? INFINITY : m->tol)) <= m->tol)
             return -k;
-        if (k == m->max_iter)
+        if (last)
             return k;
-        taken = polish(m, np, m->in);
-        *polishes += taken >= 0, *steps += taken > 0 ? taken : 0;
-        if (taken > 0) {
-            polished = *m, polished.x = m->in;
-            majorize(&polished);
-            if ((*cert = oracle(&polished, m->tol)) <= m->tol) {
-                m->f[k] = objective(&polished, np);
-                memcpy(m->x, m->in, n * sizeof(double));
-                return -k;
-            }
-        }
         swap = m->in, m->in = m->shifted, m->shifted = swap;
     }
 }
@@ -1067,10 +1060,10 @@ PyDoc_STRVAR(mm_solve_doc, "mm_solve(y, shifted, f0, lam0, lam1, a0, a1, kind0, 
 "The MM updates of cncflsa.cnc._mm_updates from a start whose shifted input is\n"
 "shifted and whose F is f0, on C-contiguous float64 vectors y and shifted of\n"
 "one length; kind0 and kind1 index KINDS, and max_iter >= 1 (any larger than\n"
-"a C long long runs as unbounded).  history holds f0 and the F of each update\n"
-"run, the last one replaced by F(x) where the solve stopped on a polished\n"
-"iterate; certificate is the subgradient oracle of x, and polishes and\n"
-"newton_steps count the polishes run after updates and the steps they took.");
+"a C long long runs as unbounded).  history holds f0 and F of the iterate\n"
+"each update run leaves, polished in place; certificate is the subgradient\n"
+"oracle of x, and polishes and newton_steps count the polishes run and the\n"
+"steps they took.");
 
 static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1110,12 +1103,11 @@ static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t narg
         return NULL;
     /* The solve's scratch: one block of 5 + TVD_ROWS rows of n doubles,
      * r = (y - x)^2, phi0, phi1 (n - 1 of its row); the two shifted rows in
-     * and shifted, in a copy of the caller's, which swap after each update,
-     * and of which in takes the polished iterate once the kernel has read
-     * it; and cncflsa_tvd's work, whose lo_clamp row majorize reuses for
-     * s1' and all of whose rows polish reuses for its own, of at most n
-     * doubles each (struct segments), its merge rounds rebuilding them in
-     * place.  And the history f, f0 first, at 64 doubles or max_iter + 1 if
+     * and shifted, in a copy of the caller's, which swap after each update;
+     * and cncflsa_tvd's work, whose lo_clamp row majorize reuses for s1'
+     * and all of whose rows polish reuses for its own, of at most n doubles
+     * each (struct segments), its merge rounds rebuilding them in place.
+     * And the history f, f0 first, at 64 doubles or max_iter + 1 if
      * fewer. */
     m.size = m.max_iter < 64 ? m.max_iter + 1 : 64;
     if ((m.r = scratch(m.n, 5 + TVD_ROWS)) == NULL || (m.f = scratch(m.size, 1)) == NULL) {

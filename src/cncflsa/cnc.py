@@ -80,18 +80,18 @@ class CncConfig:
 class SolveResult:
     """Solution plus the recorded objective trajectory and what the solve did.
 
-    objective_history[0] is the objective at the initializer and one more
-    entry is appended per majorization-minimization update, so its length is
-    iterations + 1.  A solve stops on an update or on the polished iterate
-    after one, and either way the history's last entry is F(x),
+    objective_history[0] is the objective at the initializer, and entry k
+    is F of the iterate that majorization-minimization update k leaves, so
+    its length is iterations + 1 and its last entry is F(x),
     objective(x, y, cfg) bit for bit.  It falls along the way, except that
     once the iterate sits at its optimum it may move by an ulp or two of
     F.  certificate is the subgradient oracle of x,
     ``fused_lasso_optimality_residual(majorized_input(x, y, cfg), x,
     lambda0, lambda1)`` bit for bit, and converged says that it met tol
-    (see :func:`solve`).  polishes counts the Newton polishes run after
-    updates; it reaches iterations only where the solve stopped on a
-    polished iterate.
+    (see :func:`solve`).  polishes counts the Newton polishes run on the
+    updates' iterates: one per update, except on the last update of a
+    capped solve, on an iterate with no nonzero segment, and where both
+    penalties are l1.
     """
 
     x: np.ndarray
@@ -198,29 +198,28 @@ def solve(y, cfg: CncConfig) -> SolveResult:
 
     Starts from the L1 fused-lasso solution x_0, then runs updates: update
     k solves one exact L1 fused lasso x_k = FLSA(s_{k-1}) on the shifted
-    input s_{k-1}, s_0 being :func:`majorized_input` at x_0, appends F(x_k)
-    to the history and forms s_k = :func:`majorized_input` at x_k.
+    input s_{k-1}, s_0 being :func:`majorized_input` at x_0, polishes x_k,
+    appends F(x_k) to the history and forms s_k = :func:`majorized_input`
+    at x_k.  The polish runs Newton steps on the values of the nonzero
+    segments of x_k, which lower F, first in merge rounds, each of which
+    may zero and fuse many segments at once, then with the structure
+    reached held (see :func:`_polish`).  It is skipped on the last update
+    of a capped solve, and where both penalties are l1, whose update is
+    already exact.  Each update lowers F from any point, so the polish
+    needs no test that the structure has settled, and a wrong merge costs
+    one update, not the result: only the oracle stops a solve.
 
     One rule stops a solve: it stops, converged, where the subgradient
-    oracle of its iterate, ``fused_lasso_optimality_residual(s, x,
-    lambda0, lambda1)`` with s the iterate's shifted input, is <= cfg.tol,
-    otherwise after cfg.max_iter updates, and it reports the oracle of the
-    iterate it returns as its certificate.  The oracle measures how far x
-    is from the fused-lasso optimum of s, in the units of the dual
-    variables.  The majorizer at x has F's subgradients at x, so in exact
-    arithmetic the oracle reads 0 exactly where x minimizes F.
-
-    After each update that does not stop, the iterate is polished: Newton
-    steps on the values of its nonzero segments lower F, first in merge
-    rounds, each of which may zero and fuse many segments at once, then
-    with the structure reached held (see :func:`_polish`), and the shifted
-    input of the polished iterate x^ replaces s_k.  Where the polish took a
-    step, the oracle of x^ is evaluated: where it is <= cfg.tol, the solve
-    stops, converged, on x^, with F(x^) in place of F(x_k) as the history's
-    last entry.  That saves the update that would only confirm x^.  Each
-    update lowers F from any point, so the polish needs no test that the
-    structure has settled, and a wrong merge costs one update, not the
-    result: only the oracle stops a solve.
+    oracle of x_k, ``fused_lasso_optimality_residual(s_k, x_k, lambda0,
+    lambda1)``, is <= cfg.tol, and it reports the oracle of the iterate it
+    returns as its certificate.  The oracle measures how far x is from the
+    fused-lasso optimum of s, in the units of the dual variables.  The
+    majorizer at x has F's subgradients at x, so in exact arithmetic the
+    oracle reads 0 exactly where x minimizes F.  Otherwise the solve stops,
+    unconverged, after cfg.max_iter updates, or where s_k equals s_{k-1}
+    bit for bit: a fixed point of the MM map, from which every later
+    update would repeat update k, as where the oracle rounds a few ulps
+    above a tol below its rounding floor.
 
     The oracle is unit-free, so scaling y and the weights by a power of
     two c and the degrees by 1/c scales x by c and F by c**2 exactly, unless
@@ -255,14 +254,13 @@ def _mm_updates(y, shifted, f0, cfg):
     """The MM updates of :func:`solve` from a start's shifted input and its
     F.
 
-    Returns the iterate the solve stopped on (an update's or a polish's),
-    the objective history from f0 on, whether its subgradient oracle, the
-    certificate, met cfg.tol, that certificate, the number of polishes and
-    their Newton steps in all.  With the compiled module the updates run in
-    one call of its ``mm_solve``, which allocates its scratch, its copy of
-    shifted and the history itself; without it they run in
-    :func:`_mm_loop_python`, its reference.  Both give the same bits, and
-    neither writes y or shifted.
+    Returns the iterate the last update left, the objective history from
+    f0 on, whether its subgradient oracle, the certificate, met cfg.tol,
+    that certificate, the number of polishes and their Newton steps in
+    all.  With the compiled module the updates run in one call of its
+    ``mm_solve``, which allocates its scratch, its copy of shifted and the
+    history itself; without it they run in :func:`_mm_loop_python`, its
+    reference.  Both give the same bits, and neither writes y or shifted.
     """
     lib = _prox._tvd_c
     if lib is None:
@@ -275,37 +273,29 @@ def _mm_updates(y, shifted, f0, cfg):
 def _mm_loop_python(y, shifted, f0, cfg):
     """The MM updates as the chain of the public functions, the reference
     of ``cncflsa_mm_solve``: each update is :func:`fused_lasso_l1` on the
-    shifted input, :func:`objective` of the new iterate,
-    :func:`majorized_input` at it and the public
-    :func:`fused_lasso_optimality_residual` of the two; then, unless that
-    oracle met tol or the cap is reached, :func:`_polish` of the iterate,
-    its merge rounds included, and where the polish took a step, the
-    polished iterate's :func:`majorized_input` and oracle, which stops the
-    solve on the polished iterate where it meets tol, replacing the
-    history's last entry by the polished iterate's :func:`objective`.
-    Returns what :func:`_mm_updates` returns; the polish's count of merge
-    rounds is not kept."""
+    shifted input, :func:`_polish` of the new iterate, its merge rounds
+    included, which replaces the iterate where it took a step, then
+    :func:`objective` of the iterate, :func:`majorized_input` at it and the
+    public :func:`fused_lasso_optimality_residual` of the two, and the stop
+    test of :func:`solve`.  Returns what :func:`_mm_updates` returns; the
+    polish's count of merge rounds is not kept."""
     history, polishes, steps = [f0], 0, 0
     lam0, lam1 = cfg.lambda0, cfg.lambda1
+    exact = cfg.penalty0.kind == cfg.penalty1.kind == "l1"
     for k in range(1, cfg.max_iter + 1):
         x = fused_lasso_l1(shifted, lam0, lam1)
-        history.append(objective(x, y, cfg))
-        shifted = majorized_input(x, y, cfg)
-        certificate = fused_lasso_optimality_residual(shifted, x, lam0, lam1)
-        if certificate <= cfg.tol or k == cfg.max_iter:
-            break
-        polished = _polish(x, y, cfg)
+        polished = None if exact or k == cfg.max_iter else _polish(x, y, cfg)
         if polished is not None:
             polishes += 1
-            xhat, taken, _ = polished
-            steps += taken
-            if taken:
-                shifted = majorized_input(xhat, y, cfg)
-                certificate = fused_lasso_optimality_residual(shifted, xhat, lam0, lam1)
-                if certificate <= cfg.tol:
-                    x = xhat
-                    history[-1] = objective(x, y, cfg)
-                    break
+            steps += polished[1]
+            if polished[1]:
+                x = polished[0]
+        history.append(objective(x, y, cfg))
+        solved_on, shifted = shifted, majorized_input(x, y, cfg)
+        certificate = fused_lasso_optimality_residual(shifted, x, lam0, lam1)
+        if (certificate <= cfg.tol or k == cfg.max_iter
+                or shifted.tobytes() == solved_on.tobytes()):
+            break
     return x, np.array(history), certificate <= cfg.tol, certificate, polishes, steps
 
 

@@ -276,10 +276,11 @@ def polish_reference(x, y, cfg):
             if merging:
                 merging = False
                 trial = [vg - dg for vg, dg in zip(v, delta)]
-                trial = [0.0 if np.sign(tg) != np.sign(vg) else tg for tg, vg in zip(trial, v)]
+                zeroed = [np.sign(tg) != np.sign(vg) for tg, vg in zip(trial, v)]
+                trial = [0.0 if zero else tg for tg, zero in zip(trial, zeroed)]
                 joined = [np.sign(trial[g + 1] - trial[g]) != np.sign(jump[g])
                           for g in range(g_count - 1)]
-                if any(joined) or trial != [vg - dg for vg, dg in zip(v, delta)]:
+                if any(joined) or any(zeroed):
                     groups = [[0]]
                     for g in range(1, g_count):
                         if joined[g - 1]:
@@ -334,37 +335,35 @@ def polish_reference(x, y, cfg):
 
 
 def mm_reference(y, cfg):
-    """MM solve of `cnc.solve` as a plain chain: one `fused_lasso_l1`, one
-    `mm_objective`, one `mm_shifted_input` and the public subgradient oracle
-    `fused_lasso_optimality_residual` of the two per update, and after each
-    update whose oracle misses tol, `polish_reference` and, where it took a
-    step, the polished iterate's `mm_shifted_input` and oracle.  Where that
-    oracle meets tol, the solve stops on the polished iterate: it is the
-    result, the oracle its certificate and its `mm_objective` the history's
-    last entry."""
+    """MM solve of `cnc.solve` as a plain chain, per update: one
+    `fused_lasso_l1`, then `polish_reference` of its iterate, which replaces
+    it where the polish took a step (no polish on a capped solve's last
+    update, nor where both penalties are l1), then the iterate's
+    `mm_objective`, its `mm_shifted_input` and the public subgradient
+    oracle `fused_lasso_optimality_residual` of the two.  The solve stops,
+    converged, where the oracle meets tol, and otherwise at its cap or
+    where the new shifted input has the bytes of the one the update solved
+    on."""
     y = np.asarray(y, dtype=float)
     x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
     history = [mm_objective(x, y, cfg)]
     shifted = mm_shifted_input(x, y, cfg)
     polishes = 0
+    exact = cfg.penalty0.kind == "l1" and cfg.penalty1.kind == "l1"
     for k in range(1, cfg.max_iter + 1):
         x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
+        if not exact and k < cfg.max_iter:
+            polished = polish_reference(x, y, cfg)
+            if polished is not None:
+                polishes += 1
+                if polished[1]:
+                    x = polished[0]
         history.append(mm_objective(x, y, cfg))
-        shifted = mm_shifted_input(x, y, cfg)
+        solved_on, shifted = shifted, mm_shifted_input(x, y, cfg)
         certificate = fused_lasso_optimality_residual(shifted, x, cfg.lambda0, cfg.lambda1)
-        if certificate <= cfg.tol or k == cfg.max_iter:
+        if (certificate <= cfg.tol or k == cfg.max_iter
+                or shifted.tobytes() == solved_on.tobytes()):
             break
-        polished = polish_reference(x, y, cfg)
-        if polished is not None:
-            polishes += 1
-            if polished[1]:
-                shifted = mm_shifted_input(polished[0], y, cfg)
-                oracle = fused_lasso_optimality_residual(shifted, polished[0], cfg.lambda0,
-                                                         cfg.lambda1)
-                if oracle <= cfg.tol:
-                    x, certificate = polished[0], oracle
-                    history[-1] = mm_objective(x, y, cfg)
-                    break
     return SolveResult(x=x, objective_history=np.asarray(history), iterations=len(history) - 1,
                        converged=certificate <= cfg.tol, certificate=certificate,
                        polishes=polishes)

@@ -2,11 +2,11 @@
 chained from per-step functions written out in `tests/refsolvers.py`, its
 polish included: byte-identical iterates, objective histories, update
 counts, stopping flags, certificates and polish counts, with either
-backend, and over every solve of the criterion-7 sweep, each update that
-does not stop followed by a polish and a solve stopping on an update or on
-a polished iterate; the last history entry against the public `objective`
-and every certificate against the public subgradient oracle of the
-returned iterate; the compiled loop (the module's `mm_solve`) against the
+backend, and over every solve of the criterion-7 sweep, each update's
+iterate polished before its oracle; a stop at a fixed point of the MM map;
+the last history entry against the public `objective` and every
+certificate against the public subgradient oracle of the returned
+iterate; the compiled loop (the module's `mm_solve`) against the
 Python loop (`cnc._mm_loop_python`, the chain of the public
 `fused_lasso_l1`, `objective`, `majorized_input` and
 `fused_lasso_optimality_residual`) solve by solve; the public `objective`
@@ -15,6 +15,7 @@ signal scaled by powers of two, or by factors where F overflows, against
 the unscaled solve."""
 
 import contextlib
+import dataclasses
 import warnings
 from unittest import mock
 
@@ -90,6 +91,10 @@ caps = st.sampled_from([(1, 1e-9), (3, 1e-15), (50, 1e-9)])
 @example([-0.0], "atan", 0.5, 1.0, 0.5, 0.5, (50, 1e-9))
 @example([-0.0, 2.0, -0.0], "log", 0.0, 1.0, 0.0, 0.2, (50, 1e-9))
 @example([1.0, -0.0, 3.0, 3.0], "rational", 0.4, 0.0, 1.0, 0.0, (2, 1e-15))
+# A full Newton step lands two segment values exactly on 0, which the
+# polish counts as a merge round; a reference that saw a merge only where a
+# value crossed 0 halved the step there instead.
+@example(step_signal((0, 7, True)), "log", 0.0, 4.38e-81, 0.0, 1.0, (3, 1e-15))
 def test_solve_matches_mm_reference_bytes(tvd_backend, values, kind, lam0, lam1, a0, a1, cap):
     max_iter, tol = cap
     cfg = CncConfig(lam0, lam1, PenaltySpec(kind, a0), PenaltySpec(kind, a1),
@@ -124,8 +129,9 @@ def test_compiled_oracle_stops_where_the_python_loop_does(lam0, lam1, kind1):
     """The oracle's weight cases with a nonzero weight, the three in which a
     polish runs (with both weights 0 every solve stops on its first
     update's iterate): on seeded step signals, every other one rounded to
-    0.1, the compiled loop stops on the same polished iterates, with the
-    same certificates, as the Python loop, which calls the public oracle.
+    0.1, the compiled loop stops on the same iterates, each polished, with
+    the same certificates, as the Python loop, which calls the public
+    oracle.
     A port that never passes would run every solve to its cap, where it
     reports the whole residual, which the stop agreement alone cannot see.
     With an l1 difference penalty the rounded signals give iterates whose
@@ -147,6 +153,24 @@ def test_compiled_oracle_stops_where_the_python_loop_does(lam0, lam1, kind1):
         assert same_bytes(compiled, reference)
         stops += reference.polishes == reference.iterations
     assert stops >= 10
+
+
+@pytest.mark.parametrize("tvd_backend", ["c", "python"])
+def test_a_fixed_point_of_the_mm_map_stops_the_solve(tvd_backend):
+    """With both penalties l1 every shifted input is y, so the first
+    update's shifted input is the one it solved on, bit for bit, and every
+    later update would repeat it.  At tol 1e-300, below the oracle's
+    rounding floor, its oracle misses tol, so the solve stops after that
+    update, unconverged, with no polish and the x, F and certificate of a
+    solve capped at 1 update, rather than repeat it up to its cap."""
+    y = np.random.default_rng(0).normal(0.0, 2.0, 50)
+    cfg = CncConfig(0.3, 1.0, PenaltySpec("l1"), PenaltySpec("l1"), max_iter=20, tol=1e-300)
+    with backend(tvd_backend):
+        result = solve(y, cfg)
+        capped = solve(y, dataclasses.replace(cfg, max_iter=1))
+        assert same_bytes(result, mm_reference(y, cfg))
+    assert (result.iterations, result.polishes, result.converged) == (1, 0, False)
+    assert result.certificate > 0.0 and same_bytes(result, capped)
 
 
 @pytest.mark.parametrize("tvd_backend", ["c", "python"])
@@ -260,23 +284,23 @@ def table(request):
     return request.param, solves
 
 
-def test_every_update_that_does_not_stop_is_polished(table):
-    """Each update whose certificate misses tol, and which is not the last,
-    is followed by a polish, and a solve stops on an update or on the
-    polished iterate after one: over the mdfl and cnc solves of the
-    criterion-7 table at seed 0, whose iterates all have a nonzero segment,
-    polishes == iterations - 1 where a solve stops on an update and
-    polishes == iterations where it stops on a polished iterate.  The table
-    has both kinds of stop."""
-    stops = [result.iterations - result.polishes for _, _, result in table[1]]
-    assert set(stops) == {0, 1}
+def test_every_update_of_a_nonzero_iterate_is_polished(table):
+    """Each update's iterate is polished before its oracle, unless it is
+    the last update of a capped solve or has no nonzero segment: over the
+    mdfl and cnc solves of the criterion-7 table at seed 0, none of which
+    reaches its cap, polishes == iterations where x has a nonzero segment,
+    and where x is 0, its one update is the one not polished.  The table
+    has both kinds of solve."""
+    stops = [(result.x.any(), result.iterations - result.polishes)
+             for _, _, result in table[1]]
+    assert set(stops) == {(True, 0), (False, 1)}
 
 
 def stop_agrees_with_public_functions(y, cfg, result):
     """The history's last entry is the public objective of x, the
     certificate the public subgradient oracle at x, bit for bit, whether
-    the solve stopped on an update, on a polished iterate or at its cap,
-    and converged says that the certificate met tol."""
+    the solve certified, ran to its cap or stopped at a fixed point of the
+    MM map, and converged says that the certificate met tol."""
     last = np.float64(objective(result.x, y, cfg)).hex()
     oracle = fused_lasso_optimality_residual(majorized_input(result.x, y, cfg), result.x,
                                              cfg.lambda0, cfg.lambda1)
@@ -287,8 +311,7 @@ def stop_agrees_with_public_functions(y, cfg, result):
 
 def test_table_stops_agree_with_the_public_functions(table):
     """stop_agrees_with_public_functions over the criterion-7 table's 1,800
-    solves at seed 0, which stop on updates and on polished iterates, on
-    either backend."""
+    solves at seed 0, on either backend."""
     tvd_backend, solves = table
     with backend(tvd_backend):
         assert all(stop_agrees_with_public_functions(*solved) for solved in solves)
@@ -364,7 +387,7 @@ def test_a_power_of_two_scales_the_solve_exactly(tvd_backend, instance):
     stops after the same updates.  The rule tol * max(1, |prev|) was
     absolute where F < 1: criterion 4's instance stopped after 1 update at
     k = -30 and after 4 at k = -8, where the unscaled solve ran 7.  Each
-    instance now stops on the polished iterate after its first update, so
+    instance now stops after its first update, on its polished iterate, so
     the polish and the subgradient oracle that stops it must scale exactly
     too."""
     if instance == "criterion 4":
@@ -428,9 +451,9 @@ def test_a_solve_whose_f_overflows_stops_on_its_certificate(tvd_backend, c):
     """From c = 1e154 on, 0.5*||y - x||**2 overflows and F reads inf, and at
     c = 1e-300 it underflows to 0.  The rule on the change of F ran all 50
     updates unconverged there; the certificate reads no F, and these solves
-    certify, after 32 updates from c = 1e154 on and, on the polished
-    iterate, after 4 at c = 1e-300 (1 at c = 1): the polish's segment
-    objective overflows with F, so the polish takes no step there.  Both
+    certify, after 32 updates from c = 1e154 on and after 4 at c = 1e-300
+    (1 at c = 1): from c = 1e154 on the polish's segment objective
+    overflows with F, so the polish takes no step there.  Both
     backends solve with no warning; the Python polish once warned of the
     overflow of its segment sums.  x/c then stays within 3.5e-9 of the
     c = 1 solve (max|x| = 2.2); the bound is 1e-8."""
@@ -449,8 +472,8 @@ def test_a_long_solve_certifies_in_four_updates(tvd_backend, seed):
     about 2,000 segments, and a few of them are wrong after each update.
     A polish that stopped at the first value or jump to reach 0 fixed one
     per update, and these solves took 9 to 11 updates; the merge rounds
-    fuse and zero them all at once: each solve took 3, and now stops on
-    the iterate polished after its second update, which the oracle
+    fuse and zero them all at once: each solve took 3, and now stops
+    after its second update, whose polished iterate the oracle
     certifies."""
     clean = np.tile(generate_pulses(default_pulse_spec()), 100)
     y = add_awgn(clean, NoiseSpec(0.5, seed))

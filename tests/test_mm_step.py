@@ -1,10 +1,10 @@
 """The compiled MM loop against its Python twin, one update at a time: the
 module's `mm_solve` capped at 1, 2 and 3 updates from one start gives,
-after each update, the byte-identical iterate, residual, F, certificate,
-polish count and Newton step count of `cnc._mm_loop_python`, the chain of
-the public `fused_lasso_l1`, `objective`, `majorized_input` and
-`fused_lasso_optimality_residual` with the polish between updates, on the
-Python kernel.  Also the
+after each update, the byte-identical iterate, residual, update count, F,
+certificate, polish count and Newton step count of `cnc._mm_loop_python`,
+the chain of the public `fused_lasso_l1`, `objective`, `majorized_input`
+and `fused_lasso_optimality_residual` with the polish of each update's
+iterate, on the Python kernel.  Also the
 build flags that this rests on and the one entry point of the loop."""
 
 import dataclasses
@@ -32,12 +32,12 @@ WIDE = np.random.default_rng(9).normal(0.0, 3.0, 60).tolist()
 
 
 def run_steps(y, v, cfg, compiled, calls=3):
-    """Rows (x, r), F, certificate, polishes and Newton steps after each of
-    `calls` updates, from the module's ``mm_solve`` capped at 1, ...,
-    `calls` updates, each from the shifted input of the start v, or from
-    the Python twin on the Python kernel.  tol is NaN, which the
-    certificate never meets, so each call runs to its cap; CncConfig
-    rejects it, so the twin reads a copy of cfg's fields."""
+    """Rows (x, r), the updates run, the last F, certificate, polishes and
+    Newton steps of the module's ``mm_solve`` capped at 1, ..., `calls`
+    updates, each from the shifted input of the start v, or of the Python
+    twin on the Python kernel.  tol is NaN, which the certificate never
+    meets, so each call runs to its cap or to a fixed point of the MM map;
+    CncConfig rejects it, so the twin reads a copy of cfg's fields."""
     y = np.ascontiguousarray(y)
     shifted = cnc.majorized_input(v, y, cfg)
     fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
@@ -51,7 +51,7 @@ def run_steps(y, v, cfg, compiled, calls=3):
             loop_cfg = types.SimpleNamespace(**{**fields, "max_iter": cap, "tol": np.nan})
             with mock.patch.object(prox, "_tvd_c", None):
                 x, history, *counts = cnc._mm_loop_python(y, shifted, 0.0, loop_cfg)
-        states.append([x.tobytes(), (y - x).tobytes(), history[cap].hex(),
+        states.append([x.tobytes(), (y - x).tobytes(), history.size - 1, history[-1].hex(),
                        np.float64(counts[1]).hex(), *counts[2:]])
     return states
 

@@ -28,7 +28,10 @@ def fingerprint(result):
 def test_compiled_loop_calls_no_python_per_update(monkeypatch):
     """With the library, a solve calls _finish nowhere: its start's `value`
     finishes phi in the module's `penalty_map`, and its updates in
-    `mm_solve`, however many follow."""
+    `mm_solve`, however many follow: one under a cap of 1, and two, each
+    polished, under caps of 3 and 50, where the second update's shifted
+    input is the one it solved on (a fixed point of the MM map) and stops
+    the solve."""
     calls = []
 
     def counting(self, phi):
@@ -49,7 +52,7 @@ def test_compiled_loop_calls_no_python_per_update(monkeypatch):
                         max_iter=max_iter, tol=1e-300)
         updates.append(solve(y, cfg).iterations)
         assert calls == []
-    assert updates[0] < updates[1] < updates[2]
+    assert updates == [1, 2, 2]
 
 
 def check_fallback(monkeypatch):

@@ -21,16 +21,15 @@ repeats, in milliseconds per call:
 - one polish at N = 300 and 30,000: ``cnc._polish``, the Python twin of
   the compiled polish (which has no entry of its own and shows in the loop
   rows), on the first iterate that the solve of the fixture, or of the
-  fixture tiled to 30,000 samples, polishes (its first update's, which
-  does not certify);
+  fixture tiled to 30,000 samples, polishes (its first update's, before
+  the polish);
 - the criterion-7 sweep (3 sigma x 3 methods x 20 lambda0 x 15 trials);
 - ``python -m cncflsa.cli denoise`` on the 300-sample fixture, in a fresh
   interpreter.
 
 The solve, loop and polish rows also print, and keep, the work they time:
 kernel calls (a solve's start and its updates, a loop's updates), polishes
-and Newton steps, for a solve or a loop how many solves stopped on a
-polished iterate, and for a polish how many of its steps were merge
+and Newton steps, and for a polish how many of its steps were merge
 rounds.  Apart from the loop and the polish, which are private
 (``mm_solve`` and ``cnc._polish``, with the arguments of ``cnc.solve``),
 only public names are timed, so the script measures whichever version of
@@ -145,14 +144,11 @@ def solve_start(y, cfg):
 
 def loop_work(y, cfg):
     """Kernel calls, polishes and Newton steps of the MM loop from the start
-    of a solve of y, which must converge, and how many solves (0 or 1)
-    stopped on a polished iterate: those with a polish after every update."""
-    x, history, converged, _, polishes, steps = cnc._mm_updates(*solve_start(y, cfg))
+    of a solve of y, which must converge."""
+    _, history, converged, _, polishes, steps = cnc._mm_updates(*solve_start(y, cfg))
     if not converged:
         raise RuntimeError("the solve ran to its cap")
-    updates = history.size - 1
-    return {"kernel_calls": updates, "polishes": polishes, "newton_steps": steps,
-            "polish_stops": int(polishes == updates)}
+    return {"kernel_calls": history.size - 1, "polishes": polishes, "newton_steps": steps}
 
 
 def compiled_loop(y, cfg):
@@ -168,8 +164,9 @@ def compiled_loop(y, cfg):
 
 
 def first_polish(y, cfg):
-    """The iterate where the Python loop from the start of a solve of y
-    first polishes, and the work of that polish."""
+    """The first iterate that the Python loop from the start of a solve of y
+    polishes, an update's before its polish, and the work of that
+    polish."""
     seen = []
     polish = cnc._polish
 
