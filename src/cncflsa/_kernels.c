@@ -34,7 +34,8 @@
  * The MM loop, cncflsa_mm_solve, is the one compiled solve, a byte-for-byte
  * twin of cncflsa.cnc._mm_loop_python: each update is one fused-lasso
  * solve, the Newton polish of its iterate in place, its merge rounds
- * included, and the subgradient oracle (oracle, a port of
+ * included, on every update, capped or not, unless both penalties are l1,
+ * and the subgradient oracle (oracle, a port of
  * cncflsa.prox.fused_lasso_optimality_residual) of that iterate, on which
  * alone a solve stops.  The polish is the one place that needs s''
  * (curvature, beside algebra) and a Thomas sweep (thomas).
@@ -656,8 +657,8 @@ static void fuse(struct segments *s)
  * s' and the Hessian from curvature; merge rounds (merged_step, fuse)
  * while one merges and strictly lowers segment_objective, then steps from
  * the full length halved until they keep every sign and strictly lower
- * it, in the reference's operations and order.  Returns -1 where x has no
- * nonzero segment, else the number of steps taken, and where it took one,
+ * it, in the reference's operations and order.  Returns the number of
+ * steps taken, 0 where x has no nonzero segment, and where it took one,
  * writes the polished iterate over m->x. */
 static long long polish(const struct mm_step *m, const struct numpy_loops *np)
 {
@@ -678,7 +679,7 @@ static long long polish(const struct mm_step *m, const struct numpy_loops *np)
         G++, start = i;
     }
     if (K == 0)
-        return -1;
+        return 0;
     s.g = G;
     f = segment_objective(m, np, &s, s.v, s.v);
     for (steps = 0; steps < POLISH_STEPS;) {
@@ -762,8 +763,8 @@ static long long polish(const struct mm_step *m, const struct numpy_loops *np)
 /* The MM updates of cncflsa.cnc._mm_updates, bit-identical to its Python
  * reference cncflsa.cnc._mm_loop_python, the chain of the public functions.
  * Update k runs fused_lasso on m->in and polishes the new iterate in place,
- * except on the last update of a capped solve and where both penalties are
- * l1, whose update is already exact; then it forms the iterate's shifted
+ * unless both penalties are l1, whose update is already exact, so that a
+ * cap only truncates the solve; then it forms the iterate's shifted
  * input in m->shifted by majorize, stores its F (cncflsa.cnc.objective, in
  * its order of evaluation) in m->f[k] after m->f[0] and evaluates the
  * oracle of the two.  It stops, converged, where the oracle is <= tol
@@ -772,23 +773,21 @@ static long long polish(const struct mm_step *m, const struct numpy_loops *np)
  * the MM map, from which every later update would repeat this one; else
  * the rows in and shifted swap.  Returns the number of updates, negated
  * when the oracle met tol, or 0 when the history could not grow; the last
- * iterate's oracle, the certificate, and the counts of polishes and Newton
- * steps come back through their pointers.  m->f doubles in size whenever an
+ * iterate's oracle, the certificate, and the polishes' Newton steps in all
+ * come back through their pointers.  m->f doubles in size whenever an
  * update needs more room; the solve runs without the GIL, so it grows with
  * PyMem_RawRealloc. */
 CLONES static long long cncflsa_mm_solve(struct mm_step *m, const struct numpy_loops *np,
-                                         double *cert, long long *polishes, long long *steps)
+                                         double *cert, long long *steps)
 {
-    long long k, taken;
+    long long k;
     double f, *grown, *swap;
     int last, exact = m->kind0 == KIND_L1 && m->kind1 == KIND_L1;
 
     for (k = 1;; k++) {
         fused_lasso(m);
-        if (k < m->max_iter && !exact) {
-            taken = polish(m, np);
-            *polishes += taken >= 0, *steps += taken > 0 ? taken : 0;
-        }
+        if (!exact)
+            *steps += polish(m, np);
         majorize(m);
         f = objective(m, np);
         if (k == m->size) {
@@ -1056,14 +1055,14 @@ static PyObject *shifted_input(PyObject *self, PyObject *const *args, Py_ssize_t
 }
 
 PyDoc_STRVAR(mm_solve_doc, "mm_solve(y, shifted, f0, lam0, lam1, a0, a1, kind0, kind1, max_iter,"
-" tol)\n    -> (x, history, converged, certificate, polishes, newton_steps)\n\n"
+" tol)\n    -> (x, history, converged, certificate, newton_steps)\n\n"
 "The MM updates of cncflsa.cnc._mm_updates from a start whose shifted input is\n"
 "shifted and whose F is f0, on C-contiguous float64 vectors y and shifted of\n"
 "one length; kind0 and kind1 index KINDS, and max_iter >= 1 (any larger than\n"
 "a C long long runs as unbounded).  history holds f0 and F of the iterate\n"
-"each update run leaves, polished in place; certificate is the subgradient\n"
-"oracle of x, and polishes and newton_steps count the polishes run and the\n"
-"steps they took.");
+"each update run leaves, polished in place unless both kinds are l1;\n"
+"certificate is the subgradient oracle of x, and newton_steps counts the\n"
+"Newton steps of the polishes.");
 
 static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1072,7 +1071,7 @@ static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t narg
     PyArrayObject *y, *shifted;
     PyObject *x, *history;
     double f0, cert = 0.0;
-    long long updates, polishes = 0, steps = 0;
+    long long updates, steps = 0;
     int overflow;
     npy_intp size;
 
@@ -1121,7 +1120,7 @@ static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t narg
     m.y = PyArray_DATA(y), m.x = PyArray_DATA((PyArrayObject *)x);
     Py_BEGIN_ALLOW_THREADS
     memcpy(m.in, PyArray_DATA(shifted), m.n * sizeof(double));
-    updates = cncflsa_mm_solve(&m, loops, &cert, &polishes, &steps);
+    updates = cncflsa_mm_solve(&m, loops, &cert, &steps);
     Py_END_ALLOW_THREADS
     PyMem_RawFree(m.r);
     size = (npy_intp)(updates < 0 ? -updates : updates) + 1;
@@ -1133,8 +1132,8 @@ static PyObject *mm_solve(PyObject *self, PyObject *const *args, Py_ssize_t narg
         Py_DECREF(x);
         return NULL;
     }
-    return Py_BuildValue("(NNOdLL)", x, history, updates < 0 ? Py_True : Py_False, cert,
-                         polishes, steps);
+    return Py_BuildValue("(NNOdL)", x, history, updates < 0 ? Py_True : Py_False, cert,
+                         steps);
 }
 
 PyDoc_STRVAR(all_finite_doc, "all_finite(a) -> bool\n\n"

@@ -163,7 +163,7 @@ def cmd_denoise(args):
         "iterations": result.iterations,
         "converged": result.converged,
         "certificate": result.certificate,
-        "polishes": result.polishes,
+        "newton_steps": result.newton_steps,
         # The backend that ran, read at the call: the switch is prox._tvd_c.
         "tvd_backend": "python" if _prox._tvd_c is None else "c",
         "objective_history": [f if math.isfinite(f) else None
@@ -266,7 +266,7 @@ def _tune_lambda0(method, noisy, clean, sigma, beta, kind, base_seed, a0=None, *
     denoised = [tvd(y, lam1) for y in noisy] if method == "l1" else None
     best = None
     for lam0 in lambda0_grid(n, sigma, beta):
-        if a0 is not None and a0 * lam0 > 1.0 + MARGIN_TOL:
+        if a0 is not None and float(a0) * float(lam0) > 1.0 + MARGIN_TOL:
             continue
         records = collect_run_records(
             method, noisy, clean, lam0, lam1, kind, sigma, base_seed, a0, denoised=denoised,

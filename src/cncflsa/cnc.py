@@ -88,10 +88,9 @@ class SolveResult:
     F.  certificate is the subgradient oracle of x,
     ``fused_lasso_optimality_residual(majorized_input(x, y, cfg), x,
     lambda0, lambda1)`` bit for bit, and converged says that it met tol
-    (see :func:`solve`).  polishes counts the Newton polishes run on the
-    updates' iterates: one per update, except on the last update of a
-    capped solve, on an iterate with no nonzero segment, and where both
-    penalties are l1.
+    (see :func:`solve`).  newton_steps counts the Newton steps of the
+    polishes of the updates' iterates, merge rounds included; every update
+    polishes its iterate unless both penalties are l1.
     """
 
     x: np.ndarray
@@ -99,7 +98,7 @@ class SolveResult:
     iterations: int
     converged: bool
     certificate: float
-    polishes: int
+    newton_steps: int
 
 
 def convexity_margin_params(lambda0, lambda1, a0, a1):
@@ -203,11 +202,12 @@ def solve(y, cfg: CncConfig) -> SolveResult:
     at x_k.  The polish runs Newton steps on the values of the nonzero
     segments of x_k, which lower F, first in merge rounds, each of which
     may zero and fuse many segments at once, then with the structure
-    reached held (see :func:`_polish`).  It is skipped on the last update
-    of a capped solve, and where both penalties are l1, whose update is
-    already exact.  Each update lowers F from any point, so the polish
-    needs no test that the structure has settled, and a wrong merge costs
-    one update, not the result: only the oracle stops a solve.
+    reached held (see :func:`_polish`).  Every update polishes, capped or
+    not, unless both penalties are l1, whose update is already exact, so a
+    cap only truncates the solve: its history is a prefix of the uncapped
+    one's.  Each update lowers F from any point, so the polish needs no
+    test that the structure has settled, and a wrong merge costs one
+    update, not the result: only the oracle stops a solve.
 
     One rule stops a solve: it stops, converged, where the subgradient
     oracle of x_k, ``fused_lasso_optimality_residual(s_k, x_k, lambda0,
@@ -238,7 +238,7 @@ def solve(y, cfg: CncConfig) -> SolveResult:
         )
     x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
     f0 = objective(x, y, cfg)
-    x, history, converged, certificate, polishes, _ = _mm_updates(
+    x, history, converged, certificate, newton_steps = _mm_updates(
         y, majorized_input(x, y, cfg), f0, cfg)
     return SolveResult(
         x=x,
@@ -246,7 +246,7 @@ def solve(y, cfg: CncConfig) -> SolveResult:
         iterations=history.size - 1,
         converged=converged,
         certificate=certificate,
-        polishes=polishes,
+        newton_steps=newton_steps,
     )
 
 
@@ -256,11 +256,11 @@ def _mm_updates(y, shifted, f0, cfg):
 
     Returns the iterate the last update left, the objective history from
     f0 on, whether its subgradient oracle, the certificate, met cfg.tol,
-    that certificate, the number of polishes and their Newton steps in
-    all.  With the compiled module the updates run in one call of its
-    ``mm_solve``, which allocates its scratch, its copy of shifted and the
-    history itself; without it they run in :func:`_mm_loop_python`, its
-    reference.  Both give the same bits, and neither writes y or shifted.
+    that certificate and the Newton steps of the polishes in all, one
+    polish per update unless both penalties are l1.  With the compiled
+    module the updates run in one call of its ``mm_solve``, which
+    allocates its scratch, its copy of shifted and the history itself;
+    without it they run in :func:`_mm_loop_python`, its reference.  Both give the same bits, and neither writes y or shifted.
     """
     lib = _prox._tvd_c
     if lib is None:
@@ -274,29 +274,25 @@ def _mm_loop_python(y, shifted, f0, cfg):
     """The MM updates as the chain of the public functions, the reference
     of ``cncflsa_mm_solve``: each update is :func:`fused_lasso_l1` on the
     shifted input, :func:`_polish` of the new iterate, its merge rounds
-    included, which replaces the iterate where it took a step, then
-    :func:`objective` of the iterate, :func:`majorized_input` at it and the
-    public :func:`fused_lasso_optimality_residual` of the two, and the stop
-    test of :func:`solve`.  Returns what :func:`_mm_updates` returns; the
-    polish's count of merge rounds is not kept."""
-    history, polishes, steps = [f0], 0, 0
+    included, unless both penalties are l1, then :func:`objective` of the
+    iterate, :func:`majorized_input` at it and the public
+    :func:`fused_lasso_optimality_residual` of the two, and the stop test
+    of :func:`solve`.  Returns what :func:`_mm_updates` returns."""
+    history, steps = [f0], 0
     lam0, lam1 = cfg.lambda0, cfg.lambda1
     exact = cfg.penalty0.kind == cfg.penalty1.kind == "l1"
     for k in range(1, cfg.max_iter + 1):
         x = fused_lasso_l1(shifted, lam0, lam1)
-        polished = None if exact or k == cfg.max_iter else _polish(x, y, cfg)
-        if polished is not None:
-            polishes += 1
-            steps += polished[1]
-            if polished[1]:
-                x = polished[0]
+        if not exact:
+            x, taken = _polish(x, y, cfg)
+            steps += taken
         history.append(objective(x, y, cfg))
         solved_on, shifted = shifted, majorized_input(x, y, cfg)
         certificate = fused_lasso_optimality_residual(shifted, x, lam0, lam1)
         if (certificate <= cfg.tol or k == cfg.max_iter
                 or shifted.tobytes() == solved_on.tobytes()):
             break
-    return x, np.array(history), certificate <= cfg.tol, certificate, polishes, steps
+    return x, np.array(history), certificate <= cfg.tol, certificate, steps
 
 
 # The polish's cap on Newton steps, and on the halvings of each step.
@@ -311,9 +307,9 @@ _EPS = float(np.finfo(float).eps)
 @np.errstate(all="ignore")
 def _polish(x, y, cfg):
     """Newton steps on the values v of the nonzero segments of x, the
-    segments held at 0 staying there: None where x has no nonzero segment,
-    else the polished iterate, the number of steps taken and how many of
-    them were merge rounds.
+    segments held at 0 staying there: the polished iterate and the number
+    of steps taken, merge rounds included; x itself and 0 where it took
+    none, as where x has no nonzero segment.
 
     With the structure of x fixed, F is smooth in v; up to a constant it is
     :func:`_segment_objective`, f.  Its gradient takes phi' = sign + s' and
@@ -343,14 +339,14 @@ def _polish(x, y, cfg):
     fresh = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
     v = x[fresh]
     if not v.any():
-        return None
+        return x, 0
     cnt = np.diff(np.append(fresh, x.size)).astype(float)
     mean = np.zeros(v.size)
     for g in np.flatnonzero(v):
         mean[g] = float(np.add.reduce(y[fresh[g]:fresh[g] + int(cnt[g])])) / cnt[g]
     lam0, lam1, p0, p1 = cfg.lambda0, cfg.lambda1, cfg.penalty0, cfg.penalty1
     f = _segment_objective(v, cnt, mean, v != 0.0, cfg)
-    steps = rounds = 0
+    steps = 0
     merging = True
     while steps < POLISH_STEPS:
         free = v != 0.0
@@ -376,7 +372,7 @@ def _polish(x, y, cfg):
             if trial is not None and _segment_objective(trial, cnt, mean, free, cfg) < f:
                 v, cnt, mean = _fused(trial, cnt, mean)
                 f = _segment_objective(v, cnt, mean, v != 0.0, cfg)
-                steps, rounds = steps + 1, rounds + 1
+                steps += 1
                 continue
             merging = False
         t, accepted = 1.0, False
@@ -400,7 +396,7 @@ def _polish(x, y, cfg):
         steps += 1
         if last:
             break
-    return np.repeat(v, cnt.astype(np.intp)), steps, rounds
+    return (np.repeat(v, cnt.astype(np.intp)) if steps else x), steps
 
 
 def _merged_step(v, delta, cnt):

@@ -159,13 +159,19 @@ def add_awgn(x, noise: NoiseSpec):
 
 
 def lambda1_heuristic(n, sigma, beta=DEFAULT_BETA):
-    """Difference-penalty weight beta * sqrt(n) * sigma."""
+    """Difference-penalty weight beta * sqrt(n) * sigma, rejected where
+    that product is not finite."""
     count = _whole(n)
     if count is None or count < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     sigma = _check_nonneg(sigma, "sigma")
     beta = _check_pos(beta, "beta")
-    return beta * np.sqrt(count) * sigma
+    with np.errstate(over="ignore"):
+        lam1 = beta * np.sqrt(count) * sigma
+    if not np.isfinite(lam1):
+        raise ValueError(f"beta*sqrt(n)*sigma must be finite, got beta = {beta!r}, n = {count}, "
+                         f"sigma = {sigma!r}")
+    return lam1
 
 
 def lambda0_grid(n, sigma, beta=DEFAULT_BETA):

@@ -208,11 +208,12 @@ def polish_reference(x, y, cfg):
     count-weighted.  Then steps halved from the full one until signs hold
     and the restricted F strictly falls; a step whose full length would
     turn a sign, or whose predicted fall is below F's rounding, is the
-    last.  None when x has no nonzero segment, else (polished x, steps)."""
+    last.  Returns (polished x, steps), and (x, 0) where it took no step,
+    as where x has no nonzero segment."""
     runs = segments(x)
     v = [float(x[start]) for start, _ in runs]
     if all(value == 0.0 for value in v):
-        return None
+        return x, 0
     size = [float(stop - start) for start, stop in runs]
     mean = [float(np.sum(y[start:stop])) / n if value != 0.0 else 0.0
             for (start, stop), n, value in zip(runs, size, v)]
@@ -331,14 +332,13 @@ def polish_reference(x, y, cfg):
             steps += 1
             if last:
                 break
-    return np.repeat(v, [int(n) for n in size]), steps
+    return (np.repeat(v, [int(n) for n in size]) if steps else x), steps
 
 
 def mm_reference(y, cfg):
     """MM solve of `cnc.solve` as a plain chain, per update: one
-    `fused_lasso_l1`, then `polish_reference` of its iterate, which replaces
-    it where the polish took a step (no polish on a capped solve's last
-    update, nor where both penalties are l1), then the iterate's
+    `fused_lasso_l1`, then `polish_reference` of its iterate on every
+    update, capped or not, unless both penalties are l1, then the iterate's
     `mm_objective`, its `mm_shifted_input` and the public subgradient
     oracle `fused_lasso_optimality_residual` of the two.  The solve stops,
     converged, where the oracle meets tol, and otherwise at its cap or
@@ -348,16 +348,13 @@ def mm_reference(y, cfg):
     x = fused_lasso_l1(y, cfg.lambda0, cfg.lambda1)
     history = [mm_objective(x, y, cfg)]
     shifted = mm_shifted_input(x, y, cfg)
-    polishes = 0
+    newton_steps = 0
     exact = cfg.penalty0.kind == "l1" and cfg.penalty1.kind == "l1"
     for k in range(1, cfg.max_iter + 1):
         x = fused_lasso_l1(shifted, cfg.lambda0, cfg.lambda1)
-        if not exact and k < cfg.max_iter:
-            polished = polish_reference(x, y, cfg)
-            if polished is not None:
-                polishes += 1
-                if polished[1]:
-                    x = polished[0]
+        if not exact:
+            x, steps = polish_reference(x, y, cfg)
+            newton_steps += steps
         history.append(mm_objective(x, y, cfg))
         solved_on, shifted = shifted, mm_shifted_input(x, y, cfg)
         certificate = fused_lasso_optimality_residual(shifted, x, cfg.lambda0, cfg.lambda1)
@@ -366,4 +363,4 @@ def mm_reference(y, cfg):
             break
     return SolveResult(x=x, objective_history=np.asarray(history), iterations=len(history) - 1,
                        converged=certificate <= cfg.tol, certificate=certificate,
-                       polishes=polishes)
+                       newton_steps=newton_steps)

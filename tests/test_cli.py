@@ -201,7 +201,7 @@ class TestDenoise:
         meta = json.loads((tmp_path / "out.txt.json").read_text())
         for key in ("method", "lambda0", "lambda1", "a0", "a1", "penalty",
                     "convexity_margin", "iterations", "converged", "certificate",
-                    "polishes", "objective_history", "rmse"):
+                    "newton_steps", "objective_history", "rmse"):
             assert key in meta
         assert len(meta["objective_history"]) == meta["iterations"] + 1
         assert meta["converged"] and meta["certificate"] <= 1e-9
@@ -434,8 +434,11 @@ class TestSweep:
         clean = generate_pulses(default_pulse_spec())
         noisy = [add_awgn(clean, NoiseSpec(0.5, seed)) for seed in (0, 1)]
         lam1 = 0.25 * np.sqrt(300) * 0.5
+        # Its one polished update certifies at the default tol 1e-9, not at
+        # 1e-15.
+        tol = 1e-15 if max_iter == 1 else 1e-9
         records = collect_run_records(method, noisy, clean, 0.3 * lam1, lam1, "atan", 0.5, 0,
-                                      max_iter=max_iter)
+                                      max_iter=max_iter, tol=tol)
         assert [r.converged for r in records] == [converged, converged]
 
     def test_l1_tuning_runs_one_tvd_per_trial(self, monkeypatch):
@@ -560,6 +563,23 @@ class TestSweep:
                          "--output", str(out)]) == 4
         assert list(tmp_path.iterdir()) == ([] if existing is None else [out])
         assert existing is None or out.read_bytes() == existing
+
+    @pytest.mark.parametrize("flags", [("--axis", "a0", "--values", "1e308"),
+                                       ("--axis", "sigma", "--values", "1e300",
+                                        "--beta", "1e300")])
+    def test_overflowing_lambda_arithmetic_fails_without_a_warning(self, tmp_path, flags):
+        """a0*lambda0 past the largest float leaves no feasible lambda0, and
+        beta*sqrt(n)*sigma past it is rejected by lambda1_heuristic: each
+        sweep exits 4 with one error line, even with every warning an
+        error.  numpy's overflow warnings of the two products came first,
+        and the second error named lam, a parameter never given."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "cncflsa.cli", "sweep", *flags, "--trials", "1",
+             "--output", str(tmp_path / "s.csv")],
+            capture_output=True, text=True, env={**child_env(), "PYTHONWARNINGS": "error"})
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Warning" not in proc.stderr and "lam " not in proc.stderr
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,7 +1,7 @@
 """The compiled MM loop against its Python twin, one update at a time: the
 module's `mm_solve` capped at 1, 2 and 3 updates from one start gives,
 after each update, the byte-identical iterate, residual, update count, F,
-certificate, polish count and Newton step count of `cnc._mm_loop_python`,
+certificate and Newton step count of `cnc._mm_loop_python`,
 the chain of the public `fused_lasso_l1`, `objective`, `majorized_input`
 and `fused_lasso_optimality_residual` with the polish of each update's
 iterate, on the Python kernel.  Also the
@@ -32,8 +32,8 @@ WIDE = np.random.default_rng(9).normal(0.0, 3.0, 60).tolist()
 
 
 def run_steps(y, v, cfg, compiled, calls=3):
-    """Rows (x, r), the updates run, the last F, certificate, polishes and
-    Newton steps of the module's ``mm_solve`` capped at 1, ..., `calls`
+    """Rows (x, r), the updates run, the last F, certificate and Newton
+    steps of the module's ``mm_solve`` capped at 1, ..., `calls`
     updates, each from the shifted input of the start v, or of the Python
     twin on the Python kernel.  tol is NaN, which the certificate never
     meets, so each call runs to its cap or to a fixed point of the MM map;

@@ -179,6 +179,13 @@ class TestMetrics:
         with pytest.raises(ValueError, match="beta"):
             lambda0_grid(100, 0.5, beta)
 
+    @pytest.mark.parametrize("beta, sigma", [(1e300, 1e300), (1.5e308, 1.0)])
+    def test_lambda1_heuristic_rejects_a_product_past_the_largest_float(self, beta, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"beta\*sqrt\(n\)\*sigma"):
+                lambda1_heuristic(100, sigma, beta)
+
     def test_lambda0_grid(self):
         grid = lambda0_grid(100, 0.5)
         assert grid.size == 20

@@ -28,12 +28,11 @@ repeats, in milliseconds per call:
   interpreter.
 
 The solve, loop and polish rows also print, and keep, the work they time:
-kernel calls (a solve's start and its updates, a loop's updates), polishes
-and Newton steps, and for a polish how many of its steps were merge
-rounds.  Apart from the loop and the polish, which are private
-(``mm_solve`` and ``cnc._polish``, with the arguments of ``cnc.solve``),
-only public names are timed, so the script measures whichever version of
-the package is on the import path.  Those arguments are private to a
+kernel calls (a solve's start and its updates, a loop's updates) and
+Newton steps, a polish's merge rounds included.  Apart from the loop and
+the polish, which are private (``mm_solve`` and ``cnc._polish``, with the
+arguments of ``cnc.solve``), only public names are timed, so the script
+measures whichever version of the package is on the import path.  Those arguments are private to a
 version, so run each version's own script, each with its own label, to put
 both into one file:
 
@@ -143,12 +142,12 @@ def solve_start(y, cfg):
 
 
 def loop_work(y, cfg):
-    """Kernel calls, polishes and Newton steps of the MM loop from the start
-    of a solve of y, which must converge."""
-    _, history, converged, _, polishes, steps = cnc._mm_updates(*solve_start(y, cfg))
+    """Kernel calls and Newton steps of the MM loop from the start of a
+    solve of y, which must converge."""
+    _, history, converged, _, steps = cnc._mm_updates(*solve_start(y, cfg))
     if not converged:
         raise RuntimeError("the solve ran to its cap")
-    return {"kernel_calls": history.size - 1, "polishes": polishes, "newton_steps": steps}
+    return {"kernel_calls": history.size - 1, "newton_steps": steps}
 
 
 def compiled_loop(y, cfg):
@@ -164,9 +163,9 @@ def compiled_loop(y, cfg):
 
 
 def first_polish(y, cfg):
-    """The first iterate that the Python loop from the start of a solve of y
-    polishes, an update's before its polish, and the work of that
-    polish."""
+    """The iterate of the first polish call of the Python loop from the
+    start of a solve of y, its first update's before its polish, and the
+    work of that polish."""
     seen = []
     polish = cnc._polish
 
@@ -180,8 +179,8 @@ def first_polish(y, cfg):
         cnc._mm_loop_python(*solve_start(y, cfg))
     finally:
         cnc._polish = polish
-    x, (_, steps, rounds) = next((x, out) for x, out in seen if out is not None)
-    return x, {"kernel_calls": 0, "polishes": 1, "newton_steps": steps, "merge_rounds": rounds}
+    x, (_, steps) = seen[0]
+    return x, {"kernel_calls": 0, "newton_steps": steps}
 
 
 def cli_denoise_ms(workdir):

@@ -6,17 +6,18 @@ Each digest covers the bytes of
   0.0 samples, each penalty's kind drawn on its own, lambda0 and lambda1
   sometimes 0, update caps of 1, 3 and 50, and tol 1e-9 or 1e-300; for
   each, the iterate, the objective history, the update count, the stopping
-  flag, the certificate and the polish count.  Every certificate is the
-  subgradient oracle ``fused_lasso_optimality_residual`` of the returned
-  iterate, the one the solve's last update left, polished or not, and tol
-  bounds it, so 1e-300 certifies a solve only where the oracle reads
-  exactly 0 (or a subnormal).  Of the 196 solves at 1e-300, 93 certify, 71
-  stop at their cap and 32 at a fixed point of the MM map, an update
-  whose shifted input is the one it solved on; there the certificate is
-  the whole oracle of that iterate;
+  flag, the certificate and the Newton step count.  Every certificate is
+  the subgradient oracle ``fused_lasso_optimality_residual`` of the
+  returned iterate, the one the solve's last update left, polished unless
+  both penalties are l1, capped or not, and tol bounds it, so 1e-300
+  certifies a solve only where the oracle reads exactly 0 (or a
+  subnormal).  Of the 196 solves at 1e-300, 93 certify, 71 stop at their
+  cap and 32 at a fixed point of the MM map, an update whose shifted input
+  is the one it solved on; there the certificate is the whole oracle of
+  that iterate;
 - the criterion-7 table, ``cli.sweep_sigma`` over sigma = 0.25, 0.5 and 1
   with 15 trials and all three methods: every row, and the iterate,
-  history, certificate and polish count of each of its MM solves;
+  history, certificate and Newton step count of each of its MM solves;
 - ``cli denoise`` on a noisy fixture for a few flag sets: the output file
   and its JSON metadata;
 - the public penalty functions on seeded random signals of the same sizes,
@@ -118,7 +119,7 @@ def random_solves(h):
         h.update(result.x.tobytes())
         h.update(result.objective_history.tobytes())
         h.update(repr((result.iterations, result.converged, result.certificate.hex(),
-                       result.polishes)).encode())
+                       result.newton_steps)).encode())
 
 
 def penalty_spec(rng, lam):
@@ -156,7 +157,7 @@ def sweep_table(h):
         result = public(y, cfg)
         h.update(result.x.tobytes())
         h.update(result.objective_history.tobytes())
-        h.update(repr((result.certificate.hex(), result.polishes)).encode())
+        h.update(repr((result.certificate.hex(), result.newton_steps)).encode())
         return result
 
     cli.solve = recording
